@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .blackbox import (
     BlackBoxGroup,
     DecompositionTable,
@@ -39,6 +41,7 @@ from .linalg import (
     continued_fraction_reconstruct,
     hermite_reduce,
     integral_pseudo_inverse,
+    is_prime,
     mat_vec,
     smith_normal_form,
     solve_group_system,
@@ -221,19 +224,16 @@ def _auto_grid(l: int, minimum: int = 1 << 16) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
-def _perfect_power(n: int) -> tuple[int, int] | None:
-    for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1 / k))
-        for candidate in (root - 1, root, root + 1):
-            if candidate >= 2 and candidate**k == n:
-                return candidate, k
-    return None
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k, p prime and k >= 2; None for any other n."""
+    primes = _prime_factors(n)
+    if len(primes) != 1 or primes[0] == n:
+        return None
+    p, k = primes[0], 0
+    while n > 1:
+        n //= p
+        k += 1
+    return p, k
 
 
 @dataclass
@@ -252,9 +252,9 @@ def factor(n: int, rng, attempts: int = 10, **order_kwargs) -> FactoringRun:
     """
     if n < 3 or n % 2 == 0:
         raise FactoringError(f"{n} must be an odd integer >= 3")
-    if _is_prime(n):
+    if is_prime(n):
         raise FactoringError(f"{n} is prime")
-    power = _perfect_power(n)
+    power = _prime_power(n)
     if power is not None:
         raise FactoringError(f"{n} is a prime power: {power[0]}^{power[1]}")
     transcript = []
@@ -337,7 +337,7 @@ def discrete_log(
     linear system mod p-1, which pins s down unless every sampled k shares a
     factor with p-1 (probability at most about 2^-repetitions).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DiscreteLogError(f"{p} is not prime")
     group = ZNStarGroup(p)
     if not group.is_element(b):
@@ -464,17 +464,22 @@ class OracularGroup(BlackBoxGroup):
     """Group structure induced on an HSP oracle's value set.
 
     Multiplication goes through stored preimage representatives:
-    x * y = f(g_x + g_y).  Well-definedness is exactly the coset promise of
-    the oracle; `certify_homomorphism` checks it exhaustively at desk scale.
+    x * y = f(r(x) + r(y)), with r(x) the first preimage of x in enumeration
+    order.  Well-definedness is exactly the coset promise of the oracle.
+    The constructor evaluates f once per domain point and keeps the table of
+    values, from which `certify_homomorphism` checks the promise with one
+    lookup per point and unit generator and no further oracle calls.
     """
 
     def __init__(self, domain: ElementaryGroup, oracle: Callable) -> None:
         super().__init__()
         self.domain = domain
         self.oracle = oracle
+        self._table: list = []  # f at every domain point, in enumeration order
         self._representative: dict = {}
         for el in domain.elements():
             value = oracle(el.coords)
+            self._table.append(value)
             self._representative.setdefault(value, el)
         self._values = sorted(self._representative, key=repr)
         self.encoding_length = max(1, (len(self._values) - 1).bit_length())
@@ -489,7 +494,7 @@ class OracularGroup(BlackBoxGroup):
         return self.oracle((-gx).coords)
 
     def identity(self):
-        return self.oracle(self.domain.identity().coords)
+        return self._table[0]  # the zero element is enumerated first
 
     def is_element(self, x) -> bool:
         return x in self._representative
@@ -507,13 +512,29 @@ class OracularGroup(BlackBoxGroup):
         return self._values[int(rng.integers(len(self._values)))]
 
     def certify_homomorphism(self) -> bool:
-        """Check f(g+h) = f(g) f(h) over the whole domain."""
-        for g in self.domain.elements():
-            for h in self.domain.elements():
-                lhs = self.oracle((g + h).coords)
-                rhs = self._mul(self.oracle(g.coords), self.oracle(h.coords))
-                if lhs != rhs:
-                    return False
+        """Check that f's level sets are the cosets of a subgroup H.
+
+        Test: f(g + e_i) = f(r(g) + e_i) for every point g and unit
+        generator e_i, i.e. k |G| table lookups and no oracle calls.  For a
+        deterministic oracle this is equivalent to the pairwise test
+        f(g + h) = f(r(g) + r(h)) over all g, h:
+        (1) passing makes f(g) = f(g') imply f(g + e_i) = f(g' + e_i), and
+            the e_i generate G, so every translation preserves the level sets;
+        (2) a translation-invariant partition of a finite group is the coset
+            partition of its block H = f^-1(f(0)), which is then a subgroup;
+        (3) on a coset partition r(g) - g is in H, so both tests pass.
+        """
+        # labels[g]: index of r(g); equal labels <=> equal oracle values.
+        first: dict = {}
+        labels = np.array(
+            [first.setdefault(value, i) for i, value in enumerate(self._table)],
+            dtype=np.int64,
+        ).reshape([f.modulus for f in self.domain.factors])
+        flat = labels.ravel()
+        for axis in range(labels.ndim):
+            shifted = np.roll(labels, -1, axis=axis).ravel()  # labels of g + e_i
+            if not np.array_equal(shifted, shifted[flat]):
+                return False
         return True
 
 
@@ -751,11 +772,12 @@ def _exponent_kernel(
     from .config import dense_cap as cap_value
 
     if dense_size <= cap_value(dense_cap):
+        words = {
+            x: group.encode(value) for x, value in _word_table(group, generators, d).items()
+        }
         instance = HSPInstance(
             group=domain,
-            oracle=lambda coords: group.encode(
-                group.word(generators, [int(c) for c in coords])
-            ),
+            oracle=lambda coords: words[tuple(int(c) for c in coords)],
         )
         run = solve_hsp(instance, rng, cap=dense_cap)
         rows = [[int(c) for c in gen.coords] for gen in run.generators]
@@ -763,6 +785,26 @@ def _exponent_kernel(
     relations, _ = cayley_relations(group, generators)
     rows = hermite_reduce([[value % d for value in rel] for rel in relations])
     return rows, "classical kernel oracle (dense cap exceeded)"
+
+
+def _word_table(group: BlackBoxGroup, generators: Sequence, d: int) -> dict:
+    """w(x) = prod generators[i]^x(i) for every x in [0, d)^k, keyed by x.
+
+    Each point x != 0 is reached from x - e_i, with i the last coordinate
+    that is nonzero, by one counted multiplication.  No step wraps around, so
+    every entry equals group.word(generators, x) for any d, and the table
+    costs d^k - 1 oracle calls.
+    """
+    table = {(): group.identity()}
+    for g in generators:
+        grown = {}
+        for prefix, value in table.items():
+            grown[prefix + (0,)] = value
+            for t in range(1, d):
+                value = group.mul(value, g)
+                grown[prefix + (t,)] = value
+        table = grown
+    return table
 
 
 # ---------------------------------------------------------------------------

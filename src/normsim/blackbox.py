@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, hermite_reduce, smith_normal_form
+from .linalg import Matrix, hermite_reduce, is_prime, smith_normal_form
 
 DEFAULT_ORDER_CAP = 1 << 20
 
@@ -194,15 +194,6 @@ class ZNStarGroup(BlackBoxGroup):
         return f"ZNStarGroup({self.modulus})"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 Point = tuple[int, int] | None  # affine point, or None for the point at infinity
 
 
@@ -216,7 +207,7 @@ class EllipticCurveGroup(BlackBoxGroup):
 
     def __init__(self, p: int, a: int, b: int) -> None:
         super().__init__()
-        if p <= 3 or not _is_prime(p):
+        if p <= 3 or not is_prime(p):
             raise BlackBoxError(f"field size must be a prime > 3, got {p}")
         a %= p
         b %= p
@@ -294,10 +285,6 @@ class EllipticCurveGroup(BlackBoxGroup):
 
     def __repr__(self) -> str:
         return f"EllipticCurveGroup(p={self.p}, a={self.a}, b={self.b})"
-
-
-def ec_add(group: EllipticCurveGroup, p1: Point, p2: Point) -> Point:
-    return group.mul(p1, p2)
 
 
 def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:

@@ -34,6 +34,7 @@ from .circuits import (
     validate_quadratic,
 )
 from .groups import ElementaryGroup, GroupElement, cyclic
+from .linalg import is_prime
 
 DEFAULT_ENTRY_BOUND = 1 << 10
 
@@ -44,10 +45,9 @@ class ExtractionError(ValueError):
 
 def next_prime_above(n: int) -> int:
     candidate = max(2, n + 1)
-    while True:
-        if all(candidate % p for p in range(2, int(candidate**0.5) + 1)):
-            return candidate
+    while not is_prime(candidate):
         candidate += 1
+    return candidate
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact integer/rational linear algebra: Smith normal form, linear systems
-over groups with mixed moduli, integral pseudo-inverses, continued fractions.
+over groups with mixed moduli, integral pseudo-inverses, continued fractions,
+and trial-division primality.
 
 Matrices are plain lists of lists of Python ints (or Fractions where noted),
 so every result is exact.  Nothing here is asymptotically clever; desk-scale
@@ -8,6 +9,7 @@ inputs keep the classical elimination algorithms comfortably fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -417,3 +419,15 @@ def continued_fraction_reconstruct(p: Fraction, r_max: int) -> Fraction | None:
         h_prev, h = h, digit * h + h_prev
         k_prev, k = k, digit * k + k_prev
     return best
+
+
+# ---------------------------------------------------------------------------
+# Primality
+# ---------------------------------------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; desk-scale moduli keep it instant."""
+    if n < 2:
+        return False
+    return all(n % p for p in range(2, math.isqrt(n) + 1))

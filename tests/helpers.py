@@ -106,3 +106,30 @@ def random_circuit(
         else:
             gates.append(QuadraticGate(form=random_quadratic_form(group, rng)))
     return NormalizerCircuit(basis, gates)
+
+
+def certify_pairwise(domain: ElementaryGroup, oracle) -> bool:
+    """Reference coset-promise check, O(|G|^2): f(g + h) = f(r(g) + r(h))
+    for every pair, with r(x) the first preimage of f(x) in enumeration
+    order.  This is the test OracularGroup.certify_homomorphism replaces."""
+    representative = {}
+    for el in domain.elements():
+        representative.setdefault(oracle(el.coords), el)
+    for g in domain.elements():
+        rg = representative[oracle(g.coords)]
+        for h in domain.elements():
+            rh = representative[oracle(h.coords)]
+            if oracle((g + h).coords) != oracle((rg + rh).coords):
+                return False
+    return True
+
+
+def is_coset_labeling(domain: ElementaryGroup, oracle) -> bool:
+    """Ground truth: every level set of f is g + H with H = f^-1(f(0))."""
+    elements = list(domain.elements())
+    hidden = [h for h in elements if oracle(h.coords) == oracle(domain.identity().coords)]
+    for g in elements:
+        level = {x for x in elements if oracle(x.coords) == oracle(g.coords)}
+        if level != {g + h for h in hidden}:
+            return False
+    return True

@@ -113,6 +113,17 @@ def test_factor_rejects_bad_inputs():
         factor(16, rng_for(1))  # even
 
 
+def test_factor_refuses_only_prime_powers():
+    for n, power in [(9, "3^2"), (81, "3^4")]:
+        with pytest.raises(FactoringError) as excinfo:
+            factor(n, rng_for(1))
+        assert str(excinfo.value) == f"{n} is a prime power: {power}"
+    for n in (225, 3375):  # 15^2 and 15^3: perfect powers, not prime powers
+        for seed in range(4):
+            run = factor(n, rng_for(seed))
+            assert 1 < run.divisor < n and n % run.divisor == 0
+
+
 def test_factor_verified_by_trial_division():
     for n, seed in [(15, 0), (21, 1), (33, 2), (35, 3)]:
         run = factor(n, rng_for(seed))

@@ -39,6 +39,16 @@ def test_factor_prime_power_exit_3(tmp_path, capsys):
     assert main(["factor", "9"]) == 3
 
 
+def test_factor_perfect_power_that_is_not_a_prime_power(tmp_path, capsys, log_schema):
+    assert main(["factor", "81"]) == 3
+    assert "81 is a prime power: 3^4" in capsys.readouterr().err
+    code, text, log = run_cli(["factor", "225", "--seed", "1"], tmp_path)
+    assert code == 0
+    divisor = int(text.splitlines()[1].split(",")[1])
+    assert 1 < divisor < 225 and 225 % divisor == 0
+    jsonschema.validate(log, log_schema)
+
+
 def test_factor_21(tmp_path, log_schema):
     code, text, log = run_cli(["factor", "21", "--seed", "7"], tmp_path)
     assert code == 0

@@ -24,6 +24,7 @@ from .blackbox import (
     bb_decompose_bruteforce,
     bb_order,
     cayley_relations,
+    decomposition_from_relations,
 )
 from .circuits import (
     AutomorphismGate,
@@ -40,10 +41,8 @@ from .linalg import (
     GroupLinearSystem,
     continued_fraction_reconstruct,
     hermite_reduce,
-    integral_pseudo_inverse,
+    identity_matrix,
     is_prime,
-    mat_vec,
-    smith_normal_form,
     solve_group_system,
 )
 
@@ -86,6 +85,55 @@ def circuit_summary(circuit: NormalizerCircuit) -> dict:
         "gates": kinds,
         "qft_layers": circuit.qft_layers(),
     }
+
+
+def fourier_circuit(
+    domain: ElementaryGroup, group: BlackBoxGroup, bases: Sequence
+) -> NormalizerCircuit:
+    """QFT, the black-box automorphism (x, y) -> (x, prod bases[i]^x_i * y), QFT.
+
+    The one circuit behind the discrete logarithms, the hidden-subgroup runs
+    and group decomposition; both QFTs act on every register of `domain`.
+    """
+    basis = DesignatedBasis(domain, group)
+    registers = tuple(range(len(domain.factors)))
+    bases = list(bases)
+    return NormalizerCircuit(
+        basis,
+        [
+            QFTGate(registers),
+            AutomorphismGate(
+                func=word_exp_func(basis, bases),
+                name="word_exp",
+                params={"bases": bases},
+            ),
+            QFTGate(registers),
+        ],
+    )
+
+
+def _sample_outcomes(state, shots: int, rng, width: int) -> list[tuple[int, ...]]:
+    """`shots` measurements of the first `width` registers as integer tuples,
+    each outcome repeated by its count."""
+    outcomes: list[tuple[int, ...]] = []
+    for point, count in dense_sample(state, shots, rng).items():
+        outcomes.extend([tuple(int(c) for c in point[:width])] * count)
+    return outcomes
+
+
+def _solve_pooled_pairs(pairs: list[tuple[int, int]], n: int) -> int:
+    """The s in [0, n) with k s = ks (mod n) for every sampled pair (k, ks)."""
+    solved = solve_group_system(
+        GroupLinearSystem([[k] for k, _ in pairs], [ks for _, ks in pairs], [n] * len(pairs))
+    )
+    if solved is None:
+        raise DiscreteLogError("inconsistent samples; the oracle promise failed")
+    x0, kernel = solved
+    if any(any(g % n for g in gen) for gen in kernel):
+        raise DiscreteLogError(
+            f"samples do not determine the exponent (all {len(pairs)} pairs degenerate)"
+        )
+    return x0[0] % n
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +355,7 @@ class DiscreteLogRun:
 
 def dlog_circuit(p: int, a: int, b: int) -> NormalizerCircuit:
     """The two-QFT-layer circuit over Z_{p-1}^2 x Z_p^*."""
-    group = ZNStarGroup(p)
-    basis = DesignatedBasis(cyclic_group(p - 1, p - 1), group)
-    return NormalizerCircuit(
-        basis,
-        [
-            QFTGate((0, 1)),
-            AutomorphismGate(
-                func=word_exp_func(basis, [a, b]),
-                name="word_exp",
-                params={"bases": [a, b]},
-            ),
-            QFTGate((0, 1)),
-        ],
-    )
+    return fourier_circuit(cyclic_group(p - 1, p - 1), ZNStarGroup(p), [a, b])
 
 
 def discrete_log(
@@ -337,6 +372,8 @@ def discrete_log(
     linear system mod p-1, which pins s down unless every sampled k shares a
     factor with p-1 (probability at most about 2^-repetitions).
     """
+    if repetitions < 1:
+        raise DiscreteLogError(f"repetitions must be positive, got {repetitions}")
     if not is_prime(p):
         raise DiscreteLogError(f"{p} is not prime")
     group = ZNStarGroup(p)
@@ -346,23 +383,8 @@ def discrete_log(
         raise DiscreteLogError(f"{a} does not generate the units mod {p}")
     circuit = dlog_circuit(p, a, b)
     state = dense_run(circuit, (0, 0, 1), cap=cap)
-    counts = dense_sample(state, repetitions, rng)
-    pairs: list[tuple[int, int]] = []
-    for point, count in counts.items():
-        pairs.extend([(int(point[0]), int(point[1]))] * count)
-    rows = [[k1] for k1, _ in pairs]
-    rhs = [k2 for _, k2 in pairs]
-    moduli = [p - 1] * len(pairs)
-    solved = solve_group_system(GroupLinearSystem(rows, rhs, moduli))
-    if solved is None:
-        raise DiscreteLogError("inconsistent samples; the oracle promise failed")
-    x0, kernel = solved
-    ambiguous = any(any(g % (p - 1) for g in gen) for gen in kernel)
-    if ambiguous:
-        raise DiscreteLogError(
-            f"samples do not determine the exponent (all {len(pairs)} pairs degenerate)"
-        )
-    s = x0[0] % (p - 1)
+    pairs = _sample_outcomes(state, repetitions, rng, 2)
+    s = _solve_pooled_pairs(pairs, p - 1)
     if pow(a, s, p) != b:
         raise DiscreteLogError("postprocessing produced a wrong exponent")
     return DiscreteLogRun(
@@ -394,19 +416,7 @@ class EcDlogRun:
 
 
 def ec_dlog_circuit(curve, a, b, n: int) -> NormalizerCircuit:
-    basis = DesignatedBasis(cyclic_group(n, n), curve)
-    return NormalizerCircuit(
-        basis,
-        [
-            QFTGate((0, 1)),
-            AutomorphismGate(
-                func=word_exp_func(basis, [a, b]),
-                name="word_exp",
-                params={"bases": [a, b]},
-            ),
-            QFTGate((0, 1)),
-        ],
-    )
+    return fourier_circuit(cyclic_group(n, n), curve, [a, b])
 
 
 def ec_discrete_log(curve, a, b, rng, repetitions: int = 12, cap: int | None = None) -> EcDlogRun:
@@ -415,6 +425,8 @@ def ec_discrete_log(curve, a, b, rng, repetitions: int = 12, cap: int | None = N
     The ancilla modulus is the order of `a`, found by the order-finding run;
     outcomes (u, v) satisfy v = s u, pooled and solved mod that order.
     """
+    if repetitions < 1:
+        raise DiscreteLogError(f"repetitions must be positive, got {repetitions}")
     order_run = find_order(curve, a, rng, r_max=curve.order())
     n = order_run.order
     multiples = {}
@@ -426,19 +438,8 @@ def ec_discrete_log(curve, a, b, rng, repetitions: int = 12, cap: int | None = N
         raise DiscreteLogError(f"{b!r} is not a multiple of {a!r}")
     circuit = ec_dlog_circuit(curve, a, b, n)
     state = dense_run(circuit, (0, 0, curve.identity()), cap=cap)
-    counts = dense_sample(state, repetitions, rng)
-    pairs = []
-    for point, count in counts.items():
-        pairs.extend([(int(point[0]), int(point[1]))] * count)
-    solved = solve_group_system(
-        GroupLinearSystem([[u] for u, _ in pairs], [v for _, v in pairs], [n] * len(pairs))
-    )
-    if solved is None:
-        raise DiscreteLogError("inconsistent samples; the oracle promise failed")
-    x0, kernel = solved
-    if any(any(g % n for g in gen) for gen in kernel):
-        raise DiscreteLogError("samples do not determine the exponent")
-    s = x0[0] % n
+    pairs = _sample_outcomes(state, repetitions, rng, 2)
+    s = _solve_pooled_pairs(pairs, n)
     expected = multiples[curve.encode(b)]
     if s != expected:
         raise DiscreteLogError(f"postprocessing produced {s}, expected {expected}")
@@ -564,30 +565,12 @@ class HSPRun:
 
 
 def hsp_circuit(instance: HSPInstance, oracular: OracularGroup) -> NormalizerCircuit:
-    basis = DesignatedBasis(instance.group, oracular)
-    registers = tuple(range(len(instance.group.factors)))
     bases = [oracular.oracle(el.coords) for el in _unit_elements(instance.group)]
-    return NormalizerCircuit(
-        basis,
-        [
-            QFTGate(registers),
-            AutomorphismGate(
-                func=word_exp_func(basis, bases),
-                name="word_exp",
-                params={"bases": bases},
-            ),
-            QFTGate(registers),
-        ],
-    )
+    return fourier_circuit(instance.group, oracular, bases)
 
 
 def _unit_elements(group: ElementaryGroup) -> list[GroupElement]:
-    units = []
-    for i in range(len(group.factors)):
-        coords = [0] * len(group.factors)
-        coords[i] = 1
-        units.append(group.reduce(coords))
-    return units
+    return [group.reduce(row) for row in identity_matrix(len(group.factors))]
 
 
 def solve_hsp(
@@ -618,9 +601,7 @@ def solve_hsp(
     estimate: set | None = None
     estimate_gens: list[GroupElement] = []
     for batch in range(max_batches):
-        counts = dense_sample(state, rounds, rng)
-        for point, count in counts.items():
-            samples.extend([tuple(int(c) for c in point[: len(moduli)])] * count)
+        samples.extend(_sample_outcomes(state, rounds, rng, len(moduli)))
         # Only the lattice generated by the sampled duals matters; reduce it
         # (together with the d-wraparounds) so the system stays m-by-m-sized.
         raw_rows = [
@@ -679,12 +660,16 @@ def decompose_group(
 ) -> GroupDecompositionRun:
     """Full decomposition table for <generators> = B.
 
-    Steps: per-generator orders by the order-finding run; the kernel of the
-    exponent map by the hidden-subgroup machinery (dense route when the
-    simulation fits, classical kernel oracle otherwise, recorded in the
-    log); independent generators from the Smith normal form of the kernel
-    lattice; and the reverse change-of-basis matrix from a linear system
-    over the kernel, finished with an integral pseudo-inverse.
+    Steps: per-generator orders by the order-finding run, with d their lcm;
+    the kernel of the exponent map x -> prod generators[i]^x_i on Z_d^k by
+    the hidden-subgroup machinery (dense route when the simulation fits,
+    classical kernel oracle otherwise, recorded in the log).  The kernel rows
+    plus d Z^k form the full relation lattice, and its Smith normal form
+    gives the table (`decomposition_from_relations`): beta from the columns
+    of the transform U, their orders from the diagonal, and B from the rows
+    of U^-1.  The table is the one `bb_decompose_bruteforce` builds from the
+    same lattice, and `DecompositionTable.verify` checks it by oracle
+    multiplication, orders of beta included.
     """
     generators = list(generators)
     if not generators:
@@ -705,58 +690,10 @@ def decompose_group(
     kernel_rows, route = _exponent_kernel(group, generators, d, rng, dense_cap)
     log["steps"].append({"step": "kernel", "route": route, "generators": kernel_rows})
 
-    # Independent generators via the SNF of the kernel lattice in Z^k.
-    lattice_rows = kernel_rows + [
-        [d if i == j else 0 for j in range(k)] for i in range(k)
-    ]
-    columns = [[row[i] for row in lattice_rows] for i in range(k)]
-    snf = smith_normal_form(columns)
-    diag = snf.diagonal + [0] * (k - len(snf.diagonal))
-    if any(entry == 0 for entry in diag):
-        raise AlgorithmError("kernel lattice does not have finite quotient")
-    keep = [i for i in range(k) if diag[i] > 1]
-    a_matrix = [[snf.u[i][j] for j in keep] for i in range(k)]
-    beta = [group.word(generators, [snf.u[i][j] for i in range(k)]) for j in keep]
-    c = []
-    for index, b_el in zip(keep, beta):
-        run = find_order(group, b_el, rng, r_max=r_max, **order_kwargs)
-        if run.order != diag[index]:
-            raise AlgorithmError(
-                f"order finding returned {run.order}, lattice says {diag[index]}"
-            )
-        c.append(run.order)
-    log["steps"].append({"step": "independent generators", "type": c})
-
-    # Reverse matrix: for each original generator solve
-    # (A | -H) (y; z) = e_i (mod d), set x_i = A y_i, then B = A# X.
-    ell = len(keep)
-    h_cols = len(kernel_rows)
-    b_matrix: list[list[int]] = [[0] * k for _ in range(ell)]
-    x_columns: list[list[int]] = []
-    for i in range(k):
-        rows = [
-            [a_matrix[r][j] for j in range(ell)]
-            + [-kernel_rows[t][r] for t in range(h_cols)]
-            for r in range(k)
-        ]
-        rhs = [1 if r == i else 0 for r in range(k)]
-        solved = solve_group_system(GroupLinearSystem(rows, rhs, [d] * k))
-        if solved is None:
-            raise AlgorithmError("change-of-basis system infeasible; not a generating set?")
-        y = solved[0][:ell]
-        x_columns.append(mat_vec(a_matrix, y))
-    a_sharp = integral_pseudo_inverse(a_matrix)
-    for j, x_col in enumerate(x_columns):
-        image = mat_vec(a_sharp, x_col)
-        for i in range(ell):
-            value = Fraction(image[i])
-            if value.denominator != 1:
-                raise AlgorithmError("pseudo-inverse produced a non-integer word")
-            b_matrix[i][j] = int(value) % c[i]
-    table = DecompositionTable(
-        alpha=generators, beta=beta, a=a_matrix, b=b_matrix, c=c,
-        provenance={"kernel_route": route},
-    )
+    wraps = [[d if i == j else 0 for j in range(k)] for i in range(k)]
+    table = decomposition_from_relations(group, generators, kernel_rows + wraps)
+    table.provenance = {"kernel_route": route}
+    log["steps"].append({"step": "independent generators", "type": table.c})
     table.verify(group)
     log["oracle_calls"] = group.counter.total
     return GroupDecompositionRun(table=table, log=log)
@@ -925,13 +862,8 @@ def multivariate_dlog(
     """
     if orders is None:
         orders = [bb_order(group, g) for g in beta]
-    table = DecompositionTable(
-        alpha=list(beta),
-        beta=list(beta),
-        a=[[1 if i == j else 0 for j in range(len(beta))] for i in range(len(beta))],
-        b=[[1 if i == j else 0 for j in range(len(beta))] for i in range(len(beta))],
-        c=list(orders),
-    )
+    eye = identity_matrix(len(beta))
+    table = DecompositionTable(alpha=list(beta), beta=list(beta), a=eye, b=eye, c=list(orders))
     bridge = EncodingBridge(group=group, table=table)
     try:
         return [int(c) for c in bridge.decode(b).coords]

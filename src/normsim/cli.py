@@ -150,7 +150,7 @@ def _emit_log(args, log: dict) -> None:
         sys.stderr.write(json.dumps(log, default=str) + "\n")
 
 
-def _parse_point(text: str | None, group):
+def _parse_point(text: str | None):
     if text is None:
         return None
     if "," not in text or text.strip() == "O":
@@ -187,7 +187,7 @@ def cmd_dlog(args) -> int:
         run = algorithms.discrete_log(
             args.p, args.a, args.b, rng, repetitions=args.repetitions, cap=args.cap
         )
-    except algorithms.DiscreteLogError as exc:
+    except (algorithms.DiscreteLogError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     log = {"command": "dlog", "seed": args.seed, **run.log}
@@ -201,8 +201,8 @@ def cmd_ecdlog(args) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         curve = EllipticCurveGroup(args.p, args.curve_a, args.curve_b)
-        base = _parse_point(args.base, curve)
-        target = _parse_point(args.target, curve)
+        base = _parse_point(args.base)
+        target = _parse_point(args.target)
         run = algorithms.ec_discrete_log(curve, base, target, rng, cap=args.cap)
     except (BlackBoxError, algorithms.AlgorithmError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -257,9 +257,7 @@ def cmd_decompose(args) -> int:
             if args.kind == "zn_star":
                 generators = [int(g) for g in args.gens.split(",")]
             else:
-                generators = [
-                    _parse_point(g, group) for g in args.gens.split(";")
-                ]
+                generators = [_parse_point(g) for g in args.gens.split(";")]
         else:
             generators = group.sample_generators(rng)
             sampled = True
@@ -301,15 +299,7 @@ def cmd_hsp(args) -> int:
         if args.subgroup.strip():
             for part in args.subgroup.split(";"):
                 gens.append(domain.reduce([int(v) for v in part.split(",")]))
-        subgroup = {domain.identity()}
-        frontier = [domain.identity()]
-        while frontier:
-            current = frontier.pop()
-            for gen in gens:
-                nxt = current + gen
-                if nxt not in subgroup:
-                    subgroup.add(nxt)
-                    frontier.append(nxt)
+        subgroup = algorithms.HSPRun(domain, gens).subgroup_elements()
         labels = {}
         names = {}
         for el in domain.elements():
@@ -351,19 +341,12 @@ def cmd_run(args) -> int:
     try:
         if args.engine == "coset":
             element = basis.elementary.reduce(point)
-            state = coset_run(circuit, element)
-            counts = state.sample(args.shots, rng)
-            final_basis = circuit.final_basis
-            histogram = {
-                final_basis.format_point(pt): count for pt, count in counts.items()
-            }
+            counts = coset_run(circuit, element).sample(args.shots, rng)
         else:
-            state = dense_run(circuit, point, cap=args.cap)
-            counts = dense_sample(state, args.shots, rng)
-            final_basis = circuit.final_basis
-            histogram = {
-                final_basis.format_point(pt): count for pt, count in counts.items()
-            }
+            counts = dense_sample(dense_run(circuit, point, cap=args.cap), args.shots, rng)
+        histogram = {
+            circuit.final_basis.format_point(pt): count for pt, count in counts.items()
+        }
     except (CircuitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION

@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass
 
 DEFAULT_DENSE_CAP = 4096
-DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_GRID_SIZE = 1 << 16
 
 ENV_DENSE_CAP = "NORMSIM_CAP"
@@ -27,23 +26,15 @@ class RunConfig:
     seed: int = 0
     shots: int = 1000
     dense_cap: int | None = None
-    enum_cap: int = DEFAULT_ENUM_CAP
     comb_m: int | None = None  # half-length M of the order-finding comb
     resolution: float | None = None  # measurement window Delta on the torus
-    grid_size: int = DEFAULT_GRID_SIZE
     out: str | None = None
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be positive")
-        if self.enum_cap < 1 or (self.dense_cap is not None and self.dense_cap < 1):
+        if self.dense_cap is not None and self.dense_cap < 1:
             raise ValueError("caps must be positive")
         if self.resolution is not None and self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        if self.grid_size < 2:
-            raise ValueError("grid size must be at least 2")
-
-    @property
-    def effective_dense_cap(self) -> int:
-        return dense_cap(self.dense_cap)

@@ -108,6 +108,11 @@ def random_circuit(
     return NormalizerCircuit(basis, gates)
 
 
+def table_entries(table) -> tuple:
+    """(c, beta, A, B) of a decomposition table, for entry-by-entry comparison."""
+    return table.c, table.beta, table.a, table.b
+
+
 def certify_pairwise(domain: ElementaryGroup, oracle) -> bool:
     """Reference coset-promise check, O(|G|^2): f(g + h) = f(r(g) + r(h))
     for every pair, with r(x) the first preimage of f(x) in enumeration

@@ -14,7 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_finite_group, random_matrix_rep, random_quadratic_form
+from helpers import (
+    random_circuit,
+    random_finite_group,
+    random_matrix_rep,
+    random_quadratic_form,
+    table_entries,
+)
 
 from normsim.algorithms import (
     DiscreteLogError,
@@ -169,12 +175,12 @@ def test_criterion_6_group_decomposition_all_moduli():
         generators = group.sample_generators(rng)
         run = decompose_group(group, generators, rng)
         brute = bb_decompose_bruteforce(group, generators)
-        assert run.table.isomorphism_type() == brute.isomorphism_type(), f"N={n}"
+        assert table_entries(run.table) == table_entries(brute), f"N={n}"
         # A/B round-trip identities, oracle-checked inside verify().
         run.table.verify(group)
         brute.verify(group)
         checked += 1
-    budget.finish(f"all {checked} unit groups with N <= 200 match the brute-force oracle")
+    budget.finish(f"all {checked} unit groups with N <= 200 give the brute-force table")
 
 
 def _algorithm_circuits():

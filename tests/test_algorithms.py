@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import table_entries
 from normsim.algorithms import (
     AlgorithmError,
     DiscreteLogError,
@@ -140,6 +141,14 @@ def test_dlog_p7_examples():
     assert discrete_log(7, 3, 6, rng_for(1)).exponent == 3  # 3^3 = 27 = 6 mod 7
     assert discrete_log(7, 3, 1, rng_for(2)).exponent == 0
     assert discrete_log(11, 2, 9, rng_for(3)).exponent == 6  # 2^6 = 64 = 9 mod 11
+
+
+def test_dlog_rejects_nonpositive_repetitions():
+    with pytest.raises(DiscreteLogError, match="repetitions"):
+        discrete_log(7, 3, 6, rng_for(1), repetitions=0)
+    curve = EllipticCurveGroup(5, 1, 1)
+    with pytest.raises(DiscreteLogError, match="repetitions"):
+        ec_discrete_log(curve, (0, 1), (4, 2), rng_for(1), repetitions=-1)
 
 
 def test_dlog_rejects_non_generator():
@@ -345,8 +354,7 @@ def test_decompose_z15():
     table = run.table
     assert sorted(table.c) == [2, 4]
     table.verify(group, exhaustive=True)
-    brute = bb_decompose_bruteforce(group, [2, 7])
-    assert table.isomorphism_type() == brute.isomorphism_type()
+    assert table_entries(table) == table_entries(bb_decompose_bruteforce(group, [2, 7]))
 
 
 def test_decompose_z8():
@@ -385,8 +393,18 @@ def test_decompose_uses_classical_fallback_when_too_big():
     routes = [s for s in run.log["steps"] if s["step"] == "kernel"]
     assert "classical" in routes[0]["route"]
     run.table.verify(group)
-    brute = bb_decompose_bruteforce(group, [2, 3])
-    assert run.table.isomorphism_type() == brute.isomorphism_type()
+    assert table_entries(run.table) == table_entries(bb_decompose_bruteforce(group, [2, 3]))
+
+
+def test_decompose_elliptic_curve_gives_the_brute_force_table():
+    curve = EllipticCurveGroup(7, 0, 1)  # Z2 x Z6
+    generators = [(4, 3), (2, 3)]
+    run = decompose_group(curve, generators, rng_for(5))
+    routes = [s["route"] for s in run.log["steps"] if s["step"] == "kernel"]
+    assert routes == ["hidden-subgroup rounds (dense)"]
+    assert run.table.isomorphism_type() == [2, 6]
+    run.table.verify(curve, exhaustive=True)
+    assert table_entries(run.table) == table_entries(bb_decompose_bruteforce(curve, generators))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ def test_dlog(tmp_path, log_schema):
     jsonschema.validate(log, log_schema)
 
 
+def test_dlog_bad_inputs_exit_3(capsys, monkeypatch):
+    monkeypatch.delenv("NORMSIM_CAP", raising=False)
+    assert main(["dlog", "7", "3", "6", "--repetitions", "0"]) == 3
+    assert "repetitions must be positive" in capsys.readouterr().err
+    assert main(["dlog", "101", "2", "3"]) == 3  # dense dimension 100^2 * 101 > cap
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_ecdlog(tmp_path, log_schema):
     code, text, log = run_cli(
         ["ecdlog", "5", "1", "1", "0,1", "4,2", "--seed", "1"], tmp_path

@@ -117,7 +117,7 @@ class BlackBoxGroup:
             tries += 1
             if tries > max_tries:
                 raise BlackBoxError("failed to sample a generating set")
-            enlarged = _generated_order(self, gens + [candidate])
+            enlarged = cayley_relations(self, gens + [candidate])[1]
             if enlarged > seen:
                 gens.append(candidate)
                 seen = enlarged
@@ -127,20 +127,6 @@ class BlackBoxGroup:
 
     def random_element(self, rng):
         raise NotImplementedError
-
-
-def _generated_order(group: BlackBoxGroup, gens: Sequence) -> int:
-    seen = {group.encode(group.identity())}
-    frontier = [group.identity()]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = group.mul(current, g)
-            key = group.encode(nxt)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(nxt)
-    return len(seen)
 
 
 class ZNStarGroup(BlackBoxGroup):

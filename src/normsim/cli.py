@@ -2,8 +2,10 @@
 
 Subcommands: factor, dlog, ecdlog, order, decompose, hsp, run, deblackbox,
 check-modexp.  Output is CSV or JSON only; every subcommand writes a JSON run
-log.  Exit codes: 0 success, 2 attempts exhausted, 3 precondition violated,
-4 parse or validation failure.
+log.  Each `cmd_*` takes the parsed arguments and the run's rng and returns
+(payload, csv_rows, log); `main` alone parses, checks values, maps errors to
+exit codes and writes the output.  Exit codes: 0 success, 2 attempts
+exhausted, 3 precondition violated, 4 parse or validation failure.
 """
 
 from __future__ import annotations
@@ -18,20 +20,18 @@ import sys
 import numpy as np
 
 from . import algorithms
-from .blackbox import BlackBoxError, EllipticCurveGroup, ZNStarGroup
+from .blackbox import EllipticCurveGroup, ZNStarGroup
 from .circuits import (
-    CircuitError,
-    InvalidGate,
+    _parse_bb_element,
     check_modexp_normalizable,
     circuit_to_json,
     load_circuit,
     save_circuit,
 )
-from .config import RunConfig
 from .coset import coset_run
 from .deblackbox import deblackbox_circuit
 from .dense import dense_run, dense_sample
-from .groups import GroupError
+from .groups import cyclic_group, parse_element
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
@@ -39,82 +39,97 @@ EXIT_PRECONDITION = 3
 EXIT_PARSE = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    parser.add_argument("--shots", type=int, default=1000)
-    parser.add_argument("--cap", type=int, default=None, help="dense dimension cap")
-    parser.add_argument("--comb-M", type=int, default=None, dest="comb_m",
-                        help="comb half-length for order finding")
-    parser.add_argument("--resolution", type=float, default=None,
-                        help="measurement window on the torus")
-    parser.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+class ParseError(Exception):
+    """A malformed command line, circuit file or input point (exit 4)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+# Flags that only some subcommands read, by name.
+FLAGS = {
+    "--shots": {"type": int, "default": 1000},
+    "--cap": {"type": int, "default": None, "help": "dense dimension cap"},
+    "--comb-M": {"type": int, "default": None, "dest": "comb_m",
+                 "help": "comb half-length for order finding"},
+    "--resolution": {"type": float, "default": None,
+                     "help": "measurement window on the torus"},
+}
+
+# Values `main` checks before running a command: (attribute, message).
+POSITIVE = (
+    ("shots", "shots must be positive"),
+    ("cap", "caps must be positive"),
+    ("resolution", "resolution must be positive"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normsim",
         description="Normalizer-circuit simulators and the algorithm suite at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", help="factor an odd composite via order finding")
+    def command(name: str, help_text: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+        p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
+
+    p = command("factor", "factor an odd composite via order finding", "--comb-M")
     p.add_argument("n", type=int)
     p.add_argument("--attempts", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("dlog", help="discrete logarithm in the units mod p")
+    p = command("dlog", "discrete logarithm in the units mod p", "--cap")
     p.add_argument("p", type=int)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--repetitions", type=int, default=10)
-    _add_common(p)
 
-    p = sub.add_parser("ecdlog", help="discrete logarithm on an elliptic curve")
+    p = command("ecdlog", "discrete logarithm on an elliptic curve", "--cap")
     p.add_argument("p", type=int)
     p.add_argument("curve_a", type=int)
     p.add_argument("curve_b", type=int)
     p.add_argument("base", type=str, help='point "x,y"')
     p.add_argument("target", type=str, help='point "x,y" or "O"')
-    _add_common(p)
 
-    p = sub.add_parser("order", help="order of an element of Z_N^*")
+    p = command("order", "order of an element of Z_N^*", "--comb-M", "--resolution")
     p.add_argument("n", type=int)
     p.add_argument("a", type=int)
     p.add_argument("--density-out", type=str, default=None,
                    help="dump the measurement density as CSV (p, density)")
-    _add_common(p)
 
-    p = sub.add_parser("decompose", help="decomposition table of a black-box group")
+    p = command("decompose", "decomposition table of a black-box group", "--cap")
     p.add_argument("kind", choices=("zn_star", "ec"))
     p.add_argument("params", type=int, nargs="+", help="N, or p a b for a curve")
     p.add_argument("--gens", type=str, default=None,
                    help="comma-separated generators (sampled when omitted)")
-    _add_common(p)
 
-    p = sub.add_parser("hsp", help="hidden subgroup planted behind a coset oracle")
+    p = command("hsp", "hidden subgroup planted behind a coset oracle", "--cap")
     p.add_argument("moduli", type=str, help='domain like "2,2,2"')
     p.add_argument("subgroup", type=str,
                    help='generators like "1,1,0;0,0,1" (empty string for trivial)')
-    _add_common(p)
 
-    p = sub.add_parser("run", help="simulate a circuit file and histogram outcomes")
+    p = command("run", "simulate a circuit file and histogram outcomes", "--shots", "--cap")
     p.add_argument("circuit", type=str)
     p.add_argument("--input", type=str, default=None,
                    help='initial point like "(0, 0)|1" (defaults to all zeros/identity)')
     p.add_argument("--engine", choices=("dense", "coset"), default="dense")
-    _add_common(p)
 
-    p = sub.add_parser("deblackbox", help="rewrite a circuit over the decomposed group")
+    p = command("deblackbox", "rewrite a circuit over the decomposed group")
     p.add_argument("circuit", type=str)
     p.add_argument("--circuit-out", type=str, default=None)
-    _add_common(p)
 
-    p = sub.add_parser("check-modexp", help="finite-modulus test for repeated squaring")
+    p = command("check-modexp", "finite-modulus test for repeated squaring")
     p.add_argument("n", type=int, help="modulus of Z_N^*")
     p.add_argument("a", type=int)
     p.add_argument("m", type=int, help="size of the finite exponent register")
-    _add_common(p)
 
     return parser
 
@@ -135,99 +150,71 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _log_path(args) -> str | None:
-    return args.out + ".log.json" if args.out else None
-
-
 def _emit_log(args, log: dict) -> None:
-    path = _log_path(args)
-    if path:
-        with open(path, "w") as fh:
+    if args.out:
+        with open(args.out + ".log.json", "w") as fh:
             json.dump(log, fh, indent=2, default=str)
-    elif args.fmt == "json":
-        pass  # the payload already carries the log
-    else:
+    elif args.fmt == "csv":  # a JSON payload already carries the log
         sys.stderr.write(json.dumps(log, default=str) + "\n")
 
 
-def _parse_point(text: str | None):
-    if text is None:
-        return None
-    if "," not in text or text.strip() == "O":
-        if text.strip() == "O":
-            return None
-        return int(text)
-    x, y = (int(v) for v in text.split(","))
-    return (x, y)
-
-
-def cmd_factor(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    kwargs = {}
-    if args.comb_m is not None:
-        kwargs["comb_m"] = args.comb_m
+def _load_circuit(path: str):
     try:
-        run = algorithms.factor(args.n, rng, attempts=args.attempts, **kwargs)
-    except algorithms.AttemptsExhausted as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_EXHAUSTED
-    except algorithms.FactoringError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+        return load_circuit(path)
+    except (ValueError, OSError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _input_point(text: str, basis):
+    """The point `text` names in README's "Points" grammar, e.g. `(0, 1)|7`."""
+    head, bar, bb_text = text.strip().partition("|")
+    try:
+        coords = parse_element(head, basis.elementary).coords
+        if basis.blackbox is None:
+            if bar:
+                raise ValueError("no black-box slot in this circuit")
+            return coords
+        if not bar:
+            raise ValueError("point needs a |element suffix for the black-box slot")
+        return coords + (_parse_bb_element(basis.blackbox, bb_text),)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad input point: {exc}") from exc
+
+
+def cmd_factor(args, rng):
+    run = algorithms.factor(args.n, rng, attempts=args.attempts, comb_m=args.comb_m)
     log = {"command": "factor", "n": args.n, "seed": args.seed, **run.log}
     payload = {"n": args.n, "divisor": run.divisor, "attempts": run.attempts, "log": log}
-    _emit(args, payload, [["n", "divisor", "attempts"], [args.n, run.divisor, run.attempts]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, [["n", "divisor", "attempts"], [args.n, run.divisor, run.attempts]], log
 
 
-def cmd_dlog(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        run = algorithms.discrete_log(
-            args.p, args.a, args.b, rng, repetitions=args.repetitions, cap=args.cap
-        )
-    except (algorithms.DiscreteLogError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+def cmd_dlog(args, rng):
+    run = algorithms.discrete_log(
+        args.p, args.a, args.b, rng, repetitions=args.repetitions, cap=args.cap
+    )
     log = {"command": "dlog", "seed": args.seed, **run.log}
     payload = {"p": args.p, "a": args.a, "b": args.b, "s": run.exponent, "log": log}
-    _emit(args, payload, [["p", "a", "b", "s"], [args.p, args.a, args.b, run.exponent]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, [["p", "a", "b", "s"], [args.p, args.a, args.b, run.exponent]], log
 
 
-def cmd_ecdlog(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        curve = EllipticCurveGroup(args.p, args.curve_a, args.curve_b)
-        base = _parse_point(args.base)
-        target = _parse_point(args.target)
-        run = algorithms.ec_discrete_log(curve, base, target, rng, cap=args.cap)
-    except (BlackBoxError, algorithms.AlgorithmError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+def cmd_ecdlog(args, rng):
+    curve = EllipticCurveGroup(args.p, args.curve_a, args.curve_b)
+    base = _parse_bb_element(curve, args.base)
+    target = _parse_bb_element(curve, args.target)
+    run = algorithms.ec_discrete_log(curve, base, target, rng, cap=args.cap)
     log = {"command": "ecdlog", "seed": args.seed, **run.log}
     payload = {"s": run.exponent, "order": run.order, "log": log}
-    _emit(args, payload, [["s", "order"], [run.exponent, run.order]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, [["s", "order"], [run.exponent, run.order]], log
 
 
-def cmd_order(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    kwargs = {}
-    if args.comb_m is not None:
-        kwargs["comb_m"] = args.comb_m
+def cmd_order(args, rng):
+    grid_size = None
     if args.resolution is not None:
         # Grid spacing at most the requested measurement window.
-        kwargs["grid_size"] = 1 << max(4, math.ceil(math.log2(1 / args.resolution)))
-    try:
-        group = ZNStarGroup(args.n)
-        run = algorithms.find_order(group, args.a, rng, **kwargs)
-    except (BlackBoxError, algorithms.AlgorithmError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+        grid_size = 1 << max(4, math.ceil(math.log2(1 / args.resolution)))
+    run = algorithms.find_order(
+        ZNStarGroup(args.n), args.a, rng, comb_m=args.comb_m, grid_size=grid_size
+    )
     if args.density_out:
         from .dirichlet import DirichletDistribution
 
@@ -238,33 +225,24 @@ def cmd_order(args) -> int:
             writer.writerows(dist.density_rows())
     log = {"command": "order", "seed": args.seed, **run.log}
     payload = {"n": args.n, "a": args.a, "order": run.order, "log": log}
-    _emit(args, payload, [["n", "a", "order"], [args.n, args.a, run.order]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, [["n", "a", "order"], [args.n, args.a, run.order]], log
 
 
-def cmd_decompose(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        if args.kind == "zn_star":
-            (n,) = args.params
-            group = ZNStarGroup(n)
-        else:
-            p, a, b = args.params
-            group = EllipticCurveGroup(p, a, b)
-        sampled = False
-        if args.gens:
-            if args.kind == "zn_star":
-                generators = [int(g) for g in args.gens.split(",")]
-            else:
-                generators = [_parse_point(g) for g in args.gens.split(";")]
-        else:
-            generators = group.sample_generators(rng)
-            sampled = True
-        run = algorithms.decompose_group(group, generators, rng, dense_cap=args.cap)
-    except (BlackBoxError, algorithms.AlgorithmError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+def cmd_decompose(args, rng):
+    if args.kind == "zn_star":
+        (n,) = args.params
+        group = ZNStarGroup(n)
+    else:
+        p, a, b = args.params
+        group = EllipticCurveGroup(p, a, b)
+    sampled = not args.gens
+    if sampled:
+        generators = group.sample_generators(rng)
+    elif args.kind == "zn_star":
+        generators = [int(g) for g in args.gens.split(",")]
+    else:
+        generators = [_parse_bb_element(group, g) for g in args.gens.split(";")]
+    run = algorithms.decompose_group(group, generators, rng, dense_cap=args.cap)
     table = run.table
     log = {
         "command": "decompose",
@@ -283,73 +261,43 @@ def cmd_decompose(args) -> int:
     }
     rows = [["isomorphism_type", type_text], ["orders", *table.c]]
     rows += [["A"], *[[*row] for row in table.a], ["B"], *[[*row] for row in table.b]]
-    _emit(args, payload, rows)
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, rows, log
 
 
-def cmd_hsp(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    from .groups import cyclic_group
-
-    try:
-        moduli = [int(m) for m in args.moduli.split(",")]
-        domain = cyclic_group(*moduli)
-        gens = []
-        if args.subgroup.strip():
-            for part in args.subgroup.split(";"):
-                gens.append(domain.reduce([int(v) for v in part.split(",")]))
-        subgroup = algorithms.HSPRun(domain, gens).subgroup_elements()
-        labels = {}
-        names = {}
-        for el in domain.elements():
-            coset = frozenset(el + h for h in subgroup)
-            names.setdefault(coset, f"c{len(names)}")
-            labels[el.coords] = names[coset]
-        instance = algorithms.HSPInstance(
-            group=domain, oracle=lambda coords: labels[tuple(coords)]
-        )
-        run = algorithms.solve_hsp(instance, rng, cap=args.cap)
-    except (GroupError, algorithms.AlgorithmError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+def cmd_hsp(args, rng):
+    domain = cyclic_group(*[int(m) for m in args.moduli.split(",")])
+    gens = []
+    if args.subgroup.strip():
+        for part in args.subgroup.split(";"):
+            gens.append(domain.reduce([int(v) for v in part.split(",")]))
+    subgroup = algorithms.HSPRun(domain, gens).subgroup_elements()
+    labels = {}
+    names = {}
+    for el in domain.elements():
+        coset = frozenset(el + h for h in subgroup)
+        names.setdefault(coset, f"c{len(names)}")
+        labels[el.coords] = names[coset]
+    instance = algorithms.HSPInstance(group=domain, oracle=lambda coords: labels[tuple(coords)])
+    run = algorithms.solve_hsp(instance, rng, cap=args.cap)
     log = {"command": "hsp", "seed": args.seed, **run.log}
     recovered = [str(g) for g in run.generators]
-    payload = {"generators": recovered, "log": log}
-    _emit(args, payload, [["generator"], *[[g] for g in recovered]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return {"generators": recovered, "log": log}, [["generator"], *[[g] for g in recovered]], log
 
 
-def cmd_run(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        circuit = load_circuit(args.circuit)
-    except (CircuitError, InvalidGate, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+def cmd_run(args, rng):
+    circuit = _load_circuit(args.circuit)
     basis = circuit.initial_basis
     if args.input is not None:
-        try:
-            point = _parse_cli_point(args.input, basis)
-        except (CircuitError, GroupError, ValueError) as exc:
-            sys.stderr.write(f"error: bad input point: {exc}\n")
-            return EXIT_PARSE
+        point = _input_point(args.input, basis)
     else:
         zeros = [0] * len(basis.elementary.factors)
         point = tuple(zeros) + ((basis.blackbox.identity(),) if basis.blackbox else ())
-    try:
-        if args.engine == "coset":
-            element = basis.elementary.reduce(point)
-            counts = coset_run(circuit, element).sample(args.shots, rng)
-        else:
-            counts = dense_sample(dense_run(circuit, point, cap=args.cap), args.shots, rng)
-        histogram = {
-            circuit.final_basis.format_point(pt): count for pt, count in counts.items()
-        }
-    except (CircuitError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+    if args.engine == "coset":
+        element = basis.elementary.reduce(point)
+        counts = coset_run(circuit, element).sample(args.shots, rng)
+    else:
+        counts = dense_sample(dense_run(circuit, point, cap=args.cap), args.shots, rng)
+    histogram = {circuit.final_basis.format_point(pt): count for pt, count in counts.items()}
     total = sum(histogram.values())
     rows = [["outcome", "count", "probability"]]
     for outcome in sorted(histogram):
@@ -363,68 +311,24 @@ def cmd_run(args) -> int:
         "circuit": args.circuit,
         "gates": len(circuit.gates),
     }
-    payload = {"histogram": histogram, "shots": total, "log": log}
-    _emit(args, payload, rows)
-    _emit_log(args, log)
-    return EXIT_OK
+    return {"histogram": histogram, "shots": total, "log": log}, rows, log
 
 
-def _parse_cli_point(text: str, basis):
-    text = text.strip()
-    if "|" in text:
-        head, bb_text = text.split("|", 1)
-    else:
-        head, bb_text = text, None
-    from .groups import parse_element
-
-    element = parse_element(head, basis.elementary)
-    if basis.blackbox is None:
-        if bb_text is not None:
-            raise CircuitError("no black-box slot in this circuit")
-        return element.coords
-    if bb_text is None:
-        raise CircuitError("point needs a |element suffix for the black-box slot")
-    from .circuits import _parse_bb_element
-
-    return element.coords + (_parse_bb_element(basis.blackbox, bb_text),)
-
-
-def cmd_deblackbox(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        circuit = load_circuit(args.circuit)
-    except (CircuitError, InvalidGate, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    try:
-        result = deblackbox_circuit(circuit, rng=rng)
-        result.circuit.validate()
-    except (CircuitError, InvalidGate, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
-    doc = circuit_to_json(result.circuit)
+def cmd_deblackbox(args, rng):
+    circuit = _load_circuit(args.circuit)
+    result = deblackbox_circuit(circuit, rng=rng)
+    result.circuit.validate()
     if args.circuit_out:
         save_circuit(result.circuit, args.circuit_out)
-    log = {
-        "command": "deblackbox",
-        "seed": args.seed,
-        "provenance": result.provenance,
-    }
-    payload = {"circuit": doc, "provenance": result.provenance, "log": log}
-    _emit(args, payload, None)
-    _emit_log(args, log)
-    return EXIT_OK
+    log = {"command": "deblackbox", "seed": args.seed, "provenance": result.provenance}
+    doc = circuit_to_json(result.circuit)
+    return {"circuit": doc, "provenance": result.provenance, "log": log}, None, log
 
 
-def cmd_check_modexp(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    try:
-        group = ZNStarGroup(args.n)
-        generators = group.sample_generators(rng)
-        ok, rep = check_modexp_normalizable(args.m, args.a, group, generators)
-    except (BlackBoxError, CircuitError, InvalidGate) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+def cmd_check_modexp(args, rng):
+    group = ZNStarGroup(args.n)
+    generators = group.sample_generators(rng)
+    ok, rep = check_modexp_normalizable(args.m, args.a, group, generators)
     log = {
         "command": "check-modexp",
         "seed": args.seed,
@@ -437,9 +341,7 @@ def cmd_check_modexp(args) -> int:
     if rep is not None:
         payload["matrix"] = [[str(x) for x in row] for row in rep.matrix]
         payload["group"] = str(rep.group)
-    _emit(args, payload, [["normalizable"], [ok]])
-    _emit_log(args, log)
-    return EXIT_OK
+    return payload, [["normalizable"], [ok]], log
 
 
 COMMANDS = {
@@ -455,22 +357,28 @@ COMMANDS = {
 }
 
 
+def _fail(exc: Exception, code: int) -> int:
+    sys.stderr.write(f"error: {exc}\n")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        RunConfig(
-            seed=args.seed,
-            shots=args.shots,
-            dense_cap=args.cap,
-            comb_m=args.comb_m,
-            resolution=args.resolution,
-            out=args.out,
-            fmt=args.fmt,
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
-    return COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        for name, message in POSITIVE:
+            value = getattr(args, name, None)
+            if value is not None and value <= 0:
+                raise ValueError(message)
+        payload, csv_rows, log = COMMANDS[args.command](args, np.random.default_rng(args.seed))
+    except ParseError as exc:
+        return _fail(exc, EXIT_PARSE)
+    except algorithms.AttemptsExhausted as exc:
+        return _fail(exc, EXIT_EXHAUSTED)
+    except (ValueError, algorithms.AlgorithmError) as exc:
+        return _fail(exc, EXIT_PRECONDITION)
+    _emit(args, payload, csv_rows)
+    _emit_log(args, log)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

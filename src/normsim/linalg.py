@@ -31,10 +31,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_copy(a: Sequence[Sequence[int]]) -> Matrix:
     return [list(row) for row in a]
 
@@ -51,10 +47,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> list:
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
-
-
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

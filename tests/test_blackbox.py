@@ -212,3 +212,38 @@ def test_sample_generators_generate():
         gens = g.sample_generators(rng)
         table = bb_decompose_bruteforce(g, gens)
         assert table.order() == g.order()
+
+
+# (group, seed) -> (generators, oracle calls), recorded with the Cayley walk
+# sample_generators used before it read subgroup sizes from cayley_relations.
+SAMPLED_GENERATORS = {
+    ("zn_star 91", 0): ([57, 46, 24], 244),
+    ("zn_star 91", 1): ([43, 46, 68], 294),
+    ("zn_star 91", 2): ([76, 23, 27], 408),
+    ("zn_star 91", 3): ([73, 16, 72], 408),
+    ("zn_star 91", 4): ([66, 85], 150),
+    ("zn_star 63", 0): ([53, 40], 78),
+    ("zn_star 63", 1): ([29, 32, 47], 150),
+    ("zn_star 63", 2): ([52, 16, 26], 150),
+    ("zn_star 63", 3): ([5, 11, 50], 174),
+    ("zn_star 63", 4): ([59, 55, 5], 282),
+    ("zn_star 7", 0): ([5], 6),
+    ("zn_star 7", 1): ([3], 6),
+    ("zn_star 7", 2): ([5], 6),
+    ("zn_star 7", 3): ([5], 6),
+    ("zn_star 7", 4): ([5], 6),
+    ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 40),
+    ("ec 17 2 4", 1): ([(7, 2)], 16),
+    ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 40),
+    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 72),
+    ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 34),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(SAMPLED_GENERATORS))
+def test_sample_generators_pinned(name, seed):
+    kind, *params = name.split()
+    params = [int(v) for v in params]
+    group = ZNStarGroup(*params) if kind == "zn_star" else EllipticCurveGroup(*params)
+    gens = group.sample_generators(np.random.default_rng(seed))
+    assert (gens, group.counter.total) == SAMPLED_GENERATORS[(name, seed)]

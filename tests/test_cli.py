@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from normsim.cli import main
+from normsim.cli import build_parser, main
 from normsim.circuits import save_circuit
 from normsim.dense import dense_run
 
@@ -274,6 +274,51 @@ def test_factor_attempts_exhausted_exit_2(monkeypatch):
     assert main(["factor", "15"]) == 2
 
 
-def test_bad_knobs_exit_3():
-    assert main(["order", "15", "2", "--shots", "0"]) == 3
+def test_bad_knobs_exit_3(tmp_path, capsys):
+    circuit_path = tmp_path / "qft2.json"
+    write_qft_circuit(circuit_path)
+    assert main(["run", str(circuit_path), "--shots", "0"]) == 3
     assert main(["order", "15", "2", "--resolution", "-1"]) == 3
+    assert main(["dlog", "7", "3", "6", "--cap", "0"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: shots must be positive",
+        "error: resolution must be positive",
+        "error: caps must be positive",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "15", "--bogus"],
+        ["factor", "x"],
+        ["factor", "15", "--shots", "5"],  # a flag factor does not read
+        ["ecdlog", "5", "1", "1", "0,1", "4,2", "--repetitions", "0"],
+    ],
+)
+def test_malformed_command_line_exits_4(argv, capsys):
+    assert main(argv) == 4  # returned, so argparse raised no SystemExit
+    assert capsys.readouterr().err.startswith("error: normsim")
+
+
+def test_algorithm_error_exits_3_without_traceback(capsys):
+    assert main(["factor", "91", "--comb-M", "2", "--seed", "0"]) == 3
+    assert capsys.readouterr().err == "error: comb half-length 2 below the order\n"
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    reads = {
+        "factor": {"--attempts", "--comb-M"},
+        "dlog": {"--repetitions", "--cap"},
+        "ecdlog": {"--cap"},
+        "order": {"--density-out", "--comb-M", "--resolution"},
+        "decompose": {"--gens", "--cap"},
+        "hsp": {"--cap"},
+        "run": {"--input", "--engine", "--shots", "--cap"},
+        "deblackbox": {"--circuit-out"},
+        "check-modexp": set(),
+    }
+    (subparsers,) = [a for a in build_parser()._actions if a.choices]
+    for name, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        assert flags == reads[name] | {"--help", "--seed", "--out", "--format"}, name

@@ -1,0 +1,82 @@
+"""Pinned fixed-seed CLI bytes: one invocation per subcommand, both formats.
+
+EXPECTED (in data/cli_pinned.json) was recorded before the CLI was given one
+front door.  Each case runs twice per format: once to stdout (stdout and
+stderr captured) and once with `--out` (the output file and
+`<out>.log.json` read back).  Temporary paths are masked as `<tmp>`, so any
+change to an output byte, a log field or an rng stream shows up here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from normsim.algorithms import dlog_circuit
+from normsim.blackbox import ZNStarGroup
+from normsim.circuits import (
+    AutomorphismGate,
+    DesignatedBasis,
+    NormalizerCircuit,
+    QFTGate,
+    save_circuit,
+    word_exp_func,
+)
+from normsim.cli import main
+from normsim.groups import cyclic_group
+
+EXPECTED_PATH = Path(__file__).parent / "data" / "cli_pinned.json"
+
+
+def _order_finding_circuit() -> NormalizerCircuit:
+    basis = DesignatedBasis(cyclic_group(4), ZNStarGroup(15))
+    oracle = AutomorphismGate(
+        func=word_exp_func(basis, [2]), name="word_exp", params={"bases": [2]}
+    )
+    return NormalizerCircuit(basis, [QFTGate((0,)), oracle, QFTGate((0,))])
+
+
+CASES = {
+    "factor": ["factor", "21", "--seed", "7"],
+    "dlog": ["dlog", "7", "3", "6", "--seed", "1"],
+    "ecdlog": ["ecdlog", "5", "1", "1", "0,1", "4,2", "--seed", "1"],
+    "order": ["order", "15", "2", "--seed", "0"],
+    "decompose": ["decompose", "zn_star", "21", "--seed", "3"],
+    "decompose ec": ["decompose", "ec", "5", "1", "1", "--gens", "0,1", "--seed", "0"],
+    "hsp": ["hsp", "2,4", "1,2", "--seed", "5"],
+    "run": ["run", "<tmp>/dlog7.json", "--input", "(0, 0)|1", "--shots", "50", "--seed", "3"],
+    "deblackbox": ["deblackbox", "<tmp>/of.json", "--seed", "0"],
+    "check-modexp": ["check-modexp", "15", "2", "4", "--seed", "0"],
+}
+
+
+def capture(name: str, fmt: str, tmp_path: Path, capsys) -> dict:
+    """Exit codes and masked output bytes of one case in one format."""
+    save_circuit(dlog_circuit(7, 3, 6), tmp_path / "dlog7.json")
+    save_circuit(_order_finding_circuit(), tmp_path / "of.json")
+    tmp = str(tmp_path)
+    argv = [arg.replace("<tmp>", tmp) for arg in CASES[name]] + ["--format", fmt]
+    capsys.readouterr()
+    result = {"code": main(argv)}
+    streams = capsys.readouterr()
+    result["stdout"], result["stderr"] = streams.out, streams.err
+    out = tmp_path / "out.txt"
+    result["out_code"] = main(argv + ["--out", str(out)])
+    streams = capsys.readouterr()
+    result["out_streams"] = streams.out + streams.err
+    result["out"] = out.read_bytes().decode()
+    result["log"] = Path(f"{out}.log.json").read_bytes().decode()
+    return {key: value.replace(tmp, "<tmp>") if isinstance(value, str) else value
+            for key, value in result.items()}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED_PATH.read_text())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes_are_pinned(name, fmt, tmp_path, capsys, expected, monkeypatch):
+    monkeypatch.delenv("NORMSIM_CAP", raising=False)
+    assert capture(name, fmt, tmp_path, capsys) == expected[f"{name} {fmt}"]

@@ -16,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .blackbox import BlackBoxGroup, EllipticCurveGroup, ZNStarGroup, bb_order
 from .groups import (
@@ -367,6 +369,13 @@ class QuadraticForm:
         cross = sum(2 * vi * gi for vi, gi in zip(self.v, g))
         return Fraction(quad + linear + cross) / 2 % 1
 
+    def numerators(self, grid: np.ndarray) -> tuple[np.ndarray, int]:
+        """`phase_numerators` of q(g) = g (M/2) g + (C/2 + v) g on the labels
+        `grid`, one column of coordinates per label."""
+        quad = [[x / 2 for x in row] for row in self.m]
+        lin = [Fraction(c, 2) + v for c, v in zip(self.c, self.v)]
+        return phase_numerators(quad, lin, grid)
+
     def bilinear_exponent(self, g: GroupElement, h: GroupElement) -> Fraction:
         """Exponent of the bicharacter B(g,h) = exp(2 pi i g M h)."""
         total = sum(
@@ -375,6 +384,30 @@ class QuadraticForm:
             for j in range(len(h.coords))
         )
         return Fraction(total) % 1
+
+
+def label_grid(moduli: Sequence[int]) -> np.ndarray:
+    """Every label of Z_{m_1} x ... x Z_{m_k}, one column of coordinates each,
+    in C order."""
+    return np.indices(moduli).reshape(len(moduli), math.prod(moduli))
+
+
+def phase_numerators(quad, lin, grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers k and the common denominator d with x quad x + lin x = k/d
+    (mod 1) at every column x of the integer array `grid`.
+
+    Every scaled entry d quad[i][j], d lin[i] and every coordinate is reduced
+    mod d before any product, so int64 stays exact however large the
+    numerators of the rationals are.
+    """
+    entries = [Fraction(q) for row in quad for q in row] + [Fraction(v) for v in lin]
+    d = math.lcm(1, *(q.denominator for q in entries))
+    n = len(lin)
+    scaled = np.array([int(q * d) % d for q in entries], dtype=np.int64)
+    a, b = scaled[: n * n].reshape(n, n), scaled[n * n :]
+    x = np.asarray(grid, dtype=np.int64) % d
+    k = (x * ((a @ x) % d)).sum(axis=0) + b @ x
+    return k % d, d
 
 
 def validate_quadratic(
@@ -454,22 +487,12 @@ class DesignatedBasis:
     blackbox: BlackBoxGroup | None = None
 
     @property
-    def num_registers(self) -> int:
-        return len(self.elementary.factors) + (1 if self.blackbox else 0)
-
-    @property
     def bb_register(self) -> int | None:
         return len(self.elementary.factors) if self.blackbox else None
 
     @property
     def is_finite(self) -> bool:
         return self.elementary.is_finite
-
-    def dimension(self) -> int:
-        size = self.elementary.order()
-        if self.blackbox is not None:
-            size *= self.blackbox.order()
-        return size
 
     def make_point(self, values: Sequence) -> tuple:
         """Canonical point: reduced elementary coordinates plus bb element."""
@@ -483,18 +506,6 @@ class DesignatedBasis:
         if not self.blackbox.is_element(values[-1]):
             raise CircuitError(f"{values[-1]!r} is not in the black-box group")
         return tuple(self.elementary.reduce(values[:-1]).coords) + (values[-1],)
-
-    def points(self, cap: int = 1 << 20) -> Iterator[tuple]:
-        if self.dimension() > cap:
-            raise CircuitError(f"basis dimension {self.dimension()} exceeds cap {cap}")
-        if self.blackbox is None:
-            for el in self.elementary.elements():
-                yield el.coords
-        else:
-            bb_elements = sorted(self.blackbox.elements(), key=self.blackbox.encode)
-            for el in self.elementary.elements():
-                for b in bb_elements:
-                    yield el.coords + (b,)
 
     def format_point(self, point: tuple) -> str:
         n = len(self.elementary.factors)
@@ -709,8 +720,6 @@ def check_modexp_normalizable(
     if m % order != 0:
         return False, None
     if generators is None:
-        import numpy as np
-
         generators = group.sample_generators(np.random.default_rng(0))
     if a not in generators:
         generators = [a] + list(generators)

@@ -22,6 +22,7 @@ import numpy as np
 from . import algorithms
 from .blackbox import EllipticCurveGroup, ZNStarGroup
 from .circuits import (
+    CircuitError,
     _parse_bb_element,
     check_modexp_normalizable,
     circuit_to_json,
@@ -181,6 +182,27 @@ def _input_point(text: str, basis):
         raise ParseError(f"bad input point: {exc}") from exc
 
 
+def _ints(args, name: str, text: str, sep: str = ",") -> list[int]:
+    """The integers `text` lists, or a parse failure naming the argument."""
+    try:
+        return [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise ParseError(
+            f"normsim {args.command}: {name} must be integers separated by {sep!r}, got {text!r}"
+        ) from None
+
+
+def _element(args, group, text: str):
+    """The black-box element `text` names.  Bad syntax is a parse failure; a
+    well-formed point outside the group stays a precondition violation."""
+    try:
+        return _parse_bb_element(group, text)
+    except CircuitError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"normsim {args.command}: bad element {text!r}: {exc}") from exc
+
+
 def cmd_factor(args, rng):
     run = algorithms.factor(args.n, rng, attempts=args.attempts, comb_m=args.comb_m)
     log = {"command": "factor", "n": args.n, "seed": args.seed, **run.log}
@@ -199,8 +221,8 @@ def cmd_dlog(args, rng):
 
 def cmd_ecdlog(args, rng):
     curve = EllipticCurveGroup(args.p, args.curve_a, args.curve_b)
-    base = _parse_bb_element(curve, args.base)
-    target = _parse_bb_element(curve, args.target)
+    base = _element(args, curve, args.base)
+    target = _element(args, curve, args.target)
     run = algorithms.ec_discrete_log(curve, base, target, rng, cap=args.cap)
     log = {"command": "ecdlog", "seed": args.seed, **run.log}
     payload = {"s": run.exponent, "order": run.order, "log": log}
@@ -229,19 +251,19 @@ def cmd_order(args, rng):
 
 
 def cmd_decompose(args, rng):
-    if args.kind == "zn_star":
-        (n,) = args.params
-        group = ZNStarGroup(n)
-    else:
-        p, a, b = args.params
-        group = EllipticCurveGroup(p, a, b)
+    kind, names = {"zn_star": (ZNStarGroup, "N"), "ec": (EllipticCurveGroup, "p a b")}[args.kind]
+    if len(args.params) != len(names.split()):
+        raise ParseError(
+            f"normsim decompose: {args.kind} takes {names}, got {len(args.params)} values"
+        )
+    group = kind(*args.params)
     sampled = not args.gens
     if sampled:
         generators = group.sample_generators(rng)
     elif args.kind == "zn_star":
-        generators = [int(g) for g in args.gens.split(",")]
+        generators = _ints(args, "--gens", args.gens)
     else:
-        generators = [_parse_bb_element(group, g) for g in args.gens.split(";")]
+        generators = [_element(args, group, g) for g in args.gens.split(";")]
     run = algorithms.decompose_group(group, generators, rng, dense_cap=args.cap)
     table = run.table
     log = {
@@ -265,11 +287,11 @@ def cmd_decompose(args, rng):
 
 
 def cmd_hsp(args, rng):
-    domain = cyclic_group(*[int(m) for m in args.moduli.split(",")])
+    domain = cyclic_group(*_ints(args, "moduli", args.moduli))
     gens = []
     if args.subgroup.strip():
         for part in args.subgroup.split(";"):
-            gens.append(domain.reduce([int(v) for v in part.split(",")]))
+            gens.append(domain.reduce(_ints(args, "subgroup generators", part)))
     subgroup = algorithms.HSPRun(domain, gens).subgroup_elements()
     labels = {}
     names = {}
@@ -357,7 +379,7 @@ COMMANDS = {
 }
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception | str, code: int) -> int:
     sys.stderr.write(f"error: {exc}\n")
     return code
 
@@ -370,14 +392,16 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value <= 0:
                 raise ValueError(message)
         payload, csv_rows, log = COMMANDS[args.command](args, np.random.default_rng(args.seed))
+        _emit(args, payload, csv_rows)
+        _emit_log(args, log)
     except ParseError as exc:
         return _fail(exc, EXIT_PARSE)
+    except OSError as exc:  # an output file that cannot be written
+        return _fail(f"normsim: {exc.strerror}: {exc.filename}", EXIT_PARSE)
     except algorithms.AttemptsExhausted as exc:
         return _fail(exc, EXIT_EXHAUSTED)
     except (ValueError, algorithms.AlgorithmError) as exc:
         return _fail(exc, EXIT_PRECONDITION)
-    _emit(args, payload, csv_rows)
-    _emit_log(args, log)
     return EXIT_OK
 
 

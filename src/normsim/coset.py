@@ -31,6 +31,7 @@ dense-oracle equivalence suite, not on the derivation above.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,8 @@ from .circuits import (
     NormalizerCircuit,
     QFTGate,
     QuadraticGate,
+    label_grid,
+    phase_numerators,
 )
 from .groups import ElementaryGroup, GroupElement
 from .linalg import GroupLinearSystem, smith_normal_form, solve_group_system
@@ -99,13 +102,6 @@ class CosetPhaseState:
     def _reduce_coords(self, coords) -> list[int]:
         return [int(c) % n for c, n in zip(coords, self._chars())]
 
-    def point_at(self, t) -> tuple[int, ...]:
-        coords = list(self.shift)
-        for value, column in zip(t, self.columns):
-            for row in range(len(coords)):
-                coords[row] += int(value) * column[row]
-        return tuple(self._reduce_coords(coords))
-
     def phase_exponent(self, t) -> Fraction:
         total = Fraction(0)
         for i, ti in enumerate(t):
@@ -113,11 +109,6 @@ class CosetPhaseState:
             for j, tj in enumerate(t):
                 total += self.quad[i][j] * ti * tj
         return total % 1
-
-    def _param_boxes(self):
-        import itertools
-
-        return itertools.product(*(range(m) for m in self.moduli))
 
     # -- gate updates -----------------------------------------------------------
 
@@ -338,8 +329,16 @@ class CosetPhaseState:
 
     # -- outputs ------------------------------------------------------------------
 
+    def _points(self, t: np.ndarray) -> np.ndarray:
+        """Group points x0 + P t (mod the characteristics), one column per column of t."""
+        chars = self._chars()
+        p = np.array(self.columns, dtype=np.int64).reshape(self.num_params, len(chars)).T
+        shift = np.array(self.shift, dtype=np.int64)[:, None]
+        return (shift + p @ t) % np.array(chars, dtype=np.int64)[:, None]
+
     def support_points(self) -> list[tuple[int, ...]]:
-        return [self.point_at(t) for t in self._param_boxes()]
+        points = self._points(label_grid(self.moduli))
+        return [tuple(point) for point in points.T.tolist()]
 
     def distribution(self) -> dict[tuple[int, ...], Fraction]:
         size = self.support_size()
@@ -347,25 +346,19 @@ class CosetPhaseState:
 
     def dense_amplitudes(self) -> np.ndarray:
         """Complex expansion over the full group, for oracle comparisons."""
-        dims = self._chars()
-        out = np.zeros(dims, dtype=np.complex128)
+        chars = self._chars()
+        t = label_grid(self.moduli)
+        k, d = phase_numerators(self.quad, self.lin, t)
         norm = 1 / math.sqrt(self.support_size())
-        for t in self._param_boxes():
-            point = self.point_at(t)
-            out[point] += norm * np.exp(
-                2j * np.pi * float(self.phase_exponent(t))
-            )
-        return out
+        out = np.zeros(math.prod(chars), dtype=np.complex128)
+        flat = np.ravel_multi_index(self._points(t), chars).reshape(-1)
+        np.add.at(out, flat, norm * np.exp(2j * np.pi * (k / d)))
+        return out.reshape(chars)
 
     def sample(self, shots: int, rng) -> dict[tuple[int, ...], int]:
-        from collections import Counter
-
-        points = self.support_points()
-        draws = rng.integers(len(points), size=shots)
-        counts: Counter = Counter()
-        for d in draws.tolist():
-            counts[points[d]] += 1
-        return dict(counts)
+        draws = rng.integers(self.support_size(), size=shots)
+        points = self._points(label_grid(self.moduli)[:, draws])
+        return dict(Counter(map(tuple, points.T.tolist())))
 
     def check_invariants(self) -> None:
         """Self-checks used by the test suite: injectivity and periodicity."""

@@ -12,7 +12,6 @@ installed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -288,9 +287,6 @@ class DeblackboxResult:
     circuit: NormalizerCircuit
     bridge: EncodingBridge | None
     provenance: list[dict]
-
-    def provenance_json(self) -> str:
-        return json.dumps(self.provenance, indent=2)
 
     def point_to_decomposed(self, point: tuple) -> tuple:
         if self.bridge is None:

@@ -1,10 +1,13 @@
 """Dense state-vector execution of normalizer circuits on finite bases.
 
 This is the brute-force oracle the structured simulator is judged against:
-amplitudes are complex floats indexed by every basis label, gates act by
-explicit permutation, pointwise phase, or DFT matrices.  Black-box gates run
-here directly through their callables, which is what makes the engine usable
-on circuits that have not been de-black-boxed yet.
+amplitudes are complex floats indexed by every basis label.  Normal-form
+gates act on the whole array at once: an automorphism is one integer index
+permutation of the label grid, a quadratic phase one array of integer
+numerators k(g) mod d followed by exp(2 pi i k/d).  Black-box gates run here
+directly through their callables, label by label on the nonzero support only,
+which is what makes the engine usable on circuits that have not been
+de-black-boxed yet.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from .circuits import (
     NormalizerCircuit,
     QFTGate,
     QuadraticGate,
+    label_grid,
 )
 from .config import dense_cap
-
-NORM_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -45,113 +47,87 @@ class DenseState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def point_to_index(self, point) -> tuple[int, ...]:
+    def flat_index(self, point) -> int:
+        """Position of a basis point in the C-order flattened amplitudes."""
         point = self.basis.make_point(point)
         n = len(self.basis.elementary.factors)
         index = [int(c) for c in point[:n]]
         if self.bb_labels is not None:
             index.append(self._bb_index[point[n]])
-        return tuple(index)
+        return int(np.ravel_multi_index(index, self.amplitudes.shape))
 
-    def index_to_point(self, index: tuple[int, ...]) -> tuple:
+    def point(self, flat_index: int) -> tuple:
+        """Basis point at a flat position: exact coordinates plus bb label."""
+        index = np.unravel_index(flat_index, self.amplitudes.shape)
         n = len(self.basis.elementary.factors)
-        point = tuple(Fraction(i) for i in index[:n])
+        point = tuple(Fraction(int(i)) for i in index[:n])
         if self.bb_labels is not None:
-            point = point + (self.bb_labels[index[n]],)
+            point = point + (self.bb_labels[int(index[n])],)
         return point
 
     def amplitude(self, point) -> complex:
-        return complex(self.amplitudes[self.point_to_index(point)])
+        return complex(self.amplitudes.flat[self.flat_index(point)])
 
     def probabilities(self, tol: float = 1e-12) -> dict[tuple, float]:
-        probs = np.abs(self.amplitudes) ** 2
-        out = {}
-        for index in np.ndindex(*self.amplitudes.shape):
-            p = float(probs[index])
-            if p > tol:
-                out[self.index_to_point(index)] = p
-        return out
+        probs = np.abs(self.amplitudes.reshape(-1)) ** 2
+        return {self.point(i): float(probs[i]) for i in np.flatnonzero(probs > tol)}
 
     def support(self, tol: float = 1e-9) -> set[tuple]:
         return set(self.probabilities(tol=tol))
 
 
-def _register_dims(basis: DesignatedBasis) -> list[int]:
-    if not basis.is_finite:
-        raise CircuitError("dense simulation needs every register finite")
+def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     dims = [f.modulus for f in basis.elementary.factors]
+    bb_labels = None
     if basis.blackbox is not None:
         dims.append(basis.blackbox.order())
-    return dims
-
-
-def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
-    dims = _register_dims(basis)
+        bb_labels = sorted(basis.blackbox.elements(), key=basis.blackbox.encode)
     total = math.prod(dims)
     if total > cap:
         raise CircuitError(f"dense dimension {total} exceeds cap {cap}")
-    bb_labels = None
-    if basis.blackbox is not None:
-        bb_labels = sorted(basis.blackbox.elements(), key=basis.blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)
-    amplitudes[state.point_to_index(point)] = 1.0
+    amplitudes.flat[state.flat_index(point)] = 1.0
     return state
-
-
-def _dft_matrix(n: int) -> np.ndarray:
-    x = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
 
 
 def _apply_qft(state: DenseState, registers) -> None:
     for r in registers:
         n = state.amplitudes.shape[r]
-        f = _dft_matrix(n)
+        x = np.arange(n)
+        f = np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
         moved = np.tensordot(f, state.amplitudes, axes=([1], [r]))
         state.amplitudes = np.moveaxis(moved, 0, r)
 
 
-def _point_map(state: DenseState, gate: AutomorphismGate):
-    basis = state.basis
-    n = len(basis.elementary.factors)
+def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndarray) -> None:
+    shape = state.amplitudes.shape
+    flat = state.amplitudes.reshape(-1)
+    out = np.zeros_like(flat)
     if gate.is_black_box:
-        def mapped(point):
-            return basis.make_point(gate.func(point))
-
-        return mapped
-
-    def mapped(point):
-        el = basis.elementary.reduce(point[:n])
-        image = gate.rep.apply(el)
-        return image.coords + tuple(point[n:])
-
-    return mapped
-
-
-def _apply_automorphism(state: DenseState, gate: AutomorphismGate) -> None:
-    mapped = _point_map(state, gate)
-    out = np.zeros_like(state.amplitudes)
-    for index in np.ndindex(*state.amplitudes.shape):
-        value = state.amplitudes[index]
-        if value == 0:
-            continue
-        out[state.point_to_index(mapped(state.index_to_point(index)))] += value
-    state.amplitudes = out
+        support = np.flatnonzero(flat)
+        targets = [state.flat_index(gate.func(state.point(i))) for i in support.tolist()]
+        np.add.at(out, targets, flat[support])
+    else:
+        n = len(grid)
+        matrix = np.array(gate.rep.matrix, dtype=np.int64).reshape(n, n)
+        image = (matrix @ grid) % np.array(shape[:n], dtype=np.int64)[:, None]
+        rows = np.ravel_multi_index(image, shape[:n]).reshape(-1)
+        # A black-box label, the trailing axis, stays put: rows move whole.
+        np.add.at(out.reshape(len(rows), -1), rows, flat.reshape(len(rows), -1))
+    state.amplitudes = out.reshape(shape)
 
 
-def _apply_quadratic(state: DenseState, gate: QuadraticGate) -> None:
-    basis = state.basis
-    n = len(basis.elementary.factors)
-    for index in np.ndindex(*state.amplitudes.shape):
-        if state.amplitudes[index] == 0:
-            continue
-        point = state.index_to_point(index)
-        if gate.is_black_box:
-            exponent = gate.func(point)
-        else:
-            exponent = gate.form.exponent(basis.elementary.reduce(point[:n]))
-        state.amplitudes[index] *= np.exp(2j * np.pi * float(exponent))
+def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray) -> None:
+    shape = state.amplitudes.shape
+    flat = state.amplitudes.reshape(-1)
+    if gate.is_black_box:
+        for i in np.flatnonzero(flat).tolist():
+            flat[i] *= np.exp(2j * np.pi * float(gate.func(state.point(i))))
+    else:
+        k, d = gate.form.numerators(grid)
+        flat = (flat.reshape(len(k), -1) * np.exp(2j * np.pi * (k / d))[:, None]).reshape(-1)
+    state.amplitudes = flat.reshape(shape)
 
 
 def dense_run(
@@ -163,13 +139,14 @@ def dense_run(
     if any(not b.is_finite for b in trace):
         raise CircuitError("dense simulation needs every register finite")
     state = _initial_state(circuit.initial_basis, input_point, cap)
+    grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
     for gate in circuit.gates:
         if isinstance(gate, QFTGate):
             _apply_qft(state, gate.registers)
         elif isinstance(gate, AutomorphismGate):
-            _apply_automorphism(state, gate)
+            _apply_automorphism(state, gate, grid)
         elif isinstance(gate, QuadraticGate):
-            _apply_quadratic(state, gate)
+            _apply_quadratic(state, gate, grid)
         else:
             raise CircuitError(f"unknown gate type {type(gate).__name__}")
         if abs(state.norm() - 1.0) > 1e-9:
@@ -183,8 +160,6 @@ def dense_sample(state: DenseState, shots: int, rng) -> Counter:
     flat = flat / flat.sum()
     draws = rng.choice(len(flat), size=shots, p=flat)
     counts: Counter = Counter()
-    shape = state.amplitudes.shape
     for flat_index, count in Counter(draws.tolist()).items():
-        index = np.unravel_index(flat_index, shape)
-        counts[state.index_to_point(tuple(int(i) for i in index))] += count
+        counts[state.point(flat_index)] += count
     return counts

@@ -1,9 +1,13 @@
 """Tests for the circuit IR: normal forms, basis tracking, circuit files."""
 
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normsim.blackbox import ZNStarGroup, bb_order
 from normsim.circuits import (
@@ -19,12 +23,15 @@ from normsim.circuits import (
     circuit_from_json,
     circuit_to_json,
     load_circuit,
+    label_grid,
     matrix_rep_inverse,
+    phase_numerators,
     save_circuit,
     validate_matrix_rep,
     validate_quadratic,
     word_exp_func,
 )
+from normsim.dense import dense_run
 from normsim.groups import T, Z, cyclic, cyclic_group, group, parse_group
 from normsim.linalg import identity_matrix
 
@@ -454,3 +461,71 @@ def test_rational_literals_in_files():
     assert circuit.gates[0].form.m[0][0] == Fraction(1, 2)
     out = circuit_to_json(circuit)
     assert out["gates"][0]["quadratic"]["M"] == [["1/2"]]
+
+
+# ---------------------------------------------------------------------------
+# integer phase numerators
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Valid (M, v) on a product of cyclic factors of order <= 512, with
+    numerators far beyond int64."""
+    moduli = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    while math.prod(moduli) > 512:
+        moduli.pop()
+    g = cyclic_group(*moduli)
+    big = st.integers(-(1 << 80), 1 << 80)
+    m = [[Fraction(0)] * len(moduli) for _ in moduli]
+    for i, ni in enumerate(moduli):
+        for j in range(i, len(moduli)):
+            m[i][j] = m[j][i] = Fraction(draw(big), math.gcd(ni, moduli[j]))
+    v = [Fraction(draw(big), n) for n in moduli]
+    return validate_quadratic(m, v, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_forms())
+def test_numerators_equal_quadratic_exponent_at_every_label(form):
+    moduli = [f.modulus for f in form.group.factors]
+    k, d = form.numerators(label_grid(moduli))
+    for label, numerator in zip(form.group.elements(), k.tolist()):
+        assert Fraction(numerator, d) == form.exponent(label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_numerators_equal_coset_phase_exponent_at_every_parameter(seed):
+    from helpers import random_circuit, random_finite_group
+
+    from normsim.coset import coset_run
+
+    rng = np.random.default_rng(seed)
+    g = random_finite_group(rng, max_order=512)
+    state = coset_run(random_circuit(g, rng, gate_count=6), g.identity())
+    t = label_grid(state.moduli)
+    k, d = phase_numerators(state.quad, state.lin, t)
+    for column, numerator in zip(t.T.tolist(), k.tolist()):
+        assert Fraction(numerator, d) == state.phase_exponent(column)
+
+
+def test_numerators_exact_for_a_file_form_beyond_int64():
+    # M = (2^65 + 1)/4 on Z4: the numerator overflows int64 unless it is
+    # reduced mod d before any product.
+    doc = {
+        "group": {"elementary": "Z4"},
+        "gates": [
+            {"qft": [0]},
+            {"quadratic": {"M": [["36893488147419103233/4"]], "v": ["1/4"]}},
+        ],
+    }
+    circuit = circuit_from_json(doc)
+    form = circuit.gates[1].form
+    assert form.m[0][0].numerator > 1 << 63
+    k, d = form.numerators(label_grid([4]))
+    assert [Fraction(n, d) for n in k.tolist()] == [form.exponent(x) for x in form.group.elements()]
+    state = dense_run(circuit, (0,))
+    for x in form.group.elements():
+        expected = 0.5 * np.exp(2j * np.pi * float(form.exponent(x)))
+        assert state.amplitude(x.coords) == pytest.approx(expected, abs=1e-15)

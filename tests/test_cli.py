@@ -294,11 +294,33 @@ def test_bad_knobs_exit_3(tmp_path, capsys):
         ["factor", "x"],
         ["factor", "15", "--shots", "5"],  # a flag factor does not read
         ["ecdlog", "5", "1", "1", "0,1", "4,2", "--repetitions", "0"],
+        # Malformed positional text.
+        ["decompose", "ec", "5", "1"],
+        ["decompose", "zn_star", "15", "7"],
+        ["decompose", "zn_star", "15", "--gens", "2,x"],
+        ["decompose", "ec", "5", "1", "1", "--gens", "0,1;4"],
+        ["hsp", "2,x", "1"],
+        ["hsp", "2,2", "1,y"],
+        ["ecdlog", "5", "1", "1", "0,1", "4"],
+        # Output files that cannot be written.
+        ["factor", "15", "--out", "/nonexistent/x.csv"],
+        ["factor", "15", "--out", "{tmp}"],  # a directory: neither it nor its log opens
+        ["order", "15", "2", "--density-out", "/nonexistent/d.csv"],
+        ["deblackbox", "{circuit}", "--circuit-out", "/nonexistent/c.json"],
     ],
 )
-def test_malformed_command_line_exits_4(argv, capsys):
+def test_malformed_command_line_exits_4(argv, tmp_path, capsys):
+    circuit = tmp_path / "qft2.json"
+    write_qft_circuit(circuit)
+    argv = [a.format(tmp=tmp_path, circuit=circuit) for a in argv]
     assert main(argv) == 4  # returned, so argparse raised no SystemExit
-    assert capsys.readouterr().err.startswith("error: normsim")
+    err = capsys.readouterr().err
+    assert err.startswith("error: normsim") and len(err.splitlines()) == 1
+
+
+def test_off_curve_point_still_exits_3(capsys):
+    assert main(["ecdlog", "5", "1", "1", "0,1", "4,1"]) == 3
+    assert "is not an element" in capsys.readouterr().err
 
 
 def test_algorithm_error_exits_3_without_traceback(capsys):

@@ -134,3 +134,33 @@ def test_dense_cap_env_override(monkeypatch):
     monkeypatch.setenv("NORMSIM_CAP", "10000")
     state = dense_run(NormalizerCircuit(big, []), (0, 0))
     assert state.amplitudes.size == 8192
+
+
+def _oracle_calls(circuit, point) -> int:
+    group = circuit.initial_basis.blackbox
+    before = group.counter.total
+    dense_run(circuit, point)
+    return group.counter.total - before
+
+
+def test_black_box_gates_run_only_on_the_support():
+    # Counts recorded before normal-form gates became whole-array operations.
+    # Black-box callables see only the nonzero support: tabulating word_exp on
+    # all 4096 labels of the p = 17 circuit would spend about 16 times more.
+    from normsim.algorithms import (
+        HSPInstance,
+        OracularGroup,
+        dlog_circuit,
+        ec_dlog_circuit,
+        hsp_circuit,
+    )
+    from normsim.blackbox import EllipticCurveGroup
+
+    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 3104
+    curve = EllipticCurveGroup(7, 2, 3)
+    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 288
+    domain = cyclic_group(4, 2)
+    instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
+    oracular = OracularGroup(domain, instance.oracle)
+    circuit = hsp_circuit(instance, oracular)
+    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 42

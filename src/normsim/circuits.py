@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,14 +112,31 @@ class MatrixRep:
     group: ElementaryGroup
     matrix: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...] | None:
+        """The matrix as Python ints, or None on a group with a T factor,
+        where entries into T may be fractions."""
+        if any(f.kind == "T" for f in self.group.factors):
+            return None
+        return tuple(tuple(int(x) for x in row) for row in self.matrix)
+
     def apply(self, el: GroupElement) -> GroupElement:
         if el.group != self.group:
             raise CircuitError(f"element of {el.group} fed to a map on {self.group}")
-        coords = [
-            sum(row[j] * el.coords[j] for j in range(len(row)))
-            for row in self.matrix
-        ]
-        return self.group.reduce(coords)
+        rows = self.int_rows
+        if rows is None:
+            coords = [
+                sum(row[j] * el.coords[j] for j in range(len(row)))
+                for row in self.matrix
+            ]
+            return self.group.reduce(coords)
+        # Without T every coordinate is an integer; reduce mod each char.
+        x = [c.numerator for c in el.coords]
+        image = (sum(map(mul, row, x)) for row in rows)
+        return GroupElement(
+            self.group,
+            tuple(Fraction(y % n if n else y) for y, n in zip(image, self.group.chars)),
+        )
 
     def compose(self, other: MatrixRep) -> MatrixRep:
         """self after other (matrix product), re-validated."""
@@ -339,13 +358,21 @@ class QuadraticForm:
 
     C is never free: C(i) = M(i,i) char(G_i), which keeps xi well defined on
     the group even though gMg alone is not.
+
+    The exponent q(g) = g (M/2) g + (C/2 + v) g is evaluated over one common
+    denominator.  `scaled` holds the integers A = d M/2 and b = d (C/2 + v)
+    with the least such d; it is built once per form and cached on the
+    instance, like `c`.  On integer coordinates q(g) = (g A g + b g)/d is
+    then computed in int and returned as the exact Fraction k/d.  A torus
+    coordinate off the integers stays a Fraction, and the sum it enters
+    falls back to Fraction arithmetic.
     """
 
     group: ElementaryGroup
     m: tuple[tuple[Fraction, ...], ...]
     v: tuple[Fraction, ...]
 
-    @property
+    @cached_property
     def c(self) -> tuple[int, ...]:
         values = []
         for i, char in enumerate(self.group.chars):
@@ -355,35 +382,47 @@ class QuadraticForm:
             values.append(int(value))
         return tuple(values)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """(A, b, d): the integer numerators of M/2 and C/2 + v over their
+        least common denominator d."""
+        quad = [[x / 2 for x in row] for row in self.m]
+        lin = [Fraction(c, 2) + v for c, v in zip(self.c, self.v)]
+        return _common_denominator(quad, lin)
+
     def exponent(self, el: GroupElement) -> Fraction:
         """q(g) with xi(g) = exp(2 pi i q(g)), as a rational mod 1."""
         if el.group != self.group:
             raise CircuitError("element from the wrong group")
-        g = el.coords
-        quad = sum(
-            g[i] * self.m[i][j] * g[j]
-            for i in range(len(g))
-            for j in range(len(g))
-        )
-        linear = sum(ci * gi for ci, gi in zip(self.c, g))
-        cross = sum(2 * vi * gi for vi, gi in zip(self.v, g))
-        return Fraction(quad + linear + cross) / 2 % 1
+        a, b, d = self.scaled
+        x = _numerator_coords(el.coords)
+        k = sum(xi * (bi + sum(map(mul, row, x))) for xi, bi, row in zip(x, b, a))
+        return _mod_one(k, d)
 
     def numerators(self, grid: np.ndarray) -> tuple[np.ndarray, int]:
         """`phase_numerators` of q(g) = g (M/2) g + (C/2 + v) g on the labels
         `grid`, one column of coordinates per label."""
-        quad = [[x / 2 for x in row] for row in self.m]
-        lin = [Fraction(c, 2) + v for c, v in zip(self.c, self.v)]
-        return phase_numerators(quad, lin, grid)
+        return _scaled_numerators(*self.scaled, grid)
 
     def bilinear_exponent(self, g: GroupElement, h: GroupElement) -> Fraction:
         """Exponent of the bicharacter B(g,h) = exp(2 pi i g M h)."""
-        total = sum(
-            g.coords[i] * self.m[i][j] * h.coords[j]
-            for i in range(len(g.coords))
-            for j in range(len(h.coords))
-        )
-        return Fraction(total) % 1
+        a, _, d = self.scaled
+        x, y = _numerator_coords(g.coords), _numerator_coords(h.coords)
+        k = 2 * sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, a))
+        return _mod_one(k, d)
+
+
+def _numerator_coords(coords: Sequence[Fraction]) -> list:
+    """Integer coordinates as int; a torus coordinate off the integers stays
+    a Fraction."""
+    return [c.numerator if c.denominator == 1 else c for c in coords]
+
+
+def _mod_one(k: Rational, d: int) -> Fraction:
+    """k/d mod 1 as a Fraction; k is an int unless a torus coordinate entered."""
+    if isinstance(k, int):
+        return Fraction(k % d, d)
+    return k / d % 1
 
 
 def label_grid(moduli: Sequence[int]) -> np.ndarray:
@@ -392,19 +431,31 @@ def label_grid(moduli: Sequence[int]) -> np.ndarray:
     return np.indices(moduli).reshape(len(moduli), math.prod(moduli))
 
 
-def phase_numerators(quad, lin, grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integers k and the common denominator d with x quad x + lin x = k/d
-    (mod 1) at every column x of the integer array `grid`.
-
-    Every scaled entry d quad[i][j], d lin[i] and every coordinate is reduced
-    mod d before any product, so int64 stays exact however large the
-    numerators of the rationals are.
-    """
+def _common_denominator(quad, lin) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """Integers A, b and the least d > 0 with quad = A/d and lin = b/d."""
     entries = [Fraction(q) for row in quad for q in row] + [Fraction(v) for v in lin]
     d = math.lcm(1, *(q.denominator for q in entries))
+    scaled = [q.numerator * (d // q.denominator) for q in entries]
     n = len(lin)
-    scaled = np.array([int(q * d) % d for q in entries], dtype=np.int64)
-    a, b = scaled[: n * n].reshape(n, n), scaled[n * n :]
+    a = tuple(tuple(scaled[i * n : (i + 1) * n]) for i in range(n))
+    return a, tuple(scaled[n * n :]), d
+
+
+def phase_numerators(quad, lin, grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers k and the common denominator d with x quad x + lin x = k/d
+    (mod 1) at every column x of the integer array `grid`."""
+    return _scaled_numerators(*_common_denominator(quad, lin), grid)
+
+
+def _scaled_numerators(a, b, d: int, grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """k = x A x + b x mod d at every column x of `grid`, and d.
+
+    Every entry of A and b and every coordinate is reduced mod d before any
+    product, so int64 stays exact however large the numerators are.
+    """
+    n = len(b)
+    a = np.array([x % d for row in a for x in row], dtype=np.int64).reshape(n, n)
+    b = np.array([x % d for x in b], dtype=np.int64)
     x = np.asarray(grid, dtype=np.int64) % d
     k = (x * ((a @ x) % d)).sum(axis=0) + b @ x
     return k % d, d
@@ -457,7 +508,7 @@ def validate_quadratic(
         m=tuple(tuple(row) for row in entries),
         v=tuple(v_entries),
     )
-    form.c  # forces the integrality assertion
+    form.scaled  # forces the integrality assertion on C
     if check_law:
         elements = list(group.elements())
         for g in elements:

@@ -167,7 +167,9 @@ def _load_circuit(path: str):
 
 
 def _input_point(text: str, basis):
-    """The point `text` names in README's "Points" grammar, e.g. `(0, 1)|7`."""
+    """The point `text` names in README's "Points" grammar, e.g. `(0, 1)|7`.
+    Bad syntax is a parse failure; a well-formed black-box element outside
+    the group stays a precondition violation."""
     head, bar, bb_text = text.strip().partition("|")
     try:
         coords = parse_element(head, basis.elementary).coords
@@ -178,6 +180,8 @@ def _input_point(text: str, basis):
         if not bar:
             raise ValueError("point needs a |element suffix for the black-box slot")
         return coords + (_parse_bb_element(basis.blackbox, bb_text),)
+    except CircuitError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad input point: {exc}") from exc
 

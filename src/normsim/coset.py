@@ -34,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -103,12 +104,9 @@ class CosetPhaseState:
         return [int(c) % n for c, n in zip(coords, self._chars())]
 
     def phase_exponent(self, t) -> Fraction:
-        total = Fraction(0)
-        for i, ti in enumerate(t):
-            total += self.lin[i] * ti
-            for j, tj in enumerate(t):
-                total += self.quad[i][j] * ti * tj
-        return total % 1
+        """q(t) = t quad t + lin t mod 1 at one parameter vector t."""
+        k, d = phase_numerators(self.quad, self.lin, np.reshape(t, (len(t), 1)))
+        return Fraction(int(k[0]), d)
 
     # -- gate updates -----------------------------------------------------------
 
@@ -117,16 +115,10 @@ class CosetPhaseState:
             raise CosetSimulationError("automorphism over the wrong group")
         shift_el = rep.apply(self.group.reduce(self.shift))
         self.shift = [int(c) for c in shift_el.coords]
-        matrix = rep.matrix
-        m = len(self.group.factors)
-        new_columns = []
-        for column in self.columns:
-            image = [
-                int(sum(matrix[i][j] * column[j] for j in range(m)))
-                for i in range(m)
-            ]
-            new_columns.append(self._reduce_coords(image))
-        self.columns = new_columns
+        self.columns = [
+            self._reduce_coords([sum(map(mul, row, column)) for row in rep.int_rows])
+            for column in self.columns
+        ]
 
     def apply_quadratic(self, form) -> None:
         if form.group != self.group:
@@ -356,9 +348,17 @@ class CosetPhaseState:
         return out.reshape(chars)
 
     def sample(self, shots: int, rng) -> dict[tuple[int, ...], int]:
+        """Outcome counts of `shots` uniform draws from the support.
+
+        Draw i is the parameter with C-order index i in the box (the column
+        `label_grid(self.moduli)[:, i]`), found without building the grid.
+        """
         draws = rng.integers(self.support_size(), size=shots)
-        points = self._points(label_grid(self.moduli)[:, draws])
-        return dict(Counter(map(tuple, points.T.tolist())))
+        if self.moduli:
+            t = np.array(np.unravel_index(draws, self.moduli))
+        else:
+            t = np.zeros((0, shots), dtype=np.int64)
+        return dict(Counter(map(tuple, self._points(t).T.tolist())))
 
     def check_invariants(self) -> None:
         """Self-checks used by the test suite: injectivity and periodicity."""

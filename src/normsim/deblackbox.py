@@ -29,6 +29,7 @@ from .circuits import (
     QFTGate,
     QuadraticForm,
     QuadraticGate,
+    label_grid,
     validate_matrix_rep,
     validate_quadratic,
 )
@@ -36,6 +37,8 @@ from .groups import ElementaryGroup, GroupElement, cyclic
 from .linalg import is_prime
 
 DEFAULT_ENTRY_BOUND = 1 << 10
+#: The extraction spot checks try every point of finite groups up to this order.
+SPOT_CHECK_ALL = 256
 
 
 class ExtractionError(ValueError):
@@ -174,16 +177,35 @@ def _sample_coords(group: ElementaryGroup, rng) -> tuple:
     return tuple(coords)
 
 
+def _exhaustive_grid(group: ElementaryGroup) -> np.ndarray | None:
+    """Every label of a finite group of order <= SPOT_CHECK_ALL, one column
+    each in `elements()` order, or None when the spot checks sample instead."""
+    if group.is_finite and group.order() <= SPOT_CHECK_ALL:
+        return label_grid(group.chars)
+    return None
+
+
+def _grid_points(grid: np.ndarray) -> list[tuple[Fraction, ...]]:
+    return [tuple(map(Fraction, column)) for column in grid.T.tolist()]
+
+
 def _spot_check_matrix(f: Callable, rep: MatrixRep, trials: int = 8) -> None:
+    """Compare the oracle with `rep` at every point of a small finite group,
+    else at `trials` sampled points."""
     group = rep.group
-    rng = np.random.default_rng(max(1, trials))
-    if group.is_finite and group.order() <= 256:
-        samples = [el.coords for el in group.elements()]
-    else:
-        samples = [_sample_coords(group, rng) for _ in range(trials)]
-    for coords in samples:
-        expected = group.reduce(list(f(coords)))
-        if rep.apply(group.reduce(coords)) != expected:
+    grid = _exhaustive_grid(group)
+    if grid is None:
+        rng = np.random.default_rng(max(1, trials))
+        for coords in [_sample_coords(group, rng) for _ in range(trials)]:
+            expected = group.reduce(list(f(coords)))
+            if rep.apply(group.reduce(coords)) != expected:
+                raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
+        return
+    n = len(group.factors)
+    matrix = np.array(rep.int_rows, dtype=np.int64).reshape(n, n)
+    images = (matrix @ grid) % np.array(group.chars, dtype=np.int64)[:, None]
+    for coords, image in zip(_grid_points(grid), images.T.tolist()):
+        if group.reduce(list(f(coords))).coords != tuple(image):
             raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
 
 
@@ -253,14 +275,22 @@ def extract_quadratic(
 
 
 def _spot_check_quadratic(q: Callable, form: QuadraticForm, trials: int = 12) -> None:
+    """Compare the oracle with `form` at every point of a small finite group,
+    else at `trials` sampled points."""
     group = form.group
-    rng = np.random.default_rng(max(1, trials))
-    if group.is_finite and group.order() <= 256:
-        samples = [el.coords for el in group.elements()]
-    else:
-        samples = [_sample_coords(group, rng) for _ in range(trials)]
-    for coords in samples:
-        if form.exponent(group.reduce(coords)) != Fraction(q(tuple(coords))) % 1:
+    grid = _exhaustive_grid(group)
+    if grid is None:
+        rng = np.random.default_rng(max(1, trials))
+        for coords in [_sample_coords(group, rng) for _ in range(trials)]:
+            if form.exponent(group.reduce(coords)) != Fraction(q(tuple(coords))) % 1:
+                raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")
+        return
+    numerators, d = form.numerators(grid)
+    for coords, k in zip(_grid_points(grid), numerators.tolist()):
+        # q = n/s agrees with k/d mod 1 iff s divides d and n (d/s) = k mod d.
+        value = Fraction(q(coords))
+        scale, rest = divmod(d, value.denominator)
+        if rest or (value.numerator * scale - k) % d:
             raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")
 
 

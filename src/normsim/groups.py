@@ -11,6 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 #: Refuse to enumerate finite groups larger than this unless overridden.
@@ -101,7 +102,7 @@ class ElementaryGroup:
     def __str__(self) -> str:
         return format_group(self)
 
-    @property
+    @cached_property
     def chars(self) -> tuple[int, ...]:
         return tuple(f.char for f in self.factors)
 

@@ -1,5 +1,7 @@
-"""Shared test fixtures: random valid gates, circuits and groups."""
+"""Shared test fixtures: random valid gates, circuits and groups, and the
+Fraction formulas that the integer evaluations are checked against."""
 
+from collections import Counter
 from fractions import Fraction
 import math
 
@@ -11,10 +13,11 @@ from normsim.circuits import (
     QFTGate,
     QuadraticGate,
     QuadraticForm,
+    label_grid,
     validate_matrix_rep,
     validate_quadratic,
 )
-from normsim.groups import ElementaryGroup, cyclic, cyclic_group
+from normsim.groups import T, Z, ElementaryGroup, cyclic, cyclic_group
 from normsim.linalg import identity_matrix, mat_mul
 
 
@@ -86,6 +89,154 @@ def random_quadratic_form(group: ElementaryGroup, rng) -> QuadraticForm:
             entries[i][j] = entries[j][i] = value
     v = [Fraction(int(rng.integers(n)), n) for n in moduli]
     return validate_quadratic(entries, v, group)
+
+
+def random_mixed_group(rng, max_factors=4) -> ElementaryGroup:
+    """Random product of Z, T and cyclic factors, in random order."""
+    factors = []
+    for _ in range(int(rng.integers(1, max_factors + 1))):
+        kind = int(rng.integers(3))
+        factors.append(Z if kind == 0 else T if kind == 1 else cyclic(int(rng.integers(2, 13))))
+    return ElementaryGroup(factors)
+
+
+def _random_rational(rng, huge: bool) -> Fraction:
+    """Small rational, or one with a numerator beyond int64 when `huge`."""
+    numerator = int(rng.integers(-40, 41))
+    if huge:
+        numerator = numerator * (1 << 65) + 1
+    return Fraction(numerator, int(rng.integers(1, 13)))
+
+
+def random_mixed_quadratic_form(group: ElementaryGroup, rng, huge=False) -> QuadraticForm:
+    """Random valid (M, v) on a group mixing Z, T and cyclic factors; with
+    `huge`, the rational entries on Z factors get numerators beyond int64."""
+    factors = group.factors
+    m = len(factors)
+    entries = [[Fraction(0)] * m for _ in range(m)]
+    for i, fi in enumerate(factors):
+        for j in range(i, m):
+            kinds = {fi.kind, factors[j].kind}
+            if "T" in kinds:
+                # T-T and finite-T entries vanish; Z-T entries are integers.
+                value = Fraction(int(rng.integers(-5, 6))) if kinds == {"Z", "T"} else Fraction(0)
+            elif kinds == {"Z"}:
+                value = _random_rational(rng, huge)
+            else:
+                divisor = math.gcd(*(f.modulus for f in (fi, factors[j]) if f.kind == "cyclic"))
+                value = Fraction(int(rng.integers(-3 * divisor, 3 * divisor)), divisor)
+            entries[i][j] = entries[j][i] = value
+    v = []
+    for factor in factors:
+        if factor.kind == "T":
+            v.append(Fraction(int(rng.integers(-5, 6))))
+        elif factor.kind == "cyclic":
+            v.append(Fraction(int(rng.integers(factor.modulus)), factor.modulus))
+        else:
+            v.append(_random_rational(rng, huge))
+    return validate_quadratic(entries, v, group)
+
+
+def _unimodular(size: int, rng) -> list[list[int]]:
+    """Lower times upper unitriangular integer matrix, diagonal signs random."""
+    lower = identity_matrix(size)
+    upper = identity_matrix(size)
+    for i in range(size):
+        upper[i][i] = 1 if rng.integers(2) else -1
+        for j in range(i):
+            lower[i][j] = int(rng.integers(-2, 3))
+            upper[j][i] = int(rng.integers(-2, 3))
+    return mat_mul(lower, upper)
+
+
+def random_mixed_matrix_rep(group: ElementaryGroup, rng) -> MatrixRep:
+    """Random automorphism of a group mixing Z, T and cyclic factors.
+
+    In the order Z, finite, T the matrix is block lower triangular with
+    invertible diagonal blocks (unimodular on Z and T, a random_matrix_rep
+    on the finite part), so it always validates.
+    """
+    factors = group.factors
+    m = len(factors)
+    z_idx = [i for i, f in enumerate(factors) if f.kind == "Z"]
+    f_idx = [i for i, f in enumerate(factors) if f.kind == "cyclic"]
+    t_idx = [i for i, f in enumerate(factors) if f.kind == "T"]
+    matrix = [[Fraction(0)] * m for _ in range(m)]
+    for idx in (z_idx, t_idx):
+        block = _unimodular(len(idx), rng)
+        for r, i in enumerate(idx):
+            for c, j in enumerate(idx):
+                matrix[i][j] = Fraction(block[r][c])
+    if f_idx:
+        finite = random_matrix_rep(cyclic_group(*(factors[i].modulus for i in f_idx)), rng)
+        for r, i in enumerate(f_idx):
+            for c, j in enumerate(f_idx):
+                matrix[i][j] = finite.matrix[r][c]
+            for j in z_idx:
+                matrix[i][j] = Fraction(int(rng.integers(-20, 21)))
+    for i in t_idx:
+        for j in z_idx:
+            matrix[i][j] = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 13)))
+        for j in f_idx:
+            matrix[i][j] = Fraction(int(rng.integers(factors[j].modulus)), factors[j].modulus)
+    return validate_matrix_rep(matrix, group)
+
+
+def random_mixed_element(group: ElementaryGroup, rng, huge=False):
+    """Random element; Z coordinates beyond int64 when `huge`."""
+    coords = []
+    for factor in group.factors:
+        if factor.kind == "T":
+            coords.append(Fraction(int(rng.integers(-100, 101)), int(rng.integers(1, 60))))
+        elif factor.kind == "Z":
+            value = int(rng.integers(-30, 31))
+            coords.append(value * (1 << 66) + 7 if huge else value)
+        else:
+            coords.append(int(rng.integers(-50, 51)))
+    return group.reduce(coords)
+
+
+def reference_exponent(form: QuadraticForm, el) -> Fraction:
+    """q(g) = (gMg + Cg + 2vg)/2 mod 1 summed in Fraction: the reference for
+    the integer evaluation of QuadraticForm.exponent."""
+    g = el.coords
+    quad = sum(g[i] * form.m[i][j] * g[j] for i in range(len(g)) for j in range(len(g)))
+    linear = sum(ci * gi for ci, gi in zip(form.c, g))
+    cross = sum(2 * vi * gi for vi, gi in zip(form.v, g))
+    return Fraction(quad + linear + cross) / 2 % 1
+
+
+def reference_bilinear_exponent(form: QuadraticForm, g, h) -> Fraction:
+    """g M h mod 1 summed in Fraction."""
+    total = sum(
+        g.coords[i] * form.m[i][j] * h.coords[j]
+        for i in range(len(g.coords))
+        for j in range(len(h.coords))
+    )
+    return Fraction(total) % 1
+
+
+def reference_apply(rep: MatrixRep, el):
+    """The matrix times the coordinates in Fraction, then group.reduce."""
+    coords = [sum(row[j] * el.coords[j] for j in range(len(row))) for row in rep.matrix]
+    return rep.group.reduce(coords)
+
+
+def reference_phase_exponent(quad, lin, t) -> Fraction:
+    """t quad t + lin t mod 1 by a Fraction double loop."""
+    total = Fraction(0)
+    for i, ti in enumerate(t):
+        total += lin[i] * ti
+        for j, tj in enumerate(t):
+            total += quad[i][j] * ti * tj
+    return total % 1
+
+
+def reference_sample(state, shots: int, rng) -> dict:
+    """CosetPhaseState.sample by indexing the whole parameter grid."""
+    draws = rng.integers(state.support_size(), size=shots)
+    points = state._points(label_grid(state.moduli)[:, draws])
+    return dict(Counter(map(tuple, points.T.tolist())))
 
 
 def random_circuit(

@@ -63,7 +63,8 @@ def labelings(draw):
         a, b = draw(st.lists(st.sampled_from(cosets), min_size=2, max_size=2, unique=True))
         labels = {x: a if v == b else v for x, v in labels.items()}
     elif mutation == "split" and len(hidden) > 1:
-        coset = sorted(x for x, v in labels.items() if v == draw(st.sampled_from(cosets)))
+        chosen = draw(st.sampled_from(cosets))
+        coset = sorted(x for x, v in labels.items() if v == chosen)
         moved = draw(st.lists(st.sampled_from(coset), min_size=1, max_size=len(coset) - 1, unique=True))
         for x in moved:
             labels[x] = fresh

@@ -497,7 +497,7 @@ def test_numerators_equal_quadratic_exponent_at_every_label(form):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_numerators_equal_coset_phase_exponent_at_every_parameter(seed):
-    from helpers import random_circuit, random_finite_group
+    from helpers import random_circuit, random_finite_group, reference_phase_exponent
 
     from normsim.coset import coset_run
 
@@ -507,7 +507,8 @@ def test_numerators_equal_coset_phase_exponent_at_every_parameter(seed):
     t = label_grid(state.moduli)
     k, d = phase_numerators(state.quad, state.lin, t)
     for column, numerator in zip(t.T.tolist(), k.tolist()):
-        assert Fraction(numerator, d) == state.phase_exponent(column)
+        expected = reference_phase_exponent(state.quad, state.lin, column)
+        assert Fraction(numerator, d) == expected == state.phase_exponent(column)
 
 
 def test_numerators_exact_for_a_file_form_beyond_int64():
@@ -529,3 +530,63 @@ def test_numerators_exact_for_a_file_form_beyond_int64():
     for x in form.group.elements():
         expected = 0.5 * np.exp(2j * np.pi * float(form.exponent(x)))
         assert state.amplitude(x.coords) == pytest.approx(expected, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation against the Fraction formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_integer_exponents_equal_fraction_reference(seed, huge):
+    from helpers import (
+        random_mixed_element,
+        random_mixed_group,
+        random_mixed_quadratic_form,
+        reference_bilinear_exponent,
+        reference_exponent,
+    )
+
+    rng = np.random.default_rng(seed)
+    g = random_mixed_group(rng)
+    form = random_mixed_quadratic_form(g, rng, huge=huge)
+    for _ in range(6):
+        a = random_mixed_element(g, rng, huge=huge)
+        b = random_mixed_element(g, rng)
+        assert form.exponent(a) == reference_exponent(form, a)
+        assert form.bilinear_exponent(a, b) == reference_bilinear_exponent(form, a, b)
+        assert form.bilinear_exponent(b, a) == reference_bilinear_exponent(form, b, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_integer_apply_equals_fraction_reference(seed, huge):
+    from helpers import random_mixed_element, random_mixed_group, random_mixed_matrix_rep, reference_apply
+
+    rng = np.random.default_rng(seed)
+    g = random_mixed_group(rng)
+    rep = random_mixed_matrix_rep(g, rng)
+    for _ in range(6):
+        el = random_mixed_element(g, rng, huge=huge)
+        assert rep.apply(el) == reference_apply(rep, el)
+
+
+def test_integer_exponent_exact_beyond_int64():
+    # M = (2^65 + 1)/4 on Z and on Z4, with Z coordinates beyond int64 too.
+    from helpers import reference_bilinear_exponent, reference_exponent
+
+    big = Fraction(2**65 + 1, 4)
+    on_z = validate_quadratic([[big, 1], [1, 0]], [Fraction(3, 7), 2], group(Z, T))
+    on_z4 = validate_quadratic([[big]], [Fraction(1, 4)], cyclic_group(4))
+    points = [
+        on_z.group.element(2**70 + 3, Fraction(5, 11)),
+        on_z.group.element(-(2**66), 0),
+        on_z.group.element(12345, Fraction(1, 2)),
+    ]
+    for a in points:
+        assert on_z.exponent(a) == reference_exponent(on_z, a)
+        for b in points:
+            assert on_z.bilinear_exponent(a, b) == reference_bilinear_exponent(on_z, a, b)
+    for x in on_z4.group.elements():
+        assert on_z4.exponent(x) == reference_exponent(on_z4, x)

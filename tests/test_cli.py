@@ -323,6 +323,18 @@ def test_off_curve_point_still_exits_3(capsys):
     assert "is not an element" in capsys.readouterr().err
 
 
+def test_run_input_outside_the_group_exits_3(tmp_path, capsys):
+    from normsim.algorithms import dlog_circuit
+
+    circuit_path = tmp_path / "dlog7.json"
+    save_circuit(dlog_circuit(7, 3, 6), circuit_path)
+    # 0 is a well-formed unit label but not a unit mod 7: a precondition.
+    assert main(["run", str(circuit_path), "--input", "(0, 0)|0"]) == 3
+    assert "is not an element" in capsys.readouterr().err
+    # Bad syntax after the bar stays a parse failure.
+    assert main(["run", str(circuit_path), "--input", "(0, 0)|x"]) == 4
+
+
 def test_algorithm_error_exits_3_without_traceback(capsys):
     assert main(["factor", "91", "--comb-M", "2", "--seed", "0"]) == 3
     assert capsys.readouterr().err == "error: comb half-length 2 below the order\n"

@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_finite_group, random_matrix_rep, random_quadratic_form
+from helpers import (
+    random_circuit,
+    random_finite_group,
+    random_matrix_rep,
+    random_quadratic_form,
+    reference_sample,
+)
 
 from normsim.circuits import (
     AutomorphismGate,
@@ -151,6 +157,25 @@ def test_sampling_is_uniform_on_support():
     assert set(counts) == set(state.support_points())
     for count in counts.values():
         assert abs(count - 100) < 4 * np.sqrt(800 * 0.125 * 0.875)
+
+
+def test_direct_sampling_equals_grid_indexing():
+    # Same draws, same dict, same key order as indexing the parameter grid.
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        g = random_finite_group(rng, max_order=512)
+        state = coset_run(random_circuit(g, rng, gate_count=6), g.random_element(rng))
+        seed = int(rng.integers(1 << 32))
+        drawn = state.sample(200, np.random.default_rng(seed))
+        reference = reference_sample(state, 200, np.random.default_rng(seed))
+        assert list(drawn.items()) == list(reference.items()), f"trial {trial}"
+
+
+def test_direct_sampling_without_parameters():
+    state = CosetPhaseState.basis_state(cyclic_group(4, 3).element(2, 1))
+    assert state.num_params == 0
+    drawn = state.sample(25, np.random.default_rng(5))
+    assert drawn == reference_sample(state, 25, np.random.default_rng(5)) == {(2, 1): 25}
 
 
 def test_distribution_is_exact_rationals():

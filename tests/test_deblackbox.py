@@ -164,6 +164,45 @@ def test_random_round_trips_finite():
             assert q.exponent(el) == form.exponent(el)
 
 
+def test_spot_checks_try_every_point_up_to_order_256():
+    # Z4^4 has order exactly 256.  Each oracle is right everywhere except at
+    # (3, 3, 3, 3), the last element in enumeration order, which extraction
+    # itself never probes: only an exhaustive spot check can catch it.
+    g = cyclic_group(4, 4, 4, 4)
+    rng = np.random.default_rng(256)
+    rep = random_matrix_rep(g, rng)
+    form = random_quadratic_form(g, rng)
+    last = (3, 3, 3, 3)
+    elements = [el.coords for el in g.elements()]
+
+    def recording(oracle, calls):
+        def wrapped(pt):
+            calls.append(tuple(pt))
+            return oracle(pt)
+
+        return wrapped
+
+    def bad_matrix(pt):
+        image = rep.apply(g.reduce(pt)).coords
+        return (image[0] + 1,) + image[1:] if pt == last else image
+
+    def bad_phase(pt):
+        return form.exponent(g.reduce(pt)) + (Fraction(1, 4) if pt == last else 0)
+
+    for extract, bad, good in (
+        (extract_matrix_rep, bad_matrix, lambda pt: rep.apply(g.reduce(pt)).coords),
+        (extract_quadratic, bad_phase, lambda pt: form.exponent(g.reduce(pt))),
+    ):
+        calls = []
+        with pytest.raises(ExtractionError, match="disagrees with the oracle"):
+            extract(recording(bad, calls), g)
+        assert calls[-len(elements):] == elements
+        calls = []
+        extract(recording(good, calls), g)
+        assert calls[-len(elements):] == elements
+        assert last not in calls[: -len(elements)]
+
+
 def test_extract_hom_matrix():
     src = cyclic_group(4)
     dst = cyclic_group(2, 4)

@@ -22,12 +22,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import BlackBoxGroup, EllipticCurveGroup, ZNStarGroup, bb_order
+from .blackbox import (
+    BlackBoxGroup,
+    EllipticCurveGroup,
+    ZNStarGroup,
+    bb_decompose_bruteforce,
+    bb_order,
+)
 from .groups import (
     ElementaryGroup,
     Factor,
     GroupElement,
     GroupError,
+    cyclic,
     format_group,
     parse_group,
 )
@@ -107,36 +114,19 @@ def _reduce_entry(target: Factor, source: Factor, value: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Block-structured matrix realizing a group automorphism on coordinates."""
+    """Block-structured matrix realizing a group automorphism on coordinates.
+
+    Entries are exact: an int wherever the entry is integral, which is every
+    entry except those into T from Z or Z_N, where a Fraction may remain.
+    """
 
     group: ElementaryGroup
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...] | None:
-        """The matrix as Python ints, or None on a group with a T factor,
-        where entries into T may be fractions."""
-        if any(f.kind == "T" for f in self.group.factors):
-            return None
-        return tuple(tuple(int(x) for x in row) for row in self.matrix)
+    matrix: tuple[tuple[int | Fraction, ...], ...]
 
     def apply(self, el: GroupElement) -> GroupElement:
         if el.group != self.group:
             raise CircuitError(f"element of {el.group} fed to a map on {self.group}")
-        rows = self.int_rows
-        if rows is None:
-            coords = [
-                sum(row[j] * el.coords[j] for j in range(len(row)))
-                for row in self.matrix
-            ]
-            return self.group.reduce(coords)
-        # Without T every coordinate is an integer; reduce mod each char.
-        x = [c.numerator for c in el.coords]
-        image = (sum(map(mul, row, x)) for row in rows)
-        return GroupElement(
-            self.group,
-            tuple(Fraction(y % n if n else y) for y, n in zip(image, self.group.chars)),
-        )
+        return self.group.reduce([sum(map(mul, row, el.coords)) for row in self.matrix])
 
     def compose(self, other: MatrixRep) -> MatrixRep:
         """self after other (matrix product), re-validated."""
@@ -173,7 +163,8 @@ def validate_matrix_rep(
 
     Raises InvalidGate carrying the first violated condition: an entry
     outside its divisibility class, or failure of invertibility (unimodular
-    Z and T blocks, bijective finite block).
+    Z and T blocks, bijective finite block).  Integral entries are stored
+    as int.
     """
     m = len(group.factors)
     if len(matrix) != m or any(len(row) != m for row in matrix):
@@ -184,19 +175,20 @@ def validate_matrix_rep(
             problem = _entry_condition(target, source, entries[i][j])
             if problem is not None:
                 raise InvalidGate(f"entry ({i},{j}): {problem}")
-            entries[i][j] = _reduce_entry(target, source, entries[i][j])
+            value = _reduce_entry(target, source, entries[i][j])
+            entries[i][j] = value.numerator if value.denominator == 1 else value
 
     z_idx = [i for i, f in enumerate(group.factors) if f.kind == "Z"]
     t_idx = [i for i, f in enumerate(group.factors) if f.kind == "T"]
     f_idx = [i for i, f in enumerate(group.factors) if f.kind == "cyclic"]
     for name, idx in (("Z", z_idx), ("T", t_idx)):
-        block = [[int(entries[i][j]) for j in idx] for i in idx]
+        block = [[entries[i][j] for j in idx] for i in idx]
         if idx and abs(det(block)) != 1:
             raise InvalidGate(f"{name} block is not unimodular")
     if f_idx:
         moduli = [group.factors[i].modulus for i in f_idx]
         block = [
-            [int(entries[i][j]) for j in f_idx]
+            [entries[i][j] for j in f_idx]
             + [moduli[r] if c == r else 0 for c in range(len(f_idx))]
             for r, i in enumerate(f_idx)
         ]
@@ -214,13 +206,13 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
     z_idx = [i for i, f in enumerate(factors) if f.kind == "Z"]
     t_idx = [i for i, f in enumerate(factors) if f.kind == "T"]
     f_idx = [i for i, f in enumerate(factors) if f.kind == "cyclic"]
-    x = [[Fraction(0)] * m for _ in range(m)]
+    x = [[0] * m for _ in range(m)]
 
     def sub(rows, cols):
         return [[a[i][j] for j in cols] for i in rows]
 
     def int_inverse(idx):
-        block = [[int(a[i][j]) for j in idx] for i in idx]
+        block = sub(idx, idx)
         d = det(block)
         inv = _adjugate(block)
         return [[v * d for v in row] for row in inv] if d == -1 else inv
@@ -229,22 +221,22 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
         inv_zz = int_inverse(z_idx)
         for r, i in enumerate(z_idx):
             for c, j in enumerate(z_idx):
-                x[i][j] = Fraction(inv_zz[r][c])
+                x[i][j] = inv_zz[r][c]
     if t_idx:
         inv_tt = int_inverse(t_idx)
         for r, i in enumerate(t_idx):
             for c, j in enumerate(t_idx):
-                x[i][j] = Fraction(inv_tt[r][c])
+                x[i][j] = inv_tt[r][c]
     if f_idx:
         moduli = [factors[i].modulus for i in f_idx]
-        a_ff = [[int(v) for v in row] for row in sub(f_idx, f_idx)]
+        a_ff = sub(f_idx, f_idx)
         for c in range(len(f_idx)):
             rhs = [1 if r == c else 0 for r in range(len(f_idx))]
             solved = solve_group_system(GroupLinearSystem(a_ff, rhs, moduli))
             if solved is None:
                 raise InvalidGate("finite block is not bijective")
             for r, i in enumerate(f_idx):
-                x[i][f_idx[c]] = Fraction(solved[0][r] % moduli[r])
+                x[i][f_idx[c]] = solved[0][r] % moduli[r]
         if z_idx:
             # X_FZ A_ZZ + X_FF A_FZ = 0 (mod moduli)
             x_ff = sub_matrix(x, f_idx, f_idx)
@@ -260,7 +252,7 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
             # X_TF A_FF = -X_TT A_TF (mod 1), entries alpha/N_source.
             a_tf = sub(t_idx, f_idx)
             target = mat_mul(x_tt, a_tf)
-            a_ff = [[int(v) for v in row] for row in sub(f_idx, f_idx)]
+            a_ff = sub(f_idx, f_idx)
             moduli = [factors[i].modulus for i in f_idx]
             scale = math.lcm(*moduli)
             for r, i in enumerate(t_idx):
@@ -395,7 +387,7 @@ class QuadraticForm:
         if el.group != self.group:
             raise CircuitError("element from the wrong group")
         a, b, d = self.scaled
-        x = _numerator_coords(el.coords)
+        x = el.coords
         k = sum(xi * (bi + sum(map(mul, row, x))) for xi, bi, row in zip(x, b, a))
         return _mod_one(k, d)
 
@@ -407,15 +399,9 @@ class QuadraticForm:
     def bilinear_exponent(self, g: GroupElement, h: GroupElement) -> Fraction:
         """Exponent of the bicharacter B(g,h) = exp(2 pi i g M h)."""
         a, _, d = self.scaled
-        x, y = _numerator_coords(g.coords), _numerator_coords(h.coords)
+        x, y = g.coords, h.coords
         k = 2 * sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, a))
         return _mod_one(k, d)
-
-
-def _numerator_coords(coords: Sequence[Fraction]) -> list:
-    """Integer coordinates as int; a torus coordinate off the integers stays
-    a Fraction."""
-    return [c.numerator if c.denominator == 1 else c for c in coords]
 
 
 def _mod_one(k: Rational, d: int) -> Fraction:
@@ -551,12 +537,12 @@ class DesignatedBasis:
         if self.blackbox is None:
             if len(values) != n:
                 raise CircuitError(f"point needs {n} coordinates")
-            return tuple(self.elementary.reduce(values).coords)
+            return self.elementary.reduce(values).coords
         if len(values) != n + 1:
             raise CircuitError(f"point needs {n} coordinates plus a group element")
         if not self.blackbox.is_element(values[-1]):
             raise CircuitError(f"{values[-1]!r} is not in the black-box group")
-        return tuple(self.elementary.reduce(values[:-1]).coords) + (values[-1],)
+        return self.elementary.reduce(values[:-1]).coords + (values[-1],)
 
     def format_point(self, point: tuple) -> str:
         n = len(self.elementary.factors)
@@ -743,7 +729,7 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
         acc = x
         for b, k in zip(bases, coords):
             if b != group.identity():
-                acc = group.mul(acc, group.power(b, int(k)))
+                acc = group.mul(acc, group.power(b, k))
         return tuple(coords) + (acc,)
 
     return apply
@@ -762,9 +748,6 @@ def check_modexp_normalizable(
     divides M; the emitted matrix is validated.  Otherwise (False, None):
     no normalizer circuit over the finite space approximates the gate.
     """
-    from .blackbox import bb_decompose_bruteforce
-    from .groups import cyclic as cyclic_factor
-
     if m < 1:
         raise CircuitError(f"modulus must be positive, got {m}")
     order = bb_order(group, a, cap=cap)
@@ -780,14 +763,12 @@ def check_modexp_normalizable(
     # a is generator 0, so its beta-coordinates are the first column of B.
     a_coords = [table.b[i][0] for i in range(len(table.beta))]
     size = 1 + len(table.c)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    matrix[0][0] = Fraction(1)
+    matrix = [[0] * size for _ in range(size)]
+    matrix[0][0] = 1
     for i, coord in enumerate(a_coords):
-        matrix[i + 1][0] = Fraction(coord)
-        matrix[i + 1][i + 1] = Fraction(1)
-    target_group = ElementaryGroup(
-        (cyclic_factor(m),) + tuple(cyclic_factor(c) for c in table.c)
-    )
+        matrix[i + 1][0] = coord
+        matrix[i + 1][i + 1] = 1
+    target_group = ElementaryGroup((cyclic(m),) + tuple(cyclic(c) for c in table.c))
     rep = validate_matrix_rep(matrix, target_group)
     return True, rep
 

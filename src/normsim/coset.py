@@ -81,7 +81,7 @@ class CosetPhaseState:
             raise CosetSimulationError("structured simulation handles finite groups")
         return cls(
             group=group,
-            shift=[int(c) for c in element.coords],
+            shift=list(element.coords),
             columns=[],
             moduli=[],
             quad=[],
@@ -101,7 +101,7 @@ class CosetPhaseState:
         return [f.modulus for f in self.group.factors]
 
     def _reduce_coords(self, coords) -> list[int]:
-        return [int(c) % n for c, n in zip(coords, self._chars())]
+        return [c % n for c, n in zip(coords, self._chars())]
 
     def phase_exponent(self, t) -> Fraction:
         """q(t) = t quad t + lin t mod 1 at one parameter vector t."""
@@ -113,10 +113,9 @@ class CosetPhaseState:
     def apply_automorphism(self, rep) -> None:
         if rep.group != self.group:
             raise CosetSimulationError("automorphism over the wrong group")
-        shift_el = rep.apply(self.group.reduce(self.shift))
-        self.shift = [int(c) for c in shift_el.coords]
+        self.shift = list(rep.apply(self.group.reduce(self.shift)).coords)
         self.columns = [
-            self._reduce_coords([sum(map(mul, row, column)) for row in rep.int_rows])
+            self._reduce_coords([sum(map(mul, row, column)) for row in rep.matrix])
             for column in self.columns
         ]
 

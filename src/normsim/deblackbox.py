@@ -77,7 +77,7 @@ class EncodingBridge:
 
     def encode(self, vector: Sequence[int] | GroupElement):
         if isinstance(vector, GroupElement):
-            vector = [int(c) for c in vector.coords]
+            vector = vector.coords
         return self.group.word(self.table.beta, list(vector))
 
     def decode(self, element) -> GroupElement:
@@ -110,8 +110,8 @@ def build_bridge(
 # ---------------------------------------------------------------------------
 
 
-def _unit(group: ElementaryGroup, j: int, scale: Fraction = Fraction(1)) -> list:
-    coords = [Fraction(0)] * len(group.factors)
+def _unit(group: ElementaryGroup, j: int, scale: int | Fraction = 1) -> list:
+    coords = list(group.identity().coords)
     coords[j] = scale
     return coords
 
@@ -139,15 +139,14 @@ def extract_matrix_entries(
             image = f(tuple(_unit(group, j, Fraction(1, alpha))))
             column = []
             for i, target in enumerate(group.factors):
-                value = Fraction(image[i])
                 if target.kind == "T":
-                    entry = _centered(value) * alpha
+                    entry = _centered(Fraction(image[i])) * alpha
                 else:
-                    entry = value * alpha  # zero blocks when the promise holds
+                    entry = image[i] * alpha  # zero blocks when the promise holds
                 column.append(entry)
         else:
             image = f(tuple(_unit(group, j)))
-            column = [Fraction(image[i]) for i in range(m)]
+            column = [image[i] for i in range(m)]
         columns.append(column)
     return [[columns[j][i] for j in range(m)] for i in range(m)]
 
@@ -169,9 +168,9 @@ def _sample_coords(group: ElementaryGroup, rng) -> tuple:
     coords = []
     for factor in group.factors:
         if factor.kind == "cyclic":
-            coords.append(Fraction(int(rng.integers(factor.modulus))))
+            coords.append(int(rng.integers(factor.modulus)))
         elif factor.kind == "Z":
-            coords.append(Fraction(int(rng.integers(-12, 13))))
+            coords.append(int(rng.integers(-12, 13)))
         else:
             coords.append(Fraction(int(rng.integers(24)), 24))
     return tuple(coords)
@@ -185,8 +184,8 @@ def _exhaustive_grid(group: ElementaryGroup) -> np.ndarray | None:
     return None
 
 
-def _grid_points(grid: np.ndarray) -> list[tuple[Fraction, ...]]:
-    return [tuple(map(Fraction, column)) for column in grid.T.tolist()]
+def _grid_points(grid: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(column) for column in grid.T.tolist()]
 
 
 def _spot_check_matrix(f: Callable, rep: MatrixRep, trials: int = 8) -> None:
@@ -202,7 +201,7 @@ def _spot_check_matrix(f: Callable, rep: MatrixRep, trials: int = 8) -> None:
                 raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
         return
     n = len(group.factors)
-    matrix = np.array(rep.int_rows, dtype=np.int64).reshape(n, n)
+    matrix = np.array(rep.matrix, dtype=np.int64).reshape(n, n)
     images = (matrix @ grid) % np.array(group.chars, dtype=np.int64)[:, None]
     for coords, image in zip(_grid_points(grid), images.T.tolist()):
         if group.reduce(list(f(coords))).coords != tuple(image):
@@ -303,7 +302,7 @@ def extract_hom_matrix(
     columns = []
     for j in range(len(source.factors)):
         image = f(tuple(_unit(source, j)))
-        columns.append([int(Fraction(image[i])) for i in range(len(target.factors))])
+        columns.append([image[i] for i in range(len(target.factors))])
     return [[columns[j][i] for j in range(len(source.factors))] for i in range(len(target.factors))]
 
 
@@ -321,26 +320,24 @@ class DeblackboxResult:
     def point_to_decomposed(self, point: tuple) -> tuple:
         if self.bridge is None:
             return tuple(point)
-        head = tuple(Fraction(c) for c in point[:-1])
-        return head + self.bridge.decode(point[-1]).coords
+        return tuple(point[:-1]) + self.bridge.decode(point[-1]).coords
 
     def point_from_decomposed(self, point: tuple) -> tuple:
         if self.bridge is None:
             return tuple(point)
         split = len(point) - len(self.bridge.table.c)
-        head = tuple(Fraction(c) for c in point[:split])
-        return head + (self.bridge.encode([int(c) for c in point[split:]]),)
+        return tuple(point[:split]) + (self.bridge.encode(point[split:]),)
 
 
 def _extend_matrix(rep: MatrixRep, new_group: ElementaryGroup) -> MatrixRep:
     old = len(rep.group.factors)
     total = len(new_group.factors)
-    matrix = [[Fraction(0)] * total for _ in range(total)]
+    matrix = [[0] * total for _ in range(total)]
     for i in range(old):
         for j in range(old):
             matrix[i][j] = rep.matrix[i][j]
     for i in range(old, total):
-        matrix[i][i] = Fraction(1)
+        matrix[i][i] = 1
     return validate_matrix_rep(matrix, new_group)
 
 
@@ -357,19 +354,15 @@ def _extend_quadratic(form: QuadraticForm, new_group: ElementaryGroup) -> Quadra
 
 def _conjugated_point_map(func: Callable, bridge: EncodingBridge, split: int) -> Callable:
     def mapped(coords: tuple) -> tuple:
-        head = coords[:split]
-        b = bridge.encode([int(Fraction(c)) for c in coords[split:]])
-        image = func(tuple(head) + (b,))
-        return tuple(Fraction(c) for c in image[:split]) + bridge.decode(image[split]).coords
+        image = func(tuple(coords[:split]) + (bridge.encode(coords[split:]),))
+        return tuple(image[:split]) + bridge.decode(image[split]).coords
 
     return mapped
 
 
 def _conjugated_exponent(func: Callable, bridge: EncodingBridge, split: int) -> Callable:
     def exponent(coords: tuple) -> Fraction:
-        head = coords[:split]
-        b = bridge.encode([int(Fraction(c)) for c in coords[split:]])
-        return Fraction(func(tuple(head) + (b,)))
+        return Fraction(func(tuple(coords[:split]) + (bridge.encode(coords[split:]),)))
 
     return exponent
 

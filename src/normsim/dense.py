@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,18 +50,18 @@ class DenseState:
         """Position of a basis point in the C-order flattened amplitudes."""
         point = self.basis.make_point(point)
         n = len(self.basis.elementary.factors)
-        index = [int(c) for c in point[:n]]
+        index = list(point[:n])
         if self.bb_labels is not None:
             index.append(self._bb_index[point[n]])
         return int(np.ravel_multi_index(index, self.amplitudes.shape))
 
     def point(self, flat_index: int) -> tuple:
         """Basis point at a flat position: exact coordinates plus bb label."""
-        index = np.unravel_index(flat_index, self.amplitudes.shape)
+        index = [i.item() for i in np.unravel_index(flat_index, self.amplitudes.shape)]
         n = len(self.basis.elementary.factors)
-        point = tuple(Fraction(int(i)) for i in index[:n])
+        point = tuple(index[:n])
         if self.bb_labels is not None:
-            point = point + (self.bb_labels[int(index[n])],)
+            point = point + (self.bb_labels[index[n]],)
         return point
 
     def amplitude(self, point) -> complex:

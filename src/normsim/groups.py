@@ -1,8 +1,10 @@
 """Elementary Abelian groups Z^a x T^b x Z_N1 x ... x Z_Nc and exact element arithmetic.
 
-Coordinates are exact rationals throughout: integers on Z and Z_N factors,
-fractions in [0, 1) on torus factors.  No floating point enters group
-arithmetic, so equality checks are bit-exact.
+Coordinates are exact and this module alone fixes their type: a Python
+`int` on Z and Z_N factors (reduced into [0, N) on Z_N), a `Fraction` in
+[0, 1) on torus factors.  No floating point enters group arithmetic, so
+equality checks are bit-exact, and code outside this module computes with
+coordinates as they come.
 """
 
 from __future__ import annotations
@@ -62,16 +64,22 @@ class Factor:
             return Factor("Z")
         return self
 
-    def reduce_coord(self, value: Rational) -> Fraction:
-        """Canonical representative: Z exact integer, T in [0,1), Z_N in [0,N)."""
-        value = Fraction(value)
+    def reduce_coord(self, value: Rational) -> int | Fraction:
+        """Canonical representative: an int on Z, an int in [0, N) on Z_N, a
+        Fraction in [0, 1) on T.
+
+        An int goes straight through; any other value (a Fraction, a numpy
+        integer, a float) is first taken exactly as a Fraction, and must be
+        an integer unless the factor is T.
+        """
         if self.kind == "T":
-            return value - (value // 1)
-        if value.denominator != 1:
-            raise GroupError(f"non-integer coordinate {value} on a {self!s} factor")
-        if self.kind == "Z":
-            return value
-        return Fraction(value.numerator % self.modulus)
+            return Fraction(value) % 1
+        if type(value) is not int:
+            value = Fraction(value)
+            if value.denominator != 1:
+                raise GroupError(f"non-integer coordinate {value} on a {self!s} factor")
+            value = int(value)
+        return value % self.modulus if self.kind == "cyclic" else value
 
     def __str__(self) -> str:
         if self.kind == "cyclic":
@@ -134,7 +142,7 @@ class ElementaryGroup:
         return self.reduce(coords)
 
     def identity(self) -> GroupElement:
-        return GroupElement(self, (Fraction(0),) * len(self.factors))
+        return GroupElement(self, tuple(f.reduce_coord(0) for f in self.factors))
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[GroupElement]:
         """Yield every element exactly once.  Finite groups below `cap` only."""
@@ -143,7 +151,7 @@ class ElementaryGroup:
             raise GroupError(f"group order {order} exceeds enumeration cap {cap}")
         ranges = [range(f.modulus) for f in self.factors]
         for coords in itertools.product(*ranges):
-            yield GroupElement(self, tuple(Fraction(c) for c in coords))
+            yield GroupElement(self, coords)
 
     def random_element(self, rng) -> GroupElement:
         if not self.is_finite:
@@ -162,10 +170,11 @@ def cyclic_group(*moduli: int) -> ElementaryGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of an ElementaryGroup; coordinates are canonical Fractions."""
+    """Element of an ElementaryGroup, with canonical coordinates: an int on
+    each Z and Z_N factor, a Fraction in [0, 1) on each T factor."""
 
     group: ElementaryGroup
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def _check_same_group(self, other: GroupElement) -> None:
         if self.group != other.group:

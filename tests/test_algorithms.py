@@ -240,6 +240,14 @@ def test_ec_dlog_rejects_outside_subgroup():
             ec_discrete_log(curve, a, outside, rng_for(1))
 
 
+def test_ec_dlog_rejects_same_order_point_outside_subgroup():
+    # y^2 = x^3 + x over F_5 is Z2 x Z2: b has the order of a but is not in <a>.
+    curve = EllipticCurveGroup(5, 1, 0)
+    assert sorted(curve.elements(), key=str) == [(0, 0), (2, 0), (3, 0), None]
+    with pytest.raises(DiscreteLogError, match=r"\(2, 0\) is not a multiple of \(0, 0\)"):
+        ec_discrete_log(curve, (0, 0), (2, 0), rng_for(4))
+
+
 # ---------------------------------------------------------------------------
 # hidden subgroup problem
 # ---------------------------------------------------------------------------

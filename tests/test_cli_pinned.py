@@ -5,9 +5,15 @@ front door.  Each case runs twice per format: once to stdout (stdout and
 stderr captured) and once with `--out` (the output file and
 `<out>.log.json` read back).  Temporary paths are masked as `<tmp>`, so any
 change to an output byte, a log field or an rng stream shows up here.
+
+The "run dense" and "run coset" cases were recorded later, before group
+coordinates became `int` on Z and cyclic factors: they run one normal-form
+circuit on Z4 x Z9, with an automorphism gate and a quadratic phase gate
+whose M and v are non-integral, through each engine.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,10 @@ from normsim.circuits import (
     DesignatedBasis,
     NormalizerCircuit,
     QFTGate,
+    QuadraticGate,
     save_circuit,
+    validate_matrix_rep,
+    validate_quadratic,
     word_exp_func,
 )
 from normsim.cli import main
@@ -36,6 +45,16 @@ def _order_finding_circuit() -> NormalizerCircuit:
     return NormalizerCircuit(basis, [QFTGate((0,)), oracle, QFTGate((0,))])
 
 
+def _normal_form_circuit() -> NormalizerCircuit:
+    g = cyclic_group(4, 9)
+    auto = AutomorphismGate(rep=validate_matrix_rep([[3, 0], [0, 2]], g))
+    phase = QuadraticGate(form=validate_quadratic(
+        [[Fraction(1, 2), 0], [0, Fraction(2, 9)]], [Fraction(1, 4), Fraction(1, 3)], g
+    ))
+    qft = QFTGate((0, 1))
+    return NormalizerCircuit(DesignatedBasis(g), [qft, auto, phase, qft])
+
+
 CASES = {
     "factor": ["factor", "21", "--seed", "7"],
     "dlog": ["dlog", "7", "3", "6", "--seed", "1"],
@@ -47,6 +66,8 @@ CASES = {
     "run": ["run", "<tmp>/dlog7.json", "--input", "(0, 0)|1", "--shots", "50", "--seed", "3"],
     "deblackbox": ["deblackbox", "<tmp>/of.json", "--seed", "0"],
     "check-modexp": ["check-modexp", "15", "2", "4", "--seed", "0"],
+    "run dense": ["run", "<tmp>/nf.json", "--engine", "dense", "--shots", "200", "--seed", "4"],
+    "run coset": ["run", "<tmp>/nf.json", "--engine", "coset", "--shots", "200", "--seed", "4"],
 }
 
 
@@ -54,6 +75,7 @@ def capture(name: str, fmt: str, tmp_path: Path, capsys) -> dict:
     """Exit codes and masked output bytes of one case in one format."""
     save_circuit(dlog_circuit(7, 3, 6), tmp_path / "dlog7.json")
     save_circuit(_order_finding_circuit(), tmp_path / "of.json")
+    save_circuit(_normal_form_circuit(), tmp_path / "nf.json")
     tmp = str(tmp_path)
     argv = [arg.replace("<tmp>", tmp) for arg in CASES[name]] + ["--format", fmt]
     capsys.readouterr()

@@ -47,6 +47,10 @@ from .linalg import (
 )
 
 
+#: Measurement samples `find_order` draws before it gives up.
+FIND_ORDER_ROUNDS = 64
+
+
 class AlgorithmError(RuntimeError):
     pass
 
@@ -158,7 +162,6 @@ def find_order(
     r_max: int | None = None,
     comb_m: int | None = None,
     grid_size: int | None = None,
-    max_rounds: int = 64,
     cross_check: bool = False,
 ) -> OrderFindingRun:
     """Order of `a` recovered from torus-register measurement samples.
@@ -199,7 +202,7 @@ def find_order(
     samples: list[Fraction] = []
     fractions: list[Fraction] = []
     denominators: list[int] = []
-    for round_index in range(max_rounds):
+    for round_index in range(FIND_ORDER_ROUNDS):
         s = int(rng.integers(r_true))
         dist = DirichletDistribution(r_true, m, s)
         grid = grid_size or _auto_grid(dist.l)
@@ -236,7 +239,7 @@ def find_order(
                 },
             )
     raise OrderFindingError(
-        f"no confirmed order after {max_rounds} samples (r_max={r_max})"
+        f"no confirmed order after {FIND_ORDER_ROUNDS} samples (r_max={r_max})"
     )
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, hermite_reduce, is_prime, smith_normal_form
+from .linalg import Matrix, finite_presentation, hermite_reduce, is_prime, smith_normal_form
 
 DEFAULT_ORDER_CAP = 1 << 20
 
@@ -415,20 +415,15 @@ def decomposition_from_relations(
     generators beta_i = alpha^(U e_i) with the diagonal as their orders.
     """
     k = len(generators)
-    rel_rows = hermite_reduce(relations) or []
-    rel_cols = [[row[i] for row in rel_rows] for i in range(k)] if rel_rows else []
-    matrix = rel_cols if rel_rows else [[0] * 1 for _ in range(k)]
-    snf = smith_normal_form(matrix)
-    diag = snf.diagonal + [0] * (k - len(snf.diagonal))
-    if any(d == 0 for d in diag):
+    presentation = finite_presentation(hermite_reduce(relations), k)
+    if presentation is None:
         raise BlackBoxError("relation lattice has infinite quotient")
-    keep = [i for i in range(k) if diag[i] > 1]
+    snf, keep, c = presentation
     beta = []
     a_matrix = [[snf.u[i][j] for j in keep] for i in range(k)]
     for j in keep:
         column = [snf.u[i][j] for i in range(k)]
         beta.append(group.word(generators, column))
-    c = [diag[i] for i in keep]
     b_matrix = [
         [snf.u_inv[i][j] % c[pos] for j in range(k)]
         for pos, i in enumerate(keep)

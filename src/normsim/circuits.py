@@ -392,8 +392,8 @@ class QuadraticForm:
         return _mod_one(k, d)
 
     def numerators(self, grid: np.ndarray) -> tuple[np.ndarray, int]:
-        """`phase_numerators` of q(g) = g (M/2) g + (C/2 + v) g on the labels
-        `grid`, one column of coordinates per label."""
+        """Integers k and d with q(g) = g (M/2) g + (C/2 + v) g = k/d (mod 1)
+        at the labels `grid`, one column of coordinates per label."""
         return _scaled_numerators(*self.scaled, grid)
 
     def bilinear_exponent(self, g: GroupElement, h: GroupElement) -> Fraction:
@@ -427,24 +427,21 @@ def _common_denominator(quad, lin) -> tuple[tuple[tuple[int, ...], ...], tuple[i
     return a, tuple(scaled[n * n :]), d
 
 
-def phase_numerators(quad, lin, grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integers k and the common denominator d with x quad x + lin x = k/d
-    (mod 1) at every column x of the integer array `grid`."""
-    return _scaled_numerators(*_common_denominator(quad, lin), grid)
-
-
 def _scaled_numerators(a, b, d: int, grid: np.ndarray) -> tuple[np.ndarray, int]:
     """k = x A x + b x mod d at every column x of `grid`, and d.
 
     Every entry of A and b and every coordinate is reduced mod d before any
-    product, so int64 stays exact however large the numerators are.
+    product, so no partial sum reaches 2 n d^2 (n coordinates): the sums run
+    in int64 while that bound is below 2^63 and in Python ints beyond it.
+    k comes back as int64 whenever d fits in it.
     """
     n = len(b)
-    a = np.array([x % d for row in a for x in row], dtype=np.int64).reshape(n, n)
-    b = np.array([x % d for x in b], dtype=np.int64)
-    x = np.asarray(grid, dtype=np.int64) % d
-    k = (x * ((a @ x) % d)).sum(axis=0) + b @ x
-    return k % d, d
+    dtype = np.int64 if 2 * n * d * d < 1 << 63 else object
+    a = np.array([x % d for row in a for x in row], dtype=dtype).reshape(n, n)
+    b = np.array([x % d for x in b], dtype=dtype)
+    x = np.asarray(grid).astype(dtype) % d
+    k = ((x * ((a @ x) % d)).sum(axis=0) + b @ x) % d
+    return (k.astype(np.int64, copy=False) if d <= 1 << 63 else k), d
 
 
 def validate_quadratic(
@@ -907,9 +904,7 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
             raise CircuitError(f"gate {position}: {exc}") from exc
         gates.append(gate)
         current = _check_gate(gate, current, position)
-    circuit = NormalizerCircuit(initial_basis=basis, gates=gates)
-    circuit.validate()
-    return circuit
+    return NormalizerCircuit(initial_basis=basis, gates=gates)
 
 
 def _gate_from_json(entry: dict, basis: DesignatedBasis):

@@ -343,7 +343,6 @@ def cmd_run(args, rng):
 def cmd_deblackbox(args, rng):
     circuit = _load_circuit(args.circuit)
     result = deblackbox_circuit(circuit, rng=rng)
-    result.circuit.validate()
     if args.circuit_out:
         save_circuit(result.circuit, args.circuit_out)
     log = {"command": "deblackbox", "seed": args.seed, "provenance": result.provenance}

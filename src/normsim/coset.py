@@ -7,7 +7,8 @@ quadratic phase profile:
 
 where t runs over a box Z_{m_1} x ... x Z_{m_k} of parameters, P maps
 parameters to group coordinates injectively, and q is an exact rational
-quadratic polynomial.  Automorphism gates push P and x0 forward, quadratic
+quadratic polynomial, held as integer numerators over one denominator
+D = 2 lcm(chars).  Automorphism gates push P and x0 forward, quadratic
 gates add to q, and a partial QFT introduces one fresh parameter and rewires
 one coordinate row.
 
@@ -43,34 +44,49 @@ from .circuits import (
     NormalizerCircuit,
     QFTGate,
     QuadraticGate,
+    _scaled_numerators,
     label_grid,
-    phase_numerators,
 )
 from .groups import ElementaryGroup, GroupElement
-from .linalg import GroupLinearSystem, smith_normal_form, solve_group_system
+from .linalg import GroupLinearSystem, finite_presentation, solve_group_system
 
 
 class CosetSimulationError(ValueError):
     pass
 
 
-def _lcm_denominators(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, Fraction(v).denominator)
-    return out
+def _combine(columns, weights) -> list[int]:
+    """sum_i weights[i] columns[i], entry by entry."""
+    return [sum(map(mul, weights, row)) for row in zip(*columns)]
+
+
+def _pull_back(quad, lin, shift, columns) -> tuple[list[list[int]], list[int]]:
+    """Quadratic and linear terms of x quad x + lin x at x = shift + P t, P
+    with the given columns: P^T quad P and P^T (2 quad shift + lin).  quad is
+    symmetric; the constant term is a global phase and is dropped."""
+    quad_columns = [[sum(map(mul, row, column)) for row in quad] for column in columns]
+    slope = [2 * sum(map(mul, row, shift)) + value for row, value in zip(quad, lin)]
+    return (
+        [[sum(map(mul, column, other)) for other in quad_columns] for column in columns],
+        [sum(map(mul, column, slope)) for column in columns],
+    )
 
 
 @dataclass
 class CosetPhaseState:
-    """Coset support x0 + span(P) with a quadratic phase over the parameters."""
+    """Coset support x0 + span(P) with a quadratic phase over the parameters.
+
+    The phase is q(t) = (t quad t + lin t)/D mod 1 with integer quad and lin
+    over the one denominator D = 2 lcm(chars): every term a gate adds has a
+    denominator dividing D.
+    """
 
     group: ElementaryGroup
     shift: list[int]
     columns: list[list[int]]  # generator columns of P, length-m each
     moduli: list[int]  # parameter box; moduli[i] annihilates columns[i]
-    quad: list[list[Fraction]]  # symmetric parameter quadratic
-    lin: list[Fraction]
+    quad: list[list[int]]  # symmetric parameter quadratic, over D
+    lin: list[int]  # over D
 
     # -- construction ---------------------------------------------------------
 
@@ -94,18 +110,21 @@ class CosetPhaseState:
     def num_params(self) -> int:
         return len(self.columns)
 
+    @property
+    def denominator(self) -> int:
+        """D = 2 lcm(chars), the denominator of quad and lin."""
+        return 2 * math.lcm(*self.group.chars)
+
     def support_size(self) -> int:
         return math.prod(self.moduli) if self.moduli else 1
 
-    def _chars(self) -> list[int]:
-        return [f.modulus for f in self.group.factors]
-
     def _reduce_coords(self, coords) -> list[int]:
-        return [c % n for c, n in zip(coords, self._chars())]
+        return [c % n for c, n in zip(coords, self.group.chars)]
 
     def phase_exponent(self, t) -> Fraction:
-        """q(t) = t quad t + lin t mod 1 at one parameter vector t."""
-        k, d = phase_numerators(self.quad, self.lin, np.reshape(t, (len(t), 1)))
+        """q(t) = (t quad t + lin t)/D mod 1 at one parameter vector t."""
+        grid = np.reshape(t, (len(t), 1))
+        k, d = _scaled_numerators(self.quad, self.lin, self.denominator, grid)
         return Fraction(int(k[0]), d)
 
     # -- gate updates -----------------------------------------------------------
@@ -122,43 +141,29 @@ class CosetPhaseState:
     def apply_quadratic(self, form) -> None:
         if form.group != self.group:
             raise CosetSimulationError("phase gate over the wrong group")
-        m = len(self.group.factors)
-        k = self.num_params
-        c = form.c
-        # q2(x0 + P t) expanded: constant dropped (global phase).
-        mx0 = [
-            sum(form.m[i][j] * self.shift[j] for j in range(m)) for i in range(m)
-        ]
-        for a in range(k):
-            col_a = self.columns[a]
-            self.lin[a] += sum(
-                (mx0[i] + Fraction(c[i], 2) + form.v[i]) * col_a[i] for i in range(m)
+        # q2(x0 + P t) = ((x0 + P t) A (x0 + P t) + b (x0 + P t))/d, rescaled to D.
+        a, b, d = form.scaled
+        scale, rest = divmod(self.denominator, d)
+        if rest:
+            raise CosetSimulationError(
+                f"phase denominator {d} does not divide {self.denominator}"
             )
-            for b in range(k):
-                col_b = self.columns[b]
-                value = sum(
-                    col_a[i] * form.m[i][j] * col_b[j]
-                    for i in range(m)
-                    for j in range(m)
-                )
-                self.quad[a][b] += Fraction(value, 2)
+        quad, lin = _pull_back(a, b, self.shift, self.columns)
+        self.quad = [
+            [x + scale * y for x, y in zip(row, added)] for row, added in zip(self.quad, quad)
+        ]
+        self.lin = [x + scale * y for x, y in zip(self.lin, lin)]
 
     def apply_qft(self, register: int) -> None:
-        factor = self.group.factors[register]
-        n = factor.modulus
-        # Exponent polynomial gains (x0_j + (P t)_j) s / N before row j is
+        n = self.group.factors[register].modulus
+        half = self.denominator // (2 * n)
+        # Exponent polynomial gains (x0_j + (P t)_j) s / n before row j is
         # replaced by the fresh parameter s.
-        old_shift = self.shift[register]
-        old_row = [column[register] for column in self.columns]
-        k = self.num_params
-        for row in self.quad:
-            row.append(Fraction(0))
-        self.quad.append([Fraction(0)] * (k + 1))
-        for i, coefficient in enumerate(old_row):
-            half = Fraction(coefficient, 2 * n)
-            self.quad[i][k] += half
-            self.quad[k][i] += half
-        self.lin.append(Fraction(old_shift, n))
+        row = [column[register] * half for column in self.columns]
+        for quad_row, value in zip(self.quad, row):
+            quad_row.append(value)
+        self.quad.append(row + [0])
+        self.lin.append(self.shift[register] * 2 * half)
         for column in self.columns:
             column[register] = 0
         fresh = [0] * len(self.group.factors)
@@ -177,7 +182,7 @@ class CosetPhaseState:
         m = len(self.group.factors)
         rows = [[column[i] for column in self.columns] for i in range(m)]
         solved = solve_group_system(
-            GroupLinearSystem(rows, [0] * m, self._chars())
+            GroupLinearSystem(rows, [0] * m, list(self.group.chars))
         )
         if solved is None:
             raise CosetSimulationError("homogeneous system cannot be infeasible")
@@ -198,131 +203,88 @@ class CosetPhaseState:
 
     def _integrate_out(self, w: list[int]) -> None:
         """Collapse the collision direction w, keeping one representative per
-        group point and folding the collision Gauss sum into the phase."""
-        k = self.num_params
+        group point and folding the collision Gauss sum into the phase.
+
+        The phase quantities (qw, a0, b0, step, theta) are integer numerators
+        over D, like quad and lin."""
+        big_d = self.denominator
         nu = 1
         for wi, mi in zip(w, self.moduli):
             if wi:
                 nu = math.lcm(nu, mi // math.gcd(mi, wi))
-        qw = [sum(self.quad[i][j] * w[j] for j in range(k)) for i in range(k)]
-        a0 = sum(w[i] * qw[i] for i in range(k))
-        b0 = sum(self.lin[i] * w[i] for i in range(k))
+        qw = [sum(map(mul, row, w)) for row in self.quad]
+        a0 = sum(map(mul, w, qw))
+        b0 = sum(map(mul, self.lin, w))
         step = 2 * a0  # Gauss-sum recurrence step in the character offset
-        delta = Fraction(step).denominator
+        reduced = math.gcd(step, big_d)
+        delta = big_d // reduced  # the denominator of step/D
         if nu % delta != 0:
             raise CosetSimulationError("phase polynomial is not box-periodic")
 
         # Support condition: delta * theta(t) + delta^2 a0 + delta b0 in Z,
-        # with theta(t) = 2 (q w) . t.
-        coeffs = [2 * delta * value for value in qw]
-        rhs = -(delta * delta * a0 + delta * b0)
-        scale = _lcm_denominators(coeffs + [rhs])
-        int_coeffs = [int(value * scale) for value in coeffs]
-        int_rhs = int(rhs * scale)
+        # with theta(t) = 2 (q w) . t; one congruence mod D.
         solved = solve_group_system(
-            GroupLinearSystem([int_coeffs], [int_rhs], [scale])
+            GroupLinearSystem(
+                [[2 * delta * value for value in qw]],
+                [-(delta * delta * a0 + delta * b0)],
+                [big_d],
+            )
         )
         if solved is None:
             raise CosetSimulationError("support condition infeasible: state vanished")
-        t_star, support_gens = solved
+        t_star, j0 = solved
         t_star = [v % m for v, m in zip(t_star, self.moduli)]
 
         # Present the support subgroup modulo <w>: relations among its
         # generators z with J0 z = tau w (mod the box) form a lattice whose
-        # SNF yields an injective reparameterization.
-        j0 = support_gens
+        # Smith presentation yields an injective reparameterization.
         r = len(j0)
-        relation_rows = [
-            [j0[c][i] for c in range(r)] + [-w[i]] for i in range(k)
-        ]
+        relation_rows = [[gen[i] for gen in j0] + [-w[i]] for i in range(len(w))]
         rel_solved = solve_group_system(
-            GroupLinearSystem(relation_rows, [0] * k, list(self.moduli))
+            GroupLinearSystem(relation_rows, [0] * len(w), list(self.moduli))
         )
         if rel_solved is None:
             raise CosetSimulationError("relation system cannot be infeasible")
-        _, rel_kernel = rel_solved
-        relations = [gen[:r] for gen in rel_kernel]
-        rel_matrix = (
-            [[row[i] for row in relations] for i in range(r)]
-            if relations
-            else [[0] for _ in range(r)]
-        )
-        snf = smith_normal_form(rel_matrix)
-        diag = snf.diagonal + [0] * (r - len(snf.diagonal))
-        if any(d == 0 for d in diag):
+        presentation = finite_presentation([gen[:r] for gen in rel_solved[1]], r)
+        if presentation is None:
             raise CosetSimulationError("support presentation is not finite")
-        keep = [i for i in range(r) if diag[i] > 1]
+        snf, keep, new_moduli = presentation
         # Columns of J = J0 U give the new parameter directions in old
-        # parameter coordinates; their orders are the SNF diagonal.
-        j_columns = [
-            [sum(j0[c][row] * snf.u[c][i] for c in range(r)) for row in range(k)]
-            for i in keep
-        ]
-        new_moduli = [diag[i] for i in keep]
+        # parameter coordinates; their orders are the Smith diagonal.
+        j_columns = [_combine(j0, [row[i] for row in snf.u]) for i in keep]
 
-        theta_star = 2 * sum(qw[i] * t_star[i] for i in range(k))
-        if delta == 1:
-            lam_coeffs = [Fraction(0)] * len(j_columns)
-        else:
-            alpha = int(Fraction(step).numerator) % delta
-            alpha_inv = pow(alpha, -1, delta)
-            lam_coeffs = []
-            for column in j_columns:
-                theta_dir = 2 * sum(qw[i] * column[i] for i in range(k))
-                value = alpha_inv * delta * theta_dir
-                if value.denominator != 1:
-                    raise CosetSimulationError("support direction breaks the grid")
-                lam_coeffs.append(Fraction(value))
+        # lam_a: the character offset that direction J e_a moves, counted in
+        # recurrence steps.
+        alpha_inv = pow(step // reduced % delta, -1, delta)
+        lam = []
+        for column in j_columns:
+            value, rest = divmod(alpha_inv * delta * 2 * sum(map(mul, qw, column)), big_d)
+            if rest:
+                raise CosetSimulationError("support direction breaks the grid")
+            lam.append(value)
 
         # New quadratic data: pull back through t = t_star + J t'' and add the
-        # Gauss-sum correction  -lam (theta* + a0 + b0) - step lam(lam-1)/2.
-        k_new = len(j_columns)
-        new_quad = [[Fraction(0)] * k_new for _ in range(k_new)]
-        new_lin = [Fraction(0)] * k_new
-        for a in range(k_new):
-            col_a = j_columns[a]
-            new_lin[a] += sum(self.lin[i] * col_a[i] for i in range(k))
-            new_lin[a] += 2 * sum(
-                t_star[i] * self.quad[i][j] * col_a[j]
-                for i in range(k)
-                for j in range(k)
-            )
-            for b in range(k_new):
-                col_b = j_columns[b]
-                new_quad[a][b] += sum(
-                    col_a[i] * self.quad[i][j] * col_b[j]
-                    for i in range(k)
-                    for j in range(k)
-                )
-        correction_lin = -(theta_star + a0 + b0) + Fraction(step, 2)
-        for a in range(k_new):
-            new_lin[a] += correction_lin * lam_coeffs[a]
-            for b in range(k_new):
-                new_quad[a][b] -= Fraction(step, 2) * lam_coeffs[a] * lam_coeffs[b]
+        # Gauss-sum correction -lam (theta* + b0) - a0 lam lam, where
+        # step/2 = a0 has cancelled from the linear term.
+        theta_star = 2 * sum(map(mul, qw, t_star))
+        quad, lin = _pull_back(self.quad, self.lin, t_star, j_columns)
+        self.quad = [
+            [x - a0 * la * lb for x, lb in zip(row, lam)] for row, la in zip(quad, lam)
+        ]
+        self.lin = [x - (theta_star + b0) * la for x, la in zip(lin, lam)]
 
         # Push the particular solution into the shift and install everything.
-        base = list(self.shift)
-        for i, column in enumerate(self.columns):
-            for row in range(len(base)):
-                base[row] += t_star[i] * column[row]
-        self.shift = self._reduce_coords(base)
-        new_columns = []
-        for column in j_columns:
-            coords = [0] * len(self.group.factors)
-            for i, weight in enumerate(column):
-                for row in range(len(coords)):
-                    coords[row] += weight * self.columns[i][row]
-            new_columns.append(self._reduce_coords(coords))
-        self.columns = new_columns
+        self.shift = self._reduce_coords(_combine([self.shift, *self.columns], [1, *t_star]))
+        self.columns = [
+            self._reduce_coords(_combine(self.columns, column)) for column in j_columns
+        ]
         self.moduli = new_moduli
-        self.quad = new_quad
-        self.lin = new_lin
 
     # -- outputs ------------------------------------------------------------------
 
     def _points(self, t: np.ndarray) -> np.ndarray:
         """Group points x0 + P t (mod the characteristics), one column per column of t."""
-        chars = self._chars()
+        chars = self.group.chars
         p = np.array(self.columns, dtype=np.int64).reshape(self.num_params, len(chars)).T
         shift = np.array(self.shift, dtype=np.int64)[:, None]
         return (shift + p @ t) % np.array(chars, dtype=np.int64)[:, None]
@@ -337,9 +299,9 @@ class CosetPhaseState:
 
     def dense_amplitudes(self) -> np.ndarray:
         """Complex expansion over the full group, for oracle comparisons."""
-        chars = self._chars()
+        chars = self.group.chars
         t = label_grid(self.moduli)
-        k, d = phase_numerators(self.quad, self.lin, t)
+        k, d = _scaled_numerators(self.quad, self.lin, self.denominator, t)
         norm = 1 / math.sqrt(self.support_size())
         out = np.zeros(math.prod(chars), dtype=np.complex128)
         flat = np.ravel_multi_index(self._points(t), chars).reshape(-1)
@@ -367,7 +329,7 @@ class CosetPhaseState:
         for i, m in enumerate(self.moduli):
             if any(
                 (m * c) % n != 0
-                for c, n in zip(self.columns[i], self._chars())
+                for c, n in zip(self.columns[i], self.group.chars)
             ):
                 raise CosetSimulationError("modulus does not annihilate its column")
             for t in ([0] * self.num_params, [1] * self.num_params):

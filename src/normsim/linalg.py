@@ -221,6 +221,29 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
     return [x for x in smith_normal_form(a).diagonal if x not in (0, 1)]
 
 
+def finite_presentation(
+    relations: Sequence[Sequence[int]], rank: int
+) -> tuple[SmithDecomposition, list[int], list[int]] | None:
+    """Smith presentation of Z^rank / L, L spanned by the rows `relations`.
+
+    The relations are the columns of the matrix R = U D V that is put in
+    Smith form, so L = U D Z^s.  Returns (snf, keep, orders): column keep[i]
+    of snf.u has order orders[i] mod L, and Z^rank / L is the direct sum of
+    the cyclic groups they generate.  None when the quotient is infinite
+    (L has rank below `rank`).
+    """
+    if relations:
+        matrix = [[row[i] for row in relations] for i in range(rank)]
+    else:
+        matrix = [[0] for _ in range(rank)]
+    snf = smith_normal_form(matrix)
+    diag = snf.diagonal + [0] * (rank - len(snf.diagonal))
+    if 0 in diag:
+        return None
+    keep = [i for i in range(rank) if diag[i] > 1]
+    return snf, keep, [diag[i] for i in keep]
+
+
 # ---------------------------------------------------------------------------
 # Hermite reduction of generating sets
 # ---------------------------------------------------------------------------

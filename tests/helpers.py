@@ -70,7 +70,7 @@ def random_matrix_rep(group: ElementaryGroup, rng, shears: int = 6) -> MatrixRep
                 matrix = mat_mul(swap, matrix)
         else:  # unit scaling of one factor
             i = int(rng.integers(m))
-            units = [u for u in range(1, moduli[i]) if math.gcd(u, moduli[i]) == 1]
+            units = [u for u in range(1, moduli[i]) if math.gcd(u, moduli[i]) == 1] or [1]
             scale = identity_matrix(m)
             scale[i][i] = units[int(rng.integers(len(units)))]
             matrix = mat_mul(scale, matrix)

@@ -25,11 +25,11 @@ from normsim.circuits import (
     load_circuit,
     label_grid,
     matrix_rep_inverse,
-    phase_numerators,
     save_circuit,
     validate_matrix_rep,
     validate_quadratic,
     word_exp_func,
+    _scaled_numerators,
 )
 from normsim.dense import dense_run
 from normsim.groups import T, Z, cyclic, cyclic_group, group, parse_group
@@ -504,10 +504,13 @@ def test_numerators_equal_coset_phase_exponent_at_every_parameter(seed):
     rng = np.random.default_rng(seed)
     g = random_finite_group(rng, max_order=512)
     state = coset_run(random_circuit(g, rng, gate_count=6), g.identity())
+    d = state.denominator
+    quad = [[Fraction(x, d) for x in row] for row in state.quad]
+    lin = [Fraction(x, d) for x in state.lin]
     t = label_grid(state.moduli)
-    k, d = phase_numerators(state.quad, state.lin, t)
+    k, _ = _scaled_numerators(state.quad, state.lin, d, t)
     for column, numerator in zip(t.T.tolist(), k.tolist()):
-        expected = reference_phase_exponent(state.quad, state.lin, column)
+        expected = reference_phase_exponent(quad, lin, column)
         assert Fraction(numerator, d) == expected == state.phase_exponent(column)
 
 
@@ -530,6 +533,17 @@ def test_numerators_exact_for_a_file_form_beyond_int64():
     for x in form.group.elements():
         expected = 0.5 * np.exp(2j * np.pi * float(form.exponent(x)))
         assert state.amplitude(x.coords) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [3**25, 10**12 + 39])
+def test_numerators_exact_when_the_squared_modulus_passes_int64(n):
+    # d = n and d^2 > 2^63: int64 sums would wrap, and an odd modulus does
+    # not survive wrapping mod 2^64 the way a power of two does.
+    g = cyclic_group(n)
+    form = validate_quadratic([[Fraction(2, n)]], [Fraction(1, n)], g)
+    labels = [n - 3, n // 2, 12345678901]
+    k, d = form.numerators(np.array([labels]))
+    assert [Fraction(x, d) for x in k.tolist()] == [form.exponent(g.element(x)) for x in labels]
 
 
 # ---------------------------------------------------------------------------

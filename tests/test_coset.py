@@ -10,6 +10,7 @@ from helpers import (
     random_finite_group,
     random_matrix_rep,
     random_quadratic_form,
+    reference_phase_exponent,
     reference_sample,
 )
 
@@ -142,11 +143,29 @@ def test_random_circuits_match_dense_z4_z2_z9():
 
 def test_random_circuits_match_dense_random_groups():
     rng = np.random.default_rng(7)
-    for trial in range(40):
-        g = random_finite_group(rng, max_order=256)
+    for trial in range(50):
+        # The last ten run on a group with a trivial factor Z1.
+        g = random_finite_group(rng, max_order=256) if trial < 40 else cyclic_group(1, 4, 3)
         circuit = random_circuit(g, rng, gate_count=8)
         coords = tuple(int(rng.integers(f.modulus)) for f in g.factors)
         assert_matches_dense(circuit, coords)
+
+
+@pytest.mark.parametrize("n", [3**25, 10**12 + 39])
+def test_phase_exponent_exact_when_the_squared_denominator_passes_int64(n):
+    # D = 2n, so the numerator sums pass 2^63 and must leave int64.
+    g = cyclic_group(n)
+    form = validate_quadratic([[Fraction(2, n)]], [Fraction(1, n)], g)
+    circuit = NormalizerCircuit(
+        DesignatedBasis(g), [QFTGate((0,)), QuadraticGate(form=form), QFTGate((0,))]
+    )
+    state = coset_run(circuit, g.identity())
+    assert state.moduli == [n]
+    d = state.denominator
+    quad = [[Fraction(x, d) for x in row] for row in state.quad]
+    lin = [Fraction(x, d) for x in state.lin]
+    for t in ([n - 2], [n // 2], [12345678901]):
+        assert state.phase_exponent(t) == reference_phase_exponent(quad, lin, t)
 
 
 def test_sampling_is_uniform_on_support():

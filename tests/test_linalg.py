@@ -5,6 +5,7 @@ derived expectation before the fast path is trusted.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from normsim.linalg import (
     LinalgError,
     continued_fraction_reconstruct,
     det,
+    finite_presentation,
     hermite_reduce,
     identity_matrix,
     integral_pseudo_inverse,
@@ -125,6 +127,56 @@ def test_snf_1000_random_small():
 def test_invariant_factors():
     assert invariant_factors([[2, 0], [0, 3]]) == [6]
     assert invariant_factors(identity_matrix(3)) == []
+
+
+def lattice_mod(relations, rank, n):
+    """Oracle: the image of the lattice spanned by `relations` in Z_n^rank,
+    closed under addition point by point."""
+    gens = [tuple(x % n for x in row) for row in relations]
+    seen = {(0,) * rank}
+    frontier = list(seen)
+    while frontier:
+        point = frontier.pop()
+        for gen in gens:
+            step = tuple((p + g) % n for p, g in zip(point, gen))
+            if step not in seen:
+                seen.add(step)
+                frontier.append(step)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_finite_presentation_against_brute_force(rank, count, data):
+    relations = [
+        [data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(count)
+    ]
+    minors = [
+        abs(det([relations[i] for i in rows]))
+        for rows in itertools.combinations(range(count), rank)
+    ]
+    presentation = finite_presentation(relations, rank)
+    if not any(minors):
+        assert presentation is None  # L has rank < rank, the quotient is infinite
+        return
+    snf, keep, orders = presentation
+    # A nonzero maximal minor n puts n Z^rank inside L, so Z^rank / L is
+    # Z_n^rank modulo the image of L.
+    n = min(m for m in minors if m)
+    image = lattice_mod(relations, rank, n)
+    assert math.prod(orders) * len(image) == n**rank
+    for i, order in zip(keep, orders):
+        column = [row[i] for row in snf.u]
+        multiples = (tuple(m * x % n for x in column) for m in range(1, n + 1))
+        assert next(m for m, point in enumerate(multiples, 1) if point in image) == order
+
+
+def test_finite_presentation_examples():
+    assert finite_presentation([], 2) is None
+    assert finite_presentation([[2, 4]], 2) is None
+    snf, keep, orders = finite_presentation([[2, 0], [0, 3]], 2)
+    assert orders == [6]
+    assert finite_presentation([[1, 0], [0, 1]], 2)[1:] == ([], [])
 
 
 def test_det():

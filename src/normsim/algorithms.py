@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import config
 from .blackbox import (
     BlackBoxGroup,
     DecompositionTable,
@@ -49,6 +50,11 @@ from .linalg import (
 
 #: Measurement samples `find_order` draws before it gives up.
 FIND_ORDER_ROUNDS = 64
+
+#: Measurement samples per `solve_hsp` batch, and the batches it draws
+#: before it gives up.
+HSP_ROUNDS = 16
+HSP_MAX_BATCHES = 8
 
 
 class AlgorithmError(RuntimeError):
@@ -266,9 +272,9 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _auto_grid(l: int, minimum: int = 1 << 16) -> int:
+def _auto_grid(l: int) -> int:
     """Grid fine enough to resolve 1/L-wide peaks of the sampling density."""
-    return max(minimum, 1 << (32 * l - 1).bit_length())
+    return max(config.DEFAULT_GRID_SIZE, 1 << (32 * l - 1).bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +302,7 @@ class FactoringRun:
     log: dict = field(default_factory=dict)
 
 
-def factor(n: int, rng, attempts: int = 10, **order_kwargs) -> FactoringRun:
+def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> FactoringRun:
     """Nontrivial divisor of n via the reduction to order finding.
 
     Preconditions follow the classical reduction: n odd, composite, and not
@@ -317,7 +323,7 @@ def factor(n: int, rng, attempts: int = 10, **order_kwargs) -> FactoringRun:
         if g > 1:
             transcript.append({"a": a, "event": "gcd shortcut", "divisor": g})
             return FactoringRun(n=n, divisor=g, attempts=attempt, log={"transcript": transcript})
-        run = find_order(group, a, rng, **order_kwargs)
+        run = find_order(group, a, rng, comb_m=comb_m)
         r = run.order
         entry = {"a": a, "order": r, "samples": run.log["samples"]}
         if r % 2 == 1:
@@ -573,18 +579,15 @@ def _unit_elements(group: ElementaryGroup) -> list[GroupElement]:
     return [group.reduce(row) for row in identity_matrix(len(group.factors))]
 
 
-def solve_hsp(
-    instance: HSPInstance,
-    rng,
-    rounds: int = 16,
-    max_batches: int = 8,
-    cap: int | None = None,
-) -> HSPRun:
+def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
     """Generating set of the hidden subgroup, recovered from dual samples.
 
-    Each measured vector y annihilates H; batches of samples are turned into
-    a congruence system whose solution set estimates H, and sampling
-    continues until the estimate is stable across two batches.
+    Each measured vector y annihilates H.  Batches of samples, scaled into
+    Z_d^k and taken with the wraparounds d Z^k, span the lattice of the
+    sampled dual subgroup S, whose annihilator S^perp estimates H.  Sampling
+    stops once the Hermite form of that lattice is the same after two
+    batches: the form is canonical and S -> S^perp is a bijection, so equal
+    forms mean an equal estimate.  One congruence solve then gives H.
     """
     group = instance.group
     if not group.is_finite:
@@ -597,47 +600,34 @@ def solve_hsp(
     state = dense_run(circuit, group.identity().coords + (oracular.identity(),), cap=cap)
     moduli = [f.modulus for f in group.factors]
     d = math.lcm(*moduli)
+    wraps = [[d if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))]
     samples: list[tuple[int, ...]] = []
-    estimate: set | None = None
-    estimate_gens: list[GroupElement] = []
-    for batch in range(max_batches):
-        samples.extend(_sample_outcomes(state, rounds, rng, len(moduli)))
-        # Only the lattice generated by the sampled duals matters; reduce it
-        # (together with the d-wraparounds) so the system stays m-by-m-sized.
-        raw_rows = [
-            [y[j] * (d // moduli[j]) for j in range(len(moduli))]
-            for y in set(samples)
-        ]
-        wraps = [
-            [d if i == j else 0 for j in range(len(moduli))]
-            for i in range(len(moduli))
-        ]
-        rows = hermite_reduce(raw_rows + wraps)
-        solved = solve_group_system(
-            GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows))
-        )
-        if solved is None:
-            raise HSPError("homogeneous system cannot be infeasible")
-        _, kernel = solved
-        gens = [group.reduce(gen) for gen in kernel]
-        gens = [g for g in gens if not g.is_identity()]
-        current = HSPRun(domain=group, generators=gens).subgroup_elements()
-        if estimate is not None and current == estimate:
-            return HSPRun(
-                domain=group,
-                generators=estimate_gens,
-                log={
-                    "circuit": circuit_summary(circuit),
-                    "circuit_validated": True,  # dense_run replayed the trace
-                    "samples": samples,
-                    "batches": batch + 1,
-                    "homomorphism_certified": certified,
-                    "oracular_order": oracular.order(),
-                },
-            )
-        estimate = current
-        estimate_gens = gens
-    raise HSPError(f"estimate did not stabilize after {max_batches} batches")
+    previous = None
+    for batch in range(HSP_MAX_BATCHES):
+        samples.extend(_sample_outcomes(state, HSP_ROUNDS, rng, len(moduli)))
+        scaled = [[y[j] * (d // moduli[j]) for j in range(len(moduli))] for y in set(samples)]
+        rows = hermite_reduce(scaled + wraps)
+        if rows == previous:
+            break
+        previous = rows
+    else:
+        raise HSPError(f"estimate did not stabilize after {HSP_MAX_BATCHES} batches")
+    solved = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows)))
+    if solved is None:
+        raise HSPError("homogeneous system cannot be infeasible")
+    gens = [group.reduce(gen) for gen in solved[1]]
+    return HSPRun(
+        domain=group,
+        generators=[g for g in gens if not g.is_identity()],
+        log={
+            "circuit": circuit_summary(circuit),
+            "circuit_validated": True,  # dense_run replayed the trace
+            "samples": samples,
+            "batches": batch + 1,
+            "homomorphism_certified": certified,
+            "oracular_order": oracular.order(),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +646,6 @@ def decompose_group(
     generators: Sequence,
     rng,
     dense_cap: int | None = None,
-    **order_kwargs,
 ) -> GroupDecompositionRun:
     """Full decomposition table for <generators> = B.
 
@@ -676,13 +665,10 @@ def decompose_group(
         raise AlgorithmError("need at least one generator")
     k = len(generators)
     log: dict = {"steps": []}
-    r_max = order_kwargs.pop("r_max", None)
-    if r_max is None:
-        r_max = group.order()
 
     orders = []
     for g in generators:
-        run = find_order(group, g, rng, r_max=r_max, **order_kwargs)
+        run = find_order(group, g, rng, r_max=group.order())
         orders.append(run.order)
     d = math.lcm(*orders)
     log["steps"].append({"step": "orders", "orders": orders, "lcm": d})
@@ -704,21 +690,11 @@ def _exponent_kernel(
 ) -> tuple[list[list[int]], str]:
     """Kernel generators of x -> prod generators[i]^x(i) on Z_d^k."""
     k = len(generators)
-    domain = cyclic_group(*([d] * k))
-    dense_size = (d**k) * group.order()
-    from .config import dense_cap as cap_value
-
-    if dense_size <= cap_value(dense_cap):
-        words = {
-            x: group.encode(value) for x, value in _word_table(group, generators, d).items()
-        }
-        instance = HSPInstance(
-            group=domain,
-            oracle=lambda coords: words[tuple(coords)],
-        )
-        run = solve_hsp(instance, rng, cap=dense_cap)
-        rows = [list(gen.coords) for gen in run.generators]
-        return rows, "hidden-subgroup rounds (dense)"
+    if (d**k) * group.order() <= config.dense_cap(dense_cap):
+        words = _word_table(group, generators, d)
+        domain = cyclic_group(*([d] * k))
+        run = solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
+        return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"
     relations, _ = cayley_relations(group, generators)
     rows = hermite_reduce([[value % d for value in rel] for rel in relations])
     return rows, "classical kernel oracle (dense cap exceeded)"
@@ -849,16 +825,13 @@ def solve_linear_system_bb(
     return LinearSystemRun(solution=solution, kernel=kernel_els, log=log)
 
 
-def multivariate_dlog(
-    group: BlackBoxGroup, beta: Sequence, b, orders: Sequence[int] | None = None
-) -> list[int]:
+def multivariate_dlog(group: BlackBoxGroup, beta: Sequence, b) -> list[int]:
     """Exponent vector x with beta_1^x1 ... beta_l^xl = b.
 
-    beta must be independent; their orders are taken from the caller or
-    measured by the classical oracle.
+    beta must be independent; their orders are measured by the classical
+    oracle.
     """
-    if orders is None:
-        orders = [bb_order(group, g) for g in beta]
+    orders = [bb_order(group, g) for g in beta]
     eye = identity_matrix(len(beta))
     table = DecompositionTable(alpha=list(beta), beta=list(beta), a=eye, b=eye, c=list(orders))
     bridge = EncodingBridge(group=group, table=table)

@@ -7,6 +7,7 @@ goes through the oracle counter, so tests can assert query budgets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -14,6 +15,9 @@ from typing import Iterator, Sequence
 from .linalg import Matrix, finite_presentation, hermite_reduce, is_prime, smith_normal_form
 
 DEFAULT_ORDER_CAP = 1 << 20
+
+#: Random candidates `sample_generators` draws before it gives up.
+SAMPLE_GENERATOR_TRIES = 256
 
 
 class BlackBoxError(ValueError):
@@ -105,7 +109,7 @@ class BlackBoxGroup:
             result = self.mul(result, self.power(g, e))
         return result
 
-    def sample_generators(self, rng, max_tries: int = 256) -> list:
+    def sample_generators(self, rng) -> list:
         """Random generating set, keeping only candidates that enlarge the
         generated subgroup (so the set stays logarithmically small)."""
         target = self.order()
@@ -115,7 +119,7 @@ class BlackBoxGroup:
         while seen < target:
             candidate = self.random_element(rng)
             tries += 1
-            if tries > max_tries:
+            if tries > SAMPLE_GENERATOR_TRIES:
                 raise BlackBoxError("failed to sample a generating set")
             enlarged = cayley_relations(self, gens + [candidate])[1]
             if enlarged > seen:
@@ -336,20 +340,10 @@ class DecompositionTable:
         if exhaustive:
             # Direct-sum check: the c-box enumerates the group bijectively.
             seen = set()
-            for exponents in _exponent_box(self.c):
+            for exponents in itertools.product(*(range(c) for c in self.c)):
                 seen.add(group.encode(group.word(self.beta, exponents)))
             if len(seen) != self.order():
                 raise BlackBoxError("beta generators are not independent")
-
-
-def _exponent_box(moduli: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if not moduli:
-        yield ()
-        return
-    head, *tail = moduli
-    for rest in _exponent_box(tail):
-        for e in range(head):
-            yield (e, *rest)
 
 
 def cayley_relations(

@@ -33,7 +33,6 @@ from .groups import (
     ElementaryGroup,
     Factor,
     GroupElement,
-    GroupError,
     cyclic,
     format_group,
     parse_group,
@@ -44,6 +43,7 @@ from .linalg import (
     identity_matrix,
     invariant_factors,
     mat_mul,
+    smith_normal_form,
     solve_group_system,
 )
 
@@ -139,21 +139,9 @@ class MatrixRep:
         return matrix_rep_inverse(self)
 
     def equals_as_map(self, other: MatrixRep) -> bool:
-        if self.group != other.group:
-            return False
-        factors = self.group.factors
-        for i, target in enumerate(factors):
-            for j, source in enumerate(factors):
-                a, b = self.matrix[i][j], other.matrix[i][j]
-                if source.kind == "T" and target.kind == "T":
-                    if a != b:
-                        return False
-                elif target.char == 0:
-                    if a != b:
-                        return False
-                elif (a - b) % target.char != 0:
-                    return False
-        return True
+        """Equal maps: `validate_matrix_rep` stores each entry as the
+        canonical representative of the class the map depends on."""
+        return self == other
 
 
 def validate_matrix_rep(
@@ -208,14 +196,10 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
     f_idx = [i for i, f in enumerate(factors) if f.kind == "cyclic"]
     x = [[0] * m for _ in range(m)]
 
-    def sub(rows, cols):
-        return [[a[i][j] for j in cols] for i in rows]
-
     def int_inverse(idx):
-        block = sub(idx, idx)
-        d = det(block)
-        inv = _adjugate(block)
-        return [[v * d for v in row] for row in inv] if d == -1 else inv
+        # A unimodular block has Smith form I = U^-1 A V^-1, so A^-1 = V^-1 U^-1.
+        snf = smith_normal_form(sub_matrix(a, idx, idx))
+        return mat_mul(snf.v_inv, snf.u_inv)
 
     if z_idx:
         inv_zz = int_inverse(z_idx)
@@ -229,7 +213,7 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
                 x[i][j] = inv_tt[r][c]
     if f_idx:
         moduli = [factors[i].modulus for i in f_idx]
-        a_ff = sub(f_idx, f_idx)
+        a_ff = sub_matrix(a, f_idx, f_idx)
         for c in range(len(f_idx)):
             rhs = [1 if r == c else 0 for r in range(len(f_idx))]
             solved = solve_group_system(GroupLinearSystem(a_ff, rhs, moduli))
@@ -240,7 +224,7 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
         if z_idx:
             # X_FZ A_ZZ + X_FF A_FZ = 0 (mod moduli)
             x_ff = sub_matrix(x, f_idx, f_idx)
-            a_fz = sub(f_idx, z_idx)
+            a_fz = sub_matrix(a, f_idx, z_idx)
             x_zz = sub_matrix(x, z_idx, z_idx)
             correction = mat_mul(mat_mul(x_ff, a_fz), x_zz)
             for r, i in enumerate(f_idx):
@@ -250,9 +234,9 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
         x_tt = sub_matrix(x, t_idx, t_idx)
         if f_idx:
             # X_TF A_FF = -X_TT A_TF (mod 1), entries alpha/N_source.
-            a_tf = sub(t_idx, f_idx)
+            a_tf = sub_matrix(a, t_idx, f_idx)
             target = mat_mul(x_tt, a_tf)
-            a_ff = sub(f_idx, f_idx)
+            a_ff = sub_matrix(a, f_idx, f_idx)
             moduli = [factors[i].modulus for i in f_idx]
             scale = math.lcm(*moduli)
             for r, i in enumerate(t_idx):
@@ -276,9 +260,9 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
                     x[i][f_idx[k]] = Fraction(solved[0][k], moduli[k]) % 1
         if z_idx:
             # X_TZ A_ZZ + X_TF A_FZ + X_TT A_TZ = 0 (mod 1)
-            acc = mat_mul(x_tt, sub(t_idx, z_idx))
+            acc = mat_mul(x_tt, sub_matrix(a, t_idx, z_idx))
             if f_idx:
-                acc2 = mat_mul(sub_matrix(x, t_idx, f_idx), sub(f_idx, z_idx))
+                acc2 = mat_mul(sub_matrix(x, t_idx, f_idx), sub_matrix(a, f_idx, z_idx))
                 acc = [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(acc, acc2)]
             x_zz = sub_matrix(x, z_idx, z_idx)
             correction = mat_mul(acc, x_zz)
@@ -292,22 +276,6 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
     if not rep.compose(inverse).equals_as_map(identity):
         raise InvalidGate("constructed right inverse fails")
     return inverse
-
-
-def _adjugate(block: list[list[int]]) -> list[list[int]]:
-    n = len(block)
-    if n == 0:
-        return []
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [block[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return out
 
 
 def sub_matrix(m, rows, cols):
@@ -737,7 +705,6 @@ def check_modexp_normalizable(
     a,
     group: BlackBoxGroup,
     generators: Sequence | None = None,
-    cap: int = 1 << 20,
 ):
     """Decide whether (k, x) -> (k, a^k x) on Z_M x B is an automorphism gate.
 
@@ -747,7 +714,7 @@ def check_modexp_normalizable(
     """
     if m < 1:
         raise CircuitError(f"modulus must be positive, got {m}")
-    order = bb_order(group, a, cap=cap)
+    order = bb_order(group, a)
     if m % order != 0:
         return False, None
     if generators is None:
@@ -756,7 +723,7 @@ def check_modexp_normalizable(
         generators = [a] + list(generators)
     else:
         generators = [a] + [g for g in generators if g != a]
-    table = bb_decompose_bruteforce(group, generators, cap=cap)
+    table = bb_decompose_bruteforce(group, generators)
     # a is generator 0, so its beta-coordinates are the first column of B.
     a_coords = [table.b[i][0] for i in range(len(table.beta))]
     size = 1 + len(table.c)
@@ -827,6 +794,11 @@ def _rational_from_json(text) -> Fraction:
         raise CircuitError(f"bad rational literal {text!r}") from exc
 
 
+# What reading a malformed circuit document raises (GroupError, InvalidGate
+# and CircuitError are ValueErrors).
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
+
+
 def circuit_to_json(circuit: NormalizerCircuit) -> dict:
     basis = circuit.initial_basis
     underlying = ElementaryGroup(
@@ -886,21 +858,24 @@ def circuit_to_json(circuit: NormalizerCircuit) -> dict:
 
 
 def circuit_from_json(doc: dict) -> NormalizerCircuit:
+    """The circuit a parsed circuit file describes; any malformed part of the
+    document raises CircuitError."""
     try:
         group_doc = doc["group"]
         elementary = parse_group(doc.get("initial_basis") or group_doc["elementary"])
-    except (KeyError, TypeError, GroupError) as exc:
+        blackbox = None
+        if "blackbox" in group_doc:
+            blackbox = group_from_descriptor(group_doc["blackbox"])
+        entries = list(doc.get("gates", []))
+    except _MALFORMED as exc:
         raise CircuitError(f"bad circuit header: {exc}") from exc
-    blackbox = None
-    if "blackbox" in group_doc:
-        blackbox = group_from_descriptor(group_doc["blackbox"])
     basis = DesignatedBasis(elementary, blackbox)
     gates: list = []
     current = basis
-    for position, entry in enumerate(doc.get("gates", [])):
+    for position, entry in enumerate(entries):
         try:
             gate = _gate_from_json(entry, current)
-        except (CircuitError, InvalidGate, KeyError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise CircuitError(f"gate {position}: {exc}") from exc
         gates.append(gate)
         current = _check_gate(gate, current, position)
@@ -927,10 +902,13 @@ def _gate_from_json(entry: dict, basis: DesignatedBasis):
         if basis.blackbox is None:
             raise CircuitError("word_exp needs a black-box slot")
         bases = [_parse_bb_element(basis.blackbox, text) for text in payload["bases"]]
+        n_out = payload.get("n_out")
+        if n_out is not None and (type(n_out) is not int or n_out < 0):
+            raise CircuitError(f"n_out must be a non-negative integer, got {n_out!r}")
         return AutomorphismGate(
             func=word_exp_func(basis, bases),
             name="word_exp",
-            n_out=payload.get("n_out"),
+            n_out=n_out,
             params={"bases": bases},
         )
     raise CircuitError(f"unrecognized gate entry {sorted(entry)}")

@@ -319,7 +319,7 @@ def cmd_run(args, rng):
         zeros = [0] * len(basis.elementary.factors)
         point = tuple(zeros) + ((basis.blackbox.identity(),) if basis.blackbox else ())
     if args.engine == "coset":
-        element = basis.elementary.reduce(point)
+        element = basis.elementary.reduce(point[: len(basis.elementary.factors)])
         counts = coset_run(circuit, element).sample(args.shots, rng)
     else:
         counts = dense_sample(dense_run(circuit, point, cap=args.cap), args.shots, rng)

@@ -37,8 +37,11 @@ from .groups import ElementaryGroup, GroupElement, cyclic
 from .linalg import is_prime
 
 DEFAULT_ENTRY_BOUND = 1 << 10
-#: The extraction spot checks try every point of finite groups up to this order.
+#: The extraction spot checks try every point of finite groups up to this
+#: order, and otherwise this many sampled points per matrix and per form.
 SPOT_CHECK_ALL = 256
+MATRIX_SPOT_CHECKS = 8
+QUADRATIC_SPOT_CHECKS = 12
 
 
 class ExtractionError(ValueError):
@@ -188,14 +191,14 @@ def _grid_points(grid: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(column) for column in grid.T.tolist()]
 
 
-def _spot_check_matrix(f: Callable, rep: MatrixRep, trials: int = 8) -> None:
+def _spot_check_matrix(f: Callable, rep: MatrixRep) -> None:
     """Compare the oracle with `rep` at every point of a small finite group,
-    else at `trials` sampled points."""
+    else at MATRIX_SPOT_CHECKS sampled points."""
     group = rep.group
     grid = _exhaustive_grid(group)
     if grid is None:
-        rng = np.random.default_rng(max(1, trials))
-        for coords in [_sample_coords(group, rng) for _ in range(trials)]:
+        rng = np.random.default_rng(MATRIX_SPOT_CHECKS)
+        for coords in [_sample_coords(group, rng) for _ in range(MATRIX_SPOT_CHECKS)]:
             expected = group.reduce(list(f(coords)))
             if rep.apply(group.reduce(coords)) != expected:
                 raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
@@ -273,14 +276,14 @@ def extract_quadratic(
     return form
 
 
-def _spot_check_quadratic(q: Callable, form: QuadraticForm, trials: int = 12) -> None:
+def _spot_check_quadratic(q: Callable, form: QuadraticForm) -> None:
     """Compare the oracle with `form` at every point of a small finite group,
-    else at `trials` sampled points."""
+    else at QUADRATIC_SPOT_CHECKS sampled points."""
     group = form.group
     grid = _exhaustive_grid(group)
     if grid is None:
-        rng = np.random.default_rng(max(1, trials))
-        for coords in [_sample_coords(group, rng) for _ in range(trials)]:
+        rng = np.random.default_rng(QUADRATIC_SPOT_CHECKS)
+        for coords in [_sample_coords(group, rng) for _ in range(QUADRATIC_SPOT_CHECKS)]:
             if form.exponent(group.reduce(coords)) != Fraction(q(tuple(coords))) % 1:
                 raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")
         return

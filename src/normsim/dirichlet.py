@@ -167,15 +167,12 @@ def dirichlet_sample(
     shots: int,
     rng,
     grid_size: int = DEFAULT_GRID_SIZE,
-    s: int | None = None,
 ) -> list[Fraction]:
     """Measurement outcomes for order r and comb half-length m.
 
-    When `s` is omitted each shot first draws the collapsed residue, exactly
-    as the run itself would.
+    Each shot first draws the collapsed residue, exactly as the run itself
+    would.
     """
-    if s is not None:
-        return DirichletDistribution(r, m, s).sample(shots, rng, grid_size)
     out: list[Fraction] = []
     for residue, count in zip(*np.unique(rng.integers(r, size=shots), return_counts=True)):
         dist = DirichletDistribution(r, m, int(residue))
@@ -183,8 +180,8 @@ def dirichlet_sample(
     return out
 
 
-def dirichlet_peak_mass(r: int, m: int, delta: Fraction | None = None, s: int = 0) -> float:
-    return DirichletDistribution(r, m, s).peak_mass(delta)
+def dirichlet_peak_mass(r: int, m: int) -> float:
+    return DirichletDistribution(r, m).peak_mass()
 
 
 def nearest_peak_distance(p: Fraction, r: int) -> Fraction:

@@ -1,10 +1,12 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
-Fraction formulas that the integer evaluations are checked against."""
+reference implementations (Fraction formulas, class-wise map comparison,
+the closure-based hidden-subgroup loop) that the library is checked against."""
 
 from collections import Counter
 from fractions import Fraction
 import math
 
+from normsim import algorithms
 from normsim.circuits import (
     AutomorphismGate,
     DesignatedBasis,
@@ -18,7 +20,13 @@ from normsim.circuits import (
     validate_quadratic,
 )
 from normsim.groups import T, Z, ElementaryGroup, cyclic, cyclic_group
-from normsim.linalg import identity_matrix, mat_mul
+from normsim.linalg import (
+    GroupLinearSystem,
+    hermite_reduce,
+    identity_matrix,
+    mat_mul,
+    solve_group_system,
+)
 
 
 def random_finite_group(rng, max_order=512, max_factors=4) -> ElementaryGroup:
@@ -220,6 +228,56 @@ def reference_apply(rep: MatrixRep, el):
     """The matrix times the coordinates in Fraction, then group.reduce."""
     coords = [sum(row[j] * el.coords[j] for j in range(len(row))) for row in rep.matrix]
     return rep.group.reduce(coords)
+
+
+def reference_equals_as_map(a: MatrixRep, b: MatrixRep) -> bool:
+    """Entry-by-entry class comparison, the test MatrixRep.equals_as_map
+    replaced: T-to-T entries and entries into Z exactly, every other entry
+    modulo its target factor's characteristic."""
+    if a.group != b.group:
+        return False
+    factors = a.group.factors
+    for i, target in enumerate(factors):
+        for j, source in enumerate(factors):
+            x, y = a.matrix[i][j], b.matrix[i][j]
+            if (source.kind == "T" and target.kind == "T") or target.char == 0:
+                if x != y:
+                    return False
+            elif (x - y) % target.char != 0:
+                return False
+    return True
+
+
+def solve_hsp_reference(instance, rng, rounds: int = 16, max_batches: int = 8):
+    """The batch loop solve_hsp replaced: every batch solves the congruence
+    system of the samples so far and enumerates the estimated subgroup, and
+    sampling stops once two consecutive estimates are equal.  It returns the
+    previous batch's generators, with the same log keys solve_hsp reads."""
+    group = instance.group
+    oracular = algorithms.OracularGroup(group, instance.oracle)
+    if not oracular.certify_homomorphism():
+        raise algorithms.HSPError("oracle does not hide a subgroup")
+    circuit = algorithms.hsp_circuit(instance, oracular)
+    state = algorithms.dense_run(circuit, group.identity().coords + (oracular.identity(),))
+    moduli = [f.modulus for f in group.factors]
+    d = math.lcm(*moduli)
+    samples: list = []
+    estimate = None
+    estimate_gens: list = []
+    for batch in range(max_batches):
+        samples.extend(algorithms._sample_outcomes(state, rounds, rng, len(moduli)))
+        raw_rows = [[y[j] * (d // moduli[j]) for j in range(len(moduli))] for y in set(samples)]
+        wraps = [[d if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))]
+        rows = hermite_reduce(raw_rows + wraps)
+        _, kernel = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows)))
+        gens = [g for g in map(group.reduce, kernel) if not g.is_identity()]
+        current = algorithms.HSPRun(domain=group, generators=gens).subgroup_elements()
+        if estimate is not None and current == estimate:
+            log = {"samples": samples, "batches": batch + 1}
+            return algorithms.HSPRun(domain=group, generators=estimate_gens, log=log)
+        estimate = current
+        estimate_gens = gens
+    raise algorithms.HSPError(f"estimate did not stabilize after {max_batches} batches")
 
 
 def reference_phase_exponent(quad, lin, t) -> Fraction:

@@ -2,11 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import table_entries
+from helpers import solve_hsp_reference, table_entries
+from normsim import algorithms
 from normsim.algorithms import (
     AlgorithmError,
     DiscreteLogError,
@@ -338,6 +342,41 @@ def test_hsp_rejects_non_coset_oracle():
         solve_hsp(
             HSPInstance(group=group, oracle=lambda c: values[int(c[0])]), rng_for(1)
         )
+
+
+@st.composite
+def planted_instances(draw):
+    """Z_n^k of order <= 64 with a planted subgroup from up to three generators."""
+    moduli = draw(
+        st.lists(st.integers(2, 16), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 64
+        )
+    )
+    group = cyclic_group(*moduli)
+    gens = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in moduli)), max_size=3))
+    hidden = subgroup_closure(group, [group.reduce(list(g)) for g in gens])
+    return HSPInstance(group=group, oracle=planted_oracle(group, hidden))
+
+
+def _hsp_outcome(solve, instance, seed):
+    rng = rng_for(seed)
+    try:
+        run = solve(instance, rng)
+        outcome = (run.generators, run.log["batches"], run.log["samples"])
+    except algorithms.HSPError as exc:
+        outcome = str(exc)
+    return outcome, int(rng.integers(1 << 62))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_instances(), st.sampled_from([1, 2, 16]), st.integers(0, 2**32 - 1))
+def test_solve_hsp_matches_the_closure_batch_loop(instance, rounds, seed):
+    # Stopping on the Hermite form of the samples stops at the same batch as
+    # comparing enumerated estimates; few rounds per batch force long loops.
+    with patch.object(algorithms, "HSP_ROUNDS", rounds):
+        new = _hsp_outcome(solve_hsp, instance, seed)
+    old = _hsp_outcome(lambda i, r: solve_hsp_reference(i, r, rounds=rounds), instance, seed)
+    assert new == old
 
 
 def test_oracular_group_is_isomorphic_to_quotient():

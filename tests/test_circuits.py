@@ -586,6 +586,33 @@ def test_integer_apply_equals_fraction_reference(seed, huge):
         assert rep.apply(el) == reference_apply(rep, el)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["independent", "shifted"]))
+def test_equals_as_map_agrees_with_classwise_reference(seed, mode):
+    from helpers import random_mixed_group, random_mixed_matrix_rep, reference_equals_as_map
+
+    rng = np.random.default_rng(seed)
+    g = random_mixed_group(rng)
+    rep = random_mixed_matrix_rep(g, rng)
+    if mode == "independent":
+        other = random_mixed_matrix_rep(g, rng)
+    else:
+        # The same map: entries shifted by multiples of their target's
+        # characteristic, except T-to-T entries, which are exact.
+        other = validate_matrix_rep(
+            [
+                [
+                    x if source.kind == "T" else x + int(rng.integers(-3, 4)) * target.char
+                    for x, source in zip(row, g.factors)
+                ]
+                for row, target in zip(rep.matrix, g.factors)
+            ],
+            g,
+        )
+        assert reference_equals_as_map(rep, other)
+    assert rep.equals_as_map(other) == reference_equals_as_map(rep, other)
+
+
 def test_integer_exponent_exact_beyond_int64():
     # M = (2^65 + 1)/4 on Z and on Z4, with Z coordinates beyond int64 too.
     from helpers import reference_bilinear_exponent, reference_exponent

@@ -193,6 +193,48 @@ def test_run_invalid_gate_exit_4(tmp_path):
     assert main(["run", str(bad)]) == 4
 
 
+def _dlog7_doc(n_out):
+    from normsim.algorithms import dlog_circuit
+    from normsim.circuits import circuit_to_json
+
+    doc = circuit_to_json(dlog_circuit(7, 3, 6))
+    doc["gates"][1]["bb_automorphism"]["n_out"] = n_out
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "deblackbox"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"group": {"elementary": "Z2", "blackbox": {"type": "zn_star"}}, "gates": []},
+        {"group": {"elementary": "Z2", "blackbox": "zn"}, "gates": []},
+        {"group": {"elementary": "Z2"}, "gates": ["qft"]},
+        {"group": {"elementary": "Z2"}, "gates": 7},
+        {"group": {"elementary": "Z2"}, "gates": [{"qft": 0}]},
+        [],
+        _dlog7_doc("x"),
+        _dlog7_doc(-1),
+    ],
+)
+def test_malformed_circuit_file_exits_4(command, doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("point", [None, "(0, 0)|1"])
+def test_run_coset_engine_on_black_box_circuit_exits_3(point, tmp_path, capsys):
+    from normsim.algorithms import dlog_circuit
+
+    circuit_path = tmp_path / "dlog7.json"
+    save_circuit(dlog_circuit(7, 3, 6), circuit_path)
+    argv = ["run", str(circuit_path), "--engine", "coset"]
+    assert main(argv + (["--input", point] if point else [])) == 3
+    assert capsys.readouterr().err == "error: de-black-box the circuit first\n"
+
+
 def test_deblackbox_command(tmp_path, log_schema):
     from normsim.blackbox import ZNStarGroup
     from normsim.circuits import (

@@ -133,18 +133,31 @@ def _sample_outcomes(state, shots: int, rng, width: int) -> list[tuple[int, ...]
 
 def _solve_pooled_pairs(pairs: list[tuple[int, int]], n: int) -> int | None:
     """The s in [0, n) with k s = ks (mod n) for every sampled pair (k, ks),
-    or None when no s fits every pair."""
-    solved = solve_group_system(
-        GroupLinearSystem([[k] for k, _ in pairs], [ks for _, ks in pairs], [n] * len(pairs))
-    )
-    if solved is None:
-        return None
-    x0, kernel = solved
-    if any(any(g % n for g in gen) for gen in kernel):
+    or None when no s fits every pair.
+
+    The solutions so far are s = r (mod m) with m | n.  A pair with
+    g = gcd(k, n) dividing ks pins s mod n/g, and the generalized Chinese
+    remainder theorem merges that into (r, m); the solution is unique in
+    [0, n) exactly when m reaches n.
+    """
+    r, m = 0, 1
+    for k, ks in pairs:
+        g = math.gcd(k, n)
+        if ks % g:
+            return None
+        step = n // g
+        r2 = ks // g * pow(k // g, -1, step) % step
+        h = math.gcd(m, step)
+        if (r2 - r) % h:
+            return None
+        r += m * ((r2 - r) // h * pow(m // h, -1, step // h) % (step // h))
+        m = m // h * step
+        r %= m
+    if m != n:
         raise DiscreteLogError(
             f"samples do not determine the exponent (all {len(pairs)} pairs degenerate)"
         )
-    return x0[0] % n
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +402,10 @@ def discrete_log(
     group = ZNStarGroup(p)
     if not group.is_element(b):
         raise DiscreteLogError(f"{b} is not a unit mod {p}")
-    if bb_order(group, a, cap=p) != p - 1:
+    # a generates Z_p^*, of order p - 1, exactly when no a^((p-1)/q) with q a
+    # prime factor of p - 1 is 1 (Lagrange); a non-unit raises BlackBoxError.
+    group._check(a)
+    if any(group.power(a, (p - 1) // q) == 1 for q in _prime_factors(p - 1)):
         raise DiscreteLogError(f"{a} does not generate the units mod {p}")
     circuit = dlog_circuit(p, a, b)
     state = dense_run(circuit, (0, 0, 1), cap=cap)
@@ -491,10 +507,16 @@ class OracularGroup(BlackBoxGroup):
         self._values = sorted(self._representative, key=repr)
         self.encoding_length = max(1, (len(self._values) - 1).bit_length())
 
+    def _check(self, x):
+        self._representative[x]  # the lookup `_mul` fails on for a non-element
+        return x
+
     def _mul(self, x, y):
         gx = self._representative[x]
         gy = self._representative[y]
         return self.oracle((gx + gy).coords)
+
+    _product = _mul  # the lookups are the check
 
     def _inv(self, x):
         gx = self._representative[x]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -55,8 +56,16 @@ class BlackBoxGroup:
 
     # -- subclass surface ---------------------------------------------------
 
-    def _mul(self, x, y):
+    def _check(self, x):
+        """x itself; raises the backend's error when x is not an element."""
         raise NotImplementedError
+
+    def _product(self, x, y):
+        """x * y for operands already known to be elements."""
+        raise NotImplementedError
+
+    def _mul(self, x, y):
+        return self._product(self._check(x), self._check(y))
 
     def _inv(self, x):
         raise NotImplementedError
@@ -88,15 +97,27 @@ class BlackBoxGroup:
         return self._inv(x)
 
     def power(self, x, k: int):
-        """x^k by repeated squaring; counts the underlying oracle calls."""
+        """x^k by repeated squaring.
+
+        For k > 0 this counts bit_length(k) + popcount(k) `mul` calls (one
+        squaring per bit, the last one included, and one product per set
+        bit); k = 0 counts none, and k < 0 one `inv` more.  The argument is
+        checked once, with the error `mul` would raise: every value inside
+        the loop is a product of elements, hence an element, so the loop
+        multiplies unchecked.
+        """
         if k < 0:
             return self.power(self.inv(x), -k)
         result = self.identity()
-        base = x
+        if not k:
+            return result
+        k = operator.index(k)
+        base = self._check(x)
+        self.counter.mul += k.bit_length() + k.bit_count()
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._product(result, base)
+            base = self._product(base, base)
             k >>= 1
         return result
 
@@ -148,8 +169,8 @@ class ZNStarGroup(BlackBoxGroup):
             raise BlackBoxError(f"{x} is not a unit modulo {self.modulus}")
         return x
 
-    def _mul(self, x, y):
-        return (self._check(x) * self._check(y)) % self.modulus
+    def _product(self, x, y):
+        return (x * y) % self.modulus
 
     def _inv(self, x):
         return pow(self._check(x), -1, self.modulus)
@@ -223,9 +244,7 @@ class EllipticCurveGroup(BlackBoxGroup):
             raise BlackBoxError(f"{pt} is not on the curve")
         return pt
 
-    def _mul(self, pt1: Point, pt2: Point) -> Point:
-        self._check(pt1)
-        self._check(pt2)
+    def _product(self, pt1: Point, pt2: Point) -> Point:
         if pt1 is None:
             return pt2
         if pt2 is None:

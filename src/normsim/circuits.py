@@ -689,12 +689,12 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
         if b != group.identity() and factor.kind == "T":
             raise CircuitError(f"register {r} carries a T label; exponents must be integers")
 
+    active = [(r, b) for r, b in enumerate(bases) if b != group.identity()]
+
     def apply(point: tuple) -> tuple:
-        *coords, x = point
-        acc = x
-        for b, k in zip(bases, coords):
-            if b != group.identity():
-                acc = group.mul(acc, group.power(b, k))
+        *coords, acc = point
+        for r, b in active:
+            acc = group.mul(acc, group.power(b, coords[r]))
         return tuple(coords) + (acc,)
 
     return apply

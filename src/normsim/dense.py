@@ -46,30 +46,44 @@ class DenseState:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def flat_index(self, point) -> int:
-        """Position of a basis point in the C-order flattened amplitudes."""
-        point = self.basis.make_point(point)
-        n = len(self.basis.elementary.factors)
-        index = list(point[:n])
+    def flat_indices(self, points) -> np.ndarray:
+        """Positions of basis points in the C-order flattened amplitudes.
+
+        Every point goes through `make_point`, which rejects a wrong length
+        or a black-box value outside the group; one `ravel_multi_index` then
+        encodes them all.
+        """
+        rows = [self.basis.make_point(p) for p in points]
+        columns = [list(c) for c in zip(*rows)]
+        if not columns:  # no points, or a basis without registers
+            return np.zeros(len(rows), dtype=np.intp)
         if self.bb_labels is not None:
-            index.append(self._bb_index[point[n]])
-        return int(np.ravel_multi_index(index, self.amplitudes.shape))
+            columns[-1] = [self._bb_index[label] for label in columns[-1]]
+        return np.ravel_multi_index(columns, self.amplitudes.shape)
+
+    def points(self, flat_indices) -> list[tuple]:
+        """Basis points at flat positions: exact coordinates plus bb label."""
+        flat_indices = np.asarray(flat_indices, dtype=np.intp)
+        if not self.amplitudes.shape:
+            return [()] * flat_indices.size
+        columns = [c.tolist() for c in np.unravel_index(flat_indices, self.amplitudes.shape)]
+        if self.bb_labels is not None:
+            columns[-1] = [self.bb_labels[i] for i in columns[-1]]
+        return list(zip(*columns))
+
+    def flat_index(self, point) -> int:
+        return int(self.flat_indices([point])[0])
 
     def point(self, flat_index: int) -> tuple:
-        """Basis point at a flat position: exact coordinates plus bb label."""
-        index = [i.item() for i in np.unravel_index(flat_index, self.amplitudes.shape)]
-        n = len(self.basis.elementary.factors)
-        point = tuple(index[:n])
-        if self.bb_labels is not None:
-            point = point + (self.bb_labels[index[n]],)
-        return point
+        return self.points([flat_index])[0]
 
     def amplitude(self, point) -> complex:
         return complex(self.amplitudes.flat[self.flat_index(point)])
 
     def probabilities(self, tol: float = 1e-12) -> dict[tuple, float]:
         probs = np.abs(self.amplitudes.reshape(-1)) ** 2
-        return {self.point(i): float(probs[i]) for i in np.flatnonzero(probs > tol)}
+        support = np.flatnonzero(probs > tol)
+        return dict(zip(self.points(support), probs[support].tolist()))
 
     def support(self, tol: float = 1e-9) -> set[tuple]:
         return set(self.probabilities(tol=tol))
@@ -105,7 +119,7 @@ def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndar
     out = np.zeros_like(flat)
     if gate.is_black_box:
         support = np.flatnonzero(flat)
-        targets = [state.flat_index(gate.func(state.point(i))) for i in support.tolist()]
+        targets = state.flat_indices([gate.func(p) for p in state.points(support)])
         np.add.at(out, targets, flat[support])
     else:
         n = len(grid)
@@ -121,8 +135,12 @@ def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray) -
     shape = state.amplitudes.shape
     flat = state.amplitudes.reshape(-1)
     if gate.is_black_box:
-        for i in np.flatnonzero(flat).tolist():
-            flat[i] *= np.exp(2j * np.pi * float(gate.func(state.point(i))))
+        support = np.flatnonzero(flat)
+        q = np.array([float(gate.func(p)) for p in state.points(support)], dtype=float)
+        # One scalar product per label: numpy's array complex multiply can
+        # round differently in the last bit, and amplitudes stay bit-stable.
+        for i, phase in zip(support.tolist(), np.exp(2j * np.pi * q)):
+            flat[i] *= phase
     else:
         k, d = gate.form.numerators(grid)
         flat = (flat.reshape(len(k), -1) * np.exp(2j * np.pi * (k / d))[:, None]).reshape(-1)
@@ -158,7 +176,5 @@ def dense_sample(state: DenseState, shots: int, rng) -> Counter:
     flat = np.abs(state.amplitudes.reshape(-1)) ** 2
     flat = flat / flat.sum()
     draws = rng.choice(len(flat), size=shots, p=flat)
-    counts: Counter = Counter()
-    for flat_index, count in Counter(draws.tolist()).items():
-        counts[state.point(flat_index)] += count
-    return counts
+    drawn = Counter(draws.tolist())
+    return Counter(dict(zip(state.points(list(drawn)), drawn.values())))

@@ -1,10 +1,13 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
-the closure-based hidden-subgroup loop) that the library is checked against."""
+the closure-based hidden-subgroup loop, the per-label dense black-box gates)
+that the library is checked against."""
 
 from collections import Counter
 from fractions import Fraction
 import math
+
+import numpy as np
 
 from normsim import algorithms
 from normsim.circuits import (
@@ -347,3 +350,44 @@ def is_coset_labeling(domain: ElementaryGroup, oracle) -> bool:
         if level != {g + h for h in hidden}:
             return False
     return True
+
+
+def reference_point(state, flat_index: int) -> tuple:
+    """DenseState.point one label at a time: unravel, then the bb label."""
+    index = [i.item() for i in np.unravel_index(flat_index, state.amplitudes.shape)]
+    n = len(state.basis.elementary.factors)
+    point = tuple(index[:n])
+    if state.bb_labels is not None:
+        point = point + (state.bb_labels[index[n]],)
+    return point
+
+
+def reference_flat_index(state, point) -> int:
+    """DenseState.flat_index one point at a time: make_point, then ravel."""
+    point = state.basis.make_point(point)
+    n = len(state.basis.elementary.factors)
+    index = list(point[:n])
+    if state.bb_labels is not None:
+        index.append(state.bb_labels.index(point[n]))
+    return int(np.ravel_multi_index(index, state.amplitudes.shape))
+
+
+def reference_black_box_automorphism(state, gate) -> None:
+    """The dense black-box automorphism, decoding and encoding label by label."""
+    flat = state.amplitudes.reshape(-1)
+    out = np.zeros_like(flat)
+    support = np.flatnonzero(flat)
+    targets = [
+        reference_flat_index(state, gate.func(reference_point(state, i)))
+        for i in support.tolist()
+    ]
+    np.add.at(out, targets, flat[support])
+    state.amplitudes = out.reshape(state.amplitudes.shape)
+
+
+def reference_black_box_phase(state, gate) -> None:
+    """The dense black-box phase gate, one support label at a time."""
+    flat = state.amplitudes.reshape(-1)
+    for i in np.flatnonzero(flat).tolist():
+        flat[i] *= np.exp(2j * np.pi * float(gate.func(reference_point(state, i))))
+    state.amplitudes = flat.reshape(state.amplitudes.shape)

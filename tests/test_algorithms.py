@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import solve_hsp_reference, table_entries
@@ -160,6 +160,66 @@ def test_dlog_rejects_non_generator():
         discrete_log(7, 2, 3, rng_for(1))  # |2| = 3 mod 7
     with pytest.raises(DiscreteLogError):
         discrete_log(8, 3, 3, rng_for(1))  # 8 is not prime
+
+
+def test_dlog_generator_check_matches_the_order():
+    # cap=1 stops an accepted generator at the dense cap, after the check.
+    from normsim.circuits import CircuitError
+
+    for p in [q for q in range(3, 100) if all(q % d for d in range(2, q))]:
+        group = ZNStarGroup(p)
+        for a in range(1, p):
+            if bb_order(group, a) == p - 1:
+                with pytest.raises(CircuitError, match="exceeds cap"):
+                    discrete_log(p, a, 1, rng_for(0), cap=1)
+            else:
+                with pytest.raises(DiscreteLogError, match="does not generate"):
+                    discrete_log(p, a, 1, rng_for(0), cap=1)
+
+
+def test_dlog_rejects_a_non_unit_base():
+    from normsim.blackbox import BlackBoxError
+
+    for p, a in [(2, 0), (7, 0), (7, 7), (7, 9), (11, -3)]:
+        with pytest.raises(BlackBoxError, match=rf"^{a} is not a unit modulo {p}$"):
+            discrete_log(p, a, 1, rng_for(0))
+
+
+@st.composite
+def pooled_pair_sets(draw):
+    """(pairs, n): pairs (k, ks) mod n, each consistent with one planted s
+    or drawn at random, so all outcomes (none, one, several s) occur."""
+    n = draw(st.integers(1, 64))
+    s = draw(st.integers(0, n - 1))
+    planted = draw(st.booleans())
+    size = draw(st.integers(0, 32))
+    pairs = []
+    for _ in range(size):
+        k = draw(st.integers(0, n - 1))
+        if planted or draw(st.booleans()):
+            pairs.append((k, k * s % n))
+        else:
+            pairs.append((k, draw(st.integers(0, n - 1))))
+    return pairs, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(pooled_pair_sets())
+@example(([], 1))
+@example(([(0, 0)], 1))
+@example(([(0, 0)] * 5, 12))
+@example(([(0, 0), (5, 3)], 12))
+@example(([(0, 3)], 12))
+@example(([(4, 8), (6, 6)], 12))
+def test_pooled_solve_matches_a_scan(case):
+    pairs, n = case
+    fits = [s for s in range(n) if all((k * s - ks) % n == 0 for k, ks in pairs)]
+    if len(fits) > 1:
+        degenerate = rf"^samples do not determine the exponent \(all {len(pairs)} pairs degenerate\)$"
+        with pytest.raises(DiscreteLogError, match=degenerate):
+            algorithms._solve_pooled_pairs(pairs, n)
+    else:
+        assert algorithms._solve_pooled_pairs(pairs, n) == (fits[0] if fits else None)
 
 
 def test_dlog_exhaustive_p5_p7():

@@ -1,9 +1,12 @@
 """Conformance tests for the black-box group backends."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from normsim.blackbox import (
     BlackBoxError,
@@ -124,6 +127,91 @@ def test_oracle_counter():
     g.power(2, 5)
     assert g.counter.mul >= 2 and g.counter.inv == 1
     assert g.counter.total == g.counter.mul + g.counter.inv
+
+
+def _power_groups():
+    from normsim.algorithms import OracularGroup
+    from normsim.groups import cyclic_group
+
+    domain = cyclic_group(6, 4)
+    oracular = OracularGroup(domain, lambda c: (int(c[0]) % 3, int(c[1]) % 2))
+    return [
+        (ZNStarGroup(15), 2),
+        (ZNStarGroup(97), 5),
+        (EllipticCurveGroup(*F5_CURVE), (0, 1)),
+        (oracular, (1, 1)),
+    ]
+
+
+def test_power_counts_bit_length_plus_popcount():
+    for group, x in _power_groups():
+        for k in range(-40, 41):
+            before_mul, before_inv = group.counter.mul, group.counter.inv
+            group.power(x, k)
+            m = abs(k)
+            assert group.counter.mul - before_mul == m.bit_length() + bin(m).count("1")
+            assert group.counter.inv - before_inv == (k < 0)
+        assert group.power(x, 0) == group.identity()
+
+
+def test_power_matches_repeated_multiplication():
+    for group, x in _power_groups():
+        acc = group.identity()
+        for k in range(30):
+            assert group.power(x, k) == acc
+            acc = group.mul(acc, x)
+
+
+def test_power_rejects_a_non_element_once_with_the_mul_error():
+    from normsim.algorithms import OracularGroup
+    from normsim.groups import cyclic_group
+
+    z15 = ZNStarGroup(15)
+    for bad in (0, 6, 15, 20, -2):
+        for k in (1, 2, 7, 8):
+            with pytest.raises(BlackBoxError, match=rf"^{bad} is not a unit modulo 15$"):
+                z15.power(bad, k)
+    assert z15.power(6, 0) == 1  # k = 0 never looks at x, as before
+    curve = EllipticCurveGroup(*F5_CURVE)
+    for bad in ((1, 1), (5, 0), (0, 1, 2)):
+        for k in (1, 2, 5):
+            message = rf"^{re.escape(str(bad))} is not on the curve$"
+            with pytest.raises(BlackBoxError, match=message):
+                curve.power(bad, k)
+    oracular = OracularGroup(cyclic_group(4), lambda c: int(c[0]) % 2)
+    for k in (1, 2, 3):
+        with pytest.raises(KeyError) as info:
+            oracular.power(7, k)
+        assert info.value.args == (7,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 300), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
+def test_zn_product_of_units_is_a_unit(n, i, j):
+    group = ZNStarGroup(n)
+    units = list(group.elements())
+    x, y = units[i % len(units)], units[j % len(units)]
+    assert group.is_element(group._product(x, y))
+
+
+SMALL_PRIMES = [p for p in range(5, 60) if all(p % q for q in range(2, p))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from(SMALL_PRIMES),
+    a=st.integers(0, 60),
+    b=st.integers(0, 60),
+    i=st.integers(0, 10**6),
+    j=st.integers(0, 10**6),
+)
+def test_curve_product_of_points_is_a_point(p, a, b, i, j):
+    assume((4 * a**3 + 27 * b**2) % p)
+    curve = EllipticCurveGroup(p, a, b)
+    points = list(curve.elements())
+    x, y = points[i % len(points)], points[j % len(points)]
+    assert curve.is_element(curve._product(x, y))
+    assert curve.is_element(curve._product(x, x))
 
 
 def test_bb_order_examples():

@@ -1,6 +1,7 @@
 """Tests for the dense state-vector oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -164,3 +165,123 @@ def test_black_box_gates_run_only_on_the_support():
     oracular = OracularGroup(domain, instance.oracle)
     circuit = hsp_circuit(instance, oracular)
     assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 42
+
+
+def _reference_run(monkeypatch, circuit, point):
+    """dense_run with the per-label reference black-box gates swapped in."""
+    from helpers import reference_black_box_automorphism, reference_black_box_phase
+
+    from normsim import dense
+
+    apply_automorphism, apply_quadratic = dense._apply_automorphism, dense._apply_quadratic
+
+    def automorphism(state, gate, grid):
+        if gate.is_black_box:
+            reference_black_box_automorphism(state, gate)
+        else:
+            apply_automorphism(state, gate, grid)
+
+    def quadratic(state, gate, grid):
+        if gate.is_black_box:
+            reference_black_box_phase(state, gate)
+        else:
+            apply_quadratic(state, gate, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(dense, "_apply_automorphism", automorphism)
+        m.setattr(dense, "_apply_quadratic", quadratic)
+        return dense_run(circuit, point)
+
+
+def _black_box_cases():
+    """(circuit, input point) pairs whose gates include black-box callables."""
+    from helpers import random_circuit, random_finite_group
+    from normsim.algorithms import (
+        HSPInstance,
+        OracularGroup,
+        dlog_circuit,
+        ec_dlog_circuit,
+        hsp_circuit,
+    )
+    from normsim.blackbox import EllipticCurveGroup, bb_order
+
+    for p in (3, 5, 7, 11, 13):
+        group = ZNStarGroup(p)
+        a = next(x for x in group.elements() if bb_order(group, x) == p - 1)
+        for s in (0, 1, p - 2):
+            yield dlog_circuit(p, a, pow(a, s, p)), (0, 0, 1)
+    for params in [(7, 2, 3), (11, 1, 1)]:
+        curve = EllipticCurveGroup(*params)
+        points = [pt for pt in curve.elements() if pt is not None]
+        base = max(points, key=lambda pt: bb_order(curve, pt))
+        n = bb_order(curve, base)
+        yield ec_dlog_circuit(curve, base, curve.power(base, 3), n), (0, 0, None)
+    domain = cyclic_group(4, 2)
+    instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
+    oracular = OracularGroup(domain, instance.oracle)
+    yield hsp_circuit(instance, oracular), (0, 0, oracular.identity())
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        domain = random_finite_group(rng, max_order=96, max_factors=3)
+        circuit = random_circuit(domain, rng, gate_count=6)
+        # Every other normal-form gate runs as the equivalent black box.
+        gates = []
+        for position, gate in enumerate(circuit.gates):
+            if position % 2 and isinstance(gate, QuadraticGate):
+                form = gate.form
+                gate = QuadraticGate(func=lambda pt, f=form, g=domain: f.exponent(g.reduce(pt)))
+            elif position % 2 and isinstance(gate, AutomorphismGate):
+                rep = gate.rep
+                gate = AutomorphismGate(
+                    func=lambda pt, r=rep, g=domain: r.apply(g.reduce(pt)).coords
+                )
+            gates.append(gate)
+        gates.append(QuadraticGate(func=lambda pt: Fraction(sum(pt) ** 2 % 7, 7)))
+        start = tuple(int(rng.integers(f.modulus)) for f in domain.factors)
+        yield NormalizerCircuit(circuit.initial_basis, gates), start
+
+
+def test_batched_black_box_gates_match_the_per_label_loops(monkeypatch):
+    from helpers import reference_point
+
+    for circuit, point in _black_box_cases():
+        state = dense_run(circuit, point)
+        reference = _reference_run(monkeypatch, circuit, point)
+        assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+        probs = np.abs(reference.amplitudes.reshape(-1)) ** 2
+        expected = [
+            (reference_point(reference, i), float(probs[i]))
+            for i in np.flatnonzero(probs > 1e-12)
+        ]
+        assert list(state.probabilities().items()) == expected
+        draws = np.random.default_rng(5).choice(probs.size, size=40, p=probs / probs.sum())
+        expected_counts = Counter(reference_point(reference, i) for i in draws.tolist())
+        sampled = dense_sample(state, 40, np.random.default_rng(5))
+        assert list(sampled.items()) == list(expected_counts.items())
+
+
+def test_black_box_gate_images_are_still_checked():
+    basis = DesignatedBasis(cyclic_group(4), ZNStarGroup(7))
+
+    def run(func):
+        circuit = NormalizerCircuit(basis, [QFTGate((0,)), AutomorphismGate(func=func)])
+        return dense_run(circuit, (0, 1))
+
+    with pytest.raises(CircuitError, match=r"^0 is not in the black-box group$"):
+        run(lambda pt: (pt[0], 0))
+    with pytest.raises(
+        CircuitError, match=r"^point needs 1 coordinates plus a group element$"
+    ):
+        run(lambda pt: (pt[0],))
+
+
+def test_basis_without_elementary_registers():
+    from normsim.groups import ElementaryGroup
+
+    state = dense_run(NormalizerCircuit(DesignatedBasis(ElementaryGroup([])), []), ())
+    assert state.probabilities() == {(): 1.0}
+    assert dense_sample(state, 3, np.random.default_rng(0)) == {(): 3}
+    basis = DesignatedBasis(ElementaryGroup([]), ZNStarGroup(5))
+    cube = AutomorphismGate(func=lambda pt: (pt[0] ** 3 % 5,))
+    state = dense_run(NormalizerCircuit(basis, [cube]), (2,))
+    assert state.probabilities() == {(3,): 1.0}

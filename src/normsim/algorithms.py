@@ -26,6 +26,7 @@ from .blackbox import (
     bb_order,
     cayley_relations,
     decomposition_from_relations,
+    word_table,
 )
 from .circuits import (
     AutomorphismGate,
@@ -713,33 +714,13 @@ def _exponent_kernel(
     """Kernel generators of x -> prod generators[i]^x(i) on Z_d^k."""
     k = len(generators)
     if (d**k) * group.order() <= config.dense_cap(dense_cap):
-        words = _word_table(group, generators, d)
+        words = word_table(group, generators, [d] * k)
         domain = cyclic_group(*([d] * k))
         run = solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
         return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"
     relations, _ = cayley_relations(group, generators)
     rows = hermite_reduce([[value % d for value in rel] for rel in relations])
     return rows, "classical kernel oracle (dense cap exceeded)"
-
-
-def _word_table(group: BlackBoxGroup, generators: Sequence, d: int) -> dict:
-    """w(x) = prod generators[i]^x(i) for every x in [0, d)^k, keyed by x.
-
-    Each point x != 0 is reached from x - e_i, with i the last coordinate
-    that is nonzero, by one counted multiplication.  No step wraps around, so
-    every entry equals group.word(generators, x) for any d, and the table
-    costs d^k - 1 oracle calls.
-    """
-    table = {(): group.identity()}
-    for g in generators:
-        grown = {}
-        for prefix, value in table.items():
-            grown[prefix + (0,)] = value
-            for t in range(1, d):
-                value = group.mul(value, g)
-                grown[prefix + (t,)] = value
-        table = grown
-    return table
 
 
 # ---------------------------------------------------------------------------

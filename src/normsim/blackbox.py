@@ -306,6 +306,29 @@ def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
 
 
+def word_table(group: BlackBoxGroup, generators: Sequence, moduli: Sequence[int]) -> dict:
+    """w(x) = prod generators[i]^x(i) for every x in the box prod [0, moduli[i]),
+    keyed by the tuple x, in the order of `itertools.product`.
+
+    Each point x != 0 is reached from x - e_i, with i the last coordinate
+    that is nonzero, by one counted multiplication.  No step wraps around, so
+    every entry equals group.word(generators, x) whatever the moduli, and the
+    table costs prod(moduli) - 1 oracle calls.
+    """
+    if len(generators) != len(moduli):
+        raise BlackBoxError("generator/modulus length mismatch")
+    table = {(): group.identity()}
+    for g, m in zip(generators, moduli):
+        grown = {}
+        for prefix, value in table.items():
+            grown[prefix + (0,)] = value
+            for t in range(1, m):
+                value = group.mul(value, g)
+                grown[prefix + (t,)] = value
+        table = grown
+    return table
+
+
 @dataclass
 class DecompositionTable:
     """Learned structure of a black-box group.

@@ -498,16 +498,34 @@ class DesignatedBasis:
 
     def make_point(self, values: Sequence) -> tuple:
         """Canonical point: reduced elementary coordinates plus bb element."""
-        n = len(self.elementary.factors)
+        return tuple(column[0] for column in self.point_columns([values]))
+
+    def point_columns(self, points: Sequence[Sequence]) -> list[list]:
+        """Canonical points held column-wise: one list of values per register,
+        with no `GroupElement` built.
+
+        All lengths are checked first, then every black-box value's
+        membership, then each elementary column goes through
+        `Factor.reduce_coord`; the first check that fails raises, for the
+        first point that fails it.
+        """
+        factors = self.elementary.factors
+        n = len(factors)
         if self.blackbox is None:
-            if len(values) != n:
+            if any(len(p) != n for p in points):
                 raise CircuitError(f"point needs {n} coordinates")
-            return self.elementary.reduce(values).coords
-        if len(values) != n + 1:
+        elif any(len(p) != n + 1 for p in points):
             raise CircuitError(f"point needs {n} coordinates plus a group element")
-        if not self.blackbox.is_element(values[-1]):
-            raise CircuitError(f"{values[-1]!r} is not in the black-box group")
-        return self.elementary.reduce(values[:-1]).coords + (values[-1],)
+        columns = [list(c) for c in zip(*points)]
+        if not columns:  # no points, or a basis without registers
+            return columns
+        if self.blackbox is not None:
+            for value in columns[-1]:
+                if not self.blackbox.is_element(value):
+                    raise CircuitError(f"{value!r} is not in the black-box group")
+        for c, factor in enumerate(factors):
+            columns[c] = [factor.reduce_coord(v) for v in columns[c]]
+        return columns
 
     def format_point(self, point: tuple) -> str:
         n = len(self.elementary.factors)
@@ -676,6 +694,14 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
     `bases` holds one black-box element per elementary register (identity
     entries for registers that do not participate).  Exponent registers must
     carry integer labels (Z or cyclic) in the basis in force.
+
+    Oracle cost: one `mul` per active base per point, plus one `power` per
+    distinct (register, exponent) over the gate's lifetime.  Each active base
+    keeps its powers b^k in a dict filled on first use of k; only `int`
+    exponents are kept, so any other exponent goes to `power` as given and
+    fails or succeeds exactly as there.  The incoming x is checked once,
+    with the error `mul` would raise; every later operand is a product of
+    elements, so the products run unchecked.
     """
     group = basis.blackbox
     if group is None:
@@ -689,12 +715,23 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
         if b != group.identity() and factor.kind == "T":
             raise CircuitError(f"register {r} carries a T label; exponents must be integers")
 
-    active = [(r, b) for r, b in enumerate(bases) if b != group.identity()]
+    active = [(r, b, {}) for r, b in enumerate(bases) if b != group.identity()]
 
     def apply(point: tuple) -> tuple:
         *coords, acc = point
-        for r, b in active:
-            acc = group.mul(acc, group.power(b, coords[r]))
+        for i, (r, b, powers) in enumerate(active):
+            k = coords[r]
+            if type(k) is not int:
+                term = group.power(b, k)
+            elif k in powers:
+                term = powers[k]
+            else:
+                term = powers[k] = group.power(b, k)
+            if not i:
+                # Checked after the first power, the order of mul(acc, power(b, k)).
+                acc = group._check(acc)
+            group.counter.mul += 1
+            acc = group._product(acc, term)
         return tuple(coords) + (acc,)
 
     return apply

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import BlackBoxGroup, DecompositionTable, bb_decompose_bruteforce
+from .blackbox import BlackBoxGroup, DecompositionTable, bb_decompose_bruteforce, word_table
 from .circuits import (
     AutomorphismGate,
     CircuitError,
@@ -66,8 +66,8 @@ class EncodingBridge:
 
     encode maps an exponent vector g to beta_1^g(1) ... beta_d^g(d); decode
     inverts it.  Decoding is the multivariate discrete-logarithm problem; at
-    desk scale it is answered from a memoized enumeration of the group, and
-    the oracle calls spent building it are visible on the group's counter.
+    desk scale it is answered from a memoized `word_table` of the beta box,
+    one `mul` per group element, visible on the group's counter.
     """
 
     group: BlackBoxGroup
@@ -87,10 +87,11 @@ class EncodingBridge:
         if not self.group.is_element(element):
             raise ExtractionError(f"{element!r} is not in the black-box group")
         if self._decode_map is None:
-            self._decode_map = {}
-            for candidate in self.z_group.elements():
-                key = self.group.encode(self.encode(candidate))
-                self._decode_map[key] = candidate
+            z_group = self.z_group
+            words = word_table(self.group, self.table.beta, self.table.c)
+            self._decode_map = {
+                self.group.encode(value): GroupElement(z_group, x) for x, value in words.items()
+            }
         return self._decode_map[self.group.encode(element)]
 
 

@@ -7,7 +7,9 @@ permutation of the label grid, a quadratic phase one array of integer
 numerators k(g) mod d followed by exp(2 pi i k/d).  Black-box gates run here
 directly through their callables, label by label on the nonzero support only,
 which is what makes the engine usable on circuits that have not been
-de-black-boxed yet.
+de-black-boxed yet.  Their images are checked a register at a time, with
+`make_point`'s errors and no group element built per point, and encoded into
+flat positions in one array pass.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ class DenseState:
     def flat_indices(self, points) -> np.ndarray:
         """Positions of basis points in the C-order flattened amplitudes.
 
-        Every point goes through `make_point`, which rejects a wrong length
-        or a black-box value outside the group; one `ravel_multi_index` then
-        encodes them all.
+        The points are checked and reduced a register at a time by
+        `point_columns`, which raises `make_point`'s errors; one
+        `ravel_multi_index` then encodes them all.
         """
-        rows = [self.basis.make_point(p) for p in points]
-        columns = [list(c) for c in zip(*rows)]
+        columns = self.basis.point_columns(points)
         if not columns:  # no points, or a basis without registers
-            return np.zeros(len(rows), dtype=np.intp)
+            return np.zeros(len(points), dtype=np.intp)
         if self.bb_labels is not None:
             columns[-1] = [self._bb_index[label] for label in columns[-1]]
         return np.ravel_multi_index(columns, self.amplitudes.shape)
@@ -104,11 +105,14 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     return state
 
 
-def _apply_qft(state: DenseState, registers) -> None:
+def _apply_qft(state: DenseState, registers, dft: dict) -> None:
+    """Fourier transform on each register; `dft` holds the run's matrices by size."""
     for r in registers:
         n = state.amplitudes.shape[r]
-        x = np.arange(n)
-        f = np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
+        f = dft.get(n)
+        if f is None:
+            x = np.arange(n)
+            f = dft[n] = np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
         moved = np.tensordot(f, state.amplitudes, axes=([1], [r]))
         state.amplitudes = np.moveaxis(moved, 0, r)
 
@@ -157,9 +161,10 @@ def dense_run(
         raise CircuitError("dense simulation needs every register finite")
     state = _initial_state(circuit.initial_basis, input_point, cap)
     grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
+    dft: dict[int, np.ndarray] = {}
     for gate in circuit.gates:
         if isinstance(gate, QFTGate):
-            _apply_qft(state, gate.registers)
+            _apply_qft(state, gate.registers, dft)
         elif isinstance(gate, AutomorphismGate):
             _apply_automorphism(state, gate, grid)
         elif isinstance(gate, QuadraticGate):

@@ -13,11 +13,10 @@ from normsim.algorithms import (
     HSPError,
     HSPInstance,
     OracularGroup,
-    _word_table,
     decompose_group,
     solve_hsp,
 )
-from normsim.blackbox import ZNStarGroup
+from normsim.blackbox import ZNStarGroup, word_table
 from normsim.groups import cyclic_group
 
 MAX_ORDER = 64
@@ -136,7 +135,7 @@ def test_oracular_group_queries_each_point_once(hides_subgroup):
 )
 def test_word_table_matches_word(modulus, generators, d):
     group = ZNStarGroup(modulus)
-    table = _word_table(group, generators, d)
+    table = word_table(group, generators, [d] * len(generators))
     assert group.counter.total == d ** len(generators) - 1
     assert sorted(table) == list(itertools.product(range(d), repeat=len(generators)))
     for x, value in table.items():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normsim.blackbox import ZNStarGroup, bb_order
+from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_order
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -352,6 +352,63 @@ def test_word_exp_gate():
     assert func((2, 3, 2)) == (2, 3, (4 * 343 * 2) % 15)
     with pytest.raises(CircuitError):
         word_exp_func(DesignatedBasis(group(T), bb), [2])
+
+
+WORD_EXP_GROUPS = {
+    "Z7*": (lambda: ZNStarGroup(7), [0, 7, -1, 1.0]),
+    "Z15*": (lambda: ZNStarGroup(15), [0, 3, 15, 1.0]),
+    "Z21*": (lambda: ZNStarGroup(21), [0, 7, 21, 14]),
+    "E(5,1,1)": (lambda: EllipticCurveGroup(5, 1, 1), [(0, 0), (5, 1), 5]),
+    "E(7,2,3)": (lambda: EllipticCurveGroup(7, 2, 3), [(0, 0), (1, 1), 0]),
+}
+
+
+@st.composite
+def word_exp_draws(draw):
+    """(group name, register moduli, bases, points): points with repeated,
+    negative and non-int exponents, and accumulators outside the group."""
+    name = draw(st.sampled_from(sorted(WORD_EXP_GROUPS)))
+    make, outside = WORD_EXP_GROUPS[name]
+    bb = make()
+    elements = sorted(bb.elements(), key=bb.encode)
+    moduli = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    bases = draw(st.lists(st.sampled_from(elements), min_size=len(moduli), max_size=len(moduli)))
+    exponent = st.one_of(
+        st.integers(-3, 9),
+        st.sampled_from([np.int64(3), np.int64(-2), Fraction(3), Fraction(0), 2.0, True]),
+    )
+    acc = st.one_of(st.sampled_from(elements), st.sampled_from(outside))
+    points = draw(st.lists(st.tuples(*[exponent] * len(moduli), acc), min_size=1, max_size=12))
+    return name, moduli, bases, points
+
+
+def _outcome(func, point):
+    try:
+        return func(point)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_exp_draws())
+@example(("Z15*", [4], [2], [(3, 1), (Fraction(3), 1), (3.0, 1), (3, 0), (2.0, 3), (-1, 4)]))
+@example(("E(5,1,1)", [9, 9], [(0, 1), (0, 4)], [(3, 1, None), (3, -2, None), (1, 2, (0, 0))]))
+def test_cached_word_exp_matches_the_power_loop(draw):
+    name, moduli, bases, points = draw
+    make = WORD_EXP_GROUPS[name][0]
+    bb, ref = make(), make()
+    func = word_exp_func(DesignatedBasis(cyclic_group(*moduli), bb), bases)
+    active = [(r, b) for r, b in enumerate(bases) if b != ref.identity()]
+
+    def reference(point):
+        *coords, acc = point
+        for r, b in active:
+            acc = ref.mul(acc, ref.power(b, coords[r]))
+        return tuple(coords) + (acc,)
+
+    for point in points:
+        assert _outcome(func, point) == _outcome(reference, point)
+        assert bb.counter.total <= ref.counter.total
 
 
 # ---------------------------------------------------------------------------

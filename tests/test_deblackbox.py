@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_matrix_rep, random_quadratic_form
 
-from normsim.blackbox import ZNStarGroup, bb_decompose_bruteforce
+from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_decompose_bruteforce
 from normsim.circuits import (
     AutomorphismGate,
     DesignatedBasis,
@@ -60,6 +60,28 @@ def test_bridge_is_homomorphism():
         a = z.random_element(rng)
         b = z.random_element(rng)
         assert bridge.encode(a + b) == bridge.group.mul(bridge.encode(a), bridge.encode(b))
+
+
+SHOR_CURVES = [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: ZNStarGroup(n) for n in range(2, 65)]
+    + [lambda c=c: EllipticCurveGroup(*c) for c in SHOR_CURVES],
+    ids=[f"Z{n}*" for n in range(2, 65)] + [f"E{c}" for c in SHOR_CURVES],
+)
+def test_decode_map_equals_the_word_enumeration(make):
+    g = make()
+    table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(0)))
+    bridge = EncodingBridge(g, table)
+    before = g.counter.total
+    bridge.decode(g.identity())
+    assert g.counter.total - before == table.order() - 1
+    z = bridge.z_group
+    # The map as it was built before: one group.word per exponent vector.
+    old = {g.encode(g.word(table.beta, x.coords)): x for x in z.elements()}
+    assert bridge._decode_map == old
 
 
 def test_extract_matrix_examples():

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normsim.blackbox import ZNStarGroup
 from normsim.circuits import (
@@ -145,9 +147,10 @@ def _oracle_calls(circuit, point) -> int:
 
 
 def test_black_box_gates_run_only_on_the_support():
-    # Counts recorded before normal-form gates became whole-array operations.
-    # Black-box callables see only the nonzero support: tabulating word_exp on
-    # all 4096 labels of the p = 17 circuit would spend about 16 times more.
+    # Black-box callables see only the nonzero support, and word_exp pays one
+    # mul per active base per label plus one power per distinct exponent:
+    # on the p = 17 circuit, 256 labels x 2 bases + 2 x 81 for the powers of
+    # 1..15.  Recomputing each power per label, as before, spent 3104.
     from normsim.algorithms import (
         HSPInstance,
         OracularGroup,
@@ -157,14 +160,14 @@ def test_black_box_gates_run_only_on_the_support():
     )
     from normsim.blackbox import EllipticCurveGroup
 
-    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 3104
+    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 674
     curve = EllipticCurveGroup(7, 2, 3)
-    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 288
+    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 108
     domain = cyclic_group(4, 2)
     instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
     oracular = OracularGroup(domain, instance.oracle)
     circuit = hsp_circuit(instance, oracular)
-    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 42
+    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 27
 
 
 def _reference_run(monkeypatch, circuit, point):
@@ -273,6 +276,72 @@ def test_black_box_gate_images_are_still_checked():
         CircuitError, match=r"^point needs 1 coordinates plus a group element$"
     ):
         run(lambda pt: (pt[0],))
+
+
+@st.composite
+def raw_points(draw):
+    """(with black box, points): raw values of every kind `make_point` may
+    meet, at the right length and off by one."""
+    with_bb = draw(st.booleans())
+    width = 2 + with_bb
+    value = st.sampled_from(
+        [0, 1, 2, 3, 5, -7, 9, 1.0, 2.5, np.int64(2), True, Fraction(3), Fraction(1, 2)]
+    )
+    lengths = st.sampled_from([width, width, width, width - 1, width + 1])
+    point = lengths.flatmap(lambda n: st.tuples(*[value] * n))
+    return with_bb, draw(st.lists(point, max_size=6))
+
+
+def _reduce_reference(basis, values) -> tuple:
+    """`make_point` as it read when it reduced through `ElementaryGroup.reduce`."""
+    n = len(basis.elementary.factors)
+    if basis.blackbox is None:
+        if len(values) != n:
+            raise CircuitError(f"point needs {n} coordinates")
+        return basis.elementary.reduce(values).coords
+    if len(values) != n + 1:
+        raise CircuitError(f"point needs {n} coordinates plus a group element")
+    if not basis.blackbox.is_element(values[-1]):
+        raise CircuitError(f"{values[-1]!r} is not in the black-box group")
+    return basis.elementary.reduce(values[:-1]).coords + (values[-1],)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_points())
+@example((True, [(0, 0, 1.0)]))
+@example((True, [(0, 0, np.int64(2))]))
+@example((True, [(1, 2, 3), (0, 0, True)]))
+@example((True, [(Fraction(3), np.int64(2), True), (Fraction(1, 2), 0, 2)]))
+@example((False, [(2, 1), (5,), (1, 2, 3)]))
+def test_points_are_checked_as_through_group_reduce(draw):
+    # make_point accepts, reduces and rejects what the GroupElement-building
+    # reduction did, with the same errors; flat_indices rejects a batch
+    # exactly when some point is rejected, with that point's error.
+    with_bb, points = draw
+    basis = DesignatedBasis(cyclic_group(4, 3), ZNStarGroup(9) if with_bb else None)
+    state = dense_run(NormalizerCircuit(basis, []), (0, 0, 1) if with_bb else (0, 0))
+    rows, errors = [], []
+    for p in points:
+        try:
+            rows.append(_reduce_reference(basis, p))
+        except Exception as exc:
+            errors.append((type(exc), str(exc)))
+            with pytest.raises(type(exc)) as raised:
+                basis.make_point(p)
+            assert str(raised.value) == str(exc)
+        else:
+            made = basis.make_point(p)
+            assert made == rows[-1]
+            assert tuple(map(type, made)) == tuple(map(type, rows[-1]))
+    if errors:
+        with pytest.raises(Exception) as raised:
+            state.flat_indices(points)
+        assert (type(raised.value), str(raised.value)) in errors
+        return
+    if with_bb:
+        rows = [row[:-1] + (state.bb_labels.index(row[-1]),) for row in rows]
+    expected = [int(np.ravel_multi_index(row, state.amplitudes.shape)) for row in rows]
+    assert state.flat_indices(points).tolist() == expected
 
 
 def test_basis_without_elementary_registers():

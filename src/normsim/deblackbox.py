@@ -12,13 +12,20 @@ installed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import BlackBoxGroup, DecompositionTable, bb_decompose_bruteforce, word_table
+from .blackbox import (
+    BlackBoxError,
+    BlackBoxGroup,
+    DecompositionTable,
+    bb_decompose_bruteforce,
+    word_table,
+)
 from .circuits import (
     AutomorphismGate,
     CircuitError,
@@ -66,33 +73,45 @@ class EncodingBridge:
 
     encode maps an exponent vector g to beta_1^g(1) ... beta_d^g(d); decode
     inverts it.  Decoding is the multivariate discrete-logarithm problem; at
-    desk scale it is answered from a memoized `word_table` of the beta box,
-    one `mul` per group element, visible on the group's counter.
+    desk scale both directions are answered from one memoized `word_table`
+    of the beta box, one `mul` per group element, visible on the group's
+    counter.  encode reduces g mod c first, which gives group.word's value
+    because beta_i has order c_i (`DecompositionTable.verify` checks it).
     """
 
     group: BlackBoxGroup
     table: DecompositionTable
+    _words: dict | None = field(default=None, repr=False)
     _decode_map: dict | None = field(default=None, repr=False)
 
     @property
     def z_group(self) -> ElementaryGroup:
         return ElementaryGroup(tuple(cyclic(c) for c in self.table.c))
 
+    def _tables(self) -> tuple[dict, dict]:
+        """The beta-box word table and its inverse, built once, together."""
+        if self._words is None:
+            self._words = word_table(self.group, self.table.beta, self.table.c)
+            z_group = self.z_group
+            self._decode_map = {
+                self.group.encode(value): GroupElement(z_group, x)
+                for x, value in self._words.items()
+            }
+        return self._words, self._decode_map
+
     def encode(self, vector: Sequence[int] | GroupElement):
         if isinstance(vector, GroupElement):
             vector = vector.coords
-        return self.group.word(self.table.beta, list(vector))
+        if len(vector) != len(self.table.c):
+            raise BlackBoxError("generator/exponent length mismatch")
+        words, _ = self._tables()
+        return words[tuple(operator.index(e) % c for e, c in zip(vector, self.table.c))]
 
     def decode(self, element) -> GroupElement:
         if not self.group.is_element(element):
             raise ExtractionError(f"{element!r} is not in the black-box group")
-        if self._decode_map is None:
-            z_group = self.z_group
-            words = word_table(self.group, self.table.beta, self.table.c)
-            self._decode_map = {
-                self.group.encode(value): GroupElement(z_group, x) for x, value in words.items()
-            }
-        return self._decode_map[self.group.encode(element)]
+        _, decode_map = self._tables()
+        return decode_map[self.group.encode(element)]
 
 
 def build_bridge(

@@ -4,7 +4,9 @@ After the comb of half-length M collapses onto the residue s mod r, the
 torus-basis wavefunction is a Dirichlet kernel sin(pi L p r)/sin(pi p r)
 up to phase, with L comb teeth surviving.  This module evaluates that
 amplitude exactly, integrates peak masses, and samples measurement outcomes
-without ever representing the infinite register densely.
+without ever representing the infinite register densely.  Outcomes are exact
+grid rationals, drawn by rejection sampling whose law is the grid's law cell
+by cell, so no CDF or other array of grid size is ever built.
 
 The discretized cross-check lives here too: the D-dimensional DFT of the
 truncated comb (D = 2M+1) must reproduce the continuous transform sampled
@@ -110,15 +112,15 @@ class DirichletDistribution:
         """Draw outcomes p as exact grid rationals.
 
         The density depends on p only through u = frac(r p), so outcomes are
-        p = (k + u)/r with k uniform and u drawn from the squared Dirichlet
-        kernel by inverse CDF on a grid of `grid_size` points.
+        p = (k + u)/r with k uniform and u = i / grid_size, where the cell i
+        has probability proportional to the squared Dirichlet kernel at u.
+        Cells are drawn by rejection from an envelope with a closed-form
+        inverse, so no array of grid size is built: the expected cost per
+        shot is O(1) and the memory O(shots), whatever the grid.
         """
-        u_indices = _sample_fejer_indices(self.l, shots, rng, grid_size)
-        ks = rng.integers(self.r, size=shots)
-        return [
-            (Fraction(int(k)) + Fraction(int(i), grid_size)) / self.r
-            for k, i in zip(ks, u_indices)
-        ]
+        cells = _sample_fejer_indices(self.l, shots, rng, grid_size)
+        ks = rng.integers(self.r, size=shots).tolist()
+        return [(k + Fraction(i, grid_size)) / self.r for k, i in zip(ks, cells)]
 
 
 def _fejer_density(u: float, l: int) -> float:
@@ -128,32 +130,57 @@ def _fejer_density(u: float, l: int) -> float:
     return math.sin(math.pi * l * u) ** 2 / (l * s * s)
 
 
-_CDF_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def _fejer_envelope(l: int, grid_size: int) -> tuple[int, int, float, float]:
+    """(J, H, flat mass, tail mass) of the rejection envelope on grid cells.
+
+    A cell i sits at distance j = min(i, G - i) <= H = G // 2 from the peak.
+    The envelope is e_j = L on the flat part j <= J = ceil(G / 2L) and
+    e_j = G^2 / (4 L j (j - 1)) on the tail J < j <= H; it bounds the density
+    at j / G because sin(pi u) >= 2u on [0, 1/2].  The masses are the sums of
+    e_j over each part; the tail's telescopes to G^2 (1/J - 1/H) / 4L.
+    """
+    half = grid_size // 2
+    flat = min(-(-grid_size // (2 * l)), half)
+    tail = grid_size**2 * (half - flat) / (4 * l * flat * half) if flat < half else 0.0
+    return flat, half, float(l * (flat + 1)), tail
 
 
-def _fejer_cdf(l: int, grid_size: int) -> np.ndarray:
-    key = (l, grid_size)
-    cached = _CDF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    u = np.arange(grid_size) / grid_size
-    s = np.sin(np.pi * u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        density = np.where(
-            np.abs(s) < 1e-15, float(l), np.sin(np.pi * l * u) ** 2 / (l * s * s)
-        )
-    cdf = np.cumsum(density)
-    cdf /= cdf[-1]
-    if len(_CDF_CACHE) > 32:
-        _CDF_CACHE.clear()
-    _CDF_CACHE[key] = cdf
-    return cdf
+def _sample_fejer_indices(l: int, shots: int, rng, grid_size: int) -> list[int]:
+    """Grid cells i, each drawn with probability proportional to the density
+    at i / grid_size, by exact rejection from the envelope.
 
-
-def _sample_fejer_indices(l: int, shots: int, rng, grid_size: int) -> np.ndarray:
-    cdf = _fejer_cdf(l, grid_size)
-    draws = rng.random(shots)
-    return np.searchsorted(cdf, draws, side="left")
+    A proposal picks the flat part or the tail in proportion to their masses,
+    then a distance j: uniform on [0, J] on the flat part; on the tail
+    ceil(x) with x of density 1/x^2 on [J, H] (closed-form inverse), which
+    gives j a mass proportional to 1/(j (j - 1)), hence to e_j.  It is kept
+    with probability density / e_j, halved at j = 0 and j = G/2 (the cells
+    with one sign only), and the sign of j is then fair, so every cell's
+    probability is its density over one common constant.  The uniform w
+    that decides acceptance also decides the sign: given w < a, w / a is
+    uniform.  Uniforms are drawn in batches of at most 4096 pairs.
+    """
+    flat, half, flat_mass, tail_mass = _fejer_envelope(l, grid_size)
+    p_flat = flat_mass / (flat_mass + tail_mass)
+    cells: list[int] = []
+    while len(cells) < shots:
+        batch = min(2 * (shots - len(cells)) + 8, 4096)
+        ts, ws = rng.random((2, batch)).tolist()
+        for t, w in zip(ts, ws):
+            if t < p_flat:
+                j = min(int(t / p_flat * (flat + 1)), flat)
+                envelope = l
+            else:
+                x = 1 / (1 / flat - (t - p_flat) / (1 - p_flat) * (1 / flat - 1 / half))
+                j = min(max(math.ceil(x), flat + 1), half)
+                envelope = grid_size**2 / (4 * l * j * (j - 1))
+            accept = _fejer_density(j / grid_size, l) / envelope
+            if j == 0 or 2 * j == grid_size:
+                accept /= 2
+            if w < accept:
+                cells.append(-j % grid_size if w < accept / 2 else j)
+                if len(cells) == shots:
+                    break
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests for the algorithm suite against brute-force oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -91,6 +92,26 @@ def test_find_order_truncated_dense_cross_check():
     assert run.log["discretization_deviation"] < 1e-9
     with pytest.raises(OrderFindingError, match="2\\^14"):
         find_order(group, 2, rng_for(5), comb_m=1 << 13, cross_check=True)
+
+
+def test_find_order_runs_in_bounded_memory():
+    # a = N - 1 has order 2 and r_max = 2^9, so M = 2 r_max^2 and about
+    # L = 2^19 comb teeth survive, on a grid of 2^24 or 2^25 cells: one
+    # float64 array over it would take 128 MB or more.
+    tracemalloc.start()
+    try:
+        run = find_order(ZNStarGroup(391), 390, rng_for(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.order == 2
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [1003, 4087])
+def test_factor_past_the_old_grid_limit(n):
+    run = factor(n, rng_for(n))
+    assert 1 < run.divisor < n and n % run.divisor == 0
 
 
 # ---------------------------------------------------------------------------

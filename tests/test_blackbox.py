@@ -249,6 +249,28 @@ def test_decompose_z15():
     assert table.isomorphism_type() == [2, 4]
 
 
+def test_exhaustive_verify_rejects_a_dependent_beta():
+    # beta = (2, 4) in Z_15^* with orders (4, 2): every identity the cheap
+    # checks test holds (beta = alpha A, alpha = beta B, the orders), but
+    # 4 = 2^2, so the 4 x 2 box covers only <2>, four elements.
+    g = ZNStarGroup(15)
+    table = DecompositionTable(alpha=[2], beta=[2, 4], a=[[1, 2]], b=[[1], [0]], c=[4, 2])
+    table.verify(g)
+    with pytest.raises(BlackBoxError, match="not independent"):
+        table.verify(g, exhaustive=True)
+
+
+def test_exhaustive_verify_costs_one_mul_per_box_point():
+    g = ZNStarGroup(63)
+    table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(1)))
+    before = g.counter.total
+    table.verify(g)
+    cheap = g.counter.total - before
+    before = g.counter.total
+    table.verify(g, exhaustive=True)
+    assert g.counter.total - before == cheap + table.order() - 1
+
+
 def test_decompose_z5_cyclic():
     g = ZNStarGroup(5)
     table = bb_decompose_bruteforce(g, [2])

@@ -10,6 +10,12 @@ The "run dense" and "run coset" cases were recorded later, before group
 coordinates became `int` on Z and cyclic factors: they run one normal-form
 circuit on Z4 x Z9, with an automorphism gate and a quadratic phase gate
 whose M and v are non-integral, through each engine.
+
+The factor, order, decompose, decompose ec and ecdlog cases were re-recorded
+when order finding's sampler went from an inverse CDF on the grid to
+rejection sampling (same outcome law, another rng stream), and the deblackbox
+cases when the encoding bridge began to encode from its word table (fewer
+oracle calls).
 """
 
 import json

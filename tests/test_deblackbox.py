@@ -7,7 +7,12 @@ import pytest
 
 from helpers import random_matrix_rep, random_quadratic_form
 
-from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_decompose_bruteforce
+from normsim.blackbox import (
+    BlackBoxError,
+    EllipticCurveGroup,
+    ZNStarGroup,
+    bb_decompose_bruteforce,
+)
 from normsim.circuits import (
     AutomorphismGate,
     DesignatedBasis,
@@ -82,6 +87,30 @@ def test_decode_map_equals_the_word_enumeration(make):
     # The map as it was built before: one group.word per exponent vector.
     old = {g.encode(g.word(table.beta, x.coords)): x for x in z.elements()}
     assert bridge._decode_map == old
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ZNStarGroup(15), lambda: ZNStarGroup(63)]
+    + [lambda c=c: EllipticCurveGroup(*c) for c in SHOR_CURVES[-2:]],
+    ids=["Z15*", "Z63*", "E(13, 2, 2)", "E(17, 2, 4)"],
+)
+def test_encode_equals_the_beta_word(make):
+    g = make()
+    table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(2)))
+    bridge = EncodingBridge(g, table)
+    rng = np.random.default_rng(3)
+    vectors = [[int(e) for e in rng.integers(-20, 20, size=len(table.c))] for _ in range(30)]
+    expected = [g.word(table.beta, v) for v in vectors]
+    before = g.counter.total
+    assert [bridge.encode(v) for v in vectors] == expected
+    # One word_table for the bridge's lifetime, shared with decode.
+    assert g.counter.total - before == table.order() - 1
+    for v, value in zip(vectors, expected):
+        assert bridge.decode(value).coords == tuple(e % c for e, c in zip(v, table.c))
+    assert g.counter.total - before == table.order() - 1
+    with pytest.raises(BlackBoxError, match="length mismatch"):
+        bridge.encode(vectors[0] + [0])
 
 
 def test_extract_matrix_examples():

@@ -520,12 +520,16 @@ class DesignatedBasis:
         if not columns:  # no points, or a basis without registers
             return columns
         if self.blackbox is not None:
-            for value in columns[-1]:
-                if not self.blackbox.is_element(value):
-                    raise CircuitError(f"{value!r} is not in the black-box group")
+            self.check_blackbox_values(columns[-1])
         for c, factor in enumerate(factors):
             columns[c] = [factor.reduce_coord(v) for v in columns[c]]
         return columns
+
+    def check_blackbox_values(self, values: Sequence) -> None:
+        """Raise `make_point`'s error for the first value outside the black-box group."""
+        for value in values:
+            if not self.blackbox.is_element(value):
+                raise CircuitError(f"{value!r} is not in the black-box group")
 
     def format_point(self, point: tuple) -> str:
         n = len(self.elementary.factors)
@@ -688,38 +692,26 @@ def _check_gate(gate, basis: DesignatedBasis, position: int) -> DesignatedBasis:
 # ---------------------------------------------------------------------------
 
 
-def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
-    """Point map (k_1..k_m, x) -> (k_1..k_m, b_1^k_1 ... b_m^k_m x).
+class WordExp:
+    """The point map of a `word_exp` gate; see `word_exp_func`.
 
-    `bases` holds one black-box element per elementary register (identity
-    entries for registers that do not participate).  Exponent registers must
-    carry integer labels (Z or cyclic) in the basis in force.
-
-    Oracle cost: one `mul` per active base per point, plus one `power` per
-    distinct (register, exponent) over the gate's lifetime.  Each active base
-    keeps its powers b^k in a dict filled on first use of k; only `int`
-    exponents are kept, so any other exponent goes to `power` as given and
-    fails or succeeds exactly as there.  The incoming x is checked once,
-    with the error `mul` would raise; every later operand is a product of
-    elements, so the products run unchecked.
+    `active` holds the (register, base) pairs whose base is not the
+    identity, in register order, and `group` the black-box group.  A call on
+    one point keeps each active base's powers b^k in a dict (`int` exponents
+    only; any other exponent goes to `power` as given and fails or succeeds
+    exactly as there), checks the incoming x once with the error `mul` would
+    raise, and multiplies the products of elements unchecked.
     """
-    group = basis.blackbox
-    if group is None:
-        raise CircuitError("word-exponent gates need a black-box slot")
-    bases = list(bases)
-    if len(bases) != len(basis.elementary.factors):
-        raise CircuitError("one base element per elementary register")
-    for r, (factor, b) in enumerate(zip(basis.elementary.factors, bases)):
-        if not group.is_element(b):
-            raise CircuitError(f"base {b!r} is not a group element")
-        if b != group.identity() and factor.kind == "T":
-            raise CircuitError(f"register {r} carries a T label; exponents must be integers")
 
-    active = [(r, b, {}) for r, b in enumerate(bases) if b != group.identity()]
+    def __init__(self, group: BlackBoxGroup, active: list) -> None:
+        self.group = group
+        self.active = active
+        self._powers = [{} for _ in active]
 
-    def apply(point: tuple) -> tuple:
+    def __call__(self, point: tuple) -> tuple:
+        group = self.group
         *coords, acc = point
-        for i, (r, b, powers) in enumerate(active):
+        for i, ((r, b), powers) in enumerate(zip(self.active, self._powers)):
             k = coords[r]
             if type(k) is not int:
                 term = group.power(b, k)
@@ -734,7 +726,35 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> Callable:
             acc = group._product(acc, term)
         return tuple(coords) + (acc,)
 
-    return apply
+
+def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> WordExp:
+    """Point map (k_1..k_m, x) -> (k_1..k_m, b_1^k_1 ... b_m^k_m x).
+
+    `bases` holds one black-box element per elementary register (identity
+    entries for registers that do not participate).  Exponent registers must
+    carry integer labels (Z or cyclic) in the basis in force.
+
+    Oracle cost depends on who applies it.  The dense engine reads the
+    returned `WordExp`'s active (register, base) pairs and applies the gate
+    as translation tables of the black-box axis: |B| `mul` per active base
+    per application, no `power`, whatever the support.  A per-point call
+    (deblackbox extraction, tests) costs one `mul` per active base, plus one
+    `power` per distinct (register, exponent) over the gate's lifetime.
+    Generic black-box callables, unlike this one, run once per support label
+    on the dense engine.
+    """
+    group = basis.blackbox
+    if group is None:
+        raise CircuitError("word-exponent gates need a black-box slot")
+    bases = list(bases)
+    if len(bases) != len(basis.elementary.factors):
+        raise CircuitError("one base element per elementary register")
+    for r, (factor, b) in enumerate(zip(basis.elementary.factors, bases)):
+        if not group.is_element(b):
+            raise CircuitError(f"base {b!r} is not a group element")
+        if b != group.identity() and factor.kind == "T":
+            raise CircuitError(f"register {r} carries a T label; exponents must be integers")
+    return WordExp(group, [(r, b) for r, b in enumerate(bases) if b != group.identity()])
 
 
 def check_modexp_normalizable(

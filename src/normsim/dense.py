@@ -5,11 +5,15 @@ amplitudes are complex floats indexed by every basis label.  Normal-form
 gates act on the whole array at once: an automorphism is one integer index
 permutation of the label grid, a quadratic phase one array of integer
 numerators k(g) mod d followed by exp(2 pi i k/d).  Black-box gates run here
-directly through their callables, label by label on the nonzero support only,
-which is what makes the engine usable on circuits that have not been
-de-black-boxed yet.  Their images are checked a register at a time, with
-`make_point`'s errors and no group element built per point, and encoded into
-flat positions in one array pass.
+directly, which is what makes the engine usable on circuits that have not
+been de-black-boxed yet.  A `word_exp` gate permutes the black-box axis:
+each active base b is one translation table j -> index(bb_labels[j] * b),
+composed into its powers, so it costs |B| oracle `mul` per active base and
+no `power`, whatever the support.  (Called point by point, as deblackbox
+extraction does, it keeps its cached-power cost instead.)  Any other
+black-box callable runs once per label of the nonzero support; its images
+are checked a register at a time, with `make_point`'s errors and no group
+element built per point, and encoded into flat positions in one array pass.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .circuits import (
     NormalizerCircuit,
     QFTGate,
     QuadraticGate,
+    WordExp,
     label_grid,
 )
 from .config import dense_cap
@@ -117,13 +122,42 @@ def _apply_qft(state: DenseState, registers, dft: dict) -> None:
         state.amplitudes = np.moveaxis(moved, 0, r)
 
 
+def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> np.ndarray:
+    """Flat images of the support labels under a `word_exp` gate.
+
+    Multiplying by a base b translates the black-box axis: one table
+    step[j] = index(bb_labels[j] * b) costs |B| counted `mul`, its images
+    checked as `point_columns` checks them.  Composing it gives the rows
+    b^k for k up to the largest exponent on the support, and each label's
+    black-box index moves through one row per base.
+    """
+    shape = state.amplitudes.shape
+    columns = list(np.unravel_index(support, shape))
+    labels, group = state.bb_labels, func.group
+    j = columns[-1]
+    for r, b in func.active:
+        group.counter.mul += len(labels)
+        images = [group._product(label, b) for label in labels]
+        state.basis.check_blackbox_values(images)
+        step = np.array([state._bb_index[x] for x in images], dtype=np.intp)
+        powers = [np.arange(len(labels))]
+        for _ in range(int(columns[r].max())):
+            powers.append(step[powers[-1]])
+        j = np.stack(powers)[columns[r], j]
+    columns[-1] = j
+    return np.ravel_multi_index(columns, shape)
+
+
 def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndarray) -> None:
     shape = state.amplitudes.shape
     flat = state.amplitudes.reshape(-1)
     out = np.zeros_like(flat)
     if gate.is_black_box:
         support = np.flatnonzero(flat)
-        targets = state.flat_indices([gate.func(p) for p in state.points(support)])
+        if isinstance(gate.func, WordExp):
+            targets = _word_exp_targets(state, gate.func, support)
+        else:
+            targets = state.flat_indices([gate.func(p) for p in state.points(support)])
         np.add.at(out, targets, flat[support])
     else:
         n = len(grid)

@@ -4,6 +4,7 @@ the closure-based hidden-subgroup loop, the per-label dense black-box gates)
 that the library is checked against."""
 
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 import math
 
@@ -391,3 +392,29 @@ def reference_black_box_phase(state, gate) -> None:
     for i in np.flatnonzero(flat).tolist():
         flat[i] *= np.exp(2j * np.pi * float(gate.func(reference_point(state, i))))
     state.amplitudes = flat.reshape(state.amplitudes.shape)
+
+
+@contextmanager
+def reference_black_box_gates(monkeypatch):
+    """Within the block, the dense engine runs every black-box gate through
+    the per-label reference loops above; normal-form gates are untouched."""
+    from normsim import dense
+
+    apply_automorphism, apply_quadratic = dense._apply_automorphism, dense._apply_quadratic
+
+    def automorphism(state, gate, grid):
+        if gate.is_black_box:
+            reference_black_box_automorphism(state, gate)
+        else:
+            apply_automorphism(state, gate, grid)
+
+    def quadratic(state, gate, grid):
+        if gate.is_black_box:
+            reference_black_box_phase(state, gate)
+        else:
+            apply_quadratic(state, gate, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(dense, "_apply_automorphism", automorphism)
+        m.setattr(dense, "_apply_quadratic", quadratic)
+        yield

@@ -277,6 +277,42 @@ def test_deblackbox_command(tmp_path, log_schema):
     load_circuit(out_path).validate()
 
 
+def test_run_dense_word_exp_file_takes_the_table_path(tmp_path, capsys, monkeypatch):
+    # A word_exp gate loaded from a circuit file runs as translation tables
+    # of the black-box axis and prints the bytes of the per-label loop.
+    from helpers import reference_black_box_gates
+
+    from normsim import dense
+    from normsim.algorithms import fourier_circuit
+    from normsim.blackbox import ZNStarGroup
+    from normsim.groups import cyclic_group
+
+    circuit_path = tmp_path / "of.json"
+    save_circuit(fourier_circuit(cyclic_group(4, 3), ZNStarGroup(15), [7, 1]), circuit_path)
+    argv = ["run", str(circuit_path), "--engine", "dense", "--input", "(1, 2)|4",
+            "--shots", "60", "--seed", "2"]
+
+    def outputs(directory):
+        directory.mkdir()
+        out = directory / "out.txt"
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        return stdout, out.read_bytes(), (directory / "out.txt.log.json").read_bytes()
+
+    tables = []
+    word_exp_targets = dense._word_exp_targets
+    monkeypatch.setattr(
+        dense, "_word_exp_targets", lambda *args: tables.append(1) or word_exp_targets(*args)
+    )
+    table_bytes = outputs(tmp_path / "table")
+    assert len(tables) == 2
+    with reference_black_box_gates(monkeypatch):
+        assert outputs(tmp_path / "reference") == table_bytes
+    assert len(tables) == 2
+
+
 def test_check_modexp(tmp_path, log_schema):
     code, text, log = run_cli(["check-modexp", "15", "2", "4", "--seed", "0"], tmp_path)
     assert code == 0

@@ -146,11 +146,11 @@ def _oracle_calls(circuit, point) -> int:
     return group.counter.total - before
 
 
-def test_black_box_gates_run_only_on_the_support():
-    # Black-box callables see only the nonzero support, and word_exp pays one
-    # mul per active base per label plus one power per distinct exponent:
-    # on the p = 17 circuit, 256 labels x 2 bases + 2 x 81 for the powers of
-    # 1..15.  Recomputing each power per label, as before, spent 3104.
+def test_word_exp_gates_cost_one_table_per_active_base():
+    # The dense engine applies word_exp as translation tables of the black-box
+    # axis: |B| mul per active base, no power, whatever the support.  Each of
+    # these gates has two active bases, so it costs 2 |B|: 2 x 16 for Z_17^*,
+    # 2 x 6 for the curve, 2 x 4 for the oracle's group.
     from normsim.algorithms import (
         HSPInstance,
         OracularGroup,
@@ -160,39 +160,21 @@ def test_black_box_gates_run_only_on_the_support():
     )
     from normsim.blackbox import EllipticCurveGroup
 
-    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 674
+    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 32
     curve = EllipticCurveGroup(7, 2, 3)
-    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 108
+    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 12
     domain = cyclic_group(4, 2)
     instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
     oracular = OracularGroup(domain, instance.oracle)
     circuit = hsp_circuit(instance, oracular)
-    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 27
+    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 8
 
 
 def _reference_run(monkeypatch, circuit, point):
     """dense_run with the per-label reference black-box gates swapped in."""
-    from helpers import reference_black_box_automorphism, reference_black_box_phase
+    from helpers import reference_black_box_gates
 
-    from normsim import dense
-
-    apply_automorphism, apply_quadratic = dense._apply_automorphism, dense._apply_quadratic
-
-    def automorphism(state, gate, grid):
-        if gate.is_black_box:
-            reference_black_box_automorphism(state, gate)
-        else:
-            apply_automorphism(state, gate, grid)
-
-    def quadratic(state, gate, grid):
-        if gate.is_black_box:
-            reference_black_box_phase(state, gate)
-        else:
-            apply_quadratic(state, gate, grid)
-
-    with monkeypatch.context() as m:
-        m.setattr(dense, "_apply_automorphism", automorphism)
-        m.setattr(dense, "_apply_quadratic", quadratic)
+    with reference_black_box_gates(monkeypatch):
         return dense_run(circuit, point)
 
 
@@ -223,6 +205,34 @@ def _black_box_cases():
     instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
     oracular = OracularGroup(domain, instance.oracle)
     yield hsp_circuit(instance, oracular), (0, 0, oracular.identity())
+
+    def word_exp_circuit(moduli, n, bases):
+        basis = DesignatedBasis(cyclic_group(*moduli), ZNStarGroup(n))
+        registers = tuple(range(len(moduli)))
+        gate = AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp")
+        return NormalizerCircuit(basis, [QFTGate(registers), gate, QFTGate(registers)])
+
+    # word_exp's translation tables: a base of order 4 on Z_5, order
+    # finding's shape, an identity base between active ones, three active
+    # bases, and inputs whose black-box label is not the identity.
+    yield word_exp_circuit((5,), 15, [2]), (0, 1)
+    yield word_exp_circuit((4, 3), 15, [7, 1]), (0, 0, 1)
+    yield word_exp_circuit((3, 2, 4), 15, [2, 1, 7]), (0, 0, 0, 4)
+    yield word_exp_circuit((4, 2, 3), 21, [2, 20, 4]), (1, 0, 2, 5)
+    # After a shear and a phase the support is a diagonal, not a box.
+    domain = cyclic_group(4, 4)
+    basis = DesignatedBasis(domain, ZNStarGroup(15))
+    shear = validate_matrix_rep([[1, 0], [1, 1]], domain)
+    quarter = Fraction(1, 4)
+    form = validate_quadratic([[quarter, quarter], [quarter, 0]], [0, 0], domain)
+    gates = [
+        QFTGate((0,)),
+        AutomorphismGate(rep=shear),
+        QuadraticGate(form=form),
+        AutomorphismGate(func=word_exp_func(basis, [2, 7]), name="word_exp"),
+        QFTGate((0, 1)),
+    ]
+    yield NormalizerCircuit(basis, gates), (0, 1, 7)
     rng = np.random.default_rng(2024)
     for _ in range(12):
         domain = random_finite_group(rng, max_order=96, max_factors=3)
@@ -276,6 +286,20 @@ def test_black_box_gate_images_are_still_checked():
         CircuitError, match=r"^point needs 1 coordinates plus a group element$"
     ):
         run(lambda pt: (pt[0],))
+
+
+def test_word_exp_table_images_are_still_checked():
+    # A product outside the group fails with make_point's error, the error
+    # every other black-box gate's images fail with.
+    class Unreduced(ZNStarGroup):
+        def _product(self, x, y):
+            return x * y  # 3 * 3 = 9 is no unit mod 7
+
+    basis = DesignatedBasis(cyclic_group(6), Unreduced(7))
+    gate = AutomorphismGate(func=word_exp_func(basis, [3]), name="word_exp")
+    circuit = NormalizerCircuit(basis, [QFTGate((0,)), gate])
+    with pytest.raises(CircuitError, match=r"^9 is not in the black-box group$"):
+        dense_run(circuit, (0, 1))
 
 
 @st.composite

@@ -193,9 +193,9 @@ def find_order(
     accepted once the oracle confirms a^r = 1 (minimality is automatic
     because every denominator divides the true order).
 
-    With cross_check=True (and r * M small enough to afford the dense DFT)
-    the closed form is verified against the truncated (2M+1)-dimensional
-    register before sampling.
+    With cross_check=True (and r * M <= 2^14) the closed form is verified
+    against the truncated (2M+1)-dimensional register, transformed by one
+    FFT, before sampling.
     """
     if not group.is_element(a):
         raise OrderFindingError(f"{a!r} is not a group element")

@@ -497,33 +497,24 @@ class DesignatedBasis:
         return self.elementary.is_finite
 
     def make_point(self, values: Sequence) -> tuple:
-        """Canonical point: reduced elementary coordinates plus bb element."""
-        return tuple(column[0] for column in self.point_columns([values]))
+        """Canonical point: reduced elementary coordinates plus bb element.
 
-    def point_columns(self, points: Sequence[Sequence]) -> list[list]:
-        """Canonical points held column-wise: one list of values per register,
-        with no `GroupElement` built.
-
-        All lengths are checked first, then every black-box value's
-        membership, then each elementary column goes through
-        `Factor.reduce_coord`; the first check that fails raises, for the
-        first point that fails it.
+        The length is checked first, then the black-box value's membership,
+        then each elementary coordinate goes through `Factor.reduce_coord`;
+        no `GroupElement` is built.
         """
         factors = self.elementary.factors
         n = len(factors)
         if self.blackbox is None:
-            if any(len(p) != n for p in points):
+            if len(values) != n:
                 raise CircuitError(f"point needs {n} coordinates")
-        elif any(len(p) != n + 1 for p in points):
-            raise CircuitError(f"point needs {n} coordinates plus a group element")
-        columns = [list(c) for c in zip(*points)]
-        if not columns:  # no points, or a basis without registers
-            return columns
-        if self.blackbox is not None:
-            self.check_blackbox_values(columns[-1])
-        for c, factor in enumerate(factors):
-            columns[c] = [factor.reduce_coord(v) for v in columns[c]]
-        return columns
+            tail = ()
+        else:
+            if len(values) != n + 1:
+                raise CircuitError(f"point needs {n} coordinates plus a group element")
+            tail = (values[-1],)
+            self.check_blackbox_values(tail)
+        return tuple(f.reduce_coord(v) for f, v in zip(factors, values)) + tail
 
     def check_blackbox_values(self, values: Sequence) -> None:
         """Raise `make_point`'s error for the first value outside the black-box group."""

@@ -237,7 +237,10 @@ def cmd_order(args, rng):
     grid_size = None
     if args.resolution is not None:
         # Grid spacing at most the requested measurement window.
-        grid_size = 1 << max(4, math.ceil(math.log2(1 / args.resolution)))
+        try:
+            grid_size = 1 << max(4, math.ceil(math.log2(1 / args.resolution)))
+        except (ValueError, OverflowError):  # inf, or 1/resolution overflows
+            raise ValueError(f"resolution {args.resolution} is out of range") from None
     run = algorithms.find_order(
         ZNStarGroup(args.n), args.a, rng, comb_m=args.comb_m, grid_size=grid_size
     )
@@ -392,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         for name, message in POSITIVE:
             value = getattr(args, name, None)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(message)
         payload, csv_rows, log = COMMANDS[args.command](args, np.random.default_rng(args.seed))
         _emit(args, payload, csv_rows)

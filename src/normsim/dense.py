@@ -2,7 +2,8 @@
 
 This is the brute-force oracle the structured simulator is judged against:
 amplitudes are complex floats indexed by every basis label.  Normal-form
-gates act on the whole array at once: an automorphism is one integer index
+gates act on the whole array at once: a QFT is numpy's inverse FFT with
+norm="ortho" over its registers, an automorphism one integer index
 permutation of the label grid, a quadratic phase one array of integer
 numerators k(g) mod d followed by exp(2 pi i k/d).  Black-box gates run here
 directly, which is what makes the engine usable on circuits that have not
@@ -11,9 +12,9 @@ each active base b is one translation table j -> index(bb_labels[j] * b),
 composed into its powers, so it costs |B| oracle `mul` per active base and
 no `power`, whatever the support.  (Called point by point, as deblackbox
 extraction does, it keeps its cached-power cost instead.)  Any other
-black-box callable runs once per label of the nonzero support; its images
-are checked a register at a time, with `make_point`'s errors and no group
-element built per point, and encoded into flat positions in one array pass.
+black-box callable runs once per label of the nonzero support; each image
+goes through `make_point`, and all are encoded into flat positions in one
+array pass.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ class DenseState:
     def flat_indices(self, points) -> np.ndarray:
         """Positions of basis points in the C-order flattened amplitudes.
 
-        The points are checked and reduced a register at a time by
-        `point_columns`, which raises `make_point`'s errors; one
-        `ravel_multi_index` then encodes them all.
+        Every point goes through `make_point`, which rejects a wrong length
+        or a black-box value outside the group; one `ravel_multi_index` then
+        encodes them all.
         """
-        columns = self.basis.point_columns(points)
+        columns = [list(c) for c in zip(*map(self.basis.make_point, points))]
         if not columns:  # no points, or a basis without registers
             return np.zeros(len(points), dtype=np.intp)
         if self.bb_labels is not None:
@@ -110,16 +111,9 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     return state
 
 
-def _apply_qft(state: DenseState, registers, dft: dict) -> None:
-    """Fourier transform on each register; `dft` holds the run's matrices by size."""
-    for r in registers:
-        n = state.amplitudes.shape[r]
-        f = dft.get(n)
-        if f is None:
-            x = np.arange(n)
-            f = dft[n] = np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
-        moved = np.tensordot(f, state.amplitudes, axes=([1], [r]))
-        state.amplitudes = np.moveaxis(moved, 0, r)
+def _apply_qft(state: DenseState, registers) -> None:
+    """exp(2 pi i x y / n) / sqrt(n) on each register: numpy's unitary inverse FFT."""
+    state.amplitudes = np.fft.ifftn(state.amplitudes, axes=registers, norm="ortho")
 
 
 def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> np.ndarray:
@@ -127,7 +121,7 @@ def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> 
 
     Multiplying by a base b translates the black-box axis: one table
     step[j] = index(bb_labels[j] * b) costs |B| counted `mul`, its images
-    checked as `point_columns` checks them.  Composing it gives the rows
+    checked with `make_point`'s error.  Composing it gives the rows
     b^k for k up to the largest exponent on the support, and each label's
     black-box index moves through one row per base.
     """
@@ -195,10 +189,9 @@ def dense_run(
         raise CircuitError("dense simulation needs every register finite")
     state = _initial_state(circuit.initial_basis, input_point, cap)
     grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
-    dft: dict[int, np.ndarray] = {}
     for gate in circuit.gates:
         if isinstance(gate, QFTGate):
-            _apply_qft(state, gate.registers, dft)
+            _apply_qft(state, gate.registers)
         elif isinstance(gate, AutomorphismGate):
             _apply_automorphism(state, gate, grid)
         elif isinstance(gate, QuadraticGate):

@@ -220,18 +220,15 @@ def nearest_peak_distance(p: Fraction, r: int) -> Fraction:
 def discretization_deviation(r: int, m: int, s: int = 0) -> float:
     """max_k |sqrt(D) QFT_D(comb)(k) - psi_hat(k/D)| with D = 2M+1.
 
-    The discrete transform of the truncated comb, computed by plain DFT on
-    the D-dimensional register, must agree with the continuous-transform
-    closed form sampled at k/D to float accuracy.
+    The discrete transform of the truncated comb, computed by numpy's
+    inverse FFT on the D-dimensional register (O(D) memory), must agree with
+    the continuous-transform closed form sampled at k/D to float accuracy.
     """
     dist = DirichletDistribution(r, m, s)
     d = 2 * m + 1
+    x = np.arange(-m, m + 1)
     psi = np.zeros(d, dtype=np.complex128)
-    for x in range(-m, m + 1):
-        if (x - s) % r == 0:
-            psi[x % d] = 1 / math.sqrt(dist.l)
-    n = np.arange(d)
-    dft = np.exp(2j * np.pi * np.outer(n, n) / d) / math.sqrt(d)
-    discrete = math.sqrt(d) * (dft @ psi)
+    psi[x[(x - s) % r == 0] % d] = 1 / math.sqrt(dist.l)
+    discrete = math.sqrt(d) * np.fft.ifft(psi, norm="ortho")
     closed_form = np.array([dist.amplitude(Fraction(k, d)) for k in range(d)])
     return float(np.max(np.abs(discrete - closed_form)))

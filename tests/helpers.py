@@ -1,7 +1,7 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
-the closure-based hidden-subgroup loop, the per-label dense black-box gates)
-that the library is checked against."""
+the closure-based hidden-subgroup loop, the per-label dense black-box gates,
+the per-register DFT-matrix QFT) that the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -371,6 +371,17 @@ def reference_flat_index(state, point) -> int:
     if state.bb_labels is not None:
         index.append(state.bb_labels.index(point[n]))
     return int(np.ravel_multi_index(index, state.amplitudes.shape))
+
+
+def reference_qft(amplitudes: np.ndarray, registers) -> np.ndarray:
+    """The dense QFT gate as one DFT matrix exp(2 pi i x y / n) / sqrt(n) per
+    register, contracted into that register's axis."""
+    for r in registers:
+        n = amplitudes.shape[r]
+        x = np.arange(n)
+        dft = np.exp(2j * np.pi * np.outer(x, x) / n) / np.sqrt(n)
+        amplitudes = np.moveaxis(np.tensordot(dft, amplitudes, axes=([1], [r])), 0, r)
+    return amplitudes
 
 
 def reference_black_box_automorphism(state, gate) -> None:

@@ -358,10 +358,18 @@ def test_bad_knobs_exit_3(tmp_path, capsys):
     assert main(["run", str(circuit_path), "--shots", "0"]) == 3
     assert main(["order", "15", "2", "--resolution", "-1"]) == 3
     assert main(["dlog", "7", "3", "6", "--cap", "0"]) == 3
+    # NaN fails the positivity check; inf, and a resolution whose inverse
+    # overflows, give no grid, and the error names the value.
+    assert main(["order", "15", "2", "--resolution", "nan"]) == 3
+    assert main(["order", "15", "2", "--resolution", "inf"]) == 3
+    assert main(["order", "15", "2", "--resolution", "1e-320"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: shots must be positive",
         "error: resolution must be positive",
         "error: caps must be positive",
+        "error: resolution must be positive",
+        "error: resolution inf is out of range",
+        "error: resolution 1e-320 is out of range",
     ]
 
 

@@ -121,6 +121,20 @@ def test_discretization_examples():
     assert discretization_deviation(5, 50, s=3) < 1e-10
 
 
+def test_discretization_memory_is_linear_in_the_register():
+    # A D x D DFT matrix at D = 1025 alone is 16.8 MB of complex128; the
+    # FFT keeps a few arrays of D entries.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert discretization_deviation(1, 512) < 1e-10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(DirichletError):
         DirichletDistribution(0, 4)

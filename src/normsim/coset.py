@@ -13,9 +13,13 @@ gates add to q, and a partial QFT introduces one fresh parameter and rewires
 one coordinate row.
 
 The QFT step temporarily breaks injectivity; restoring it is the only
-nontrivial update.  Summing the phase over one collision direction w of
-order nu is a quadratic Gauss sum over Z_nu, and two classical facts about
-such sums drive the reduction:
+nontrivial update.  P was injective before the QFT on register j, so the
+collisions it opens form K = {t : (P t)_i = 0 for i != j}, which embeds in
+Z_n through t -> (P t)_j and is therefore cyclic.  An old row j of zeros
+means K = 0 and costs nothing; otherwise one linear solve over the other
+m - 1 rows finds K and one generator w of it is integrated out.  Summing
+the phase over w, of order nu, is a quadratic Gauss sum over Z_nu, and two
+classical facts about such sums drive the reduction:
 
   *  the sum vanishes unless a linear condition holds on the remaining
      parameters (the character must be trivial on the radical of the
@@ -58,6 +62,17 @@ class CosetSimulationError(ValueError):
 def _combine(columns, weights) -> list[int]:
     """sum_i weights[i] columns[i], entry by entry."""
     return [sum(map(mul, weights, row)) for row in zip(*columns)]
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a x + b y, for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def _pull_back(quad, lin, shift, columns) -> tuple[list[list[int]], list[int]]:
@@ -157,9 +172,10 @@ class CosetPhaseState:
     def apply_qft(self, register: int) -> None:
         n = self.group.factors[register].modulus
         half = self.denominator // (2 * n)
+        old_row = [column[register] for column in self.columns]
         # Exponent polynomial gains (x0_j + (P t)_j) s / n before row j is
         # replaced by the fresh parameter s.
-        row = [column[register] * half for column in self.columns]
+        row = [value * half for value in old_row]
         for quad_row, value in zip(self.quad, row):
             quad_row.append(value)
         self.quad.append(row + [0])
@@ -171,35 +187,46 @@ class CosetPhaseState:
         self.columns.append(fresh)
         self.moduli.append(n)
         self.shift[register] = 0
-        self._restore_injectivity()
+        if any(value % n for value in old_row):
+            w = self._collision_generator(register, old_row)
+            if w is not None:
+                self._integrate_out(w + [0])
 
     # -- injectivity restoration -------------------------------------------------
 
-    def _parameter_kernel(self) -> list[list[int]]:
-        """Nonzero parameter vectors (mod the box) mapping to 0 in the group."""
-        if not self.columns:
-            return []
-        m = len(self.group.factors)
-        rows = [[column[i] for column in self.columns] for i in range(m)]
-        solved = solve_group_system(
-            GroupLinearSystem(rows, [0] * m, list(self.group.chars))
-        )
+    def _collision_generator(self, register: int, old_row: list[int]) -> list[int] | None:
+        """A generator of the parameter kernel the QFT on `register` opened,
+        or None when it is trivial.
+
+        The old parameterization P was injective, so the kernel is
+        K = {t : (P t)_i = 0 for i != j} with the fresh parameter at 0, and
+        t -> (P t)_j embeds K in Z_n: K is cyclic, and w generates it when
+        gcd((P w)_j, n) is the gcd of n and every generator's value."""
+        n = self.group.factors[register].modulus
+        chars = self.group.chars
+        old, box = self.columns[:-1], self.moduli[:-1]
+        others = [i for i in range(len(chars)) if i != register]
+        # With no other register, one trivial congruence keeps the width.
+        rows = [[column[i] for column in old] for i in others] or [[0] * len(old)]
+        moduli = [chars[i] for i in others] or [1]
+        solved = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), moduli))
         if solved is None:
             raise CosetSimulationError("homogeneous system cannot be infeasible")
-        _, kernel = solved
-        out = []
-        for gen in kernel:
-            reduced = [g % mod for g, mod in zip(gen, self.moduli)]
+        kernel = []
+        for gen in solved[1]:
+            reduced = [g % mod for g, mod in zip(gen, box)]
             if any(reduced):
-                out.append(reduced)
-        return out
-
-    def _restore_injectivity(self) -> None:
-        while True:
-            kernel = self._parameter_kernel()
-            if not kernel:
-                return
-            self._integrate_out(kernel[0])
+                kernel.append(reduced)
+        if not kernel:
+            return None
+        values = [sum(map(mul, old_row, gen)) % n for gen in kernel]
+        w, value = kernel[0], values[0]
+        if math.gcd(value, n) == math.gcd(n, *values):
+            return w
+        for gen, other in zip(kernel[1:], values[1:]):
+            value, a, b = _bezout(value, other)
+            w = [a * x + b * y for x, y in zip(w, gen)]
+        return [x % mod for x, mod in zip(w, box)]
 
     def _integrate_out(self, w: list[int]) -> None:
         """Collapse the collision direction w, keeping one representative per

@@ -322,19 +322,18 @@ class GroupLinearSystem:
             raise LinalgError("moduli must be nonnegative")
 
 
-def solve_integer_system(
+def _smith_solve(
     a: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[Vector, list[Vector]] | None:
-    """General solution of A x = b over Z, or None if infeasible.
-
-    Returns (x0, kernel generators); the solution set is x0 + Z-span(kernel).
-    """
+    """A x = b over Z via the Smith normal form: (x0, raw kernel generators),
+    or None if infeasible.  The kernel generators are columns of V^-1, not
+    yet in Hermite form."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if len(b) != rows:
         raise LinalgError("right-hand side has wrong length")
     if rows == 0:
-        return [0] * cols, hermite_reduce(identity_matrix(cols))
+        return [0] * cols, identity_matrix(cols)
     snf = smith_normal_form(a)
     c = mat_vec(snf.u_inv, list(b))
     diag = snf.diagonal
@@ -354,7 +353,20 @@ def solve_integer_system(
     if any(c[i] != 0 for i in range(cols, rows)):
         return None
     x0 = mat_vec(snf.v_inv, z)
-    kernel = [[snf.v_inv[r][i] for r in range(cols)] for i in free]
+    return x0, [[snf.v_inv[r][i] for r in range(cols)] for i in free]
+
+
+def solve_integer_system(
+    a: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[Vector, list[Vector]] | None:
+    """General solution of A x = b over Z, or None if infeasible.
+
+    Returns (x0, kernel generators); the solution set is x0 + Z-span(kernel).
+    """
+    solved = _smith_solve(a, b)
+    if solved is None:
+        return None
+    x0, kernel = solved
     return x0, hermite_reduce(kernel)
 
 
@@ -363,7 +375,8 @@ def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]]
 
     Each row with modulus m gains an auxiliary unknown multiplied by m,
     homogenizing the system into a single integer system solved over Z via
-    the Smith normal form; auxiliary coordinates are then projected away.
+    the Smith normal form; auxiliary coordinates are then projected away and
+    the projected kernel is put in Hermite form once.
     """
     rows = len(system.a)
     cols = len(system.a[0]) if rows else 0
@@ -371,7 +384,7 @@ def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]]
     widened = [list(row) + [0] * len(aux) for row in system.a]
     for pos, i in enumerate(aux):
         widened[i][cols + pos] = system.moduli[i]
-    solved = solve_integer_system(widened, system.b)
+    solved = _smith_solve(widened, system.b)
     if solved is None:
         return None
     x0_wide, kernel_wide = solved

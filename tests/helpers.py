@@ -1,7 +1,7 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
 the closure-based hidden-subgroup loop, the per-label dense black-box gates,
-the per-register DFT-matrix QFT) that the library is checked against."""
+the per-register DFT-matrix QFT, the double-Hermite group-system solve) that the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -30,6 +30,7 @@ from normsim.linalg import (
     identity_matrix,
     mat_mul,
     solve_group_system,
+    solve_integer_system,
 )
 
 
@@ -429,3 +430,25 @@ def reference_black_box_gates(monkeypatch):
         m.setattr(dense, "_apply_automorphism", automorphism)
         m.setattr(dense, "_apply_quadratic", quadratic)
         yield
+
+
+def reference_solve_group_system(system: GroupLinearSystem):
+    """solve_group_system by the double-Hermite path: solve the widened
+    system with solve_integer_system (Hermite form of the wide kernel),
+    project the auxiliary unknowns away, and Hermite-reduce again."""
+    rows = len(system.a)
+    cols = len(system.a[0]) if rows else 0
+    aux = [i for i in range(rows) if system.moduli[i] != 0]
+    widened = [list(row) + [0] * len(aux) for row in system.a]
+    for pos, i in enumerate(aux):
+        widened[i][cols + pos] = system.moduli[i]
+    solved = solve_integer_system(widened, system.b)
+    if solved is None:
+        return None
+    x0 = solved[0][:cols]
+    kernel = hermite_reduce([k[:cols] for k in solved[1]])
+    for gen in kernel:
+        pivot = next(j for j in range(cols) if gen[j] != 0)
+        q = x0[pivot] // gen[pivot]
+        x0 = [x - q * g for x, g in zip(x0, gen)]
+    return x0, kernel

@@ -1,9 +1,12 @@
 """Equivalence of the structured simulator with the dense oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     random_circuit,
@@ -29,6 +32,7 @@ from normsim.coset import (
     coset_run,
     states_equal_up_to_global_phase,
 )
+from normsim import coset
 from normsim.dense import dense_run
 from normsim.groups import cyclic_group, group, Z
 
@@ -226,3 +230,83 @@ def test_trivial_factor_edge_case():
     circuit = NormalizerCircuit(DesignatedBasis(g), [QFTGate((0, 1)), QFTGate((1,))])
     state = assert_matches_dense(circuit, (0, 1))
     assert state.support_size() <= 4
+
+
+def _spy_on_solves(monkeypatch) -> list:
+    """Record the result of every solve_group_system call the engine makes."""
+    solves = []
+    solve = coset.solve_group_system
+
+    def spy(system):
+        solved = solve(system)
+        solves.append(solved)
+        return solved
+
+    monkeypatch.setattr(coset, "solve_group_system", spy)
+    return solves
+
+
+def _count_solves(monkeypatch, moduli, gates, coords) -> int:
+    solves = _spy_on_solves(monkeypatch)
+    circuit = NormalizerCircuit(DesignatedBasis(cyclic_group(*moduli)), gates)
+    assert_matches_dense(circuit, coords)
+    return len(solves)
+
+
+def test_qft_solve_counts(monkeypatch):
+    # An empty row opens no collision and costs no solve; otherwise one
+    # collision solve and one integration (two solves) per register.
+    assert _count_solves(monkeypatch, (4, 4, 4), [QFTGate((0, 1, 2))], (1, 2, 3)) == 0
+    assert _count_solves(monkeypatch, (5,), [QFTGate((0,)), QFTGate((0,))], (2,)) == 3
+    assert _count_solves(monkeypatch, (4, 6), [QFTGate((0, 1))] * 2, (1, 1)) == 6
+
+
+def test_collision_kernel_needs_a_combined_generator(monkeypatch):
+    # On Z3 x Z6 the shear leaves columns (1, 0) and (1, 1).  The QFT on
+    # register 1 opens K = {t : t_0 + t_1 = 0 mod 3}, whose Hermite
+    # generators (1, 2) and (0, 3) have register-1 values 2 and 3: neither
+    # generates K, and the one integration must use their combination
+    # (2, 1), of value 1.
+    g = cyclic_group(3, 6)
+    rep = validate_matrix_rep([[1, 1], [0, 1]], g)
+    circuit = NormalizerCircuit(
+        DesignatedBasis(g), [QFTGate((0, 1)), AutomorphismGate(rep=rep), QFTGate((1,))]
+    )
+    integrated = []
+    integrate_out = CosetPhaseState._integrate_out
+
+    def spy(state, w):
+        integrated.append(list(w))
+        integrate_out(state, w)
+
+    monkeypatch.setattr(CosetPhaseState, "_integrate_out", spy)
+    solves = _spy_on_solves(monkeypatch)
+    for element in g.elements():
+        integrated.clear()
+        solves.clear()
+        assert_matches_dense(circuit, element.coords)
+        assert solves[0][1] == [[1, 2], [0, 3]]
+        assert integrated == [[2, 1, 0]]
+
+
+@st.composite
+def small_circuits(draw):
+    moduli = draw(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 256
+        )
+    )
+    g = cyclic_group(*moduli)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = random_circuit(g, rng, gate_count=draw(st.integers(1, 8)))
+    return circuit, tuple(int(rng.integers(n)) for n in moduli)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_circuits())
+def test_invariants_hold_after_every_gate(case):
+    circuit, coords = case
+    for k in range(1, len(circuit.gates) + 1):
+        prefix = NormalizerCircuit(circuit.initial_basis, circuit.gates[:k])
+        coset_run(prefix, prefix.initial_basis.elementary.reduce(coords)).check_invariants()
+    assert_matches_dense(circuit, coords)

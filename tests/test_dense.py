@@ -344,6 +344,29 @@ def test_word_exp_table_images_are_still_checked():
         dense_run(circuit, (0, 1))
 
 
+def test_non_injective_black_box_automorphism_drifts_the_norm():
+    # The per-label path: a callable sending every point to one label.
+    basis = DesignatedBasis(cyclic_group(4), ZNStarGroup(7))
+    circuit = NormalizerCircuit(basis, [QFTGate((0,)), AutomorphismGate(func=lambda pt: (0, 1))])
+    with pytest.raises(CircuitError, match=r"^norm drifted to 2\.0$"):
+        dense_run(circuit, (0, 1))
+
+
+def test_non_injective_word_exp_table_drifts_the_norm():
+    # The translation-table path: every product lands on 1, so the labels 1
+    # and 3 at x = 1 meet, and their amplitudes +1/2 and -1/2 cancel.
+    class Collapsing(ZNStarGroup):
+        def _product(self, x, y):
+            return 1
+
+    basis = DesignatedBasis(cyclic_group(2), Collapsing(7))
+    spread = AutomorphismGate(func=lambda pt: (pt[0], pt[1] * pow(3, pt[0], 7) % 7))
+    gate = AutomorphismGate(func=word_exp_func(basis, [3]), name="word_exp")
+    circuit = NormalizerCircuit(basis, [QFTGate((0,)), spread, QFTGate((0,)), gate])
+    with pytest.raises(CircuitError, match=r"^norm drifted to 0\.7071"):
+        dense_run(circuit, (0, 1))
+
+
 @st.composite
 def raw_points(draw):
     """(with black box, points): raw values of every kind `make_point` may

@@ -254,6 +254,20 @@ def test_solve_matches_brute_force_exhaustively():
         assert span_solutions(x0, hermite_reduce(kernel), box) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_solve_group_system_equals_the_double_hermite_path(rows, cols, data):
+    # One Hermite pass on the projected kernel gives the canonical form the
+    # old path reached by reducing the wide kernel first.
+    from helpers import reference_solve_group_system
+
+    a = [[data.draw(st.integers(-12, 12)) for _ in range(cols)] for _ in range(rows)]
+    b = [data.draw(st.integers(-12, 12)) for _ in range(rows)]
+    moduli = [data.draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 30])) for _ in range(rows)]
+    system = GroupLinearSystem(a, b, moduli)
+    assert solve_group_system(system) == reference_solve_group_system(system)
+
+
 def test_solve_integer_system_shapes():
     x0, kernel = solve_integer_system([[1, 0], [0, 1]], [5, 7])
     assert x0 == [5, 7] and kernel == []

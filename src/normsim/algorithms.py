@@ -635,7 +635,9 @@ def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
         previous = rows
     else:
         raise HSPError(f"estimate did not stabilize after {HSP_MAX_BATCHES} batches")
-    solved = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows)))
+    solved = solve_group_system(
+        GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows), len(moduli))
+    )
     if solved is None:
         raise HSPError("homogeneous system cannot be infeasible")
     gens = [group.reduce(gen) for gen in solved[1]]
@@ -701,7 +703,6 @@ def decompose_group(
 
     wraps = [[d if i == j else 0 for j in range(k)] for i in range(k)]
     table = decomposition_from_relations(group, generators, kernel_rows + wraps)
-    table.provenance = {"kernel_route": route}
     log["steps"].append({"step": "independent generators", "type": table.c})
     table.verify(group)
     log["oracle_calls"] = group.counter.total
@@ -812,7 +813,9 @@ def solve_linear_system_bb(
         [columns[j][i] for j in range(len(domain.factors))]
         for i in range(len(table.c))
     ]
-    solved = solve_group_system(GroupLinearSystem(rows, target_vec, list(table.c)))
+    solved = solve_group_system(
+        GroupLinearSystem(rows, target_vec, list(table.c), len(domain.factors))
+    )
     log = {"isomorphism_type": table.isomorphism_type()}
     if solved is None:
         return LinearSystemRun(solution=None, kernel=[], log=log)

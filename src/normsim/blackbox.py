@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, finite_presentation, hermite_reduce, is_prime, smith_normal_form
+from .linalg import Matrix, finite_presentation, hermite_reduce, invariant_factors, is_prime
 
 DEFAULT_ORDER_CAP = 1 << 20
 
@@ -277,12 +277,14 @@ class EllipticCurveGroup(BlackBoxGroup):
         return f"{pt[0]},{pt[1]}"
 
     def elements(self) -> Iterator[Point]:
+        """O, then the affine points in increasing x and, for each x, increasing y."""
+        roots: dict[int, list[int]] = {}
+        for y in range(self.p):
+            roots.setdefault(y * y % self.p, []).append(y)
         yield None
         for x in range(self.p):
-            rhs = (x**3 + self.a * x + self.b) % self.p
-            for y in range(self.p):
-                if (y * y) % self.p == rhs:
-                    yield (x, y)
+            for y in roots.get((x**3 + self.a * x + self.b) % self.p, ()):
+                yield (x, y)
 
     def order(self) -> int:
         return sum(1 for _ in self.elements())
@@ -343,22 +345,15 @@ class DecompositionTable:
     a: Matrix
     b: Matrix
     c: list[int]
-    provenance: dict = field(default_factory=dict)
 
     def isomorphism_type(self) -> list[int]:
         """Invariant factors (sorted by divisibility) of the group."""
-        rels = [
-            [self.c[i] if i == j else 0 for j in range(len(self.c))]
-            for i in range(len(self.c))
-        ]
-        factors = [d for d in smith_normal_form(rels).diagonal if d > 1]
-        return factors
+        return invariant_factors(
+            [[self.c[i] if i == j else 0 for j in range(len(self.c))] for i in range(len(self.c))]
+        )
 
     def order(self) -> int:
-        result = 1
-        for ci in self.c:
-            result *= ci
-        return result
+        return math.prod(self.c)
 
     def verify(self, group: BlackBoxGroup, exhaustive: bool = False) -> None:
         """Check the table's defining identities by oracle multiplication."""
@@ -386,14 +381,13 @@ class DecompositionTable:
                 raise BlackBoxError("beta generators are not independent")
 
 
-def cayley_relations(
-    group: BlackBoxGroup, generators: Sequence, cap: int = DEFAULT_ORDER_CAP
-) -> tuple[list[list[int]], int]:
+def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], int]:
     """Relation lattice generators for the exponent map Z^k -> <generators>.
 
     Walks the Cayley graph recording one exponent word per element; the
     closing edges generate the full relation lattice (spanning-tree
-    argument).  Returns (relations, number of elements reached).
+    argument).  Returns (relations, number of elements reached); raises
+    once the walk reaches more than DEFAULT_ORDER_CAP elements.
     """
     generators = list(generators)
     if not generators:
@@ -417,20 +411,18 @@ def cayley_relations(
                 if any(relation):
                     relations.append(relation)
             else:
-                if len(words) >= cap:
-                    raise BlackBoxError(f"group order exceeds cap {cap}")
+                if len(words) >= DEFAULT_ORDER_CAP:
+                    raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
                 words[nxt_key] = stepped
                 values[nxt_key] = nxt
                 frontier.append(nxt_key)
     return relations, len(words)
 
 
-def bb_decompose_bruteforce(
-    group: BlackBoxGroup, generators: Sequence, cap: int = DEFAULT_ORDER_CAP
-) -> DecompositionTable:
+def bb_decompose_bruteforce(group: BlackBoxGroup, generators: Sequence) -> DecompositionTable:
     """Classical decomposition oracle: exhaust the group, then SNF the relations."""
     generators = list(generators)
-    relations, size = cayley_relations(group, generators, cap)
+    relations, size = cayley_relations(group, generators)
     if group.order() != size:
         raise BlackBoxError("generators do not generate the group")
     table = decomposition_from_relations(group, generators, relations)

@@ -216,7 +216,7 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
         a_ff = sub_matrix(a, f_idx, f_idx)
         for c in range(len(f_idx)):
             rhs = [1 if r == c else 0 for r in range(len(f_idx))]
-            solved = solve_group_system(GroupLinearSystem(a_ff, rhs, moduli))
+            solved = solve_group_system(GroupLinearSystem(a_ff, rhs, moduli, len(f_idx)))
             if solved is None:
                 raise InvalidGate("finite block is not bijective")
             for r, i in enumerate(f_idx):
@@ -252,7 +252,7 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
                         raise InvalidGate("inverse construction hit a non-integer")
                     rhs.append(int(value))
                 solved = solve_group_system(
-                    GroupLinearSystem(coeffs, rhs, [scale] * len(f_idx))
+                    GroupLinearSystem(coeffs, rhs, [scale] * len(f_idx), len(f_idx))
                 )
                 if solved is None:
                     raise InvalidGate("no inverse on the torus-to-finite block")
@@ -416,14 +416,8 @@ def validate_quadratic(
     m: Sequence[Sequence[Rational]],
     v: Sequence[Rational],
     group: ElementaryGroup,
-    check_law: bool = False,
 ) -> QuadraticForm:
-    """Accept exactly the symmetric block-valid (M, v) pairs.
-
-    With check_law=True the quadratic identity
-    xi(g+h) = xi(g) xi(h) B(g,h) is verified exhaustively (finite groups
-    small enough to enumerate only).
-    """
+    """Accept exactly the symmetric block-valid (M, v) pairs."""
     n = len(group.factors)
     if len(m) != n or any(len(row) != n for row in m):
         raise InvalidGate(f"M must be {n}x{n} for {group}")
@@ -460,14 +454,6 @@ def validate_quadratic(
         v=tuple(v_entries),
     )
     form.scaled  # forces the integrality assertion on C
-    if check_law:
-        elements = list(group.elements())
-        for g in elements:
-            for h in elements:
-                lhs = form.exponent(g + h)
-                rhs = (form.exponent(g) + form.exponent(h) + form.bilinear_exponent(g, h)) % 1
-                if lhs != rhs:
-                    raise InvalidGate(f"quadratic law fails at {g}, {h}")
     return form
 
 
@@ -648,12 +634,6 @@ class NormalizerCircuit:
             previous_was_qft = is_qft
         return layers
 
-    def has_black_box_gates(self) -> bool:
-        return any(
-            isinstance(g, (AutomorphismGate, QuadraticGate)) and g.is_black_box
-            for g in self.gates
-        )
-
 
 def _check_gate(gate, basis: DesignatedBasis, position: int) -> DesignatedBasis:
     try:
@@ -767,10 +747,7 @@ def check_modexp_normalizable(
         return False, None
     if generators is None:
         generators = group.sample_generators(np.random.default_rng(0))
-    if a not in generators:
-        generators = [a] + list(generators)
-    else:
-        generators = [a] + [g for g in generators if g != a]
+    generators = [a] + [g for g in generators if g != a]
     table = bb_decompose_bruteforce(group, generators)
     # a is generator 0, so its beta-coordinates are the first column of B.
     a_coords = [table.b[i][0] for i in range(len(table.beta))]

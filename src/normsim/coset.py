@@ -206,10 +206,9 @@ class CosetPhaseState:
         chars = self.group.chars
         old, box = self.columns[:-1], self.moduli[:-1]
         others = [i for i in range(len(chars)) if i != register]
-        # With no other register, one trivial congruence keeps the width.
-        rows = [[column[i] for column in old] for i in others] or [[0] * len(old)]
-        moduli = [chars[i] for i in others] or [1]
-        solved = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), moduli))
+        rows = [[column[i] for column in old] for i in others]
+        moduli = [chars[i] for i in others]
+        solved = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), moduli, len(old)))
         if solved is None:
             raise CosetSimulationError("homogeneous system cannot be infeasible")
         kernel = []
@@ -255,6 +254,7 @@ class CosetPhaseState:
                 [[2 * delta * value for value in qw]],
                 [-(delta * delta * a0 + delta * b0)],
                 [big_d],
+                self.num_params,
             )
         )
         if solved is None:
@@ -268,7 +268,7 @@ class CosetPhaseState:
         r = len(j0)
         relation_rows = [[gen[i] for gen in j0] + [-w[i]] for i in range(len(w))]
         rel_solved = solve_group_system(
-            GroupLinearSystem(relation_rows, [0] * len(w), list(self.moduli))
+            GroupLinearSystem(relation_rows, [0] * len(w), list(self.moduli), r + 1)
         )
         if rel_solved is None:
             raise CosetSimulationError("relation system cannot be infeasible")
@@ -310,11 +310,17 @@ class CosetPhaseState:
     # -- outputs ------------------------------------------------------------------
 
     def _points(self, t: np.ndarray) -> np.ndarray:
-        """Group points x0 + P t (mod the characteristics), one column per column of t."""
+        """Group points x0 + P t (mod the characteristics), one column per column of t.
+
+        Entries of x0, P and t lie below the characteristics and the box, so
+        int64 is exact while max(chars) (1 + k max(moduli)) < 2^63; past that
+        the points are Python integers in an object array."""
         chars = self.group.chars
-        p = np.array(self.columns, dtype=np.int64).reshape(self.num_params, len(chars)).T
-        shift = np.array(self.shift, dtype=np.int64)[:, None]
-        return (shift + p @ t) % np.array(chars, dtype=np.int64)[:, None]
+        bound = max(chars, default=0) * (1 + self.num_params * max(self.moduli, default=0))
+        dtype = np.int64 if bound < 1 << 63 else object
+        p = np.array(self.columns, dtype=dtype).reshape(self.num_params, len(chars)).T
+        shift = np.array(self.shift, dtype=dtype)[:, None]
+        return (shift + p @ np.asarray(t, dtype=dtype)) % np.array(chars, dtype=dtype)[:, None]
 
     def support_points(self) -> list[tuple[int, ...]]:
         points = self._points(label_grid(self.moduli))

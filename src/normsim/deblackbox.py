@@ -114,20 +114,6 @@ class EncodingBridge:
         return decode_map[self.group.encode(element)]
 
 
-def build_bridge(
-    group: BlackBoxGroup,
-    generators: Sequence | None = None,
-    decompose: Callable | None = None,
-    rng=None,
-) -> EncodingBridge:
-    if decompose is None:
-        decompose = bb_decompose_bruteforce
-    if generators is None:
-        generators = group.sample_generators(rng or np.random.default_rng(0))
-    table = decompose(group, generators)
-    return EncodingBridge(group=group, table=table)
-
-
 # ---------------------------------------------------------------------------
 # normal-form extraction
 # ---------------------------------------------------------------------------
@@ -316,19 +302,6 @@ def _spot_check_quadratic(q: Callable, form: QuadraticForm) -> None:
             raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")
 
 
-def extract_hom_matrix(
-    f: Callable, source: ElementaryGroup, target: ElementaryGroup
-) -> list[list[int]]:
-    """Columns f(e_j) of a promised homomorphism between finite groups."""
-    if not (source.is_finite and target.is_finite):
-        raise ExtractionError("homomorphism extraction is for finite groups")
-    columns = []
-    for j in range(len(source.factors)):
-        image = f(tuple(_unit(source, j)))
-        columns.append([image[i] for i in range(len(target.factors))])
-    return [[columns[j][i] for j in range(len(source.factors))] for i in range(len(target.factors))]
-
-
 # ---------------------------------------------------------------------------
 # circuit rewriting
 # ---------------------------------------------------------------------------
@@ -392,13 +365,12 @@ def _conjugated_exponent(func: Callable, bridge: EncodingBridge, split: int) -> 
 
 def deblackbox_circuit(
     circuit: NormalizerCircuit,
-    decompose: Callable | None = None,
     generators: Sequence | None = None,
     rng=None,
 ) -> DeblackboxResult:
     """Rewrite a black-box circuit over the fully decomposed group.
 
-    `decompose` plays the role of the group-decomposition oracle: it maps
+    The group-decomposition oracle is `bb_decompose_bruteforce`: it maps
     (group, generators) to a decomposition table.  Gates already in normal
     form are extended by the identity on the fresh cyclic registers; black
     boxes are conjugated through the bridge and extracted.  The provenance
@@ -410,12 +382,10 @@ def deblackbox_circuit(
         return DeblackboxResult(circuit=circuit, bridge=None, provenance=[
             {"gate": i, "action": "unchanged"} for i in range(len(circuit.gates))
         ])
-    if decompose is None:
-        decompose = bb_decompose_bruteforce
     if generators is None:
         generators = bb.sample_generators(rng or np.random.default_rng(0))
     start = bb.counter.total
-    table = decompose(bb, list(generators))
+    table = bb_decompose_bruteforce(bb, list(generators))
     bridge = EncodingBridge(group=bb, table=table)
     provenance: list[dict] = [
         {

@@ -10,6 +10,7 @@ coordinates as they come.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,10 +122,7 @@ class ElementaryGroup:
     def order(self) -> int:
         if not self.is_finite:
             raise GroupError(f"group {self} is infinite")
-        result = 1
-        for f in self.factors:
-            result *= f.modulus
-        return result
+        return math.prod(f.modulus for f in self.factors)
 
     def dual(self) -> ElementaryGroup:
         return ElementaryGroup(tuple(f.dual() for f in self.factors))

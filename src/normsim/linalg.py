@@ -1,6 +1,6 @@
 """Exact integer/rational linear algebra: Smith normal form, linear systems
-over groups with mixed moduli, integral pseudo-inverses, continued fractions,
-and trial-division primality.
+over groups with mixed moduli, continued fractions, and trial-division
+primality.
 
 Matrices are plain lists of lists of Python ints (or Fractions where noted),
 so every result is exact.  Nothing here is asymptotically clever; desk-scale
@@ -302,34 +302,35 @@ def hermite_reduce(vectors: Sequence[Sequence[int]]) -> list[Vector]:
 class GroupLinearSystem:
     """Rows are congruences: sum_j a[i][j] x_j = b[i]  (mod moduli[i]).
 
-    A modulus of 0 means the row holds over Z.  Unknowns range over Z;
-    callers whose unknowns live in Z_N get the N e_j relations in the kernel
-    automatically whenever the system itself respects them.
+    A modulus of 0 means the row holds over Z.  Unknowns range over Z, and
+    there are `width` of them, so a system with no rows still has a full
+    solution lattice; callers whose unknowns live in Z_N get the N e_j
+    relations in the kernel automatically whenever the system itself
+    respects them.
     """
 
     a: Matrix
     b: Vector
     moduli: Vector
+    width: int
 
     def __post_init__(self) -> None:
         rows = len(self.a)
         if len(self.b) != rows or len(self.moduli) != rows:
             raise LinalgError("inconsistent system dimensions")
-        width = len(self.a[0]) if rows else 0
-        if any(len(row) != width for row in self.a):
-            raise LinalgError("ragged coefficient matrix")
+        if any(len(row) != self.width for row in self.a):
+            raise LinalgError(f"every row needs {self.width} coefficients")
         if any(m < 0 for m in self.moduli):
             raise LinalgError("moduli must be nonnegative")
 
 
 def _smith_solve(
-    a: Sequence[Sequence[int]], b: Sequence[int]
+    a: Sequence[Sequence[int]], b: Sequence[int], cols: int
 ) -> tuple[Vector, list[Vector]] | None:
-    """A x = b over Z via the Smith normal form: (x0, raw kernel generators),
-    or None if infeasible.  The kernel generators are columns of V^-1, not
-    yet in Hermite form."""
+    """A x = b over Z for `cols` unknowns via the Smith normal form:
+    (x0, raw kernel generators), or None if infeasible.  The kernel
+    generators are columns of V^-1, not yet in Hermite form."""
     rows = len(a)
-    cols = len(a[0]) if rows else 0
     if len(b) != rows:
         raise LinalgError("right-hand side has wrong length")
     if rows == 0:
@@ -356,20 +357,6 @@ def _smith_solve(
     return x0, [[snf.v_inv[r][i] for r in range(cols)] for i in free]
 
 
-def solve_integer_system(
-    a: Sequence[Sequence[int]], b: Sequence[int]
-) -> tuple[Vector, list[Vector]] | None:
-    """General solution of A x = b over Z, or None if infeasible.
-
-    Returns (x0, kernel generators); the solution set is x0 + Z-span(kernel).
-    """
-    solved = _smith_solve(a, b)
-    if solved is None:
-        return None
-    x0, kernel = solved
-    return x0, hermite_reduce(kernel)
-
-
 def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]] | None:
     """General solution of a mixed-modulus system, or None if infeasible.
 
@@ -379,12 +366,12 @@ def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]]
     the projected kernel is put in Hermite form once.
     """
     rows = len(system.a)
-    cols = len(system.a[0]) if rows else 0
+    cols = system.width
     aux = [i for i in range(rows) if system.moduli[i] != 0]
     widened = [list(row) + [0] * len(aux) for row in system.a]
     for pos, i in enumerate(aux):
         widened[i][cols + pos] = system.moduli[i]
-    solved = _smith_solve(widened, system.b)
+    solved = _smith_solve(widened, system.b, cols + len(aux))
     if solved is None:
         return None
     x0_wide, kernel_wide = solved
@@ -398,19 +385,6 @@ def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]]
             for j in range(cols):
                 x0[j] -= q * gen[j]
     return x0, kernel
-
-
-def integral_pseudo_inverse(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Rational A# with A (A# x) = x and A# x integral for integer x in im(A)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    d_sharp = [[Fraction(0)] * rows for _ in range(cols)]
-    for i, entry in enumerate(diag):
-        if entry != 0 and i < cols:
-            d_sharp[i][i] = Fraction(1, entry)
-    return mat_mul(snf.v_inv, mat_mul(d_sharp, snf.u_inv))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
 the closure-based hidden-subgroup loop, the per-label dense black-box gates,
-the per-register DFT-matrix QFT, the double-Hermite group-system solve) that the library is checked against."""
+the per-register DFT-matrix QFT, the double-Hermite group-system solve, the
+exhaustive quadratic-law check) that the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -29,8 +30,8 @@ from normsim.linalg import (
     hermite_reduce,
     identity_matrix,
     mat_mul,
+    _smith_solve,
     solve_group_system,
-    solve_integer_system,
 )
 
 
@@ -219,6 +220,16 @@ def reference_exponent(form: QuadraticForm, el) -> Fraction:
     return Fraction(quad + linear + cross) / 2 % 1
 
 
+def assert_quadratic_law(form: QuadraticForm) -> None:
+    """xi(g+h) = xi(g) xi(h) B(g,h) at every pair of elements of a finite group."""
+    elements = list(form.group.elements())
+    for g in elements:
+        for h in elements:
+            lhs = form.exponent(g + h)
+            rhs = (form.exponent(g) + form.exponent(h) + form.bilinear_exponent(g, h)) % 1
+            assert lhs == rhs, f"quadratic law fails at {g}, {h}"
+
+
 def reference_bilinear_exponent(form: QuadraticForm, g, h) -> Fraction:
     """g M h mod 1 summed in Fraction."""
     total = sum(
@@ -274,7 +285,8 @@ def solve_hsp_reference(instance, rng, rounds: int = 16, max_batches: int = 8):
         raw_rows = [[y[j] * (d // moduli[j]) for j in range(len(moduli))] for y in set(samples)]
         wraps = [[d if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))]
         rows = hermite_reduce(raw_rows + wraps)
-        _, kernel = solve_group_system(GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows)))
+        system = GroupLinearSystem(rows, [0] * len(rows), [d] * len(rows), len(moduli))
+        _, kernel = solve_group_system(system)
         gens = [g for g in map(group.reduce, kernel) if not g.is_identity()]
         current = algorithms.HSPRun(domain=group, generators=gens).subgroup_elements()
         if estimate is not None and current == estimate:
@@ -432,17 +444,27 @@ def reference_black_box_gates(monkeypatch):
         yield
 
 
+def reference_solve_integer_system(a, b, cols: int):
+    """General solution (x0, Hermite kernel) of A x = b over Z for `cols`
+    unknowns, or None if infeasible."""
+    solved = _smith_solve(a, b, cols)
+    if solved is None:
+        return None
+    x0, kernel = solved
+    return x0, hermite_reduce(kernel)
+
+
 def reference_solve_group_system(system: GroupLinearSystem):
     """solve_group_system by the double-Hermite path: solve the widened
-    system with solve_integer_system (Hermite form of the wide kernel),
-    project the auxiliary unknowns away, and Hermite-reduce again."""
+    system with reference_solve_integer_system (Hermite form of the wide
+    kernel), project the auxiliary unknowns away, and Hermite-reduce again."""
     rows = len(system.a)
-    cols = len(system.a[0]) if rows else 0
+    cols = system.width
     aux = [i for i in range(rows) if system.moduli[i] != 0]
     widened = [list(row) + [0] * len(aux) for row in system.a]
     for pos, i in enumerate(aux):
         widened[i][cols + pos] = system.moduli[i]
-    solved = solve_integer_system(widened, system.b)
+    solved = reference_solve_integer_system(widened, system.b, cols + len(aux))
     if solved is None:
         return None
     x0 = solved[0][:cols]

@@ -1,0 +1,129 @@
+"""Mutants that must stay dead.
+
+Each entry breaks the library in one place and names the tests that must
+fail on the broken copy.  Run from anywhere:
+
+    python tests/mutants.py
+
+The named tests first run on a clean temporary copy of src/ and tests/,
+where they must pass.  Then each entry is applied to its own fresh copy and
+every named test must fail there.  The exit code is 1 when an old text does
+not occur exactly once, a named test fails on the clean copy or is not
+found, or a mutant survives; it is 0 when every mutant is killed.
+
+Pytest does not collect this file (its name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = [
+    Mutant(
+        name="coset points always in int64",
+        path="src/normsim/coset.py",
+        old="dtype = np.int64 if bound < 1 << 63 else object",
+        new="dtype = np.int64",
+        tests=("tests/test_cli.py::test_run_coset_engine_past_int64",),
+    ),
+    Mutant(
+        name="group system width taken from the first row",
+        path="src/normsim/linalg.py",
+        old="    cols = system.width\n",
+        new="    cols = len(system.a[0]) if rows else 0\n",
+        tests=(
+            "tests/test_linalg.py::test_system_with_no_rows_keeps_its_width",
+            "tests/test_algorithms.py::test_linear_system_over_a_trivial_group",
+        ),
+    ),
+    Mutant(
+        name="curve square roots in decreasing y",
+        path="src/normsim/blackbox.py",
+        old="        for y in range(self.p):\n            roots.setdefault",
+        new="        for y in reversed(range(self.p)):\n            roots.setdefault",
+        tests=("tests/test_blackbox.py::test_ec_elements_in_the_order_of_the_pair_enumeration",),
+    ),
+    Mutant(
+        name="collision kernel always generated by its first generator",
+        path="src/normsim/coset.py",
+        old="        if math.gcd(value, n) == math.gcd(n, *values):\n            return w",
+        new="        if True:\n            return w",
+        tests=("tests/test_coset.py::test_collision_kernel_needs_a_combined_generator",),
+    ),
+    Mutant(
+        name="group system kernel without its Hermite pass",
+        path="src/normsim/linalg.py",
+        old="    kernel = hermite_reduce([k[:cols] for k in kernel_wide])",
+        new="    kernel = [k[:cols] for k in kernel_wide]",
+        tests=("tests/test_linalg.py::test_solve_group_system_equals_the_double_hermite_path",),
+    ),
+]
+
+
+def _copy_tree(scratch: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, scratch / part, ignore=ignore)
+
+
+def _run(scratch: Path, test: str) -> int:
+    """Pytest's exit code for one node id on the copy: 0 passed, 1 failed."""
+    env = dict(os.environ, PYTHONPATH=str(scratch / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    return subprocess.run(
+        command, cwd=scratch, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    ).returncode
+
+
+def main() -> int:
+    problems = []
+    for mutant in MUTANTS:
+        count = (ROOT / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            problems.append(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    if problems:
+        print("\n".join(problems))
+        return 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        for test in sorted({t for mutant in MUTANTS for t in mutant.tests}):
+            code = _run(clean, test)
+            if code != 0:
+                problems.append(f"clean copy: {test} exits {code}, not 0")
+        for index, mutant in enumerate(MUTANTS):
+            scratch = Path(tmp) / f"mutant{index}"
+            _copy_tree(scratch)
+            target = scratch / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            codes = {test: _run(scratch, test) for test in mutant.tests}
+            survivors = [test for test, code in codes.items() if code != 1]
+            verdict = "killed" if not survivors else "SURVIVED"
+            print(f"{verdict}: {mutant.name}")
+            for test in survivors:
+                problems.append(f"{mutant.name}: {test} exits {codes[test]}, not 1 (failed)")
+    print("\n".join(problems) if problems else f"all {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

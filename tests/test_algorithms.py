@@ -595,6 +595,13 @@ def test_linear_system_infeasible():
     assert run.infeasible
 
 
+def test_linear_system_over_a_trivial_group():
+    # Z_2^* is trivial, so the congruence system has no rows; every x solves.
+    run = solve_linear_system_bb(cyclic_group(3), ZNStarGroup(2), lambda x: 1, 1, rng_for(0))
+    assert run.solution.coords == (0,)
+    assert [k.coords for k in run.kernel] == [(1,)]
+
+
 def test_linear_system_matches_brute_force():
     domain = cyclic_group(4, 2)
     group = ZNStarGroup(15)

@@ -92,6 +92,16 @@ def test_ec_point_count_matches_enumeration():
         assert sorted(map(str, e.elements())) == sorted(map(str, brute_points(p, a, b)))
 
 
+@pytest.mark.parametrize(
+    "curve",
+    [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4), (1009, 2, 3)],
+    ids=lambda curve: f"E{curve}",
+)
+def test_ec_elements_in_the_order_of_the_pair_enumeration(curve):
+    # The order fixes random_element draws and the dense engine's labels.
+    assert list(EllipticCurveGroup(*curve).elements()) == brute_points(*curve)
+
+
 def test_ec_associativity_random():
     rng = np.random.default_rng(5)
     for p, a, b in [(5, 1, 1), (7, 2, 3), (11, 1, 6), (97, 2, 3)]:

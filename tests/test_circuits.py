@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_quadratic_law
+
 from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_order
 from normsim.circuits import (
     AutomorphismGate,
@@ -225,7 +227,8 @@ def test_matrix_rep_shape_check():
 
 def test_quadratic_z2_example():
     g = cyclic_group(2)
-    form = validate_quadratic([[Fraction(1, 2)]], [0], g, check_law=True)
+    form = validate_quadratic([[Fraction(1, 2)]], [0], g)
+    assert_quadratic_law(form)
     assert form.c == (1,)
     assert form.exponent(g.element(0)) == 0
     # xi(1) = exp(pi i (1/2 + 1)) = exp(3 pi i / 2) = -i, i.e. q = 3/4.
@@ -234,7 +237,8 @@ def test_quadratic_z2_example():
 
 def test_quadratic_trivial():
     g = cyclic_group(2)
-    form = validate_quadratic([[0]], [0], g, check_law=True)
+    form = validate_quadratic([[0]], [0], g)
+    assert_quadratic_law(form)
     assert all(form.exponent(el) == 0 for el in g.elements())
 
 
@@ -263,7 +267,8 @@ def test_quadratic_law_exhaustive_on_samples():
         [0, 0, Fraction(2, 9)],
     ]
     v = [Fraction(1, 4), 0, Fraction(5, 9)]
-    form = validate_quadratic(m, v, g, check_law=True)
+    form = validate_quadratic(m, v, g)
+    assert_quadratic_law(form)
     # |xi(g)| = 1 exactly: the exponent is a rational, never a float.
     assert all(isinstance(form.exponent(el), Fraction) for el in g.elements())
 

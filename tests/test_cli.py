@@ -151,6 +151,37 @@ def test_run_coset_engine(tmp_path, log_schema):
     jsonschema.validate(log, log_schema)
 
 
+def test_run_coset_engine_past_int64(tmp_path):
+    # x0 + P t passes 2^63 before its reduction mod n: after the QFT on
+    # register 0 and (a, b) -> (c a, a) the support is {(c b, b)}.
+    import csv as csv_module
+    import io
+
+    from normsim.circuits import (
+        AutomorphismGate,
+        DesignatedBasis,
+        NormalizerCircuit,
+        QFTGate,
+        validate_matrix_rep,
+    )
+    from normsim.groups import cyclic_group
+
+    n, c = 10**10 + 19, 9999999967
+    g = cyclic_group(n, n)
+    gates = [QFTGate((0,)), AutomorphismGate(rep=validate_matrix_rep([[c, 0], [1, 1]], g))]
+    circuit_path = tmp_path / "wide.json"
+    save_circuit(NormalizerCircuit(DesignatedBasis(g), gates), circuit_path)
+    code, text, _ = run_cli(
+        ["run", str(circuit_path), "--engine", "coset", "--seed", "0", "--shots", "4"], tmp_path
+    )
+    assert code == 0
+    rows = list(csv_module.reader(io.StringIO(text)))[1:]
+    assert sum(int(row[1]) for row in rows) == 4
+    for row in rows:
+        a, b = map(int, row[0].strip("()").split(","))
+        assert a == c * b % n
+
+
 def test_run_dlog_circuit_file_support(tmp_path):
     # Two QFT layers around the double-exponent oracle gate over
     # Z_6^2 x Z_7^*: outcomes concentrate on pairs (k, 3k mod 6).

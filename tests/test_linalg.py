@@ -21,13 +21,10 @@ from normsim.linalg import (
     finite_presentation,
     hermite_reduce,
     identity_matrix,
-    integral_pseudo_inverse,
     invariant_factors,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     solve_group_system,
-    solve_integer_system,
 )
 
 
@@ -214,13 +211,13 @@ def test_hermite_reduce_deterministic_lattice():
 def test_solve_2x_eq_2_mod_4():
     # Oracle: x in Z_4 with 2x = 2 (mod 4) -> {1, 3}.
     assert brute_force_solutions([[2]], [2], [4], 4) == {(1,), (3,)}
-    x0, kernel = solve_group_system(GroupLinearSystem([[2]], [2], [4]))
+    x0, kernel = solve_group_system(GroupLinearSystem([[2]], [2], [4], 1))
     assert x0 == [1]
     assert kernel == [[2]]
 
 
 def test_solve_over_z():
-    x0, kernel = solve_group_system(GroupLinearSystem([[1]], [3], [0]))
+    x0, kernel = solve_group_system(GroupLinearSystem([[1]], [3], [0], 1))
     assert x0 == [3]
     assert kernel == []
 
@@ -228,7 +225,7 @@ def test_solve_over_z():
 def test_solve_infeasible():
     # Oracle: no x in Z_4 with 2x = 1 (mod 4).
     assert brute_force_solutions([[2]], [1], [4], 4) == set()
-    assert solve_group_system(GroupLinearSystem([[2]], [1], [4])) is None
+    assert solve_group_system(GroupLinearSystem([[2]], [1], [4], 1)) is None
 
 
 def test_solve_matches_brute_force_exhaustively():
@@ -241,7 +238,7 @@ def test_solve_matches_brute_force_exhaustively():
         b = [rng.randint(-3, 3) for _ in range(rows)]
         moduli = [box for _ in range(rows)]
         expected = brute_force_solutions(a, b, moduli, box)
-        solved = solve_group_system(GroupLinearSystem(a, b, moduli))
+        solved = solve_group_system(GroupLinearSystem(a, b, moduli, cols))
         if solved is None:
             assert expected == set()
             continue
@@ -264,64 +261,35 @@ def test_solve_group_system_equals_the_double_hermite_path(rows, cols, data):
     a = [[data.draw(st.integers(-12, 12)) for _ in range(cols)] for _ in range(rows)]
     b = [data.draw(st.integers(-12, 12)) for _ in range(rows)]
     moduli = [data.draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 30])) for _ in range(rows)]
-    system = GroupLinearSystem(a, b, moduli)
+    system = GroupLinearSystem(a, b, moduli, cols)
     assert solve_group_system(system) == reference_solve_group_system(system)
 
 
 def test_solve_integer_system_shapes():
-    x0, kernel = solve_integer_system([[1, 0], [0, 1]], [5, 7])
+    from helpers import reference_solve_integer_system
+
+    x0, kernel = reference_solve_integer_system([[1, 0], [0, 1]], [5, 7], 2)
     assert x0 == [5, 7] and kernel == []
-    assert solve_integer_system([[2]], [1]) is None
-    x0, kernel = solve_integer_system([[0, 0]], [0])
+    assert reference_solve_integer_system([[2]], [1], 1) is None
+    x0, kernel = reference_solve_integer_system([[0, 0]], [0], 2)
     assert kernel == [[1, 0], [0, 1]]
+
+
+def test_system_with_no_rows_keeps_its_width():
+    # Every x in Z^3 solves the empty system: x0 = 0, kernel the identity.
+    assert solve_group_system(GroupLinearSystem([], [], [], 3)) == (
+        [0, 0, 0],
+        identity_matrix(3),
+    )
 
 
 def test_malformed_system_raises():
     with pytest.raises(LinalgError):
-        GroupLinearSystem([[1, 2], [3]], [1, 2], [0, 0])
+        GroupLinearSystem([[1, 2], [3]], [1, 2], [0, 0], 2)
     with pytest.raises(LinalgError):
-        GroupLinearSystem([[1]], [1, 2], [0])
-
-
-# ---------------------------------------------------------------------------
-# Integral pseudo-inverse
-# ---------------------------------------------------------------------------
-
-
-def test_pseudo_inverse_identity():
-    assert integral_pseudo_inverse(identity_matrix(2)) == [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-    ]
-
-
-def test_pseudo_inverse_diag_and_column():
-    a = [[2, 0], [0, 1]]
-    a_sharp = integral_pseudo_inverse(a)
-    x = [4, 3]  # oracle: A @ (2, 3) == (4, 3)
-    assert mat_vec(a, [2, 3]) == x
-    y = mat_vec(a_sharp, x)
-    assert y == [2, 3]
-
-    col = [[1], [1]]
-    col_sharp = integral_pseudo_inverse(col)
-    assert mat_vec(col, [5]) == [5, 5]
-    assert mat_vec(col_sharp, [5, 5]) == [5]
-
-
-def test_pseudo_inverse_property_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        a_sharp = integral_pseudo_inverse(a)
-        for _ in range(5):
-            w = [rng.randint(-3, 3) for _ in range(cols)]
-            x = mat_vec(a, w)  # in the image of A by construction
-            y = mat_vec(a_sharp, x)
-            assert all(v.denominator == 1 for v in map(Fraction, y))
-            assert mat_vec(a, [int(Fraction(v)) for v in y]) == x
+        GroupLinearSystem([[1]], [1, 2], [0], 1)
+    with pytest.raises(LinalgError):
+        GroupLinearSystem([[1, 2]], [1], [0], 3)
 
 
 # ---------------------------------------------------------------------------

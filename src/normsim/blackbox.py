@@ -7,6 +7,7 @@ goes through the oracle counter, so tests can assert query budgets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -162,6 +163,7 @@ class ZNStarGroup(BlackBoxGroup):
             raise BlackBoxError(f"modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.encoding_length = max(1, (modulus - 1).bit_length())
+        self._order: int | None = None
 
     def _check(self, x) -> int:
         if not self.is_element(x):
@@ -191,7 +193,19 @@ class ZNStarGroup(BlackBoxGroup):
         return (x for x in range(1, self.modulus) if math.gcd(x, self.modulus) == 1)
 
     def order(self) -> int:
-        return sum(1 for _ in self.elements())
+        """phi(N), from the prime factors trial division finds."""
+        if self._order is None:
+            phi, rest, p = self.modulus, self.modulus, 2
+            while p * p <= rest:
+                if rest % p == 0:
+                    phi -= phi // p
+                    while rest % p == 0:
+                        rest //= p
+                p += 1
+            if rest > 1:
+                phi -= phi // rest
+            self._order = phi
+        return self._order
 
     def random_element(self, rng):
         # Rejection sampling of [0, N) by gcd.
@@ -227,6 +241,7 @@ class EllipticCurveGroup(BlackBoxGroup):
         self.a = a
         self.b = b
         self.encoding_length = 2 * max(1, (p - 1).bit_length()) + 1
+        self._order: int | None = None
 
     def is_element(self, pt: Point) -> bool:
         if pt is None:
@@ -287,11 +302,20 @@ class EllipticCurveGroup(BlackBoxGroup):
                 yield (x, y)
 
     def order(self) -> int:
-        return sum(1 for _ in self.elements())
+        """1 + sum over x of 1 + (f(x) | p), f(x) = x^3 + a x + b, with the
+        Legendre symbol by Euler's criterion: f(x)^((p-1)/2) is 0, 1 or p - 1."""
+        if self._order is None:
+            half, p = (self.p - 1) // 2, self.p
+            total = 1
+            for x in range(p):
+                symbol = pow((x**3 + self.a * x + self.b) % p, half, p)
+                total += 1 + (symbol if symbol <= 1 else -1)
+            self._order = total
+        return self._order
 
     def random_element(self, rng) -> Point:
-        points = list(self.elements())
-        return points[int(rng.integers(len(points)))]
+        index = int(rng.integers(self.order()))
+        return next(itertools.islice(self.elements(), index, None))
 
     def __repr__(self) -> str:
         return f"EllipticCurveGroup(p={self.p}, a={self.a}, b={self.b})"

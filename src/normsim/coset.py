@@ -52,7 +52,7 @@ from .circuits import (
     label_grid,
 )
 from .groups import ElementaryGroup, GroupElement
-from .linalg import GroupLinearSystem, finite_presentation, solve_group_system
+from .linalg import GroupLinearSystem, extended_gcd, finite_presentation, solve_group_system
 
 
 class CosetSimulationError(ValueError):
@@ -64,15 +64,27 @@ def _combine(columns, weights) -> list[int]:
     return [sum(map(mul, weights, row)) for row in zip(*columns)]
 
 
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = a x + b y, for a, b >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+def _uniform_below(bound: int, rng) -> int:
+    """An exact uniform integer in [0, bound): bound.bit_length() random bits,
+    taken from 63-bit limbs and drawn again until they fall below bound."""
+    bits = bound.bit_length()
+    limbs = -(-bits // 63)
+    while True:
+        value = 0
+        for limb in rng.integers(0, 1 << 63, size=limbs, dtype=np.uint64).tolist():
+            value = value << 63 | limb
+        value >>= 63 * limbs - bits
+        if value < bound:
+            return value
+
+
+def _unravel(index: int, moduli) -> list[int]:
+    """The C-order coordinates of `index` in the box of the given moduli."""
+    coords = []
+    for m in reversed(moduli):
+        index, coord = divmod(index, m)
+        coords.append(coord)
+    return coords[::-1]
 
 
 def _pull_back(quad, lin, shift, columns) -> tuple[list[list[int]], list[int]]:
@@ -223,7 +235,7 @@ class CosetPhaseState:
         if math.gcd(value, n) == math.gcd(n, *values):
             return w
         for gen, other in zip(kernel[1:], values[1:]):
-            value, a, b = _bezout(value, other)
+            value, a, b = extended_gcd(value, other)
             w = [a * x + b * y for x, y in zip(w, gen)]
         return [x % mod for x, mod in zip(w, box)]
 
@@ -346,12 +358,20 @@ class CosetPhaseState:
 
         Draw i is the parameter with C-order index i in the box (the column
         `label_grid(self.moduli)[:, i]`), found without building the grid.
+        Indices come from one `rng.integers` call while the support has
+        fewer than 2^63 points, and one exact Python integer each past that.
         """
-        draws = rng.integers(self.support_size(), size=shots)
-        if self.moduli:
-            t = np.array(np.unravel_index(draws, self.moduli))
+        size = self.support_size()
+        if size >= 1 << 63:
+            t = np.empty((self.num_params, shots), dtype=object)
+            for shot in range(shots):
+                t[:, shot] = _unravel(_uniform_below(size, rng), self.moduli)
         else:
-            t = np.zeros((0, shots), dtype=np.int64)
+            draws = rng.integers(size, size=shots)
+            if self.moduli:
+                t = np.array(np.unravel_index(draws, self.moduli))
+            else:
+                t = np.zeros((0, shots), dtype=np.int64)
         return dict(Counter(map(tuple, self._points(t).T.tolist())))
 
     def check_invariants(self) -> None:

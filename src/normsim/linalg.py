@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index, mul
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -43,10 +44,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
         for i in range(len(a))
     ]
-
-
-def mat_vec(a: Sequence[Sequence], x: Sequence) -> list:
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
 def det(a: Sequence[Sequence[int]]) -> int:
@@ -298,6 +295,19 @@ def hermite_reduce(vectors: Sequence[Sequence[int]]) -> list[Vector]:
 # ---------------------------------------------------------------------------
 
 
+def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, s, t) with d = gcd(a, b) >= 0 and d = s a + t b."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 @dataclass
 class GroupLinearSystem:
     """Rows are congruences: sum_j a[i][j] x_j = b[i]  (mod moduli[i]).
@@ -306,7 +316,9 @@ class GroupLinearSystem:
     there are `width` of them, so a system with no rows still has a full
     solution lattice; callers whose unknowns live in Z_N get the N e_j
     relations in the kernel automatically whenever the system itself
-    respects them.
+    respects them.  The solution set is a coset x0 + K of a lattice K in
+    Z^width, and `solve_group_system` returns the canonical description of
+    it: the Hermite basis of K and the representative x0 reduced against it.
     """
 
     a: Matrix
@@ -324,59 +336,63 @@ class GroupLinearSystem:
             raise LinalgError("moduli must be nonnegative")
 
 
-def _smith_solve(
-    a: Sequence[Sequence[int]], b: Sequence[int], cols: int
-) -> tuple[Vector, list[Vector]] | None:
-    """A x = b over Z for `cols` unknowns via the Smith normal form:
-    (x0, raw kernel generators), or None if infeasible.  The kernel
-    generators are columns of V^-1, not yet in Hermite form."""
-    rows = len(a)
-    if len(b) != rows:
-        raise LinalgError("right-hand side has wrong length")
-    if rows == 0:
-        return [0] * cols, identity_matrix(cols)
-    snf = smith_normal_form(a)
-    c = mat_vec(snf.u_inv, list(b))
-    diag = snf.diagonal
-    z = [0] * cols
-    free: list[int] = []
-    for i in range(cols):
-        di = diag[i] if i < len(diag) else 0
-        ci = c[i] if i < rows else 0
-        if di == 0:
-            if i < rows and ci != 0:
-                return None
-            free.append(i)
-        else:
-            if ci % di != 0:
-                return None
-            z[i] = ci // di
-    if any(c[i] != 0 for i in range(cols, rows)):
-        return None
-    x0 = mat_vec(snf.v_inv, z)
-    return x0, [[snf.v_inv[r][i] for r in range(cols)] for i in free]
-
-
 def solve_group_system(system: GroupLinearSystem) -> tuple[Vector, list[Vector]] | None:
-    """General solution of a mixed-modulus system, or None if infeasible.
+    """General solution (x0, kernel) of a mixed-modulus system, or None if
+    infeasible.
 
-    Each row with modulus m gains an auxiliary unknown multiplied by m,
-    homogenizing the system into a single integer system solved over Z via
-    the Smith normal form; auxiliary coordinates are then projected away and
-    the projected kernel is put in Hermite form once.
+    One sweep of lattice intersections, a row at a time (Cohen, "A Course in
+    Computational Algebraic Number Theory", 2.4): the solutions so far are
+    x0 + span(basis), starting from x0 = 0 and the unit basis.  A row
+    (a, b, m) gives each basis vector the value a . v (mod m) and leaves the
+    residual r = b - a . x0.  Extended gcds fold the vectors with nonzero
+    values into one pivot p of value g, and turn the others into
+    combinations of value 0 (a unimodular change of basis).  With
+    h = gcd(g, m), the row is solvable iff h | r; then x0 moves by c p with
+    c g = r (mod m), and p gives way to (m/h) p (to nothing when m = 0).
+
+    The output depends on the solution set alone: the kernel is its
+    lattice's unique Hermite basis, and reducing x0 against the pivots maps
+    every point of the coset to the same representative.
     """
-    rows = len(system.a)
     cols = system.width
-    aux = [i for i in range(rows) if system.moduli[i] != 0]
-    widened = [list(row) + [0] * len(aux) for row in system.a]
-    for pos, i in enumerate(aux):
-        widened[i][cols + pos] = system.moduli[i]
-    solved = _smith_solve(widened, system.b, cols + len(aux))
-    if solved is None:
-        return None
-    x0_wide, kernel_wide = solved
-    x0 = x0_wide[:cols]
-    kernel = hermite_reduce([k[:cols] for k in kernel_wide])
+    x0 = [0] * cols
+    basis = identity_matrix(cols)
+    for row, rhs, m in zip(system.a, system.b, system.moduli):
+        # Python ints from here on: numpy integers would overflow in the products.
+        row, rhs, m = list(map(index, row)), index(rhs), index(m)
+        r = rhs - sum(map(mul, row, x0))
+        values = [sum(map(mul, row, vector)) for vector in basis]
+        if m:
+            r %= m
+            values = [value % m for value in values]
+        pivot, g, rest = None, 0, []
+        for vector, value in zip(basis, values):
+            if not value:
+                rest.append(vector)
+            elif pivot is None:
+                pivot, g = vector, value
+            else:
+                d, s, t = extended_gcd(g, value)
+                p_scale, q_scale = value // d, g // d
+                rest.append([p_scale * x - q_scale * y for x, y in zip(pivot, vector)])
+                pivot = [s * x + t * y for x, y in zip(pivot, vector)]
+                g = d
+        basis = rest
+        if pivot is None:
+            if r:
+                return None
+            continue
+        h = math.gcd(g, m)
+        if r % h:
+            return None
+        if m:
+            step = m // h
+            c = r // h * pow(g // h, -1, step) % step
+            basis.append([step * x for x in pivot])
+        else:
+            c = r // g
+        x0 = [x + c * y for x, y in zip(x0, pivot)]
+    kernel = hermite_reduce(basis)
     # Shift the particular solution into a canonical corner of the lattice.
     for gen in kernel:
         pivot = next(j for j in range(cols) if gen[j] != 0)

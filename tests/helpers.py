@@ -1,13 +1,15 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
 the closure-based hidden-subgroup loop, the per-label dense black-box gates,
-the per-register DFT-matrix QFT, the double-Hermite group-system solve, the
-exhaustive quadratic-law check) that the library is checked against."""
+the per-register DFT-matrix QFT, the Smith-form integer solve and the
+double-Hermite group-system solve built on it, the exhaustive quadratic-law
+check) that the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 import math
+from operator import mul
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from normsim.linalg import (
     hermite_reduce,
     identity_matrix,
     mat_mul,
-    _smith_solve,
+    smith_normal_form,
     solve_group_system,
 )
 
@@ -446,12 +448,32 @@ def reference_black_box_gates(monkeypatch):
 
 def reference_solve_integer_system(a, b, cols: int):
     """General solution (x0, Hermite kernel) of A x = b over Z for `cols`
-    unknowns, or None if infeasible."""
-    solved = _smith_solve(a, b, cols)
-    if solved is None:
+    unknowns via the Smith normal form A = U D V, or None if infeasible:
+    z = D^-1 U^-1 b where D is invertible, x0 = V^-1 z, and the columns of
+    V^-1 at zero diagonal entries span the kernel."""
+    rows = len(a)
+    if rows == 0:
+        return [0] * cols, identity_matrix(cols)
+    snf = smith_normal_form(a)
+    c = [sum(map(mul, row, b)) for row in snf.u_inv]
+    diag = snf.diagonal
+    z = [0] * cols
+    free = []
+    for i in range(cols):
+        di = diag[i] if i < len(diag) else 0
+        ci = c[i] if i < rows else 0
+        if di == 0:
+            if ci != 0:
+                return None
+            free.append(i)
+        elif ci % di != 0:
+            return None
+        else:
+            z[i] = ci // di
+    if any(c[i] != 0 for i in range(cols, rows)):
         return None
-    x0, kernel = solved
-    return x0, hermite_reduce(kernel)
+    kernel = [[snf.v_inv[r][i] for r in range(cols)] for i in free]
+    return [sum(map(mul, row, z)) for row in snf.v_inv], hermite_reduce(kernel)
 
 
 def reference_solve_group_system(system: GroupLinearSystem):

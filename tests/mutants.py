@@ -48,7 +48,7 @@ MUTANTS = [
         name="group system width taken from the first row",
         path="src/normsim/linalg.py",
         old="    cols = system.width\n",
-        new="    cols = len(system.a[0]) if rows else 0\n",
+        new="    cols = len(system.a[0]) if system.a else 0\n",
         tests=(
             "tests/test_linalg.py::test_system_with_no_rows_keeps_its_width",
             "tests/test_algorithms.py::test_linear_system_over_a_trivial_group",
@@ -71,9 +71,23 @@ MUTANTS = [
     Mutant(
         name="group system kernel without its Hermite pass",
         path="src/normsim/linalg.py",
-        old="    kernel = hermite_reduce([k[:cols] for k in kernel_wide])",
-        new="    kernel = [k[:cols] for k in kernel_wide]",
+        old="    kernel = hermite_reduce(basis)",
+        new="    kernel = [vector for vector in basis if any(vector)]",
         tests=("tests/test_linalg.py::test_solve_group_system_equals_the_double_hermite_path",),
+    ),
+    Mutant(
+        name="group system sweep without the final reduction of x0",
+        path="src/normsim/linalg.py",
+        old="        q = x0[pivot] // gen[pivot]\n",
+        new="        q = 0\n",
+        tests=("tests/test_linalg.py::test_solve_group_system_equals_the_double_hermite_path",),
+    ),
+    Mutant(
+        name="group system without its h | r infeasibility check",
+        path="src/normsim/linalg.py",
+        old="        if r % h:\n            return None\n",
+        new="",
+        tests=("tests/test_linalg.py::test_solve_infeasible",),
     ),
 ]
 

@@ -102,6 +102,27 @@ def test_ec_elements_in_the_order_of_the_pair_enumeration(curve):
     assert list(EllipticCurveGroup(*curve).elements()) == brute_points(*curve)
 
 
+def test_zn_star_order_is_the_unit_count():
+    for n in range(2, 513):
+        group = ZNStarGroup(n)
+        assert group.order() == sum(1 for _ in group.elements()), n
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4), (1009, 2, 3)],
+    ids=lambda curve: f"E{curve}",
+)
+def test_ec_order_counts_the_points_and_draws_keep_their_stream(curve):
+    group = EllipticCurveGroup(*curve)
+    points = list(group.elements())
+    assert group.order() == len(points)
+    # random_element draws the index it drew when it listed every point.
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        assert group.random_element(rng) == points[int(reference.integers(len(points)))]
+
+
 def test_ec_associativity_random():
     rng = np.random.default_rng(5)
     for p, a, b in [(5, 1, 1), (7, 2, 3), (11, 1, 6), (97, 2, 3)]:

@@ -182,6 +182,30 @@ def test_run_coset_engine_past_int64(tmp_path):
         assert a == c * b % n
 
 
+def test_run_coset_engine_past_2_to_63_support(tmp_path):
+    # A full QFT on Z_n^2 spreads the state over n^2 > 2^63 points, past
+    # what one rng.integers draw can index.
+    import csv as csv_module
+    import io
+
+    from normsim.circuits import DesignatedBasis, NormalizerCircuit, QFTGate
+    from normsim.groups import cyclic_group
+
+    n = 10**10 + 19
+    circuit = NormalizerCircuit(DesignatedBasis(cyclic_group(n, n)), [QFTGate((0, 1))])
+    circuit_path = tmp_path / "full.json"
+    save_circuit(circuit, circuit_path)
+    code, text, _ = run_cli(
+        ["run", str(circuit_path), "--engine", "coset", "--seed", "0", "--shots", "4"], tmp_path
+    )
+    assert code == 0
+    rows = list(csv_module.reader(io.StringIO(text)))[1:]
+    assert sum(int(row[1]) for row in rows) == 4
+    for row in rows:
+        a, b = map(int, row[0].strip("()").split(","))
+        assert 0 <= a < n and 0 <= b < n
+
+
 def test_run_dlog_circuit_file_support(tmp_path):
     # Two QFT layers around the double-exponent oracle gate over
     # Z_6^2 x Z_7^*: outcomes concentrate on pairs (k, 3k mod 6).

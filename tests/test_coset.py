@@ -310,3 +310,18 @@ def test_invariants_hold_after_every_gate(case):
         prefix = NormalizerCircuit(circuit.initial_basis, circuit.gates[:k])
         coset_run(prefix, prefix.initial_basis.elementary.reduce(coords)).check_invariants()
     assert_matches_dense(circuit, coords)
+
+
+def test_draws_past_2_to_63_are_exact_and_uniform():
+    # The sampler's big-support path: uniform indices of any size, and their
+    # C-order coordinates in the box.
+    rng = np.random.default_rng(1)
+    counts = np.bincount([coset._uniform_below(6, rng) for _ in range(6000)], minlength=6)
+    assert len(counts) == 6 and counts.min() > 850
+    bound = 3 << 100
+    draws = [coset._uniform_below(bound, rng) for _ in range(200)]
+    assert all(0 <= draw < bound for draw in draws)
+    assert max(draws) > bound // 2  # all 102 bits are used
+    box = [5, 6, 7]
+    for index in range(math.prod(box)):
+        assert coset._unravel(index, box) == list(np.unravel_index(index, box))

@@ -252,17 +252,40 @@ def test_solve_matches_brute_force_exhaustively():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
 def test_solve_group_system_equals_the_double_hermite_path(rows, cols, data):
-    # One Hermite pass on the projected kernel gives the canonical form the
-    # old path reached by reducing the wide kernel first.
+    # The sweep's output depends only on the solution set, so it equals the
+    # Smith-form reference: Hermite form of the wide kernel, projected and
+    # reduced again.
     from helpers import reference_solve_group_system
 
-    a = [[data.draw(st.integers(-12, 12)) for _ in range(cols)] for _ in range(rows)]
-    b = [data.draw(st.integers(-12, 12)) for _ in range(rows)]
-    moduli = [data.draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 30])) for _ in range(rows)]
+    small = st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 30])
+    entries = st.one_of(st.integers(-12, 12), st.integers(-(2**40), 2**40))
+    a = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+    b = [data.draw(entries) for _ in range(rows)]
+    moduli = [data.draw(st.one_of(small, st.integers(0, 2**40))) for _ in range(rows)]
     system = GroupLinearSystem(a, b, moduli, cols)
     assert solve_group_system(system) == reference_solve_group_system(system)
+
+
+def test_solve_group_system_needs_no_smith_form(monkeypatch):
+    import normsim.linalg as linalg
+
+    calls = []
+    real = linalg.smith_normal_form
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", spy)
+    # 3x = 3 over Z and 2x + 4y = 2 (mod 6): x = 1 and y = 0 (mod 3).
+    assert solve_group_system(GroupLinearSystem([[2, 4], [3, 0]], [2, 3], [6, 0], 2)) == (
+        [1, 0],
+        [[0, 3]],
+    )
+    assert solve_group_system(GroupLinearSystem([[2]], [1], [4], 1)) is None
+    assert calls == []
 
 
 def test_solve_integer_system_shapes():

@@ -37,7 +37,7 @@ from .circuits import (
 )
 from .deblackbox import EncodingBridge
 from .dense import dense_run, dense_sample
-from .dirichlet import DirichletDistribution
+from .dirichlet import DirichletDistribution, discretization_deviation
 from .groups import ElementaryGroup, GroupElement, cyclic_group
 from .linalg import (
     GroupLinearSystem,
@@ -45,6 +45,7 @@ from .linalg import (
     hermite_reduce,
     identity_matrix,
     is_prime,
+    prime_factors,
     solve_group_system,
 )
 
@@ -208,8 +209,6 @@ def find_order(
         raise OrderFindingError(f"comb half-length {m} below the order")
     checked = None
     if cross_check:
-        from .dirichlet import discretization_deviation
-
         if r_true * m > 1 << 14:
             raise OrderFindingError(
                 f"cross-check needs r * M <= 2^14, got {r_true * m}"
@@ -266,24 +265,10 @@ def find_order(
 def _minimal_confirmed_order(group: BlackBoxGroup, a, multiple: int) -> int:
     """Smallest divisor r of `multiple` with a^r = identity (a^multiple = 1)."""
     order = multiple
-    for p in _prime_factors(multiple):
+    for p in prime_factors(multiple):
         while order % p == 0 and group.power(a, order // p) == group.identity():
             order //= p
     return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _auto_grid(l: int) -> int:
@@ -298,7 +283,7 @@ def _auto_grid(l: int) -> int:
 
 def _prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k, p prime and k >= 2; None for any other n."""
-    primes = _prime_factors(n)
+    primes = prime_factors(n)
     if len(primes) != 1 or primes[0] == n:
         return None
     p, k = primes[0], 0
@@ -406,7 +391,7 @@ def discrete_log(
     # a generates Z_p^*, of order p - 1, exactly when no a^((p-1)/q) with q a
     # prime factor of p - 1 is 1 (Lagrange); a non-unit raises BlackBoxError.
     group._check(a)
-    if any(group.power(a, (p - 1) // q) == 1 for q in _prime_factors(p - 1)):
+    if any(group.power(a, (p - 1) // q) == 1 for q in prime_factors(p - 1)):
         raise DiscreteLogError(f"{a} does not generate the units mod {p}")
     circuit = dlog_circuit(p, a, b)
     state = dense_run(circuit, (0, 0, 1), cap=cap)

@@ -7,13 +7,15 @@ goes through the oracle counter, so tests can assert query budgets.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, finite_presentation, hermite_reduce, invariant_factors, is_prime
+from .linalg import (
+    Matrix, finite_presentation, hermite_reduce, invariant_factors, is_prime, prime_factors
+)
 
 DEFAULT_ORDER_CAP = 1 << 20
 
@@ -193,17 +195,11 @@ class ZNStarGroup(BlackBoxGroup):
         return (x for x in range(1, self.modulus) if math.gcd(x, self.modulus) == 1)
 
     def order(self) -> int:
-        """phi(N), from the prime factors trial division finds."""
+        """phi(N) = N prod (1 - 1/p) over the prime factors p of N."""
         if self._order is None:
-            phi, rest, p = self.modulus, self.modulus, 2
-            while p * p <= rest:
-                if rest % p == 0:
-                    phi -= phi // p
-                    while rest % p == 0:
-                        rest //= p
-                p += 1
-            if rest > 1:
-                phi -= phi // rest
+            phi = self.modulus
+            for p in prime_factors(self.modulus):
+                phi -= phi // p
             self._order = phi
         return self._order
 
@@ -291,15 +287,20 @@ class EllipticCurveGroup(BlackBoxGroup):
             return "O"
         return f"{pt[0]},{pt[1]}"
 
-    def elements(self) -> Iterator[Point]:
+    @functools.cached_property
+    def _point_tuple(self) -> tuple[Point, ...]:
         """O, then the affine points in increasing x and, for each x, increasing y."""
         roots: dict[int, list[int]] = {}
         for y in range(self.p):
             roots.setdefault(y * y % self.p, []).append(y)
-        yield None
-        for x in range(self.p):
-            for y in roots.get((x**3 + self.a * x + self.b) % self.p, ()):
-                yield (x, y)
+        return (None,) + tuple(
+            (x, y)
+            for x in range(self.p)
+            for y in roots.get((x**3 + self.a * x + self.b) % self.p, ())
+        )
+
+    def elements(self) -> Iterator[Point]:
+        return iter(self._point_tuple)
 
     def order(self) -> int:
         """1 + sum over x of 1 + (f(x) | p), f(x) = x^3 + a x + b, with the
@@ -314,8 +315,7 @@ class EllipticCurveGroup(BlackBoxGroup):
         return self._order
 
     def random_element(self, rng) -> Point:
-        index = int(rng.integers(self.order()))
-        return next(itertools.islice(self.elements(), index, None))
+        return self._point_tuple[int(rng.integers(len(self._point_tuple)))]
 
     def __repr__(self) -> str:
         return f"EllipticCurveGroup(p={self.p}, a={self.a}, b={self.b})"

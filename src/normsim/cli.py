@@ -32,6 +32,7 @@ from .circuits import (
 from .coset import coset_run
 from .deblackbox import deblackbox_circuit
 from .dense import dense_run, dense_sample
+from .dirichlet import DirichletDistribution
 from .groups import cyclic_group, parse_element
 
 EXIT_OK = 0
@@ -245,8 +246,6 @@ def cmd_order(args, rng):
         ZNStarGroup(args.n), args.a, rng, comb_m=args.comb_m, grid_size=grid_size
     )
     if args.density_out:
-        from .dirichlet import DirichletDistribution
-
         dist = DirichletDistribution(run.order, run.comb_m, 0)
         with open(args.density_out, "w") as fh:
             writer = csv.writer(fh)

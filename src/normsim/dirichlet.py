@@ -3,10 +3,11 @@
 After the comb of half-length M collapses onto the residue s mod r, the
 torus-basis wavefunction is a Dirichlet kernel sin(pi L p r)/sin(pi p r)
 up to phase, with L comb teeth surviving.  This module evaluates that
-amplitude exactly, integrates peak masses, and samples measurement outcomes
-without ever representing the infinite register densely.  Outcomes are exact
-grid rationals, drawn by rejection sampling whose law is the grid's law cell
-by cell, so no CDF or other array of grid size is ever built.
+amplitude exactly, sums peak masses from the kernel's finite cosine series
+(no quadrature), and samples measurement outcomes without ever representing
+the infinite register densely.  Outcomes are exact grid rationals, drawn by
+rejection sampling whose law is the grid's law cell by cell, so no CDF or
+other array of grid size is ever built.
 
 The discretized cross-check lives here too: the D-dimensional DFT of the
 truncated comb (D = 2M+1) must reproduce the continuous transform sampled
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .config import DEFAULT_GRID_SIZE
 
@@ -80,17 +80,17 @@ class DirichletDistribution:
         return Fraction(1, self.l * self.r)
 
     def peak_mass(self, delta: Fraction | None = None) -> float:
-        """Total mass within delta/2 of some k/r (all r peaks together)."""
+        """Total mass within delta/2 of some k/r (all r peaks together).
+
+        In u = r p the density is sum_{|k| < L} (1 - |k|/L) e^{2 pi i k u}, so
+        its integral over [-w, w], w = delta r / 2, is the finite sum below,
+        and the mass of one period (delta = 1/r) is its constant term, 1.
+        """
         delta = self._check_delta(delta)
         w = float(delta) * self.r / 2
-        half, _ = integrate.quad(_fejer_density, 0, w, args=(self.l,), limit=200)
-        return 2 * half
-
-    def total_mass(self) -> float:
-        half, _ = integrate.quad(
-            _fejer_density, 0, 0.5, args=(self.l,), limit=50 + 4 * self.l
-        )
-        return 2 * half
+        k = np.arange(1, self.l)
+        series = 2 * (1 - k / self.l) * np.sin(2 * np.pi * k * w) / (np.pi * k)
+        return float(2 * w + series.sum())
 
     def _check_delta(self, delta) -> Fraction:
         if delta is None:

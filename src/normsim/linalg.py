@@ -449,3 +449,18 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, increasing, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out

@@ -36,13 +36,18 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, each of which must fail
 
 
+FEJER_CELLS = "tests/test_dirichlet.py::test_each_cell_is_kept_with_density_over_envelope[3-64]"
+
 MUTANTS = [
     Mutant(
         name="coset points always in int64",
         path="src/normsim/coset.py",
         old="dtype = np.int64 if bound < 1 << 63 else object",
         new="dtype = np.int64",
-        tests=("tests/test_cli.py::test_run_coset_engine_past_int64",),
+        tests=(
+            "tests/test_cli.py::test_run_coset_engine_past_int64",
+            "tests/test_coset.py::test_draws_are_exact_past_int64",
+        ),
     ),
     Mutant(
         name="group system width taken from the first row",
@@ -88,6 +93,34 @@ MUTANTS = [
         old="        if r % h:\n            return None\n",
         new="",
         tests=("tests/test_linalg.py::test_solve_infeasible",),
+    ),
+    Mutant(
+        name="peak mass series without its (1 - k/L) weight",
+        path="src/normsim/dirichlet.py",
+        old="series = 2 * (1 - k / self.l) * np.sin",
+        new="series = 2 * np.sin",
+        tests=("tests/test_dirichlet.py::test_peak_mass_agrees_with_direct_quadrature",),
+    ),
+    Mutant(
+        name="Fejer sampler without halving at the one-sign cells",
+        path="src/normsim/dirichlet.py",
+        old="            if j == 0 or 2 * j == grid_size:\n                accept /= 2\n",
+        new="",
+        tests=(FEJER_CELLS,),
+    ),
+    Mutant(
+        name="Fejer sampler cells without their sign",
+        path="src/normsim/dirichlet.py",
+        old="cells.append(-j % grid_size if w < accept / 2 else j)",
+        new="cells.append(j)",
+        tests=(FEJER_CELLS,),
+    ),
+    Mutant(
+        name="Fejer tail envelope 1/j^2 instead of 1/(j (j - 1))",
+        path="src/normsim/dirichlet.py",
+        old="envelope = grid_size**2 / (4 * l * j * (j - 1))",
+        new="envelope = grid_size**2 / (4 * l * j * j)",
+        tests=(FEJER_CELLS,),
     ),
 ]
 

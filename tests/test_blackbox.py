@@ -123,6 +123,21 @@ def test_ec_order_counts_the_points_and_draws_keep_their_stream(curve):
         assert group.random_element(rng) == points[int(reference.integers(len(points)))]
 
 
+def test_ec_point_table_is_built_once_across_draws(monkeypatch):
+    # y^2 = x^3 + 2x + 3 over F_10007: rebuilding the table of square roots
+    # on every draw costs O(p) each, so the tuple of points is built once.
+    prop = EllipticCurveGroup._point_tuple
+    builds = []
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda group: builds.append(group) or build(group))
+    group = EllipticCurveGroup(10007, 2, 3)
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    draws = [group.random_element(rng) for _ in range(100)]
+    points = list(group.elements())
+    assert len(builds) == 1 and len(points) == group.order()
+    assert draws == [points[int(reference.integers(len(points)))] for _ in range(100)]
+
+
 def test_ec_associativity_random():
     rng = np.random.default_rng(5)
     for p, a, b in [(5, 1, 1), (7, 2, 3), (11, 1, 6), (97, 2, 3)]:

@@ -497,3 +497,17 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     for name, parser in subparsers.choices.items():
         flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
         assert flags == reads[name] | {"--help", "--seed", "--out", "--format"}, name
+
+
+def test_package_imports_without_scipy():
+    # The runtime needs numpy alone: a fresh interpreter that imports the
+    # package and its CLI must not have pulled scipy in.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import normsim, normsim.cli, sys; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,11 +1,12 @@
 """Equivalence of the structured simulator with the dense oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -35,6 +36,7 @@ from normsim.coset import (
 from normsim import coset
 from normsim.dense import dense_run
 from normsim.groups import cyclic_group, group, Z
+from normsim.linalg import mat_mul
 
 
 def assert_matches_dense(circuit, input_coords):
@@ -325,3 +327,52 @@ def test_draws_past_2_to_63_are_exact_and_uniform():
     box = [5, 6, 7]
     for index in range(math.prod(box)):
         assert coset._unravel(index, box) == list(np.unravel_index(index, box))
+
+
+WIDE = 10**10 + 19  # prime; products of two coordinates pass 2^63
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=st.lists(st.integers(2, 10**12), min_size=1, max_size=2),
+    qft=st.sets(st.integers(0, 1), min_size=1),
+    units=st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)),
+    shears=st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)),
+    shots=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(moduli=[WIDE], qft={0}, units=(9999999967, 1), shears=(0, 0), shots=20, seed=0)
+@example(moduli=[WIDE, WIDE], qft={0, 1}, units=(3, 5), shears=(WIDE - 2, 7), shots=20, seed=1)
+@example(moduli=[WIDE, 6], qft={0}, units=(WIDE - 1, 5), shears=(1, 1), shots=20, seed=2)
+def test_draws_are_exact_past_int64(moduli, qft, units, shears, shots, seed):
+    # Oracle: the parameters redrawn from the same seed (one rng.integers
+    # call below 2^63 support points, exact limbs past it), unravelled in
+    # C order, and x0 + P t taken in Python integers.
+    k = len(moduli)
+    units = [u % n for u, n in zip(units, moduli)]
+    assume(all(math.gcd(u, n) == 1 for u, n in zip(units, moduli)))
+    matrix = [[units[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    if k == 2:
+        steps = [moduli[i] // math.gcd(*moduli) for i in range(2)]
+        upper = [[1, steps[0] * shears[0]], [0, 1]]
+        lower = [[1, 0], [steps[1] * shears[1], 1]]
+        matrix = mat_mul(lower, mat_mul(upper, matrix))
+    g = cyclic_group(*moduli)
+    registers = tuple(sorted({r % k for r in qft}))
+    rep = validate_matrix_rep(matrix, g)
+    gates = [QFTGate(registers), AutomorphismGate(rep=rep)]
+    state = coset_run(NormalizerCircuit(DesignatedBasis(g), gates), g.identity())
+    drawn = state.sample(shots, np.random.default_rng(seed))
+
+    rng, size = np.random.default_rng(seed), state.support_size()
+    if size < 1 << 63:
+        indices = rng.integers(size, size=shots).tolist()
+    else:
+        indices = [coset._uniform_below(size, rng) for _ in range(shots)]
+    reference = Counter()
+    for index in indices:
+        point = list(state.shift)
+        for column, t in zip(state.columns, coset._unravel(index, state.moduli)):
+            point = [x + c * t for x, c in zip(point, column)]
+        reference[tuple(x % n for x, n in zip(point, g.chars))] += 1
+    assert Counter(drawn) == reference

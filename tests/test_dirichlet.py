@@ -57,10 +57,14 @@ def test_amplitude_matches_direct_sum():
 
 
 def test_density_normalizes_to_one():
+    # Oracle: quadrature of the density over one period; the series must
+    # give the same mass at delta = 1/r, where its constant term is all of it.
     for r, m in [(1, 4), (4, 64), (7, 120), (12, 200)]:
         for s in (0, r - 1):
             dist = DirichletDistribution(r, m, s)
-            assert dist.total_mass() == pytest.approx(1.0, abs=1e-9)
+            total, _ = integrate.quad(dist.density, 0, 1, limit=50 + 4 * r * dist.l)
+            assert total == pytest.approx(1.0, abs=1e-9)
+            assert dist.peak_mass(Fraction(1, r)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_peak_mass_bounds_paper_case():
@@ -81,15 +85,20 @@ def test_peak_mass_bounds_sweep():
 
 def test_peak_mass_agrees_with_direct_quadrature():
     # Oracle: integrate |D_{L,r}(p)|^2 / L over the r windows in p-space.
-    dist = DirichletDistribution(3, 24, 0)
-    delta = dist.default_resolution()
-    total = 0.0
-    for k in range(3):
-        lo = float(Fraction(k, 3) - delta / 2)
-        hi = float(Fraction(k, 3) + delta / 2)
-        value, _ = integrate.quad(dist.density, lo, hi, limit=200)
-        total += value
-    assert dist.peak_mass() == pytest.approx(total, abs=1e-9)
+    for r in range(1, 17):
+        for m in (r, 16 * r, 64 * r):
+            for s in {0, r - 1}:
+                dist = DirichletDistribution(r, m, s)
+                for delta in (dist.default_resolution(), Fraction(1, 3 * r), Fraction(1, r)):
+                    total = 0.0
+                    for k in range(r):
+                        lo = float(Fraction(k, r) - delta / 2)
+                        hi = float(Fraction(k, r) + delta / 2)
+                        value, _ = integrate.quad(dist.density, lo, hi, limit=200)
+                        total += value
+                    assert dist.peak_mass(delta) == pytest.approx(total, abs=1e-9), (
+                        r, m, s, delta
+                    )
 
 
 def test_sampler_hits_peaks_at_the_analytic_rate():

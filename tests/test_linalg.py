@@ -22,7 +22,9 @@ from normsim.linalg import (
     hermite_reduce,
     identity_matrix,
     invariant_factors,
+    is_prime,
     mat_mul,
+    prime_factors,
     smith_normal_form,
     solve_group_system,
 )
@@ -350,3 +352,11 @@ def test_cf_all_small_fractions_with_noise():
 def test_cf_rejects_bad_rmax():
     with pytest.raises(LinalgError):
         continued_fraction_reconstruct(Fraction(1, 2), 0)
+
+
+def test_prime_factors_are_the_prime_divisors():
+    # Oracle: the divisors of n that is_prime accepts, in increasing order.
+    for n in range(1, 2000):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+        assert prime_factors(n) == primes, n
+    assert prime_factors(2 * 3**5 * (10**10 + 19)) == [2, 3, 10**10 + 19]

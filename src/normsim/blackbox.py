@@ -55,6 +55,7 @@ class BlackBoxGroup:
 
     def __init__(self) -> None:
         self.counter = OracleCounter()
+        self._walk: tuple | None = None  # (generator encodings, relations, reached)
 
     # -- subclass surface ---------------------------------------------------
 
@@ -133,21 +134,21 @@ class BlackBoxGroup:
         return result
 
     def sample_generators(self, rng) -> list:
-        """Random generating set, keeping only candidates that enlarge the
-        generated subgroup (so the set stays logarithmically small)."""
+        """Random generating set, keeping only candidates outside the subgroup
+        already generated (so the set stays logarithmically small).  Each kept
+        candidate costs one Cayley walk, and the group keeps the last one."""
         target = self.order()
         gens: list = []
-        seen = 1
+        reached = {self.encode(self.identity())}
         tries = 0
-        while seen < target:
+        while len(reached) < target:
             candidate = self.random_element(rng)
             tries += 1
             if tries > SAMPLE_GENERATOR_TRIES:
                 raise BlackBoxError("failed to sample a generating set")
-            enlarged = cayley_relations(self, gens + [candidate])[1]
-            if enlarged > seen:
+            if self.encode(candidate) not in reached:
                 gens.append(candidate)
-                seen = enlarged
+                reached = cayley_relations(self, gens)[1]
         if not gens:
             gens.append(self.identity())
         return gens
@@ -237,7 +238,6 @@ class EllipticCurveGroup(BlackBoxGroup):
         self.a = a
         self.b = b
         self.encoding_length = 2 * max(1, (p - 1).bit_length()) + 1
-        self._order: int | None = None
 
     def is_element(self, pt: Point) -> bool:
         if pt is None:
@@ -303,16 +303,7 @@ class EllipticCurveGroup(BlackBoxGroup):
         return iter(self._point_tuple)
 
     def order(self) -> int:
-        """1 + sum over x of 1 + (f(x) | p), f(x) = x^3 + a x + b, with the
-        Legendre symbol by Euler's criterion: f(x)^((p-1)/2) is 0, 1 or p - 1."""
-        if self._order is None:
-            half, p = (self.p - 1) // 2, self.p
-            total = 1
-            for x in range(p):
-                symbol = pow((x**3 + self.a * x + self.b) % p, half, p)
-                total += 1 + (symbol if symbol <= 1 else -1)
-            self._order = total
-        return self._order
+        return len(self._point_tuple)
 
     def random_element(self, rng) -> Point:
         return self._point_tuple[int(rng.integers(len(self._point_tuple)))]
@@ -405,52 +396,52 @@ class DecompositionTable:
                 raise BlackBoxError("beta generators are not independent")
 
 
-def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], int]:
+def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], dict]:
     """Relation lattice generators for the exponent map Z^k -> <generators>.
 
-    Walks the Cayley graph recording one exponent word per element; the
-    closing edges generate the full relation lattice (spanning-tree
-    argument).  Returns (relations, number of elements reached); raises
-    once the walk reaches more than DEFAULT_ORDER_CAP elements.
+    Walks the Cayley graph at k `mul` per element; the closing edges generate
+    the full relation lattice (spanning-tree argument).  Returns (relations,
+    reached), reached mapping each element's encoding to (element, exponent
+    word); raises past DEFAULT_ORDER_CAP elements.  The group keeps its last
+    walk, so walking the same generators again costs no oracle calls.
     """
     generators = list(generators)
     if not generators:
         raise BlackBoxError("need at least one generator")
-    k = len(generators)
-    identity_key = group.encode(group.identity())
-    words: dict[str, list[int]] = {identity_key: [0] * k}
-    values = {identity_key: group.identity()}
+    key = tuple(group.encode(g) for g in generators)
+    if group._walk is not None and group._walk[0] == key:
+        return group._walk[1:]
+    start = (group.identity(), (0,) * len(generators))
+    reached = {group.encode(start[0]): start}
     relations: list[list[int]] = []
-    frontier = [identity_key]
+    frontier = [start]
     while frontier:
-        key = frontier.pop()
-        base_word = words[key]
+        value, word = frontier.pop()
         for j, g in enumerate(generators):
-            nxt = group.mul(values[key], g)
+            nxt = group.mul(value, g)
             nxt_key = group.encode(nxt)
-            stepped = list(base_word)
-            stepped[j] += 1
-            if nxt_key in words:
-                relation = [a - b for a, b in zip(stepped, words[nxt_key])]
+            stepped = word[:j] + (word[j] + 1,) + word[j + 1:]
+            if nxt_key in reached:
+                relation = [a - b for a, b in zip(stepped, reached[nxt_key][1])]
                 if any(relation):
                     relations.append(relation)
             else:
-                if len(words) >= DEFAULT_ORDER_CAP:
+                if len(reached) >= DEFAULT_ORDER_CAP:
                     raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
-                words[nxt_key] = stepped
-                values[nxt_key] = nxt
-                frontier.append(nxt_key)
-    return relations, len(words)
+                reached[nxt_key] = (nxt, stepped)
+                frontier.append((nxt, stepped))
+    group._walk = (key, relations, reached)
+    return relations, reached
 
 
 def bb_decompose_bruteforce(group: BlackBoxGroup, generators: Sequence) -> DecompositionTable:
     """Classical decomposition oracle: exhaust the group, then SNF the relations."""
     generators = list(generators)
-    relations, size = cayley_relations(group, generators)
-    if group.order() != size:
+    relations, reached = cayley_relations(group, generators)
+    if group.order() != len(reached):
         raise BlackBoxError("generators do not generate the group")
     table = decomposition_from_relations(group, generators, relations)
-    if table.order() != size:
+    if table.order() != len(reached):
         raise BlackBoxError("relation lattice does not pin down the group")
     return table
 

@@ -24,7 +24,7 @@ from .blackbox import (
     BlackBoxGroup,
     DecompositionTable,
     bb_decompose_bruteforce,
-    word_table,
+    cayley_relations,
 )
 from .circuits import (
     AutomorphismGate,
@@ -73,9 +73,9 @@ class EncodingBridge:
 
     encode maps an exponent vector g to beta_1^g(1) ... beta_d^g(d); decode
     inverts it.  Decoding is the multivariate discrete-logarithm problem; at
-    desk scale both directions are answered from one memoized `word_table`
-    of the beta box, one `mul` per group element, visible on the group's
-    counter.  encode reduces g mod c first, which gives group.word's value
+    desk scale both directions come from the group's Cayley walk of alpha
+    (free after `bb_decompose_bruteforce`): alpha-word x has beta-coordinates
+    B x mod c.  encode reduces g mod c first, which gives group.word's value
     because beta_i has order c_i (`DecompositionTable.verify` checks it).
     """
 
@@ -89,14 +89,16 @@ class EncodingBridge:
         return ElementaryGroup(tuple(cyclic(c) for c in self.table.c))
 
     def _tables(self) -> tuple[dict, dict]:
-        """The beta-box word table and its inverse, built once, together."""
+        """Every element by its beta-coordinates and the inverse map, built once."""
         if self._words is None:
-            self._words = word_table(self.group, self.table.beta, self.table.c)
+            _, reached = cayley_relations(self.group, self.table.alpha)
             z_group = self.z_group
-            self._decode_map = {
-                self.group.encode(value): GroupElement(z_group, x)
-                for x, value in self._words.items()
-            }
+            self._words, self._decode_map = {}, {}
+            for key, (value, word) in reached.items():
+                x = tuple(sum(map(operator.mul, row, word)) % c
+                          for row, c in zip(self.table.b, self.table.c))
+                self._words[x] = value
+                self._decode_map[key] = GroupElement(z_group, x)
         return self._words, self._decode_map
 
     def encode(self, vector: Sequence[int] | GroupElement):
@@ -374,7 +376,8 @@ def deblackbox_circuit(
     (group, generators) to a decomposition table.  Gates already in normal
     form are extended by the identity on the fresh cyclic registers; black
     boxes are conjugated through the bridge and extracted.  The provenance
-    log records, per gate, what happened and how many oracle queries it cost.
+    log records, per gate, what happened and how many oracle queries it cost
+    (generator sampling counts under `decompose`, so nothing goes unrecorded).
     """
     trace = circuit.validate()
     bb = circuit.initial_basis.blackbox
@@ -382,9 +385,9 @@ def deblackbox_circuit(
         return DeblackboxResult(circuit=circuit, bridge=None, provenance=[
             {"gate": i, "action": "unchanged"} for i in range(len(circuit.gates))
         ])
+    start = bb.counter.total
     if generators is None:
         generators = bb.sample_generators(rng or np.random.default_rng(0))
-    start = bb.counter.total
     table = bb_decompose_bruteforce(bb, list(generators))
     bridge = EncodingBridge(group=bb, table=table)
     provenance: list[dict] = [

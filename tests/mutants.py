@@ -37,6 +37,9 @@ class Mutant:
 
 
 FEJER_CELLS = "tests/test_dirichlet.py::test_each_cell_is_kept_with_density_over_envelope[3-64]"
+CURVE_DEBLACKBOX = (
+    "tests/test_deblackbox.py::test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once"
+)
 
 MUTANTS = [
     Mutant(
@@ -121,6 +124,43 @@ MUTANTS = [
         old="envelope = grid_size**2 / (4 * l * j * (j - 1))",
         new="envelope = grid_size**2 / (4 * l * j * j)",
         tests=(FEJER_CELLS,),
+    ),
+    Mutant(
+        name="bridge coordinates from A instead of B",
+        path="src/normsim/deblackbox.py",
+        old="for row, c in zip(self.table.b, self.table.c)",
+        new="for row, c in zip(self.table.a, self.table.c)",
+        tests=(
+            "tests/test_deblackbox.py::test_encode_equals_the_beta_word[Z63*]",
+            CURVE_DEBLACKBOX,
+        ),
+    ),
+    Mutant(
+        name="bridge coordinates from B transposed",
+        path="src/normsim/deblackbox.py",
+        old="for row, c in zip(self.table.b, self.table.c)",
+        new="for row, c in zip(zip(*self.table.b), self.table.c)",
+        tests=(
+            "tests/test_deblackbox.py::test_decode_map_equals_the_word_enumeration[E(17, 2, 4)]",
+            "tests/test_deblackbox.py::test_encode_equals_the_beta_word[Z15*]",
+        ),
+    ),
+    Mutant(
+        name="kept Cayley walk reused for any generator list of the same length",
+        path="src/normsim/blackbox.py",
+        old="if group._walk is not None and group._walk[0] == key:",
+        new="if group._walk is not None and len(group._walk[0]) == len(key):",
+        tests=("tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",),
+    ),
+    Mutant(
+        name="sample_generators keeps a candidate already in the walk",
+        path="src/normsim/blackbox.py",
+        old="            if self.encode(candidate) not in reached:\n",
+        new="            if True:\n",
+        tests=(
+            "tests/test_blackbox.py::test_sample_generators_pinned[zn_star 63-4]",
+            "tests/test_cli_pinned.py::test_cli_bytes_are_pinned[deblackbox-json]",
+        ),
     ),
 ]
 

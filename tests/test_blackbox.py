@@ -15,6 +15,7 @@ from normsim.blackbox import (
     ZNStarGroup,
     bb_decompose_bruteforce,
     bb_order,
+    cayley_relations,
 )
 
 F5_CURVE = (5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
@@ -116,7 +117,9 @@ def test_zn_star_order_is_the_unit_count():
 def test_ec_order_counts_the_points_and_draws_keep_their_stream(curve):
     group = EllipticCurveGroup(*curve)
     points = list(group.elements())
-    assert group.order() == len(points)
+    # order() is the length of the group's own point table, so the count
+    # comes from the independent F_p x F_p enumeration.
+    assert group.order() == len(brute_points(*curve))
     # random_element draws the index it drew when it listed every point.
     rng, reference = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(20):
@@ -361,6 +364,21 @@ def test_decomposition_round_trip_words():
             assert g.word(table.beta, y) == g.word(table.alpha, ay)
 
 
+def test_cayley_walk_is_kept_for_the_same_generators():
+    g = ZNStarGroup(15)
+    relations, reached = cayley_relations(g, [2, 14])
+    assert g.counter.total == 2 * 8 and len(reached) == 8  # k mul per element
+    for key, (value, word) in reached.items():
+        assert key == g.encode(value) and value == g.word([2, 14], list(word))
+    calls = g.counter.total
+    assert cayley_relations(g, [2, 14]) == (relations, reached)
+    assert g.counter.total == calls
+    # The same length with another generator walks <4, 14> = {1, 4, 11, 14}.
+    _, smaller = cayley_relations(g, [4, 14])
+    assert sorted(value for value, _ in smaller.values()) == [1, 4, 11, 14]
+    assert g.counter.total == calls + 2 * 4
+
+
 def test_sample_generators_generate():
     rng = np.random.default_rng(17)
     for modulus in [15, 21, 24]:
@@ -370,19 +388,21 @@ def test_sample_generators_generate():
         assert table.order() == g.order()
 
 
-# (group, seed) -> (generators, oracle calls), recorded with the Cayley walk
-# sample_generators used before it read subgroup sizes from cayley_relations.
+# (group, seed) -> (generators, oracle calls).  The generators were recorded
+# with the Cayley walk sample_generators used before it read subgroup sizes
+# from cayley_relations; the counts, when it began to walk once per kept
+# generator instead of once per candidate.
 SAMPLED_GENERATORS = {
     ("zn_star 91", 0): ([57, 46, 24], 244),
     ("zn_star 91", 1): ([43, 46, 68], 294),
-    ("zn_star 91", 2): ([76, 23, 27], 408),
-    ("zn_star 91", 3): ([73, 16, 72], 408),
+    ("zn_star 91", 2): ([76, 23, 27], 300),
+    ("zn_star 91", 3): ([73, 16, 72], 300),
     ("zn_star 91", 4): ([66, 85], 150),
     ("zn_star 63", 0): ([53, 40], 78),
     ("zn_star 63", 1): ([29, 32, 47], 150),
     ("zn_star 63", 2): ([52, 16, 26], 150),
-    ("zn_star 63", 3): ([5, 11, 50], 174),
-    ("zn_star 63", 4): ([59, 55, 5], 282),
+    ("zn_star 63", 3): ([5, 11, 50], 138),
+    ("zn_star 63", 4): ([59, 55, 5], 138),
     ("zn_star 7", 0): ([5], 6),
     ("zn_star 7", 1): ([3], 6),
     ("zn_star 7", 2): ([5], 6),
@@ -391,7 +411,7 @@ SAMPLED_GENERATORS = {
     ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 40),
     ("ec 17 2 4", 1): ([(7, 2)], 16),
     ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 40),
-    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 72),
+    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 40),
     ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 34),
 }
 

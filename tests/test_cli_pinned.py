@@ -15,7 +15,9 @@ The factor, order, decompose, decompose ec and ecdlog cases were re-recorded
 when order finding's sampler went from an inverse CDF on the grid to
 rejection sampling (same outcome law, another rng stream), and the deblackbox
 cases when the encoding bridge began to encode from its word table (fewer
-oracle calls).
+oracle calls).  The deblackbox and decompose cases moved once more, in their
+oracle counts alone, when generator sampling began to walk the group once
+per kept generator and the deblackbox provenance began to count it.
 """
 
 import json

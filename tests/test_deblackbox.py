@@ -7,11 +7,13 @@ import pytest
 
 from helpers import random_matrix_rep, random_quadratic_form
 
+from normsim.algorithms import dlog_circuit, ec_dlog_circuit
 from normsim.blackbox import (
     BlackBoxError,
     EllipticCurveGroup,
     ZNStarGroup,
     bb_decompose_bruteforce,
+    bb_order,
 )
 from normsim.circuits import (
     AutomorphismGate,
@@ -81,7 +83,8 @@ def test_decode_map_equals_the_word_enumeration(make):
     bridge = EncodingBridge(g, table)
     before = g.counter.total
     bridge.decode(g.identity())
-    assert g.counter.total - before == table.order() - 1
+    # The bridge reads the Cayley walk the decomposition left on the group.
+    assert g.counter.total == before
     z = bridge.z_group
     # The map as it was built before: one group.word per exponent vector.
     old = {g.encode(g.word(table.beta, x.coords)): x for x in z.elements()}
@@ -103,13 +106,37 @@ def test_encode_equals_the_beta_word(make):
     expected = [g.word(table.beta, v) for v in vectors]
     before = g.counter.total
     assert [bridge.encode(v) for v in vectors] == expected
-    # One word_table for the bridge's lifetime, shared with decode.
-    assert g.counter.total - before == table.order() - 1
+    # Both maps come from the decomposition's Cayley walk, at no oracle call.
+    assert g.counter.total == before
     for v, value in zip(vectors, expected):
         assert bridge.decode(value).coords == tuple(e % c for e, c in zip(v, table.c))
-    assert g.counter.total - before == table.order() - 1
+    assert g.counter.total == before
     with pytest.raises(BlackBoxError, match="length mismatch"):
         bridge.encode(vectors[0] + [0])
+
+
+def _deblackbox_calls(circuit) -> int:
+    """Oracle calls of one deblackbox with sampled generators; checks that the
+    provenance records hold every one of them."""
+    bb = circuit.initial_basis.blackbox
+    before = bb.counter.total
+    result = deblackbox_circuit(circuit, rng=np.random.default_rng(0))
+    calls = bb.counter.total - before
+    assert sum(record["oracle_calls"] for record in result.provenance) == calls
+    return calls
+
+
+def test_sampled_deblackbox_of_the_dlog_circuit_walks_the_group_once():
+    # |Z_10007^*| = 10006: one Cayley walk serves the generator sampling, the
+    # decomposition and the bridge; the rest is the extraction.
+    assert _deblackbox_calls(dlog_circuit(10007, 5, 7)) <= 10_500
+
+
+def test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once():
+    curve = EllipticCurveGroup(1009, 2, 3)  # cyclic, 1068 points
+    base = next(pt for pt in curve.elements() if pt and bb_order(curve, pt) == 1068)
+    circuit = ec_dlog_circuit(curve, base, curve.power(base, 500), 1068)
+    assert _deblackbox_calls(circuit) <= 3_000
 
 
 def test_extract_matrix_examples():

@@ -307,6 +307,8 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
     Preconditions follow the classical reduction: n odd, composite, and not
     a prime power (those cases are handled classically up front).
     """
+    if attempts < 1:
+        raise FactoringError(f"attempts must be positive, got {attempts}")
     if n < 3 or n % 2 == 0:
         raise FactoringError(f"{n} must be an odd integer >= 3")
     if is_prime(n):

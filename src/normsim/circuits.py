@@ -43,7 +43,6 @@ from .linalg import (
     identity_matrix,
     invariant_factors,
     mat_mul,
-    smith_normal_form,
     solve_group_system,
 )
 
@@ -186,89 +185,36 @@ def validate_matrix_rep(
 
 
 def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
-    """Two-sided inverse representation, by blockwise back-substitution."""
-    group = rep.group
+    """Two-sided inverse representation, one congruence solve per column.
+
+    In the order (Z, finite, T) the entry rules make A lower block-triangular,
+    so X_{ZF,T} = 0 and column j of a diagonal block solves A_{ZF,ZF} x = e_j
+    (Z rows over Z, row k mod N_k: unique, finite coordinates reduced) or
+    A_TT x = e_j over Z.  X_{T,ZF} = -X_TT A_{T,ZF} X_{ZF,ZF} mod 1 works:
+    (XA)_{T,ZF} = X_TT A_{T,ZF} (I - X_{ZF,ZF} A_{ZF,ZF}), whose Z rows of
+    I - X_{ZF,ZF} A_{ZF,ZF} vanish and whose finite row k is 0 mod N_k, while
+    A's T-row entries from finite source k have denominators dividing N_k.
+    """
+    group, a = rep.group, rep.matrix
     factors = group.factors
     m = len(factors)
-    a = [list(row) for row in rep.matrix]
-    z_idx = [i for i, f in enumerate(factors) if f.kind == "Z"]
+    zf = [i for i, f in enumerate(factors) if f.kind != "T"]
     t_idx = [i for i, f in enumerate(factors) if f.kind == "T"]
-    f_idx = [i for i, f in enumerate(factors) if f.kind == "cyclic"]
     x = [[0] * m for _ in range(m)]
-
-    def int_inverse(idx):
-        # A unimodular block has Smith form I = U^-1 A V^-1, so A^-1 = V^-1 U^-1.
-        snf = smith_normal_form(sub_matrix(a, idx, idx))
-        return mat_mul(snf.v_inv, snf.u_inv)
-
-    if z_idx:
-        inv_zz = int_inverse(z_idx)
-        for r, i in enumerate(z_idx):
-            for c, j in enumerate(z_idx):
-                x[i][j] = inv_zz[r][c]
-    if t_idx:
-        inv_tt = int_inverse(t_idx)
-        for r, i in enumerate(t_idx):
-            for c, j in enumerate(t_idx):
-                x[i][j] = inv_tt[r][c]
-    if f_idx:
-        moduli = [factors[i].modulus for i in f_idx]
-        a_ff = sub_matrix(a, f_idx, f_idx)
-        for c in range(len(f_idx)):
-            rhs = [1 if r == c else 0 for r in range(len(f_idx))]
-            solved = solve_group_system(GroupLinearSystem(a_ff, rhs, moduli, len(f_idx)))
+    for idx in (zf, t_idx):
+        block = [[a[i][j] for j in idx] for i in idx]
+        moduli = [factors[i].modulus for i in idx]  # 0 on Z and T
+        for c, j in enumerate(idx):
+            unit = [int(r == c) for r in range(len(idx))]
+            solved = solve_group_system(GroupLinearSystem(block, unit, moduli, len(idx)))
             if solved is None:
-                raise InvalidGate("finite block is not bijective")
-            for r, i in enumerate(f_idx):
-                x[i][f_idx[c]] = solved[0][r] % moduli[r]
-        if z_idx:
-            # X_FZ A_ZZ + X_FF A_FZ = 0 (mod moduli)
-            x_ff = sub_matrix(x, f_idx, f_idx)
-            a_fz = sub_matrix(a, f_idx, z_idx)
-            x_zz = sub_matrix(x, z_idx, z_idx)
-            correction = mat_mul(mat_mul(x_ff, a_fz), x_zz)
-            for r, i in enumerate(f_idx):
-                for c, j in enumerate(z_idx):
-                    x[i][j] = (-correction[r][c]) % moduli[r]
-    if t_idx:
-        x_tt = sub_matrix(x, t_idx, t_idx)
-        if f_idx:
-            # X_TF A_FF = -X_TT A_TF (mod 1), entries alpha/N_source.
-            a_tf = sub_matrix(a, t_idx, f_idx)
-            target = mat_mul(x_tt, a_tf)
-            a_ff = sub_matrix(a, f_idx, f_idx)
-            moduli = [factors[i].modulus for i in f_idx]
-            scale = math.lcm(*moduli)
-            for r, i in enumerate(t_idx):
-                # Unknown row u with u_k = alpha_k / N_k; solve in alpha.
-                coeffs = [
-                    [a_ff[k][c] * (scale // moduli[k]) for k in range(len(f_idx))]
-                    for c in range(len(f_idx))
-                ]
-                rhs = []
-                for c in range(len(f_idx)):
-                    value = -target[r][c] * scale
-                    if value.denominator != 1:
-                        raise InvalidGate("inverse construction hit a non-integer")
-                    rhs.append(int(value))
-                solved = solve_group_system(
-                    GroupLinearSystem(coeffs, rhs, [scale] * len(f_idx), len(f_idx))
-                )
-                if solved is None:
-                    raise InvalidGate("no inverse on the torus-to-finite block")
-                for k in range(len(f_idx)):
-                    x[i][f_idx[k]] = Fraction(solved[0][k], moduli[k]) % 1
-        if z_idx:
-            # X_TZ A_ZZ + X_TF A_FZ + X_TT A_TZ = 0 (mod 1)
-            acc = mat_mul(x_tt, sub_matrix(a, t_idx, z_idx))
-            if f_idx:
-                acc2 = mat_mul(sub_matrix(x, t_idx, f_idx), sub_matrix(a, f_idx, z_idx))
-                acc = [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(acc, acc2)]
-            x_zz = sub_matrix(x, z_idx, z_idx)
-            correction = mat_mul(acc, x_zz)
-            for r, i in enumerate(t_idx):
-                for c, j in enumerate(z_idx):
-                    x[i][j] = (-correction[r][c]) % 1
+                raise InvalidGate("diagonal block is not invertible")
+            for i, value in zip(idx, solved[0]):
+                x[i][j] = value
+    for i in t_idx:
+        row = [sum(x[i][s] * a[s][k] for s in t_idx) for k in zf]  # (X_TT A_{T,ZF})_i
+        for j in zf:
+            x[i][j] = -sum(value * x[k][j] for value, k in zip(row, zf))
     inverse = validate_matrix_rep(x, group)
     identity = validate_matrix_rep(identity_matrix(m), group)
     if not inverse.compose(rep).equals_as_map(identity):
@@ -276,10 +222,6 @@ def matrix_rep_inverse(rep: MatrixRep) -> MatrixRep:
     if not rep.compose(inverse).equals_as_map(identity):
         raise InvalidGate("constructed right inverse fails")
     return inverse
-
-
-def sub_matrix(m, rows, cols):
-    return [[m[i][j] for j in cols] for i in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +381,8 @@ def validate_quadratic(
         if factor.kind == "T":
             if value.denominator != 1:
                 raise InvalidGate(f"v[{i}] must be an integer for a T factor")
-        elif factor.kind == "cyclic":
-            if (value * factor.modulus).denominator != 1:
-                raise InvalidGate(
-                    f"v[{i}] needs denominator dividing {factor.modulus}"
-                )
-            value %= 1
+        elif factor.kind == "cyclic" and (value * factor.modulus).denominator != 1:
+            raise InvalidGate(f"v[{i}] needs denominator dividing {factor.modulus}")
         else:
             value %= 1
         v_entries.append(value)
@@ -523,7 +461,7 @@ def apply_qft_basis_update(
 
     `over` pins the transform direction: "Z" demands the register currently
     carries the Z label, "T" the T label; omitted means either.  Finite
-    registers are always legal and keep their label group.
+    registers take no `over` and keep their label group.
     """
     factors = list(basis.elementary.factors)
     for r in registers:
@@ -531,16 +469,10 @@ def apply_qft_basis_update(
             raise CircuitError("quantum Fourier transforms never touch the black-box slot")
         if not 0 <= r < len(factors):
             raise CircuitError(f"register {r} out of range")
-        factor = factors[r]
-        if factor.kind == "cyclic":
-            if over not in (None, "finite"):
-                raise CircuitError(f"register {r} is finite; direction {over!r} is meaningless")
-            continue
-        if over == "Z" and factor.kind != "Z":
-            raise CircuitError(f"register {r} is in the T basis; QFT over Z is illegal")
-        if over == "T" and factor.kind != "T":
-            raise CircuitError(f"register {r} is in the Z basis; QFT over T is illegal")
-        factors[r] = factor.dual()
+        kind = factors[r].kind
+        if over not in (None, kind):
+            raise CircuitError(f"register {r} is in the {kind} basis; QFT over {over} is illegal")
+        factors[r] = factors[r].dual()
     return DesignatedBasis(ElementaryGroup(tuple(factors)), basis.blackbox)
 
 
@@ -552,6 +484,8 @@ class QFTGate:
     def __post_init__(self):
         if len(set(self.registers)) != len(self.registers):
             raise CircuitError("duplicate registers in a QFT gate")
+        if self.over not in (None, "Z", "T"):
+            raise CircuitError(f'QFT direction must be "Z" or "T", got {self.over!r}')
 
 
 @dataclass(frozen=True)
@@ -750,16 +684,11 @@ def check_modexp_normalizable(
     generators = [a] + [g for g in generators if g != a]
     table = bb_decompose_bruteforce(group, generators)
     # a is generator 0, so its beta-coordinates are the first column of B.
-    a_coords = [table.b[i][0] for i in range(len(table.beta))]
-    size = 1 + len(table.c)
-    matrix = [[0] * size for _ in range(size)]
-    matrix[0][0] = 1
-    for i, coord in enumerate(a_coords):
-        matrix[i + 1][0] = coord
-        matrix[i + 1][i + 1] = 1
+    matrix = identity_matrix(1 + len(table.c))
+    for i, row in enumerate(table.b):
+        matrix[i + 1][0] = row[0]
     target_group = ElementaryGroup((cyclic(m),) + tuple(cyclic(c) for c in table.c))
-    rep = validate_matrix_rep(matrix, target_group)
-    return True, rep
+    return True, validate_matrix_rep(matrix, target_group)
 
 
 # ---------------------------------------------------------------------------
@@ -824,13 +753,18 @@ def _rational_from_json(text) -> Fraction:
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
+_GATE_KEYS = ("qft", "automorphism", "quadratic", "bb_automorphism")
+
+
+def _underlying(group: ElementaryGroup) -> ElementaryGroup:
+    """The group with every infinite register written as Z."""
+    return ElementaryGroup(tuple(Factor("Z") if f.kind == "T" else f for f in group.factors))
+
+
 def circuit_to_json(circuit: NormalizerCircuit) -> dict:
     basis = circuit.initial_basis
-    underlying = ElementaryGroup(
-        tuple(Factor("Z") if f.kind == "T" else f for f in basis.elementary.factors)
-    )
     doc: dict = {
-        "group": {"elementary": format_group(underlying)},
+        "group": {"elementary": format_group(_underlying(basis.elementary))},
         "initial_basis": format_group(basis.elementary),
         "gates": [],
     }
@@ -887,6 +821,7 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
     document raises CircuitError."""
     try:
         group_doc = doc["group"]
+        underlying = parse_group(group_doc["elementary"])
         elementary = parse_group(doc.get("initial_basis") or group_doc["elementary"])
         blackbox = None
         if "blackbox" in group_doc:
@@ -894,6 +829,9 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
         entries = list(doc.get("gates", []))
     except _MALFORMED as exc:
         raise CircuitError(f"bad circuit header: {exc}") from exc
+    if _underlying(elementary) != underlying:
+        message = f"initial basis {elementary} is not {underlying} with some Z registers as T"
+        raise CircuitError(f"bad circuit header: {message}")
     basis = DesignatedBasis(elementary, blackbox)
     gates: list = []
     current = basis
@@ -908,35 +846,39 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
 
 
 def _gate_from_json(entry: dict, basis: DesignatedBasis):
-    if "qft" in entry:
-        return QFTGate(tuple(int(r) for r in entry["qft"]), entry.get("over"))
-    if "automorphism" in entry:
+    keys = [key for key in _GATE_KEYS if key in entry]
+    if len(keys) != 1:
+        raise CircuitError(f"a gate entry needs exactly one of {_GATE_KEYS}, got {sorted(entry)}")
+    if keys == ["qft"]:
+        registers = entry["qft"]
+        if type(registers) is not list or any(type(r) is not int for r in registers):
+            raise CircuitError(f"QFT registers must be a list of integers, got {registers!r}")
+        return QFTGate(tuple(registers), entry.get("over"))
+    if keys == ["automorphism"]:
         matrix = [
             [_rational_from_json(x) for x in row]
             for row in entry["automorphism"]["matrix"]
         ]
         return AutomorphismGate(rep=validate_matrix_rep(matrix, basis.elementary))
-    if "quadratic" in entry:
+    if keys == ["quadratic"]:
         m = [[_rational_from_json(x) for x in row] for row in entry["quadratic"]["M"]]
         v = [_rational_from_json(x) for x in entry["quadratic"]["v"]]
         return QuadraticGate(form=validate_quadratic(m, v, basis.elementary))
-    if "bb_automorphism" in entry:
-        payload = entry["bb_automorphism"]
-        if payload.get("name") != "word_exp":
-            raise CircuitError(f"unknown black-box gate {payload.get('name')!r}")
-        if basis.blackbox is None:
-            raise CircuitError("word_exp needs a black-box slot")
-        bases = [_parse_bb_element(basis.blackbox, text) for text in payload["bases"]]
-        n_out = payload.get("n_out")
-        if n_out is not None and (type(n_out) is not int or n_out < 0):
-            raise CircuitError(f"n_out must be a non-negative integer, got {n_out!r}")
-        return AutomorphismGate(
-            func=word_exp_func(basis, bases),
-            name="word_exp",
-            n_out=n_out,
-            params={"bases": bases},
-        )
-    raise CircuitError(f"unrecognized gate entry {sorted(entry)}")
+    payload = entry["bb_automorphism"]
+    if payload.get("name") != "word_exp":
+        raise CircuitError(f"unknown black-box gate {payload.get('name')!r}")
+    if basis.blackbox is None:
+        raise CircuitError("word_exp needs a black-box slot")
+    bases = [_parse_bb_element(basis.blackbox, text) for text in payload["bases"]]
+    n_out = payload.get("n_out")
+    if n_out is not None and (type(n_out) is not int or n_out < 0):
+        raise CircuitError(f"n_out must be a non-negative integer, got {n_out!r}")
+    return AutomorphismGate(
+        func=word_exp_func(basis, bases),
+        name="word_exp",
+        n_out=n_out,
+        params={"bases": bases},
+    )
 
 
 def load_circuit(path) -> NormalizerCircuit:

@@ -37,6 +37,25 @@ from normsim.linalg import (
 )
 
 
+# Circuit documents that reading must reject: a bad QFT direction or register,
+# two gate keys in one entry, an initial basis that is not the elementary
+# group with some Z registers relabelled T, and a header without elementary.
+MALFORMED_CIRCUIT_DOCS = [
+    {"group": {"elementary": "Z x Z2"}, "gates": [{"qft": [0], "over": "bogus"}]},
+    {"group": {"elementary": "Z2"}, "gates": [{"qft": [0], "over": "finite"}]},
+    {"group": {"elementary": "Z2"}, "gates": [{"qft": [0.7]}]},
+    {"group": {"elementary": "Z2 x Z2"}, "gates": [{"qft": "1"}]},
+    {"group": {"elementary": "Z2 x Z2"}, "gates": [{"qft": [True]}]},
+    {
+        "group": {"elementary": "Z2"},
+        "gates": [{"automorphism": {"matrix": [["1"]]}, "qft": [0]}],
+    },
+    {"group": {"elementary": "Z2"}, "initial_basis": "T x Z9", "gates": []},
+    {"group": {"elementary": "T"}, "gates": []},
+    {"group": {}, "initial_basis": "Z2", "gates": []},
+]
+
+
 def random_finite_group(rng, max_order=512, max_factors=4) -> ElementaryGroup:
     """Random product of cyclic factors with order below the bound."""
     moduli = []

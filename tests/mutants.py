@@ -37,6 +37,7 @@ class Mutant:
 
 
 FEJER_CELLS = "tests/test_dirichlet.py::test_each_cell_is_kept_with_density_over_envelope[3-64]"
+MIXED_INVERSE = "tests/test_circuits.py::test_matrix_rep_inverse_random_mixed_groups"
 CURVE_DEBLACKBOX = (
     "tests/test_deblackbox.py::test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once"
 )
@@ -161,6 +162,20 @@ MUTANTS = [
             "tests/test_blackbox.py::test_sample_generators_pinned[zn_star 63-4]",
             "tests/test_cli_pinned.py::test_cli_bytes_are_pinned[deblackbox-json]",
         ),
+    ),
+    Mutant(
+        name="inverse without its torus-from-Z-and-finite block",
+        path="src/normsim/circuits.py",
+        old="            x[i][j] = -sum(value * x[k][j] for value, k in zip(row, zf))",
+        new="            x[i][j] = 0",
+        tests=(MIXED_INVERSE, "tests/test_circuits.py::test_matrix_rep_mixed_blocks"),
+    ),
+    Mutant(
+        name="inverse solving the finite rows over Z",
+        path="src/normsim/circuits.py",
+        old="        moduli = [factors[i].modulus for i in idx]  # 0 on Z and T",
+        new="        moduli = [0 for i in idx]",
+        tests=(MIXED_INVERSE, "tests/test_circuits.py::test_inverse_of_the_inverse_is_the_rep"),
     ),
 ]
 

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_quadratic_law
+from helpers import (
+    MALFORMED_CIRCUIT_DOCS,
+    assert_quadratic_law,
+    random_finite_group,
+    random_matrix_rep,
+    random_mixed_group,
+    random_mixed_matrix_rep,
+)
 
 from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_order
 from normsim.circuits import (
@@ -200,6 +207,18 @@ def test_matrix_rep_inverse_random_mixed_groups():
             assert inv.apply(rep.apply(el)) == el
             assert rep.apply(inv.apply(el)) == el
         verified += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_inverse_of_the_inverse_is_the_rep(seed, mixed):
+    """The inverse is canonical: inverting it gives back the validated rep."""
+    rng = np.random.default_rng(seed)
+    if mixed:
+        rep = random_mixed_matrix_rep(random_mixed_group(rng), rng)
+    else:
+        rep = random_matrix_rep(random_finite_group(rng), rng)
+    assert matrix_rep_inverse(matrix_rep_inverse(rep)) == rep
 
 
 def test_matrix_rep_rejects_bad_blocks():
@@ -512,6 +531,11 @@ def test_malformed_circuit_files(tmp_path):
         )
     with pytest.raises(CircuitError):
         circuit_from_json({"group": {"elementary": "Q5"}, "gates": []})
+    for doc in MALFORMED_CIRCUIT_DOCS:
+        with pytest.raises(CircuitError):
+            circuit_from_json(doc)
+    with pytest.raises(CircuitError, match="direction"):
+        QFTGate((0,), over="finite")
 
 
 def test_rational_literals_in_files():

@@ -6,6 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from helpers import MALFORMED_CIRCUIT_DOCS
+
 from normsim.cli import build_parser, main
 from normsim.circuits import save_circuit
 from normsim.dense import dense_run
@@ -39,6 +41,12 @@ def test_factor_prime_power_exit_3(tmp_path, capsys):
     assert main(["factor", "9"]) == 3
 
 
+@pytest.mark.parametrize("attempts", ["0", "-1"])
+def test_factor_non_positive_attempts_exit_3(attempts, capsys):
+    assert main(["factor", "15", "--attempts", attempts]) == 3
+    assert capsys.readouterr().err == f"error: attempts must be positive, got {attempts}\n"
+
+
 def test_factor_perfect_power_that_is_not_a_prime_power(tmp_path, capsys, log_schema):
     assert main(["factor", "81"]) == 3
     assert "81 is a prime power: 3^4" in capsys.readouterr().err
@@ -64,8 +72,7 @@ def test_dlog(tmp_path, log_schema):
     jsonschema.validate(log, log_schema)
 
 
-def test_dlog_bad_inputs_exit_3(capsys, monkeypatch):
-    monkeypatch.delenv("NORMSIM_CAP", raising=False)
+def test_dlog_bad_inputs_exit_3(capsys):
     assert main(["dlog", "7", "3", "6", "--repetitions", "0"]) == 3
     assert "repetitions must be positive" in capsys.readouterr().err
     assert main(["dlog", "101", "2", "3"]) == 3  # dense dimension 100^2 * 101 > cap
@@ -269,6 +276,7 @@ def _dlog7_doc(n_out):
         [],
         _dlog7_doc("x"),
         _dlog7_doc(-1),
+        *MALFORMED_CIRCUIT_DOCS,
     ],
 )
 def test_malformed_circuit_file_exits_4(command, doc, tmp_path, capsys):

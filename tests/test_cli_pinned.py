@@ -107,6 +107,5 @@ def expected():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_bytes_are_pinned(name, fmt, tmp_path, capsys, expected, monkeypatch):
-    monkeypatch.delenv("NORMSIM_CAP", raising=False)
+def test_cli_bytes_are_pinned(name, fmt, tmp_path, capsys, expected):
     assert capture(name, fmt, tmp_path, capsys) == expected[f"{name} {fmt}"]

@@ -174,13 +174,6 @@ def test_dense_rejects_infinite_and_oversized():
         dense_run(NormalizerCircuit(big, []), (0, 0))
 
 
-def test_dense_cap_env_override(monkeypatch):
-    big = DesignatedBasis(cyclic_group(128, 64))
-    monkeypatch.setenv("NORMSIM_CAP", "10000")
-    state = dense_run(NormalizerCircuit(big, []), (0, 0))
-    assert state.amplitudes.size == 8192
-
-
 def _oracle_calls(circuit, point) -> int:
     group = circuit.initial_basis.blackbox
     before = group.counter.total

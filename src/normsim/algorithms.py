@@ -487,11 +487,12 @@ class OracularGroup(BlackBoxGroup):
         self.domain = domain
         self.oracle = oracle
         self._table: list = []  # f at every domain point, in enumeration order
-        self._representative: dict = {}
+        self._representative: dict = {}  # value -> coordinates of r(value)
         for el in domain.elements():
             value = oracle(el.coords)
             self._table.append(value)
-            self._representative.setdefault(value, el)
+            self._representative.setdefault(value, el.coords)
+        self._moduli = [f.modulus for f in domain.factors]
         self._values = sorted(self._representative, key=repr)
         self.encoding_length = max(1, (len(self._values) - 1).bit_length())
 
@@ -502,13 +503,13 @@ class OracularGroup(BlackBoxGroup):
     def _mul(self, x, y):
         gx = self._representative[x]
         gy = self._representative[y]
-        return self.oracle((gx + gy).coords)
+        return self.oracle(tuple((a + b) % n for a, b, n in zip(gx, gy, self._moduli)))
 
     _product = _mul  # the lookups are the check
 
     def _inv(self, x):
         gx = self._representative[x]
-        return self.oracle((-gx).coords)
+        return self.oracle(tuple(-a % n for a, n in zip(gx, self._moduli)))
 
     def identity(self):
         return self._table[0]  # the zero element is enumerated first

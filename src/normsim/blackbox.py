@@ -313,12 +313,28 @@ class EllipticCurveGroup(BlackBoxGroup):
 
 
 def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Order of `a` by brute force; the classical test oracle."""
-    current = a
-    for r in range(1, cap + 1):
-        if current == group.identity():
+    """Order of `a` by brute force; the classical test oracle.
+
+    An order r <= cap counts r - 1 `mul` calls, one per power a^2, ..., a^r,
+    so the identity counts none.  An order past the cap counts `cap` calls,
+    the powers up to a^cap and one step more, then raises; a cap below 1
+    raises at once and counts none.  A non-identity `a` is checked once,
+    with the error `mul` would raise, after its first call is counted: every
+    later power is a product of elements, so the loop multiplies unchecked.
+    """
+    if cap < 1:
+        raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
+    identity = group.identity()
+    if a == identity:
+        return 1
+    group.counter.mul += 1  # a^2
+    current = base = group._check(a)
+    for r in range(2, cap + 1):
+        current = group._product(current, base)
+        if current == identity:
+            group.counter.mul += r - 2
             return r
-        current = group.mul(current, a)
+    group.counter.mul += cap - 1
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
 
 

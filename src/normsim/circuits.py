@@ -696,6 +696,42 @@ def check_modexp_normalizable(
 # ---------------------------------------------------------------------------
 
 
+_GATE_KEYS = ("qft", "automorphism", "quadratic", "bb_automorphism")
+
+# The keys each object of a circuit file may hold, required ones first and
+# then optional ones: exactly the keys circuit_to_json and group_descriptor
+# write.  A gate entry holds its gate key (and "over" for a QFT); the
+# payloads under the other three gate keys hold the keys listed here.
+_HEADER_KEYS = (("group",), ("initial_basis", "gates"))
+_GROUP_KEYS = (("elementary",), ("blackbox",))
+_DESCRIPTOR_KEYS = {"zn_star": ("type", "N"), "ec": ("type", "p", "a", "b")}
+_PAYLOAD_KEYS = {
+    "automorphism": (("matrix",), ()),
+    "quadratic": (("M", "v"), ()),
+    "bb_automorphism": (("name", "bases"), ("n_out",)),
+}
+
+
+def _fields(value, name: str, required: tuple, optional: tuple = ()) -> dict:
+    """`value` itself when it is an object with every required key and no
+    key outside `required` and `optional`; CircuitError naming it otherwise."""
+    if type(value) is not dict:
+        raise CircuitError(f"{name} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(required) - set(optional), key=str)
+    if unknown:
+        raise CircuitError(f"{name} has unknown keys {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise CircuitError(f"{name} lacks keys {missing}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    if type(value) is not list:
+        raise CircuitError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _format_bb_element(group: BlackBoxGroup, el) -> str:
     if isinstance(group, ZNStarGroup):
         return str(el)
@@ -705,16 +741,17 @@ def _format_bb_element(group: BlackBoxGroup, el) -> str:
 
 
 def _parse_bb_element(group: BlackBoxGroup, text: str):
+    if not isinstance(group, (ZNStarGroup, EllipticCurveGroup)):
+        raise CircuitError(f"cannot parse elements of {group!r}")
+    if type(text) is not str:
+        raise CircuitError(f"a black-box element must be a string, got {text!r}")
     if isinstance(group, ZNStarGroup):
         el = int(text)
-    elif isinstance(group, EllipticCurveGroup):
-        if text.strip() == "O":
-            el = None
-        else:
-            x, y = (int(part) for part in text.split(","))
-            el = (x, y)
+    elif text.strip() == "O":
+        el = None
     else:
-        raise CircuitError(f"cannot parse elements of {group!r}")
+        x, y = (int(part) for part in text.split(","))
+        el = (x, y)
     if not group.is_element(el):
         raise CircuitError(f"{text!r} is not an element of {group!r}")
     return el
@@ -722,19 +759,26 @@ def _parse_bb_element(group: BlackBoxGroup, text: str):
 
 def group_descriptor(group: BlackBoxGroup) -> dict:
     if isinstance(group, ZNStarGroup):
-        return {"type": "zn_star", "N": group.modulus}
-    if isinstance(group, EllipticCurveGroup):
-        return {"type": "ec", "p": group.p, "a": group.a, "b": group.b}
-    raise CircuitError(f"no descriptor for {group!r}")
+        values = ("zn_star", group.modulus)
+    elif isinstance(group, EllipticCurveGroup):
+        values = ("ec", group.p, group.a, group.b)
+    else:
+        raise CircuitError(f"no descriptor for {group!r}")
+    return dict(zip(_DESCRIPTOR_KEYS[values[0]], values))
 
 
 def group_from_descriptor(desc: dict) -> BlackBoxGroup:
-    kind = desc.get("type")
-    if kind == "zn_star":
-        return ZNStarGroup(int(desc["N"]))
-    if kind == "ec":
-        return EllipticCurveGroup(int(desc["p"]), int(desc["a"]), int(desc["b"]))
-    raise CircuitError(f"unknown group descriptor {desc!r}")
+    kind = desc.get("type") if type(desc) is dict else None
+    if kind not in _DESCRIPTOR_KEYS:
+        raise CircuitError(f"unknown group descriptor {desc!r}")
+    keys = _DESCRIPTOR_KEYS[kind]
+    _fields(desc, f"the {kind} descriptor", keys)
+    for key in keys[1:]:
+        if type(desc[key]) is not int:
+            message = f"{key} must be an integer, got {desc[key]!r}"
+            raise CircuitError(f"the {kind} descriptor: {message}")
+    values = [desc[key] for key in keys[1:]]
+    return ZNStarGroup(*values) if kind == "zn_star" else EllipticCurveGroup(*values)
 
 
 def _rational_to_json(value: Fraction) -> str:
@@ -753,7 +797,11 @@ def _rational_from_json(text) -> Fraction:
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
-_GATE_KEYS = ("qft", "automorphism", "quadratic", "bb_automorphism")
+def _rational_rows(value, name: str) -> list[list[Fraction]]:
+    return [
+        [_rational_from_json(x) for x in _list(row, f"a row of {name}")]
+        for row in _list(value, name)
+    ]
 
 
 def _underlying(group: ElementaryGroup) -> ElementaryGroup:
@@ -820,13 +868,14 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
     """The circuit a parsed circuit file describes; any malformed part of the
     document raises CircuitError."""
     try:
-        group_doc = doc["group"]
+        _fields(doc, "the circuit file", *_HEADER_KEYS)
+        group_doc = _fields(doc["group"], "the group", *_GROUP_KEYS)
         underlying = parse_group(group_doc["elementary"])
         elementary = parse_group(doc.get("initial_basis") or group_doc["elementary"])
         blackbox = None
         if "blackbox" in group_doc:
             blackbox = group_from_descriptor(group_doc["blackbox"])
-        entries = list(doc.get("gates", []))
+        entries = _list(doc.get("gates", []), "gates")
     except _MALFORMED as exc:
         raise CircuitError(f"bad circuit header: {exc}") from exc
     if _underlying(elementary) != underlying:
@@ -846,30 +895,34 @@ def circuit_from_json(doc: dict) -> NormalizerCircuit:
 
 
 def _gate_from_json(entry: dict, basis: DesignatedBasis):
+    if type(entry) is not dict:
+        raise CircuitError(f"a gate entry must be an object, got {type(entry).__name__}")
     keys = [key for key in _GATE_KEYS if key in entry]
     if len(keys) != 1:
         raise CircuitError(f"a gate entry needs exactly one of {_GATE_KEYS}, got {sorted(entry)}")
-    if keys == ["qft"]:
+    (key,) = keys
+    _fields(entry, f"the {key} entry", keys, ("over",) if key == "qft" else ())
+    if key == "qft":
         registers = entry["qft"]
         if type(registers) is not list or any(type(r) is not int for r in registers):
             raise CircuitError(f"QFT registers must be a list of integers, got {registers!r}")
         return QFTGate(tuple(registers), entry.get("over"))
-    if keys == ["automorphism"]:
-        matrix = [
-            [_rational_from_json(x) for x in row]
-            for row in entry["automorphism"]["matrix"]
-        ]
+    payload = _fields(entry[key], f"the {key} payload", *_PAYLOAD_KEYS[key])
+    if key == "automorphism":
+        matrix = _rational_rows(payload["matrix"], "the automorphism matrix")
         return AutomorphismGate(rep=validate_matrix_rep(matrix, basis.elementary))
-    if keys == ["quadratic"]:
-        m = [[_rational_from_json(x) for x in row] for row in entry["quadratic"]["M"]]
-        v = [_rational_from_json(x) for x in entry["quadratic"]["v"]]
+    if key == "quadratic":
+        m = _rational_rows(payload["M"], "the quadratic M")
+        v = [_rational_from_json(x) for x in _list(payload["v"], "the quadratic v")]
         return QuadraticGate(form=validate_quadratic(m, v, basis.elementary))
-    payload = entry["bb_automorphism"]
-    if payload.get("name") != "word_exp":
-        raise CircuitError(f"unknown black-box gate {payload.get('name')!r}")
+    if payload["name"] != "word_exp":
+        raise CircuitError(f"unknown black-box gate {payload['name']!r}")
     if basis.blackbox is None:
         raise CircuitError("word_exp needs a black-box slot")
-    bases = [_parse_bb_element(basis.blackbox, text) for text in payload["bases"]]
+    bases = [
+        _parse_bb_element(basis.blackbox, text)
+        for text in _list(payload["bases"], "word_exp bases")
+    ]
     n_out = payload.get("n_out")
     if n_out is not None and (type(n_out) is not int or n_out < 0):
         raise CircuitError(f"n_out must be a non-negative integer, got {n_out!r}")

@@ -97,14 +97,14 @@ class DenseState:
 
 
 def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
+    blackbox = basis.blackbox
     dims = [f.modulus for f in basis.elementary.factors]
-    bb_labels = None
-    if basis.blackbox is not None:
-        dims.append(basis.blackbox.order())
-        bb_labels = sorted(basis.blackbox.elements(), key=basis.blackbox.encode)
+    if blackbox is not None:
+        dims.append(blackbox.order())
     total = math.prod(dims)
-    if total > cap:
+    if total > cap:  # before the labels are listed: a huge group must fail at once
         raise CircuitError(f"dense dimension {total} exceeds cap {cap}")
+    bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)
     amplitudes.flat[state.flat_index(point)] = 1.0
@@ -208,9 +208,18 @@ def dense_run(
 
 
 def dense_sample(state: DenseState, shots: int, rng) -> Counter:
-    """Measure in the final designated basis `shots` times."""
+    """Measure in the final designated basis `shots` times.
+
+    The draws are the steps `rng.choice(len(flat), size=shots, p=flat)`
+    takes, without its checks on a distribution normalized here: the same
+    outcomes, and the generator left in the same state.
+    """
     flat = np.abs(state.amplitudes.reshape(-1)) ** 2
-    flat = flat / flat.sum()
-    draws = rng.choice(len(flat), size=shots, p=flat)
+    total = flat.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"cannot sample a state of squared norm {total}")
+    cdf = (flat / total).cumsum()
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(shots), side="right")
     drawn = Counter(draws.tolist())
     return Counter(dict(zip(state.points(list(drawn)), drawn.values())))

@@ -413,30 +413,35 @@ def continued_fraction_reconstruct(p: Fraction, r_max: int) -> Fraction | None:
 
     If some k/r with r <= r_max satisfies |p - k/r| <= 1/(2 r_max^2) it is
     unique and is found among the convergents of p; otherwise returns None.
+
+    Integer Euclid on p = num/den gives the convergents h/k.  With
+    err = |num k - h den|, the distance |p - h/k| is err / (den k), so the
+    tolerance test is 2 r_max^2 err <= den k, and h/k is closer than the best
+    so far when err k_best < err_best k.
     """
     if r_max < 1:
         raise LinalgError(f"r_max must be >= 1, got {r_max}")
     p = Fraction(p)
     if not 0 <= p < 1:
         raise LinalgError(f"sample must lie in [0, 1), got {p}")
-    tolerance = Fraction(1, 2 * r_max * r_max)
-    best: Fraction | None = None
-    h_prev, h = 1, int(p)
+    num, den = p.numerator, p.denominator
+    scale = 2 * r_max * r_max
+    best: tuple[int, int] | None = None
+    best_err = 0
+    h_prev, h = 1, 0
     k_prev, k = 0, 1
-    x = p - int(p)
+    a, b = num, den  # the remainder x = a / b of p's expansion
     while True:
-        candidate = Fraction(h, k)
-        if k <= r_max and 0 <= candidate < 1 and abs(p - candidate) <= tolerance:
-            if best is None or abs(p - candidate) < abs(p - best):
-                best = candidate
-        if x == 0 or k > r_max:
+        err = abs(num * k - h * den)
+        if k <= r_max and 0 <= h < k and scale * err <= den * k:
+            if best is None or err * best[1] < best_err * k:
+                best, best_err = (h, k), err
+        if a == 0 or k > r_max:
             break
-        x = 1 / x
-        digit = int(x)
-        x -= digit
+        digit, (a, b) = b // a, (b % a, a)
         h_prev, h = h, digit * h + h_prev
         k_prev, k = k, digit * k + k_prev
-    return best
+    return None if best is None else Fraction(*best)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ reference implementations (Fraction formulas, class-wise map comparison,
 the closure-based hidden-subgroup loop, the per-label dense black-box gates,
 the per-register DFT-matrix QFT, the Smith-form integer solve and the
 double-Hermite group-system solve built on it, the exhaustive quadratic-law
-check) that the library is checked against."""
+check, the Fraction continued fraction, the checked-`mul` order loop,
+`Generator.choice` sampling and GroupElement products on an oracle's
+representatives) that the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -14,6 +16,7 @@ from operator import mul
 import numpy as np
 
 from normsim import algorithms
+from normsim.blackbox import BlackBoxError
 from normsim.circuits import (
     AutomorphismGate,
     DesignatedBasis,
@@ -26,7 +29,7 @@ from normsim.circuits import (
     validate_matrix_rep,
     validate_quadratic,
 )
-from normsim.groups import T, Z, ElementaryGroup, cyclic, cyclic_group
+from normsim.groups import T, Z, ElementaryGroup, GroupElement, cyclic, cyclic_group
 from normsim.linalg import (
     GroupLinearSystem,
     hermite_reduce,
@@ -54,6 +57,84 @@ MALFORMED_CIRCUIT_DOCS = [
     {"group": {"elementary": "T"}, "gates": []},
     {"group": {}, "initial_basis": "Z2", "gates": []},
 ]
+
+_ZN7 = {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": 7}}
+_ONE = {"matrix": [["1"]]}
+
+# Documents with a key that no circuit file holds or a field of the wrong
+# type, each with the message that names it.
+FIELD_ERROR_DOCS = [
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"qft": [0], "ovr": "T"}]},
+        "gate 0: the qft entry has unknown keys ['ovr']",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"automorphism": _ONE, "over": "T"}]},
+        "gate 0: the automorphism entry has unknown keys ['over']",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"automorphism": {**_ONE, "over": "T"}}]},
+        "gate 0: the automorphism payload has unknown keys ['over']",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"automorphism": [["1"]]}]},
+        "gate 0: the automorphism payload must be an object, got list",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"automorphism": {"matrix": 3}}]},
+        "gate 0: the automorphism matrix must be a list, got int",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"quadratic": {"M": [["0"]], "v": [], "w": []}}]},
+        "gate 0: the quadratic payload has unknown keys ['w']",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [{"quadratic": {"M": [["0"]]}}]},
+        "gate 0: the quadratic payload lacks keys ['v']",
+    ),
+    (
+        {"group": _ZN7, "gates": [{"bb_automorphism": {"name": "word_exp", "bases": "3"}}]},
+        "gate 0: word_exp bases must be a list, got str",
+    ),
+    (
+        {"group": _ZN7, "gates": [{"bb_automorphism": {"name": "word_exp", "bases": [3]}}]},
+        "gate 0: a black-box element must be a string, got 3",
+    ),
+    (
+        {"group": _ZN7, "gates": [{"bb_automorphism": {"name": "word_exp", "bases": [], "n": 1}}]},
+        "gate 0: the bb_automorphism payload has unknown keys ['n']",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": ["qft"]},
+        "gate 0: a gate entry must be an object, got str",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": 3},
+        "bad circuit header: gates must be a list, got int",
+    ),
+    (
+        {"group": {"elementary": "Z2"}, "gates": [], "title": "x"},
+        "bad circuit header: the circuit file has unknown keys ['title']",
+    ),
+    ([], "bad circuit header: the circuit file must be an object, got list"),
+    (
+        {"group": {"elementary": "Z2", "blackbox": None, "order": 2}, "gates": []},
+        "bad circuit header: the group has unknown keys ['order']",
+    ),
+    (
+        {"group": {**_ZN7, "blackbox": {"type": "zn_star", "N": 7, "g": 3}}, "gates": []},
+        "bad circuit header: the zn_star descriptor has unknown keys ['g']",
+    ),
+    (
+        {"group": {"elementary": "Z2", "blackbox": {"type": "ec", "p": 5, "a": 1}}, "gates": []},
+        "bad circuit header: the ec descriptor lacks keys ['b']",
+    ),
+    (
+        {"group": {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": "7"}}, "gates": []},
+        "bad circuit header: the zn_star descriptor: N must be an integer, got '7'",
+    ),
+]
+MALFORMED_CIRCUIT_DOCS += [doc for doc, _ in FIELD_ERROR_DOCS]
 
 
 def random_finite_group(rng, max_order=512, max_factors=4) -> ElementaryGroup:
@@ -515,3 +596,59 @@ def reference_solve_group_system(system: GroupLinearSystem):
         q = x0[pivot] // gen[pivot]
         x0 = [x - q * g for x, g in zip(x0, gen)]
     return x0, kernel
+
+
+def reference_continued_fraction_reconstruct(p: Fraction, r_max: int) -> Fraction | None:
+    """continued_fraction_reconstruct in Fraction arithmetic: every convergent
+    h/k a Fraction, tested by |p - h/k| <= 1/(2 r_max^2) directly."""
+    p = Fraction(p)
+    tolerance = Fraction(1, 2 * r_max * r_max)
+    best = None
+    h_prev, h = 1, int(p)
+    k_prev, k = 0, 1
+    x = p - int(p)
+    while True:
+        candidate = Fraction(h, k)
+        if k <= r_max and 0 <= candidate < 1 and abs(p - candidate) <= tolerance:
+            if best is None or abs(p - candidate) < abs(p - best):
+                best = candidate
+        if x == 0 or k > r_max:
+            break
+        x = 1 / x
+        digit = int(x)
+        x -= digit
+        h_prev, h = h, digit * h + h_prev
+        k_prev, k = k, digit * k + k_prev
+    return best
+
+
+def reference_bb_order(group, a, cap: int) -> int:
+    """bb_order as one checked, counted `mul` per step."""
+    current = a
+    for r in range(1, cap + 1):
+        if current == group.identity():
+            return r
+        current = group.mul(current, a)
+    raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
+
+
+def reference_dense_sample(state, shots: int, rng) -> Counter:
+    """dense_sample through `Generator.choice` with its checks on p."""
+    flat = np.abs(state.amplitudes.reshape(-1)) ** 2
+    flat = flat / flat.sum()
+    drawn = Counter(rng.choice(len(flat), size=shots, p=flat).tolist())
+    return Counter(dict(zip(state.points(list(drawn)), drawn.values())))
+
+
+def reference_oracular_mul(oracular, x, y):
+    """OracularGroup._mul as f(r(x) + r(y)) with GroupElement addition."""
+    domain = oracular.domain
+    gx = GroupElement(domain, oracular._representative[x])
+    gy = GroupElement(domain, oracular._representative[y])
+    return oracular.oracle((gx + gy).coords)
+
+
+def reference_oracular_inv(oracular, x):
+    """OracularGroup._inv as f(-r(x)) with GroupElement negation."""
+    gx = GroupElement(oracular.domain, oracular._representative[x])
+    return oracular.oracle((-gx).coords)

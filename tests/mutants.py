@@ -177,6 +177,33 @@ MUTANTS = [
         new="        moduli = [0 for i in idx]",
         tests=(MIXED_INVERSE, "tests/test_circuits.py::test_inverse_of_the_inverse_is_the_rep"),
     ),
+    Mutant(
+        name="continued fraction tolerance strict",
+        path="src/normsim/linalg.py",
+        old="scale * err <= den * k",
+        new="scale * err < den * k",
+        tests=(
+            "tests/test_linalg.py::test_cf_integer_euclid_equals_the_fraction_reference",
+            "tests/test_linalg.py::test_cf_equals_the_fraction_reference_on_every_small_sample",
+        ),
+    ),
+    Mutant(
+        name="dense sample cumulative sums not rescaled to end at 1",
+        path="src/normsim/dense.py",
+        old="    cdf /= cdf[-1]\n",
+        new="",
+        tests=("tests/test_dense.py::test_the_largest_uniform_draw_lands_on_the_last_outcome",),
+    ),
+    Mutant(
+        name="bb_order exhaustion without its final mul count",
+        path="src/normsim/blackbox.py",
+        old="    group.counter.mul += cap - 1\n",
+        new="",
+        tests=(
+            "tests/test_blackbox.py::test_bb_order_equals_the_checked_mul_loop",
+            "tests/test_blackbox.py::test_bb_order_counts_cap_calls_when_the_order_exceeds_it",
+        ),
+    ),
 ]
 
 

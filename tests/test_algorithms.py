@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import solve_hsp_reference, table_entries
+from helpers import (
+    random_finite_group,
+    reference_oracular_inv,
+    reference_oracular_mul,
+    solve_hsp_reference,
+    table_entries,
+)
 from normsim import algorithms
 from normsim.algorithms import (
     AlgorithmError,
@@ -469,6 +475,39 @@ def test_oracular_group_is_isomorphic_to_quotient():
     assert oracular.certify_homomorphism()
     table = bb_decompose_bruteforce(oracular, list(oracular.elements()))
     assert table.order() == oracular.order()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), labels=st.integers(1, 6))
+@example(seed=0, labels=1)
+def test_oracular_products_equal_the_group_element_path(seed, labels):
+    """Every product and inverse, with the oracle seeing the same tuples of
+    ints as GroupElement arithmetic hands it.  Products only read the
+    representatives, so any labelling serves, the coset promise or not."""
+    rng = np.random.default_rng(seed)
+    domain = random_finite_group(rng, max_order=48)
+    if seed % 4 == 0:
+        domain = cyclic_group(1, *(f.modulus for f in domain.factors))
+    table = {el.coords: int(rng.integers(labels)) for el in domain.elements()}
+    queries: list = []
+
+    def oracle(coords):
+        queries.append(coords)
+        return table[coords]
+
+    oracular = OracularGroup(domain, oracle)
+    values = list(oracular.elements())
+    for x in values:
+        for y in values:
+            del queries[:]
+            got = oracular._mul(x, y)
+            asked = queries[:]
+            assert got == reference_oracular_mul(oracular, x, y)
+            assert asked == queries[1:] and len(asked) == 1
+        del queries[:]
+        assert oracular._inv(x) == reference_oracular_inv(oracular, x)
+        assert queries[0] == queries[1]
+        assert all(type(c) is int for query in queries for c in query)
 
 
 # ---------------------------------------------------------------------------

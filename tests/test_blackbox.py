@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_bb_order
 from normsim.blackbox import (
     BlackBoxError,
     DecompositionTable,
@@ -288,6 +289,57 @@ def test_bb_order_matches_oracle_everywhere():
     for g in [ZNStarGroup(21), ZNStarGroup(16), EllipticCurveGroup(7, 2, 3)]:
         for x in g.elements():
             assert bb_order(g, x) == order_oracle(g, x)
+
+
+def _counted(group, call):
+    """What `call` returns or raises (type and message), and the `mul` calls
+    it counts on `group`."""
+    before = group.counter.mul
+    try:
+        outcome = call(), None
+    except Exception as exc:  # the error itself is compared
+        outcome = None, (type(exc), str(exc))
+    return outcome, group.counter.mul - before
+
+
+def _order_cases():
+    from normsim.algorithms import OracularGroup
+    from normsim.groups import cyclic_group
+
+    oracular = OracularGroup(cyclic_group(6, 4), lambda c: (c[0] % 3, c[1] % 2))
+    return [
+        (ZNStarGroup(21), [0, 7, 21, -1, 2.0]),
+        (ZNStarGroup(16), [8]),
+        (EllipticCurveGroup(7, 2, 3), [(1, 1), (0, 1, 2), (7, 0)]),
+        (EllipticCurveGroup(*F5_CURVE), [(1, 1)]),
+        (oracular, [(5, 5), 3]),
+    ]
+
+
+def test_bb_order_equals_the_checked_mul_loop():
+    """Result, `mul` count and error against one checked `mul` per step, on
+    every element (the identity among them), non-elements, cap = 1, caps
+    below and at each order, and caps below 1."""
+    for group, non_elements in _order_cases():
+        for x in [*group.elements(), *non_elements]:
+            order = reference_bb_order(group, x, cap=1 << 10) if group.is_element(x) else 3
+            for cap in sorted({-1, 0, 1, 2, order - 1, order, order + 1}):
+                got = _counted(group, lambda: bb_order(group, x, cap=cap))
+                expected = _counted(group, lambda: reference_bb_order(group, x, cap=cap))
+                assert got == expected, (group, x, cap)
+        assert group.counter.inv == 0
+
+
+def test_bb_order_counts_cap_calls_when_the_order_exceeds_it():
+    g = ZNStarGroup(15)
+    for cap in (1, 2, 3):
+        before = g.counter.mul
+        with pytest.raises(BlackBoxError, match=f"exceeds cap {cap}$"):
+            bb_order(g, 2, cap=cap)  # 2 has order 4
+        assert g.counter.mul - before == cap
+    before = g.counter.mul
+    assert bb_order(g, 2, cap=4) == 4
+    assert g.counter.mul - before == 3
 
 
 def test_decompose_z15():

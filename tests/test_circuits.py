@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FIELD_ERROR_DOCS,
     MALFORMED_CIRCUIT_DOCS,
     assert_quadratic_law,
     random_finite_group,
@@ -536,6 +537,39 @@ def test_malformed_circuit_files(tmp_path):
             circuit_from_json(doc)
     with pytest.raises(CircuitError, match="direction"):
         QFTGate((0,), over="finite")
+
+
+@pytest.mark.parametrize("doc, message", FIELD_ERROR_DOCS)
+def test_malformed_circuit_messages_name_the_field(doc, message):
+    with pytest.raises(CircuitError) as info:
+        circuit_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_written_circuits_hold_only_the_keys_reading_allows():
+    from normsim.algorithms import dlog_circuit, ec_dlog_circuit
+    from normsim.blackbox import EllipticCurveGroup
+
+    curve = EllipticCurveGroup(7, 2, 3)
+    finite = cyclic_group(4, 2)
+    basis = DesignatedBasis(finite)
+    form = validate_quadratic([[Fraction(1, 4), 0], [0, 0]], [0, Fraction(1, 2)], finite)
+    circuits = [
+        dlog_circuit(7, 3, 6),
+        ec_dlog_circuit(curve, (2, 1), (3, 6), 6),
+        NormalizerCircuit(
+            basis,
+            [
+                QFTGate((0,)),
+                AutomorphismGate(rep=validate_matrix_rep([[1, 2], [0, 1]], finite)),
+                QuadraticGate(form=form),
+            ],
+        ),
+        NormalizerCircuit(DesignatedBasis(group(Z)), [QFTGate((0,), over="Z")]),
+    ]
+    for circuit in circuits:
+        doc = json.loads(json.dumps(circuit_to_json(circuit)))
+        assert circuit_to_json(circuit_from_json(doc)) == doc
 
 
 def test_rational_literals_in_files():

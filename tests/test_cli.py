@@ -287,6 +287,28 @@ def test_malformed_circuit_file_exits_4(command, doc, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_run_past_the_dense_cap_exits_3_before_listing_the_group(tmp_path, capsys):
+    # Z_N^* for N = 10^30 has 4 x 10^29 elements; listing them would not end.
+    doc = {
+        "group": {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": 10**30}},
+        "gates": [{"qft": [0]}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: dense dimension 800000000000000000000000000000 exceeds cap 4096\n"
+    )
+
+
+def test_run_names_an_unknown_gate_key_and_exits_4(tmp_path, capsys):
+    doc = {"group": {"elementary": "Z2"}, "gates": [{"qft": [0], "ovr": "T"}]}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err == "error: gate 0: the qft entry has unknown keys ['ovr']\n"
+
+
 @pytest.mark.parametrize("point", [None, "(0, 0)|1"])
 def test_run_coset_engine_on_black_box_circuit_exits_3(point, tmp_path, capsys):
     from normsim.algorithms import dlog_circuit

@@ -165,6 +165,59 @@ def test_dense_sample_distribution():
         assert count == pytest.approx(500, abs=4 * 0.5 * np.sqrt(1000))
 
 
+def test_dense_sample_equals_generator_choice():
+    """The same counts, in the same order, as `rng.choice(p=...)`, and the
+    generator left in the same state."""
+    from helpers import reference_dense_sample
+
+    for index, (circuit, point) in enumerate(_black_box_cases()):
+        state = dense_run(circuit, point)
+        for shots in (0, 1, 7, 500):
+            rng, reference_rng = np.random.default_rng(index), np.random.default_rng(index)
+            got = dense_sample(state, shots, rng)
+            expected = reference_dense_sample(state, shots, reference_rng)
+            assert list(got.items()) == list(expected.items())
+            assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_dense_sample_rejects_a_zero_or_nan_state(fill):
+    from helpers import reference_dense_sample
+
+    state = dense_run(NormalizerCircuit(DesignatedBasis(cyclic_group(3)), []), (0,))
+    state.amplitudes = np.full_like(state.amplitudes, fill)
+    with pytest.raises(ValueError):
+        dense_sample(state, 2, np.random.default_rng(0))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        reference_dense_sample(state, 2, np.random.default_rng(0))
+
+
+class _TopDraws:
+    """Every uniform draw is 1 - 2^-53, the largest value Generator.random gives."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2**-53)
+
+
+def test_the_largest_uniform_draw_lands_on_the_last_outcome():
+    # Ten equal probabilities sum to 1 - 2^-53 in floating point, so the
+    # cumulative sums must be rescaled to end at exactly 1.
+    state = dense_run(NormalizerCircuit(DesignatedBasis(cyclic_group(10)), [QFTGate((0,))]), (0,))
+    flat = np.abs(state.amplitudes) ** 2
+    assert (flat / flat.sum()).cumsum()[-1] == 1 - 2**-53
+    assert dense_sample(state, 3, _TopDraws()) == Counter({(9,): 3})
+
+
+def test_dense_cap_is_checked_before_the_labels_are_listed():
+    class Unlistable(ZNStarGroup):
+        def elements(self):
+            raise AssertionError("the labels were listed before the cap check")
+
+    basis = DesignatedBasis(cyclic_group(2), Unlistable(10**6 + 3))
+    with pytest.raises(CircuitError, match="exceeds cap"):
+        dense_run(NormalizerCircuit(basis, [QFTGate((0,))]), (0, 1))
+
+
 def test_dense_rejects_infinite_and_oversized():
     basis = DesignatedBasis(group(Z))
     with pytest.raises(CircuitError):

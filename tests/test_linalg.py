@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_continued_fraction_reconstruct
 from normsim.linalg import (
     GroupLinearSystem,
     LinalgError,
@@ -347,6 +348,33 @@ def test_cf_all_small_fractions_with_noise():
                 if p < 0 or p >= 1:
                     continue
                 assert continued_fraction_reconstruct(p, r) == Fraction(k, r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    num=st.integers(0, 2**70),
+    den=st.integers(1, 2**70),
+    r_max=st.integers(1, 2**24),
+)
+@example(num=25, den=32, r_max=4)  # exactly 1/32 = 1/(2 r_max^2) above 3/4
+@example(num=23, den=32, r_max=4)  # exactly 1/32 below 3/4
+@example(num=1, den=2, r_max=1)  # 0/1 exactly at the bound 1/2
+@example(num=0, den=1, r_max=1)
+@example(num=0, den=7, r_max=5)
+@example(num=6, den=7, r_max=1)
+def test_cf_integer_euclid_equals_the_fraction_reference(num, den, r_max):
+    p = Fraction(num % den, den)
+    got = continued_fraction_reconstruct(p, r_max)
+    assert repr(got) == repr(reference_continued_fraction_reconstruct(p, r_max))
+
+
+def test_cf_equals_the_fraction_reference_on_every_small_sample():
+    for den in range(1, 80):
+        for num in range(den):
+            for r_max in range(1, 7):
+                p = Fraction(num, den)
+                expected = reference_continued_fraction_reconstruct(p, r_max)
+                assert continued_fraction_reconstruct(p, r_max) == expected, (p, r_max)
 
 
 def test_cf_rejects_bad_rmax():

@@ -26,7 +26,6 @@ from .blackbox import (
     bb_order,
     cayley_relations,
     decomposition_from_relations,
-    word_table,
 )
 from .circuits import (
     AutomorphismGate,
@@ -590,8 +589,10 @@ def _unit_elements(group: ElementaryGroup) -> list[GroupElement]:
     return [group.reduce(row) for row in identity_matrix(len(group.factors))]
 
 
-def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
-    """Generating set of the hidden subgroup, recovered from dual samples.
+def _sample_kernel(circuit: NormalizerCircuit, rng, cap: int | None) -> tuple[list, list, int]:
+    """Kernel H of x -> prod bases[i]^x_i, sampled from a `fourier_circuit`
+    run once from the zero / identity point: H's non-identity generators, the
+    samples and the number of batches.
 
     Each measured vector y annihilates H.  Batches of samples, scaled into
     Z_d^k and taken with the wraparounds d Z^k, span the lattice of the
@@ -600,16 +601,10 @@ def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
     batches: the form is canonical and S -> S^perp is a bijection, so equal
     forms mean an equal estimate.  One congruence solve then gives H.
     """
-    group = instance.group
-    if not group.is_finite:
-        raise HSPError("the hidden subgroup domain must be finite here")
-    oracular = OracularGroup(group, instance.oracle)
-    certified = oracular.certify_homomorphism()
-    if not certified:
-        raise HSPError("oracle does not hide a subgroup: induced product ill-defined")
-    circuit = hsp_circuit(instance, oracular)
-    state = dense_run(circuit, group.identity().coords + (oracular.identity(),), cap=cap)
-    moduli = [f.modulus for f in group.factors]
+    basis = circuit.initial_basis
+    domain = basis.elementary
+    state = dense_run(circuit, domain.identity().coords + (basis.blackbox.identity(),), cap=cap)
+    moduli = [f.modulus for f in domain.factors]
     d = math.lcm(*moduli)
     wraps = [[d if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))]
     samples: list[tuple[int, ...]] = []
@@ -628,15 +623,30 @@ def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
     )
     if solved is None:
         raise HSPError("homogeneous system cannot be infeasible")
-    gens = [group.reduce(gen) for gen in solved[1]]
+    gens = [domain.reduce(gen) for gen in solved[1]]
+    return [g for g in gens if not g.is_identity()], samples, batch + 1
+
+
+def solve_hsp(instance: HSPInstance, rng, cap: int | None = None) -> HSPRun:
+    """Generating set of the hidden subgroup: the oracle's promise is
+    certified, then `hsp_circuit` over the induced group is sampled."""
+    group = instance.group
+    if not group.is_finite:
+        raise HSPError("the hidden subgroup domain must be finite here")
+    oracular = OracularGroup(group, instance.oracle)
+    certified = oracular.certify_homomorphism()
+    if not certified:
+        raise HSPError("oracle does not hide a subgroup: induced product ill-defined")
+    circuit = hsp_circuit(instance, oracular)
+    generators, samples, batches = _sample_kernel(circuit, rng, cap)
     return HSPRun(
         domain=group,
-        generators=[g for g in gens if not g.is_identity()],
+        generators=generators,
         log={
             "circuit": circuit_summary(circuit),
             "circuit_validated": True,  # dense_run replayed the trace
             "samples": samples,
-            "batches": batch + 1,
+            "batches": batches,
             "homomorphism_certified": certified,
             "oracular_order": oracular.order(),
         },
@@ -663,13 +673,15 @@ def decompose_group(
     """Full decomposition table for <generators> = B.
 
     Steps: per-generator orders by the order-finding run, with d their lcm;
-    the kernel of the exponent map x -> prod generators[i]^x_i on Z_d^k by
-    the hidden-subgroup machinery (dense route when the simulation fits,
-    classical kernel oracle otherwise, recorded in the log).  The kernel rows
-    plus d Z^k form the full relation lattice, and its Smith normal form
-    gives the table (`decomposition_from_relations`): beta from the columns
-    of the transform U, their orders from the diagonal, and B from the rows
-    of U^-1.  The table is the one `bb_decompose_bruteforce` builds from the
+    the kernel of the exponent map x -> prod generators[i]^x_i on Z_d^k,
+    sampled from `fourier_circuit` over Z_d^k x B when the dense simulation
+    fits (the sampler `solve_hsp` runs) and read off the Cayley walk
+    otherwise, the route recorded in the log.  Every oracle call falls on
+    the group's own counter, so the log's total holds them all.  The kernel
+    rows plus d Z^k form the full relation lattice, and its Smith normal
+    form gives the table (`decomposition_from_relations`): beta from the
+    columns of the transform U, their orders from the diagonal, and B from
+    the rows of U^-1.  The table is the one `bb_decompose_bruteforce` builds from the
     same lattice, and `DecompositionTable.verify` checks it by oracle
     multiplication, orders of beta included.
     """
@@ -703,10 +715,9 @@ def _exponent_kernel(
     """Kernel generators of x -> prod generators[i]^x(i) on Z_d^k."""
     k = len(generators)
     if (d**k) * group.order() <= config.dense_cap(dense_cap):
-        words = word_table(group, generators, [d] * k)
-        domain = cyclic_group(*([d] * k))
-        run = solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
-        return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"
+        circuit = fourier_circuit(cyclic_group(*([d] * k)), group, generators)
+        kernel = _sample_kernel(circuit, rng, dense_cap)[0]
+        return [list(gen.coords) for gen in kernel], "hidden-subgroup rounds (dense)"
     relations, _ = cayley_relations(group, generators)
     rows = hermite_reduce([[value % d for value in rel] for rel in relations])
     return rows, "classical kernel oracle (dense cap exceeded)"

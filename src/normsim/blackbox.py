@@ -338,29 +338,6 @@ def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
 
 
-def word_table(group: BlackBoxGroup, generators: Sequence, moduli: Sequence[int]) -> dict:
-    """w(x) = prod generators[i]^x(i) for every x in the box prod [0, moduli[i]),
-    keyed by the tuple x, in the order of `itertools.product`.
-
-    Each point x != 0 is reached from x - e_i, with i the last coordinate
-    that is nonzero, by one counted multiplication.  No step wraps around, so
-    every entry equals group.word(generators, x) whatever the moduli, and the
-    table costs prod(moduli) - 1 oracle calls.
-    """
-    if len(generators) != len(moduli):
-        raise BlackBoxError("generator/modulus length mismatch")
-    table = {(): group.identity()}
-    for g, m in zip(generators, moduli):
-        grown = {}
-        for prefix, value in table.items():
-            grown[prefix + (0,)] = value
-            for t in range(1, m):
-                value = group.mul(value, g)
-                grown[prefix + (t,)] = value
-        table = grown
-    return table
-
-
 @dataclass
 class DecompositionTable:
     """Learned structure of a black-box group.
@@ -405,10 +382,12 @@ class DecompositionTable:
             if bb_order(group, b_i, cap=c_i) != c_i:
                 raise BlackBoxError(f"order of beta[{i}] is not {c_i}")
         if exhaustive:
-            # Direct-sum check: the c-box enumerates the group bijectively.
-            # word_table spends one mul per box point after the first.
-            words = word_table(group, self.beta, self.c)
-            if len({group.encode(value) for value in words.values()}) != self.order():
+            # Direct-sum check.  The checks above give <beta> = <alpha> and
+            # ord(beta_i) = c_i, so x -> beta^x maps Z_c onto <alpha>: a
+            # bijection exactly when |<alpha>| = prod c.  The Cayley walk of
+            # alpha costs k |<alpha>| `mul`, none when the group keeps it.
+            reached = len(cayley_relations(group, self.alpha)[1]) if self.alpha else 1
+            if reached != self.order():
                 raise BlackBoxError("beta generators are not independent")
 
 

@@ -741,17 +741,25 @@ def _format_bb_element(group: BlackBoxGroup, el) -> str:
 
 
 def _parse_bb_element(group: BlackBoxGroup, text: str):
+    """The unit (a decimal integer) or curve point (`x,y` or `O`) `text` names.
+    Bad syntax raises ValueError, a well-formed non-element CircuitError."""
     if not isinstance(group, (ZNStarGroup, EllipticCurveGroup)):
         raise CircuitError(f"cannot parse elements of {group!r}")
     if type(text) is not str:
         raise CircuitError(f"a black-box element must be a string, got {text!r}")
-    if isinstance(group, ZNStarGroup):
-        el = int(text)
-    elif text.strip() == "O":
-        el = None
-    else:
-        x, y = (int(part) for part in text.split(","))
-        el = (x, y)
+    unit = isinstance(group, ZNStarGroup)
+    try:
+        if unit:
+            el = int(text)
+        elif text.strip() == "O":
+            el = None
+        else:
+            x, y = (int(part) for part in text.split(","))
+            el = (x, y)
+    except ValueError:
+        grammar = ("a unit is a decimal integer" if unit
+                   else "a curve point is x,y in decimal integers, or O")
+        raise ValueError(f"malformed element {text!r}: {grammar}") from None
     if not group.is_element(el):
         raise CircuitError(f"{text!r} is not an element of {group!r}")
     return el

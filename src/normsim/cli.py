@@ -205,7 +205,7 @@ def _element(args, group, text: str):
     except CircuitError:
         raise
     except ValueError as exc:
-        raise ParseError(f"normsim {args.command}: bad element {text!r}: {exc}") from exc
+        raise ParseError(f"normsim {args.command}: {exc}") from exc
 
 
 def cmd_factor(args, rng):

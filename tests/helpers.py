@@ -4,8 +4,9 @@ the closure-based hidden-subgroup loop, the per-label dense black-box gates,
 the per-register DFT-matrix QFT, the Smith-form integer solve and the
 double-Hermite group-system solve built on it, the exhaustive quadratic-law
 check, the Fraction continued fraction, the checked-`mul` order loop,
-`Generator.choice` sampling and GroupElement products on an oracle's
-representatives) that the library is checked against."""
+`Generator.choice` sampling, GroupElement products on an oracle's
+representatives and the word-table route of the decomposition kernel) that
+the library is checked against."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -132,6 +133,17 @@ FIELD_ERROR_DOCS = [
     (
         {"group": {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": "7"}}, "gates": []},
         "bad circuit header: the zn_star descriptor: N must be an integer, got '7'",
+    ),
+    (
+        {"group": _ZN7, "gates": [{"bb_automorphism": {"name": "word_exp", "bases": ["x"]}}]},
+        "gate 0: malformed element 'x': a unit is a decimal integer",
+    ),
+    (
+        {
+            "group": {"elementary": "Z2", "blackbox": {"type": "ec", "p": 5, "a": 1, "b": 1}},
+            "gates": [{"bb_automorphism": {"name": "word_exp", "bases": ["4"]}}],
+        },
+        "gate 0: malformed element '4': a curve point is x,y in decimal integers, or O",
     ),
 ]
 MALFORMED_CIRCUIT_DOCS += [doc for doc, _ in FIELD_ERROR_DOCS]
@@ -652,3 +664,30 @@ def reference_oracular_inv(oracular, x):
     """OracularGroup._inv as f(-r(x)) with GroupElement negation."""
     gx = GroupElement(oracular.domain, oracular._representative[x])
     return oracular.oracle((-gx).coords)
+
+
+def reference_word_table(group, generators, moduli) -> dict:
+    """w(x) = prod generators[i]^x(i) for every x in the box prod [0, moduli[i]),
+    keyed by the tuple x; each point after the first costs one `mul`."""
+    table = {(): group.identity()}
+    for g, m in zip(generators, moduli):
+        grown = {}
+        for prefix, value in table.items():
+            grown[prefix + (0,)] = value
+            for t in range(1, m):
+                value = group.mul(value, g)
+                grown[prefix + (t,)] = value
+        table = grown
+    return table
+
+
+def reference_exponent_kernel(group, generators, d: int, rng, dense_cap):
+    """The dense kernel route decompose_group replaced: tabulate the exponent
+    map, wrap the table as a hidden-subgroup oracle on encodings and solve it
+    through `solve_hkp`, which certifies the promise on an `OracularGroup`
+    over the table and samples `hsp_circuit` over it."""
+    k = len(generators)
+    words = reference_word_table(group, generators, [d] * k)
+    domain = cyclic_group(*([d] * k))
+    run = algorithms.solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
+    return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"

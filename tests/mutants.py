@@ -41,6 +41,7 @@ MIXED_INVERSE = "tests/test_circuits.py::test_matrix_rep_inverse_random_mixed_gr
 CURVE_DEBLACKBOX = (
     "tests/test_deblackbox.py::test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once"
 )
+DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_table_route"
 
 MUTANTS = [
     Mutant(
@@ -202,6 +203,37 @@ MUTANTS = [
         tests=(
             "tests/test_blackbox.py::test_bb_order_equals_the_checked_mul_loop",
             "tests/test_blackbox.py::test_bb_order_counts_cap_calls_when_the_order_exceeds_it",
+        ),
+    ),
+    Mutant(
+        name="kernel sampler stops after its first batch",
+        path="src/normsim/algorithms.py",
+        old="        if rows == previous:\n            break\n",
+        new="        break\n",
+        tests=(
+            "tests/test_algorithms.py::test_solve_hsp_matches_the_closure_batch_loop",
+            "tests/test_cli_pinned.py::test_cli_bytes_are_pinned[hsp-json]",
+        ),
+    ),
+    Mutant(
+        name="dense kernel circuit on the generators in reverse",
+        path="src/normsim/algorithms.py",
+        old="fourier_circuit(cyclic_group(*([d] * k)), group, generators)",
+        new="fourier_circuit(cyclic_group(*([d] * k)), group, generators[::-1])",
+        tests=(
+            f"{DENSE_KERNEL}[zn_star 21]",
+            f"{DENSE_KERNEL}[ec 11 1 1]",
+            "tests/test_algorithms.py::test_decompose_round_trip_words",
+        ),
+    ),
+    Mutant(
+        name="exhaustive verify compares the walk with the number of beta",
+        path="src/normsim/blackbox.py",
+        old="if reached != self.order():",
+        new="if reached != len(self.c):",
+        tests=(
+            "tests/test_blackbox.py::test_decompose_z15",
+            "tests/test_blackbox.py::test_exhaustive_verify_accepts_a_curve_table_on_a_fresh_group",
         ),
     ),
 ]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_finite_group,
+    reference_exponent_kernel,
     reference_oracular_inv,
     reference_oracular_mul,
     solve_hsp_reference,
@@ -572,6 +573,74 @@ def test_decompose_elliptic_curve_gives_the_brute_force_table():
     assert run.table.isomorphism_type() == [2, 6]
     run.table.verify(curve, exhaustive=True)
     assert table_entries(run.table) == table_entries(bb_decompose_bruteforce(curve, generators))
+
+
+# The Z_N^* with N <= 64 whose kernel takes the dense route on the
+# generators `sample_generators(default_rng(N))` draws (the rest exceed the
+# dense cap), the curves E(5, 1, 1) and E(11, 1, 1) of the shor workload,
+# and a given generator list that holds the identity.
+DENSE_MODULI = [
+    2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23,
+    24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 39, 40, 42, 44, 45, 48, 60,
+]
+DENSE_KERNEL_CASES = [
+    pytest.param(lambda n=n: ZNStarGroup(n), None, n, id=f"zn_star {n}") for n in DENSE_MODULI
+] + [
+    pytest.param(lambda: EllipticCurveGroup(5, 1, 1), None, 5, id="ec 5 1 1"),
+    pytest.param(lambda: EllipticCurveGroup(11, 1, 1), None, 11, id="ec 11 1 1"),
+    pytest.param(lambda: ZNStarGroup(15), [2, 1, 7], 6, id="zn_star 15 with the identity"),
+]
+
+
+def _decompose_outputs(make_group, generators, seed) -> tuple:
+    """Table, log steps (kernel rows included) and the next rng draw of one
+    decomposition on a fresh group."""
+    group = make_group()
+    rng = rng_for(seed)
+    if generators is None:
+        generators = group.sample_generators(rng)
+    run = decompose_group(group, generators, rng)
+    return table_entries(run.table), run.log["steps"], rng.random()
+
+
+@pytest.mark.parametrize("make_group, generators, seed", DENSE_KERNEL_CASES)
+def test_dense_kernel_equals_the_word_table_route(make_group, generators, seed, monkeypatch):
+    outputs = _decompose_outputs(make_group, generators, seed)
+    kernel = next(step for step in outputs[1] if step["step"] == "kernel")
+    assert kernel["route"] == "hidden-subgroup rounds (dense)"
+    monkeypatch.setattr(algorithms, "_exponent_kernel", reference_exponent_kernel)
+    assert _decompose_outputs(make_group, generators, seed) == outputs
+
+
+@pytest.mark.parametrize(
+    "make_group, generators",
+    [
+        pytest.param(lambda: ZNStarGroup(15), [2, 1, 7], id="zn_star 15 with the identity"),
+        pytest.param(lambda: EllipticCurveGroup(11, 1, 1), [(0, 1), (4, 5)], id="ec 11 1 1"),
+    ],
+)
+def test_dense_kernel_costs_one_translation_table_per_generator(
+    make_group, generators, monkeypatch
+):
+    built = []
+    construct = OracularGroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(OracularGroup, "__init__", spy)
+    group = make_group()
+    d = math.lcm(*(bb_order(group, g) for g in generators))
+    group.counter.reset()
+    rows, route = algorithms._exponent_kernel(group, generators, d, rng_for(0), None)
+    assert route == "hidden-subgroup rounds (dense)"
+    active = sum(g != group.identity() for g in generators)
+    assert (group.counter.mul, group.counter.inv) == (active * group.order(), 0)
+    assert built == []
+    # The spy sees the word-table route's OracularGroup, with the same rows.
+    assert reference_exponent_kernel(group, generators, d, rng_for(0), None) == (rows, route)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -361,15 +361,50 @@ def test_exhaustive_verify_rejects_a_dependent_beta():
         table.verify(g, exhaustive=True)
 
 
-def test_exhaustive_verify_costs_one_mul_per_box_point():
+def test_exhaustive_verify_rejects_a_dependent_beta_after_a_decomposition():
+    g = ZNStarGroup(15)
+    bb_decompose_bruteforce(g, [2, 7])  # the group keeps the walk of [2, 7]
+    table = DecompositionTable(alpha=[2], beta=[2, 4], a=[[1, 2]], b=[[1], [0]], c=[4, 2])
+    with pytest.raises(BlackBoxError, match="not independent"):
+        table.verify(g, exhaustive=True)
+    # beta = alpha = (2, 7) with orders (4, 4) passes the cheap checks, but
+    # 2^2 = 7^2 = 4: the kept walk of [2, 7] reaches 8 elements, not 16.
+    eye = [[1, 0], [0, 1]]
+    table = DecompositionTable(alpha=[2, 7], beta=[2, 7], a=eye, b=eye, c=[4, 4])
+    table.verify(g)
+    bb_decompose_bruteforce(g, [2, 7])
+    with pytest.raises(BlackBoxError, match="not independent"):
+        table.verify(g, exhaustive=True)
+
+
+def test_exhaustive_verify_walks_alpha_once():
     g = ZNStarGroup(63)
     table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(1)))
     before = g.counter.total
     table.verify(g)
     cheap = g.counter.total - before
     before = g.counter.total
-    table.verify(g, exhaustive=True)
-    assert g.counter.total - before == cheap + table.order() - 1
+    table.verify(g, exhaustive=True)  # the group keeps the walk of alpha
+    assert g.counter.total - before == cheap
+    fresh = ZNStarGroup(63)
+    table.verify(fresh, exhaustive=True)
+    assert fresh.counter.total == cheap + len(table.alpha) * fresh.order()
+
+
+def test_exhaustive_verify_accepts_a_curve_table_on_a_fresh_group():
+    generators = [(4, 3), (2, 3)]  # E(7, 0, 1) = Z2 x Z6
+    table = bb_decompose_bruteforce(EllipticCurveGroup(7, 0, 1), generators)
+    fresh = EllipticCurveGroup(7, 0, 1)
+    table.verify(fresh)
+    cheap = fresh.counter.total
+    table.verify(fresh, exhaustive=True)
+    assert fresh.counter.total == 2 * cheap + len(generators) * fresh.order()
+
+
+def test_exhaustive_verify_of_an_empty_table():
+    g = ZNStarGroup(2)  # the group {1}
+    DecompositionTable(alpha=[], beta=[], a=[], b=[], c=[]).verify(g, exhaustive=True)
+    assert g.counter.total == 0
 
 
 def test_decompose_z5_cyclic():

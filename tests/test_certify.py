@@ -1,5 +1,5 @@
-"""The table-driven coset-promise check and the tabulated kernel oracle:
-equivalence with the pairwise check, and exact oracle-query accounting."""
+"""The table-driven coset-promise check: equivalence with the pairwise check,
+and exact oracle-query accounting."""
 
 import itertools
 
@@ -16,7 +16,7 @@ from normsim.algorithms import (
     decompose_group,
     solve_hsp,
 )
-from normsim.blackbox import ZNStarGroup, word_table
+from normsim.blackbox import ZNStarGroup
 from normsim.groups import cyclic_group
 
 MAX_ORDER = 64
@@ -122,24 +122,6 @@ def test_oracular_group_queries_each_point_once(hides_subgroup):
     assert oracular.certify_homomorphism() == hides_subgroup
     assert len(calls) == domain.order()
     assert sorted(calls) == sorted(el.coords for el in domain.elements())
-
-
-@pytest.mark.parametrize(
-    "modulus, generators, d",
-    [
-        (15, [2, 7], 4),
-        (15, [2, 7], 3),  # d not a multiple of the orders: no wrap-around used
-        (21, [2, 5], 6),
-        (21, [2, 5, 13], 5),
-    ],
-)
-def test_word_table_matches_word(modulus, generators, d):
-    group = ZNStarGroup(modulus)
-    table = word_table(group, generators, [d] * len(generators))
-    assert group.counter.total == d ** len(generators) - 1
-    assert sorted(table) == list(itertools.product(range(d), repeat=len(generators)))
-    for x, value in table.items():
-        assert value == group.word(generators, x)
 
 
 @pytest.mark.parametrize("modulus, generators", [(15, [2, 7]), (21, [2, 5])])

@@ -492,6 +492,33 @@ def test_malformed_command_line_exits_4(argv, tmp_path, capsys):
 def test_off_curve_point_still_exits_3(capsys):
     assert main(["ecdlog", "5", "1", "1", "0,1", "4,1"]) == 3
     assert "is not an element" in capsys.readouterr().err
+    assert main(["ecdlog", "5", "1", "1", "0,1", "9,9"]) == 3
+    assert "is not an element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["ecdlog", "5", "1", "1", "4", "0,1"],
+            "error: normsim ecdlog: malformed element '4': "
+            "a curve point is x,y in decimal integers, or O\n",
+        ),
+        (
+            ["decompose", "ec", "5", "1", "1", "--gens", "1,2,3"],
+            "error: normsim decompose: malformed element '1,2,3': "
+            "a curve point is x,y in decimal integers, or O\n",
+        ),
+        (
+            ["ecdlog", "5", "1", "1", "0,x", "4,2"],
+            "error: normsim ecdlog: malformed element '0,x': "
+            "a curve point is x,y in decimal integers, or O\n",
+        ),
+    ],
+)
+def test_malformed_element_names_the_text_and_the_grammar(argv, message, capsys):
+    assert main(argv) == 4
+    assert capsys.readouterr().err == message
 
 
 def test_run_input_outside_the_group_exits_3(tmp_path, capsys):

@@ -17,7 +17,11 @@ rejection sampling (same outcome law, another rng stream), and the deblackbox
 cases when the encoding bridge began to encode from its word table (fewer
 oracle calls).  The deblackbox and decompose cases moved once more, in their
 oracle counts alone, when generator sampling began to walk the group once
-per kept generator and the deblackbox provenance began to count it.
+per kept generator and the deblackbox provenance began to count it.  The
+decompose and decompose ec cases moved in their oracle counts alone (118 to
+107, 47 to 48) when decomposition's kernel step began to sample its circuit
+on the group itself: the step's calls now fall on the group's own counter,
+so the log holds them.
 """
 
 import json

@@ -385,7 +385,8 @@ class DecompositionTable:
             # Direct-sum check.  The checks above give <beta> = <alpha> and
             # ord(beta_i) = c_i, so x -> beta^x maps Z_c onto <alpha>: a
             # bijection exactly when |<alpha>| = prod c.  The Cayley walk of
-            # alpha costs k |<alpha>| `mul`, none when the group keeps it.
+            # alpha costs k |<alpha>| `mul` (none when the group keeps it),
+            # evicts the walk the group kept and raises past DEFAULT_ORDER_CAP.
             reached = len(cayley_relations(group, self.alpha)[1]) if self.alpha else 1
             if reached != self.order():
                 raise BlackBoxError("beta generators are not independent")

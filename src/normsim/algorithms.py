@@ -280,18 +280,6 @@ def _auto_grid(l: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k, p prime and k >= 2; None for any other n."""
-    primes = prime_factors(n)
-    if len(primes) != 1 or primes[0] == n:
-        return None
-    p, k = primes[0], 0
-    while n > 1:
-        n //= p
-        k += 1
-    return p, k
-
-
 @dataclass
 class FactoringRun:
     n: int
@@ -310,11 +298,15 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
         raise FactoringError(f"attempts must be positive, got {attempts}")
     if n < 3 or n % 2 == 0:
         raise FactoringError(f"{n} must be an odd integer >= 3")
-    if is_prime(n):
+    primes = prime_factors(n)
+    if primes == [n]:
         raise FactoringError(f"{n} is prime")
-    power = _prime_power(n)
-    if power is not None:
-        raise FactoringError(f"{n} is a prime power: {power[0]}^{power[1]}")
+    if len(primes) == 1:
+        p, k, rest = primes[0], 0, n
+        while rest > 1:
+            rest //= p
+            k += 1
+        raise FactoringError(f"{n} is a prime power: {p}^{k}")
     transcript = []
     group = ZNStarGroup(n)
     for attempt in range(1, attempts + 1):

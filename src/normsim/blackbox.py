@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .linalg import (
-    Matrix, finite_presentation, hermite_reduce, invariant_factors, is_prime, prime_factors
+    Matrix, finite_presentation, hermite_reduce, is_prime, prime_factors
 )
 
 DEFAULT_ORDER_CAP = 1 << 20
@@ -37,10 +37,6 @@ class OracleCounter:
     @property
     def total(self) -> int:
         return self.mul + self.inv
-
-    def reset(self) -> None:
-        self.mul = 0
-        self.inv = 0
 
 
 class BlackBoxGroup:
@@ -356,9 +352,9 @@ class DecompositionTable:
 
     def isomorphism_type(self) -> list[int]:
         """Invariant factors (sorted by divisibility) of the group."""
-        return invariant_factors(
-            [[self.c[i] if i == j else 0 for j in range(len(self.c))] for i in range(len(self.c))]
-        )
+        k = len(self.c)
+        diagonal = [[c * (i == j) for j in range(k)] for i, c in enumerate(self.c)]
+        return finite_presentation(diagonal, k)[2]
 
     def order(self) -> int:
         return math.prod(self.c)

@@ -39,9 +39,8 @@ from .groups import (
 )
 from .linalg import (
     GroupLinearSystem,
-    det,
+    hermite_reduce,
     identity_matrix,
-    invariant_factors,
     mat_mul,
     solve_group_system,
 )
@@ -165,22 +164,22 @@ def validate_matrix_rep(
             value = _reduce_entry(target, source, entries[i][j])
             entries[i][j] = value.numerator if value.denominator == 1 else value
 
-    z_idx = [i for i, f in enumerate(group.factors) if f.kind == "Z"]
-    t_idx = [i for i, f in enumerate(group.factors) if f.kind == "T"]
-    f_idx = [i for i, f in enumerate(group.factors) if f.kind == "cyclic"]
-    for name, idx in (("Z", z_idx), ("T", t_idx)):
-        block = [[entries[i][j] for j in idx] for i in idx]
-        if idx and abs(det(block)) != 1:
-            raise InvalidGate(f"{name} block is not unimodular")
-    if f_idx:
-        moduli = [group.factors[i].modulus for i in f_idx]
-        block = [
-            [entries[i][j] for j in f_idx]
-            + [moduli[r] if c == r else 0 for c in range(len(f_idx))]
-            for r, i in enumerate(f_idx)
-        ]
-        if invariant_factors(block):
-            raise InvalidGate("finite block is not bijective")
+    # A diagonal block is invertible exactly when its columns, with N_i e_i
+    # added on a finite block, span Z^n, i.e. have the identity as Hermite
+    # basis.  A square integer block spans Z^n iff |det| = 1.  On the finite
+    # block the span is Z^n iff x -> A x mod N is onto, and a map of a finite
+    # group onto itself is a bijection.
+    for kind, problem in (
+        ("Z", "Z block is not unimodular"),
+        ("T", "T block is not unimodular"),
+        ("cyclic", "finite block is not bijective"),
+    ):
+        idx = [i for i, f in enumerate(group.factors) if f.kind == kind]
+        columns = [[entries[i][j] for i in idx] for j in idx]
+        if kind == "cyclic":
+            columns += [[group.factors[i].modulus * (i == j) for i in idx] for j in idx]
+        if hermite_reduce(columns) != identity_matrix(len(idx)):
+            raise InvalidGate(problem)
     return MatrixRep(group=group, matrix=tuple(tuple(row) for row in entries))
 
 
@@ -305,13 +304,6 @@ class QuadraticForm:
         """Integers k and d with q(g) = g (M/2) g + (C/2 + v) g = k/d (mod 1)
         at the labels `grid`, one column of coordinates per label."""
         return _scaled_numerators(*self.scaled, grid)
-
-    def bilinear_exponent(self, g: GroupElement, h: GroupElement) -> Fraction:
-        """Exponent of the bicharacter B(g,h) = exp(2 pi i g M h)."""
-        a, _, d = self.scaled
-        x, y = g.coords, h.coords
-        k = 2 * sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, a))
-        return _mod_one(k, d)
 
 
 def _mod_one(k: Rational, d: int) -> Fraction:

@@ -46,32 +46,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     ]
 
 
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise LinalgError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -99,8 +73,7 @@ class SmithDecomposition:
     def verify(self, a: Sequence[Sequence[int]]) -> None:
         if mat_mul(self.u, mat_mul(self.d, self.v)) != mat_copy(a):
             raise LinalgError("U @ D @ V != A")
-        if abs(det(self.u)) != 1 or abs(det(self.v)) != 1:
-            raise LinalgError("U or V is not unimodular")
+        # Integer inverses make U and V unimodular: det U * det U^-1 = 1.
         if mat_mul(self.u, self.u_inv) != identity_matrix(len(self.u)):
             raise LinalgError("u_inv is wrong")
         if mat_mul(self.v, self.v_inv) != identity_matrix(len(self.v)):
@@ -211,11 +184,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             break
 
     return SmithDecomposition(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv)
-
-
-def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
-    """Nontrivial diagonal entries (> 1) of the Smith normal form of `a`."""
-    return [x for x in smith_normal_form(a).diagonal if x not in (0, 1)]
 
 
 def finite_presentation(

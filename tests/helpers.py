@@ -2,8 +2,9 @@
 reference implementations (Fraction formulas, class-wise map comparison,
 the closure-based hidden-subgroup loop, the per-label dense black-box gates,
 the per-register DFT-matrix QFT, the Smith-form integer solve and the
-double-Hermite group-system solve built on it, the exhaustive quadratic-law
-check, the Fraction continued fraction, the checked-`mul` order loop,
+double-Hermite group-system solve built on it, the Leibniz determinant and
+the brute-force bijectivity test of a finite block, the exhaustive
+quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
 `Generator.choice` sampling, GroupElement products on an oracle's
 representatives and the word-table route of the decomposition kernel) that
 the library is checked against."""
@@ -11,6 +12,7 @@ the library is checked against."""
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+import itertools
 import math
 from operator import mul
 
@@ -340,8 +342,8 @@ def assert_quadratic_law(form: QuadraticForm) -> None:
     for g in elements:
         for h in elements:
             lhs = form.exponent(g + h)
-            rhs = (form.exponent(g) + form.exponent(h) + form.bilinear_exponent(g, h)) % 1
-            assert lhs == rhs, f"quadratic law fails at {g}, {h}"
+            rhs = form.exponent(g) + form.exponent(h) + reference_bilinear_exponent(form, g, h)
+            assert lhs == rhs % 1, f"quadratic law fails at {g}, {h}"
 
 
 def reference_bilinear_exponent(form: QuadraticForm, g, h) -> Fraction:
@@ -352,6 +354,27 @@ def reference_bilinear_exponent(form: QuadraticForm, g, h) -> Fraction:
         for j in range(len(h.coords))
     )
     return Fraction(total) % 1
+
+
+def leibniz_det(a) -> int:
+    """Determinant as the signed sum over permutations of the products
+    a[0][p(0)] ... a[n-1][p(n-1)]; 1 for the empty matrix."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def reference_is_bijective(block, moduli) -> bool:
+    """Whether x -> A x mod N permutes Z_{N_1} x ... x Z_{N_k}, by listing
+    the image of every point."""
+    images = {
+        tuple(sum(map(mul, row, x)) % n for row, n in zip(block, moduli))
+        for x in itertools.product(*(range(n) for n in moduli))
+    }
+    return len(images) == math.prod(moduli)
 
 
 def reference_apply(rep: MatrixRep, el):

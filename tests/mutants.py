@@ -42,6 +42,9 @@ CURVE_DEBLACKBOX = (
     "tests/test_deblackbox.py::test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once"
 )
 DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_table_route"
+BLOCK_DECISIONS = (
+    "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
+)
 
 MUTANTS = [
     Mutant(
@@ -234,6 +237,36 @@ MUTANTS = [
         tests=(
             "tests/test_blackbox.py::test_decompose_z15",
             "tests/test_blackbox.py::test_exhaustive_verify_accepts_a_curve_table_on_a_fresh_group",
+        ),
+    ),
+    Mutant(
+        name="finite block checked without its N_i e_i columns",
+        path="src/normsim/circuits.py",
+        old=(
+            '        if kind == "cyclic":\n'
+            "            columns += [[group.factors[i].modulus * (i == j) for i in idx] for j in idx]\n"
+        ),
+        new="",
+        tests=(
+            BLOCK_DECISIONS,
+            "tests/test_circuits.py::test_matrix_rep_accepts_exactly_the_automorphisms",
+        ),
+    ),
+    Mutant(
+        name="T block not checked",
+        path="src/normsim/circuits.py",
+        old='        ("T", "T block is not unimodular"),\n',
+        new="",
+        tests=(BLOCK_DECISIONS, "tests/test_circuits.py::test_matrix_rep_rejects_bad_blocks"),
+    ),
+    Mutant(
+        name="factor without its prime-power branch",
+        path="src/normsim/algorithms.py",
+        old="    if len(primes) == 1:\n",
+        new="    if False:\n",
+        tests=(
+            "tests/test_algorithms.py::test_factor_refuses_only_prime_powers",
+            "tests/test_cli.py::test_factor_perfect_power_that_is_not_a_prime_power",
         ),
     ),
 ]

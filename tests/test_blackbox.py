@@ -171,12 +171,12 @@ def test_backends_conformance_random_triples():
 
 def test_oracle_counter():
     g = ZNStarGroup(15)
-    g.counter.reset()
+    mul, inv, total = g.counter.mul, g.counter.inv, g.counter.total
     g.mul(2, 2)
     g.inv(2)
     g.power(2, 5)
-    assert g.counter.mul >= 2 and g.counter.inv == 1
-    assert g.counter.total == g.counter.mul + g.counter.inv
+    assert g.counter.mul - mul >= 2 and g.counter.inv - inv == 1
+    assert g.counter.total - total == g.counter.mul - mul + g.counter.inv - inv
 
 
 def _power_groups():
@@ -348,6 +348,13 @@ def test_decompose_z15():
     table.verify(g, exhaustive=True)
     assert sorted(table.c) == [2, 4]  # Z_15^* = Z_4 x Z_2
     assert table.isomorphism_type() == [2, 4]
+
+
+def test_isomorphism_type():
+    # The invariant factors of Z_c1 x ... x Z_ck, sorted by divisibility.
+    for c, expected in [([2, 3], [6]), ([2, 2], [2, 2]), ([1, 4], [4]), ([], [])]:
+        table = DecompositionTable(alpha=[], beta=[], a=[], b=[], c=c)
+        assert table.isomorphism_type() == expected
 
 
 def test_exhaustive_verify_rejects_a_dependent_beta():

@@ -13,16 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_continued_fraction_reconstruct
+from helpers import leibniz_det, reference_continued_fraction_reconstruct
 from normsim.linalg import (
     GroupLinearSystem,
     LinalgError,
     continued_fraction_reconstruct,
-    det,
     finite_presentation,
     hermite_reduce,
     identity_matrix,
-    invariant_factors,
     is_prime,
     mat_mul,
     prime_factors,
@@ -124,11 +122,6 @@ def test_snf_1000_random_small():
         smith_normal_form(a).verify(a)
 
 
-def test_invariant_factors():
-    assert invariant_factors([[2, 0], [0, 3]]) == [6]
-    assert invariant_factors(identity_matrix(3)) == []
-
-
 def lattice_mod(relations, rank, n):
     """Oracle: the image of the lattice spanned by `relations` in Z_n^rank,
     closed under addition point by point."""
@@ -152,7 +145,7 @@ def test_finite_presentation_against_brute_force(rank, count, data):
         [data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(count)
     ]
     minors = [
-        abs(det([relations[i] for i in rows]))
+        abs(leibniz_det([relations[i] for i in rows]))
         for rows in itertools.combinations(range(count), rank)
     ]
     presentation = finite_presentation(relations, rank)
@@ -177,15 +170,6 @@ def test_finite_presentation_examples():
     snf, keep, orders = finite_presentation([[2, 0], [0, 3]], 2)
     assert orders == [6]
     assert finite_presentation([[1, 0], [0, 1]], 2)[1:] == ([], [])
-
-
-def test_det():
-    assert det([[2, 0], [0, 3]]) == 6
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[0, 1], [1, 0]]) == -1
-    assert det([]) == 1
-    with pytest.raises(LinalgError):
-        det([[1, 2, 3], [4, 5, 6]])
 
 
 # ---------------------------------------------------------------------------

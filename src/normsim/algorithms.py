@@ -1,5 +1,5 @@
-"""The algorithm suite: order finding, factoring, discrete logarithms
-(multiplicative and elliptic-curve), Abelian hidden-subgroup solving, and
+"""The algorithm suite: order finding, factoring, discrete logarithms over
+black-box groups (Z_p^* and curves), Abelian hidden-subgroup solving, and
 black-box group decomposition, each realized as a normalizer circuit run
 through the simulators plus exact classical post-processing.
 
@@ -35,7 +35,7 @@ from .circuits import (
     word_exp_func,
 )
 from .deblackbox import EncodingBridge
-from .dense import dense_run, dense_sample
+from .dense import DenseState, dense_run, dense_sample
 from .dirichlet import DirichletDistribution, discretization_deviation
 from .groups import ElementaryGroup, GroupElement, cyclic_group
 from .linalg import (
@@ -123,6 +123,13 @@ def fourier_circuit(
     )
 
 
+def _identity_run(circuit: NormalizerCircuit, cap: int | None) -> DenseState:
+    """`dense_run` of a `fourier_circuit` from the zero / identity point."""
+    basis = circuit.initial_basis
+    start = basis.elementary.identity().coords + (basis.blackbox.identity(),)
+    return dense_run(circuit, start, cap=cap)
+
+
 def _sample_outcomes(state, shots: int, rng, width: int) -> list[tuple[int, ...]]:
     """`shots` measurements of the first `width` registers as integer tuples,
     each outcome repeated by its count."""
@@ -168,7 +175,6 @@ def _solve_pooled_pairs(pairs: list[tuple[int, int]], n: int) -> int | None:
 
 @dataclass
 class OrderFindingRun:
-    target: object
     comb_m: int
     samples: list[Fraction]
     order: int
@@ -242,7 +248,6 @@ def find_order(
                 continue
             order = _minimal_confirmed_order(group, a, candidate)
             return OrderFindingRun(
-                target=a,
                 comb_m=m,
                 samples=samples,
                 order=order,
@@ -282,7 +287,6 @@ def _auto_grid(l: int) -> int:
 
 @dataclass
 class FactoringRun:
-    n: int
     divisor: int
     attempts: int
     log: dict = field(default_factory=dict)
@@ -314,7 +318,7 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
         g = math.gcd(a, n)
         if g > 1:
             transcript.append({"a": a, "event": "gcd shortcut", "divisor": g})
-            return FactoringRun(n=n, divisor=g, attempts=attempt, log={"transcript": transcript})
+            return FactoringRun(divisor=g, attempts=attempt, log={"transcript": transcript})
         run = find_order(group, a, rng, comb_m=comb_m)
         r = run.order
         entry = {"a": a, "order": r, "samples": run.log["samples"]}
@@ -333,7 +337,7 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
                 entry["divisor"] = divisor
                 transcript.append(entry)
                 return FactoringRun(
-                    n=n, divisor=divisor, attempts=attempt, log={"transcript": transcript}
+                    divisor=divisor, attempts=attempt, log={"transcript": transcript}
                 )
         entry["event"] = "no split"
         transcript.append(entry)
@@ -341,38 +345,47 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
 
 
 # ---------------------------------------------------------------------------
-# discrete logarithm over Z_p^*
+# discrete logarithm over a black-box group
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DiscreteLogRun:
-    p: int
-    base: int
-    target: int
     exponent: int
+    order: int  # the modulus n of the circuit's Z_n^2 registers
     samples: list[tuple[int, int]]
     log: dict = field(default_factory=dict)
 
 
+def ec_dlog_circuit(group: BlackBoxGroup, a, b, n: int) -> NormalizerCircuit:
+    """The two-QFT-layer circuit over Z_n^2 x B."""
+    return fourier_circuit(cyclic_group(n, n), group, [a, b])
+
+
 def dlog_circuit(p: int, a: int, b: int) -> NormalizerCircuit:
-    """The two-QFT-layer circuit over Z_{p-1}^2 x Z_p^*."""
-    return fourier_circuit(cyclic_group(p - 1, p - 1), ZNStarGroup(p), [a, b])
+    """The discrete-log circuit over Z_{p-1}^2 x Z_p^*."""
+    return ec_dlog_circuit(ZNStarGroup(p), a, b, p - 1)
+
+
+def _discrete_log(
+    group: BlackBoxGroup, a, b, n: int, repetitions: int, rng, cap: int | None
+) -> tuple[int | None, list[tuple[int, int]], NormalizerCircuit]:
+    """The s in [0, n) that the pooled outcomes (k, ks) of `repetitions`
+    shots of `ec_dlog_circuit` pin down (None when they are inconsistent),
+    with the outcomes and the circuit."""
+    circuit = ec_dlog_circuit(group, a, b, n)
+    pairs = _sample_outcomes(_identity_run(circuit, cap), repetitions, rng, 2)
+    return _solve_pooled_pairs(pairs, n), pairs, circuit
 
 
 def discrete_log(
-    p: int,
-    a: int,
-    b: int,
-    rng,
-    repetitions: int = 10,
-    cap: int | None = None,
+    p: int, a: int, b: int, rng, repetitions: int = 10, cap: int | None = None
 ) -> DiscreteLogRun:
     """Least s with a^s = b mod p, for a generating Z_p^*.
 
-    Measurement outcomes are pairs (k, ks); the runs are pooled into one
-    linear system mod p-1, which pins s down unless every sampled k shares a
-    factor with p-1 (probability at most about 2^-repetitions).
+    The black-box discrete log on Z_p^* with n = p - 1: the runs are pooled
+    into one linear system mod p-1, which pins s down unless every sampled k
+    shares a factor with p-1 (probability at most about 2^-repetitions).
     """
     if repetitions < 1:
         raise DiscreteLogError(f"repetitions must be positive, got {repetitions}")
@@ -386,48 +399,20 @@ def discrete_log(
     group._check(a)
     if any(group.power(a, (p - 1) // q) == 1 for q in prime_factors(p - 1)):
         raise DiscreteLogError(f"{a} does not generate the units mod {p}")
-    circuit = dlog_circuit(p, a, b)
-    state = dense_run(circuit, (0, 0, 1), cap=cap)
-    pairs = _sample_outcomes(state, repetitions, rng, 2)
-    s = _solve_pooled_pairs(pairs, p - 1)
+    s, pairs, circuit = _discrete_log(group, a, b, p - 1, repetitions, rng, cap)
     if s is None:
         raise DiscreteLogError("inconsistent samples; the oracle promise failed")
     if pow(a, s, p) != b:
         raise DiscreteLogError("postprocessing produced a wrong exponent")
-    return DiscreteLogRun(
-        p=p,
-        base=a,
-        target=b,
-        exponent=s,
-        samples=pairs,
-        log={
-            "circuit": circuit_summary(circuit),
-            "pairs": pairs,
-            "repetitions": repetitions,
-        },
-    )
+    log = {"circuit": circuit_summary(circuit), "pairs": pairs, "repetitions": repetitions}
+    return DiscreteLogRun(exponent=s, order=p - 1, samples=pairs, log=log)
 
 
-# ---------------------------------------------------------------------------
-# elliptic-curve discrete logarithm
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EcDlogRun:
-    base: object
-    target: object
-    exponent: int
-    order: int
-    log: dict = field(default_factory=dict)
-
-
-def ec_dlog_circuit(curve, a, b, n: int) -> NormalizerCircuit:
-    return fourier_circuit(cyclic_group(n, n), curve, [a, b])
-
-
-def ec_discrete_log(curve, a, b, rng, repetitions: int = 12, cap: int | None = None) -> EcDlogRun:
-    """Least s with s a = b on the curve, by the two-ancilla circuit.
+def ec_discrete_log(
+    group: BlackBoxGroup, a, b, rng, repetitions: int = 12, cap: int | None = None
+) -> DiscreteLogRun:
+    """Least s with a^s = b in any finite black-box group, elliptic curves
+    included (there s a = b), by the two-ancilla circuit.
 
     The ancilla modulus is the order of `a`, found by the order-finding run;
     outcomes (u, v) satisfy v = s u, pooled and solved mod that order.  One
@@ -436,25 +421,17 @@ def ec_discrete_log(curve, a, b, rng, repetitions: int = 12, cap: int | None = N
     """
     if repetitions < 1:
         raise DiscreteLogError(f"repetitions must be positive, got {repetitions}")
-    order_run = find_order(curve, a, rng, r_max=curve.order())
+    order_run = find_order(group, a, rng, r_max=group.order())
     n = order_run.order
-    circuit = ec_dlog_circuit(curve, a, b, n)
-    state = dense_run(circuit, (0, 0, curve.identity()), cap=cap)
-    pairs = _sample_outcomes(state, repetitions, rng, 2)
-    s = _solve_pooled_pairs(pairs, n)
-    if s is None or curve.power(a, s) != b:
+    s, pairs, circuit = _discrete_log(group, a, b, n, repetitions, rng, cap)
+    if s is None or group.power(a, s) != b:
         raise DiscreteLogError(f"{b!r} is not a multiple of {a!r}")
-    return EcDlogRun(
-        base=a,
-        target=b,
-        exponent=s,
-        order=n,
-        log={
-            "circuit": circuit_summary(circuit),
-            "pairs": pairs,
-            "order_samples": order_run.log["samples"],
-        },
-    )
+    log = {
+        "circuit": circuit_summary(circuit),
+        "pairs": pairs,
+        "order_samples": order_run.log["samples"],
+    }
+    return DiscreteLogRun(exponent=s, order=n, samples=pairs, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +570,8 @@ def _sample_kernel(circuit: NormalizerCircuit, rng, cap: int | None) -> tuple[li
     batches: the form is canonical and S -> S^perp is a bijection, so equal
     forms mean an equal estimate.  One congruence solve then gives H.
     """
-    basis = circuit.initial_basis
-    domain = basis.elementary
-    state = dense_run(circuit, domain.identity().coords + (basis.blackbox.identity(),), cap=cap)
+    domain = circuit.initial_basis.elementary
+    state = _identity_run(circuit, cap)
     moduli = [f.modulus for f in domain.factors]
     d = math.lcm(*moduli)
     wraps = [[d if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))]

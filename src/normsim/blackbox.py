@@ -79,7 +79,9 @@ class BlackBoxGroup:
         raise NotImplementedError
 
     def elements(self) -> Iterator:
-        """Desk-scale extension: exhaustive enumeration for test oracles."""
+        """Desk-scale extension outside the oracle model: every element, at
+        no oracle call.  The dense engine labels its black-box axis with it
+        (sorted by encoding), and tests use it as a reference listing."""
         raise NotImplementedError
 
     def order(self) -> int:

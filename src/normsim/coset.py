@@ -374,23 +374,6 @@ class CosetPhaseState:
                 t = np.zeros((0, shots), dtype=np.int64)
         return dict(Counter(map(tuple, self._points(t).T.tolist())))
 
-    def check_invariants(self) -> None:
-        """Self-checks used by the test suite: injectivity and periodicity."""
-        points = self.support_points()
-        if len(points) != len(set(points)):
-            raise CosetSimulationError("parameterization is not injective")
-        for i, m in enumerate(self.moduli):
-            if any(
-                (m * c) % n != 0
-                for c, n in zip(self.columns[i], self.group.chars)
-            ):
-                raise CosetSimulationError("modulus does not annihilate its column")
-            for t in ([0] * self.num_params, [1] * self.num_params):
-                bumped = list(t)
-                bumped[i] += m
-                if self.phase_exponent(bumped) != self.phase_exponent(t):
-                    raise CosetSimulationError("phase polynomial not box-periodic")
-
 
 def coset_run(circuit: NormalizerCircuit, input_element: GroupElement) -> CosetPhaseState:
     """Run a finite, fully de-black-boxed circuit in the structured picture."""

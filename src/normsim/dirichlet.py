@@ -211,12 +211,6 @@ def dirichlet_peak_mass(r: int, m: int) -> float:
     return DirichletDistribution(r, m).peak_mass()
 
 
-def nearest_peak_distance(p: Fraction, r: int) -> Fraction:
-    """Torus distance from p to the closest multiple k/r."""
-    u = (Fraction(p) * r) % 1
-    return min(u, 1 - u) / r
-
-
 def discretization_deviation(r: int, m: int, s: int = 0) -> float:
     """max_k |sqrt(D) QFT_D(comb)(k) - psi_hat(k/D)| with D = 2M+1.
 

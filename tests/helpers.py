@@ -7,7 +7,8 @@ the brute-force bijectivity test of a finite block, the exhaustive
 quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
 `Generator.choice` sampling, GroupElement products on an oracle's
 representatives and the word-table route of the decomposition kernel) that
-the library is checked against."""
+the library is checked against, plus two checks only tests use: the
+invariants of a coset state and the torus distance to the nearest peak."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -714,3 +715,26 @@ def reference_exponent_kernel(group, generators, d: int, rng, dense_cap):
     domain = cyclic_group(*([d] * k))
     run = algorithms.solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
     return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"
+
+
+def nearest_peak_distance(p: Fraction, r: int) -> Fraction:
+    """Torus distance from p to the closest multiple k/r."""
+    u = (Fraction(p) * r) % 1
+    return min(u, 1 - u) / r
+
+
+def assert_coset_invariants(state) -> None:
+    """A `CosetPhaseState`'s parameterization is injective, each box modulus
+    annihilates its column, and the phase polynomial is box-periodic."""
+    points = state.support_points()
+    assert len(points) == len(set(points)), "parameterization is not injective"
+    for i, m in enumerate(state.moduli):
+        assert all(
+            (m * c) % n == 0 for c, n in zip(state.columns[i], state.group.chars)
+        ), "modulus does not annihilate its column"
+        for t in ([0] * state.num_params, [1] * state.num_params):
+            bumped = list(t)
+            bumped[i] += m
+            assert state.phase_exponent(bumped) == state.phase_exponent(t), (
+                "phase polynomial not box-periodic"
+            )

@@ -42,6 +42,7 @@ CURVE_DEBLACKBOX = (
     "tests/test_deblackbox.py::test_sampled_deblackbox_of_a_curve_dlog_circuit_walks_the_group_once"
 )
 DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_table_route"
+NON_CYCLIC_DLOG = "tests/test_algorithms.py::test_black_box_dlog_on_non_cyclic_units"
 BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
@@ -258,6 +259,24 @@ MUTANTS = [
         old='        ("T", "T block is not unimodular"),\n',
         new="",
         tests=(BLOCK_DECISIONS, "tests/test_circuits.py::test_matrix_rep_rejects_bad_blocks"),
+    ),
+    Mutant(
+        name="discrete log solved from its first sample only",
+        path="src/normsim/algorithms.py",
+        old="    return _solve_pooled_pairs(pairs, n), pairs, circuit\n",
+        new="    return _solve_pooled_pairs(pairs[:1], n), pairs, circuit\n",
+        tests=(
+            "tests/test_algorithms.py::test_dlog_p7_examples",
+            "tests/test_algorithms.py::test_ec_dlog_all_multiples_f5",
+            f"{NON_CYCLIC_DLOG}[35]",
+        ),
+    ),
+    Mutant(
+        name="black-box discrete log without its a^s = b check",
+        path="src/normsim/algorithms.py",
+        old="    if s is None or group.power(a, s) != b:\n",
+        new="    if s is None:\n",
+        tests=(f"{NON_CYCLIC_DLOG}[21]", f"{NON_CYCLIC_DLOG}[35]"),
     ),
     Mutant(
         name="factor without its prime-power branch",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    nearest_peak_distance,
     random_circuit,
     random_finite_group,
     random_matrix_rep,
@@ -49,7 +50,6 @@ from normsim.dirichlet import (
     dirichlet_peak_mass,
     dirichlet_sample,
     discretization_deviation,
-    nearest_peak_distance,
 )
 from normsim.groups import cyclic_group
 

@@ -340,6 +340,44 @@ def test_ec_dlog_rejects_same_order_point_outside_subgroup():
         ec_discrete_log(curve, (0, 0), (2, 0), rng_for(4))
 
 
+@pytest.mark.parametrize("modulus", [21, 35])  # Z2 x Z6 and Z2 x Z12: not cyclic
+def test_black_box_dlog_on_non_cyclic_units(modulus):
+    # One base per element order; every b in <a> gives its least exponent
+    # and every b outside <a> is refused.
+    group = ZNStarGroup(modulus)
+    elements = list(group.elements())
+    bases = {}
+    for x in elements:
+        bases.setdefault(bb_order(group, x), x)
+    rng = rng_for(modulus)
+    for order, a in sorted(bases.items()):
+        powers = [pow(a, s, modulus) for s in range(order)]
+        for b in elements:
+            if b in powers:
+                run = ec_discrete_log(group, a, b, rng)
+                assert (run.exponent, run.order) == (powers.index(b), order)
+            else:
+                with pytest.raises(DiscreteLogError, match=rf"^{b} is not a multiple of {a}$"):
+                    ec_discrete_log(group, a, b, rng)
+
+
+def test_dlog_queries_fall_on_one_counter(monkeypatch):
+    from normsim import blackbox
+
+    counters = []
+
+    class RecordedCounter(blackbox.OracleCounter):
+        def __init__(self) -> None:
+            super().__init__()
+            counters.append(self)
+
+    monkeypatch.setattr(blackbox, "OracleCounter", RecordedCounter)
+    discrete_log(17, 3, 5, rng_for(0))
+    # The generator check's 3^8 costs 5 mul and the word_exp gate 32
+    # (test_dense pins the circuit's count).
+    assert [counter.total for counter in counters] == [5 + 32]
+
+
 # ---------------------------------------------------------------------------
 # hidden subgroup problem
 # ---------------------------------------------------------------------------

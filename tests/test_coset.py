@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_coset_invariants,
     random_circuit,
     random_finite_group,
     random_matrix_rep,
@@ -42,7 +43,7 @@ from normsim.linalg import mat_mul
 def assert_matches_dense(circuit, input_coords):
     element = circuit.initial_basis.elementary.reduce(input_coords)
     coset = coset_run(circuit, element)
-    coset.check_invariants()
+    assert_coset_invariants(coset)
     dense = dense_run(circuit, input_coords, cap=1 << 14)
     assert states_equal_up_to_global_phase(dense.amplitudes, coset), (
         f"mismatch on {circuit.initial_basis.elementary} with input {input_coords}"
@@ -310,7 +311,9 @@ def test_invariants_hold_after_every_gate(case):
     circuit, coords = case
     for k in range(1, len(circuit.gates) + 1):
         prefix = NormalizerCircuit(circuit.initial_basis, circuit.gates[:k])
-        coset_run(prefix, prefix.initial_basis.elementary.reduce(coords)).check_invariants()
+        assert_coset_invariants(
+            coset_run(prefix, prefix.initial_basis.elementary.reduce(coords))
+        )
     assert_matches_dense(circuit, coords)
 
 

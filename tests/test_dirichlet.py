@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from helpers import nearest_peak_distance
 from normsim.dirichlet import (
     PEAK_MASS_FLOOR,
     DirichletDistribution,
@@ -21,7 +22,6 @@ from normsim.dirichlet import (
     dirichlet_peak_mass,
     dirichlet_sample,
     discretization_deviation,
-    nearest_peak_distance,
 )
 
 

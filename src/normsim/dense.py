@@ -15,6 +15,16 @@ extraction does, it keeps its cached-power cost instead.)  Any other
 black-box callable runs once per label of the nonzero support; each image
 goes through `make_point`, and all are encoded into flat positions in one
 array pass.
+
+Fourier sampling opens every `fourier_circuit`: a QFT over every elementary
+register, then `word_exp`, from |0, y0>.  Its state is known in closed form,
+c at (x, f(x) y0) for every x, so `dense_run` writes it directly and spends
+one FFT on the whole circuit instead of two.  c is the product of the
+1/sqrt(n_i) multiplied last register first, the order numpy's transform
+scales its axes in, so the bytes are those of the FFT.  The opening skips
+the norm check of black-box gates, which cannot fail there: each x slice
+holds one label before `word_exp`, which never moves x, so no two labels
+meet.  Every other gate, and every other opening, runs one by one.
 """
 
 from __future__ import annotations
@@ -179,17 +189,64 @@ def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray) -
     state.amplitudes = flat.reshape(shape)
 
 
+def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState) -> int | None:
+    """The input's black-box label index when the circuit opens with Fourier
+    sampling from a point that is 0 on every elementary register: a QFT over
+    every elementary register, then a `word_exp` gate.  None otherwise."""
+    gates = circuit.gates
+    if not (
+        len(gates) >= 2
+        and isinstance(gates[0], QFTGate)
+        and sorted(gates[0].registers) == list(range(len(state.basis.elementary.factors)))
+        and isinstance(gates[1], AutomorphismGate)
+        and isinstance(gates[1].func, WordExp)
+    ):
+        return None
+    # C order puts the black-box axis last, so the input is 0 on every
+    # elementary register exactly when its one amplitude lies in the first |B|.
+    head = np.flatnonzero(state.amplitudes.reshape(-1)[: len(state.bb_labels)])
+    return int(head[0]) if head.size else None
+
+
+def _apply_fourier_opening(state: DenseState, qft: QFTGate, func: WordExp, label: int) -> None:
+    """The QFT and `word_exp` gates of a Fourier opening on |0, y0>, in
+    closed form: amplitude c at (x, f(x) y0) for every x, the targets from
+    `word_exp`'s translation tables on the support the transform leaves,
+    every x at the input label."""
+    shape = state.amplitudes.shape
+    c = 1.0
+    for r in reversed(qft.registers):  # the order np.fft.ifftn scales its axes in
+        c *= 1 / math.sqrt(shape[r])
+    size, labels = state.amplitudes.size, len(state.bb_labels)
+    support = np.arange(0, size, labels) + label
+    out = np.zeros(size, dtype=np.complex128)
+    out[_word_exp_targets(state, func, support)] = c
+    state.amplitudes = out.reshape(shape)
+
+
 def dense_run(
     circuit: NormalizerCircuit, input_point, cap: int | None = None
 ) -> DenseState:
-    """Run a finite-register circuit on one basis state, exactly by brute force."""
+    """Run a finite-register circuit on one basis state, exactly by brute force.
+
+    A Fourier opening (a QFT over every elementary register, then
+    `word_exp`) on a point 0 on every elementary register is written in
+    closed form, scaled last register first as numpy's FFT is, with the
+    same bytes and oracle calls; its norm check is dropped because no two
+    labels can meet there.  Every other gate runs one by one.
+    """
     cap = dense_cap(cap)
     trace = circuit.validate()
     if any(not b.is_finite for b in trace):
         raise CircuitError("dense simulation needs every register finite")
     state = _initial_state(circuit.initial_basis, input_point, cap)
     grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
-    for gate in circuit.gates:
+    gates = circuit.gates
+    label = _fourier_opening_label(circuit, state)
+    if label is not None:
+        _apply_fourier_opening(state, gates[0], gates[1].func, label)
+        gates = gates[2:]
+    for gate in gates:
         if isinstance(gate, QFTGate):
             _apply_qft(state, gate.registers)
         elif isinstance(gate, AutomorphismGate):

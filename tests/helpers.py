@@ -6,7 +6,8 @@ double-Hermite group-system solve built on it, the Leibniz determinant and
 the brute-force bijectivity test of a finite block, the exhaustive
 quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
 `Generator.choice` sampling, GroupElement products on an oracle's
-representatives and the word-table route of the decomposition kernel) that
+representatives, the word-table route of the decomposition kernel and the
+gate-by-gate dense run without its closed-form Fourier opening) that
 the library is checked against, plus two checks only tests use: the
 invariants of a coset state and the torus distance to the nearest peak."""
 
@@ -19,10 +20,11 @@ from operator import mul
 
 import numpy as np
 
-from normsim import algorithms
+from normsim import algorithms, dense
 from normsim.blackbox import BlackBoxError
 from normsim.circuits import (
     AutomorphismGate,
+    CircuitError,
     DesignatedBasis,
     MatrixRep,
     NormalizerCircuit,
@@ -33,6 +35,7 @@ from normsim.circuits import (
     validate_matrix_rep,
     validate_quadratic,
 )
+from normsim.config import dense_cap
 from normsim.groups import T, Z, ElementaryGroup, GroupElement, cyclic, cyclic_group
 from normsim.linalg import (
     GroupLinearSystem,
@@ -559,9 +562,9 @@ def reference_black_box_phase(state, gate) -> None:
 @contextmanager
 def reference_black_box_gates(monkeypatch):
     """Within the block, the dense engine runs every black-box gate through
-    the per-label reference loops above; normal-form gates are untouched."""
-    from normsim import dense
-
+    the per-label reference loops above, a Fourier opening's `word_exp`
+    included (the closed-form opening is switched off); normal-form gates
+    are untouched."""
     apply_automorphism, apply_quadratic = dense._apply_automorphism, dense._apply_quadratic
 
     def automorphism(state, gate, grid):
@@ -579,7 +582,36 @@ def reference_black_box_gates(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(dense, "_apply_automorphism", automorphism)
         m.setattr(dense, "_apply_quadratic", quadratic)
+        m.setattr(dense, "_fourier_opening_label", lambda circuit, state: None)
         yield
+
+
+def dense_run_gatewise(circuit: NormalizerCircuit, input_point, cap: int | None = None):
+    """dense_run with every gate applied one by one: the opening QFT as an
+    FFT of the basis state, `word_exp` on its nonzero support, and the norm
+    check after every black-box automorphism."""
+    cap = dense_cap(cap)
+    trace = circuit.validate()
+    if any(not b.is_finite for b in trace):
+        raise CircuitError("dense simulation needs every register finite")
+    state = dense._initial_state(circuit.initial_basis, input_point, cap)
+    grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
+    for gate in circuit.gates:
+        if isinstance(gate, QFTGate):
+            dense._apply_qft(state, gate.registers)
+        elif isinstance(gate, AutomorphismGate):
+            dense._apply_automorphism(state, gate, grid)
+            # Only a black-box callable can send two labels to one; every
+            # other gate is unitary by construction.
+            if gate.is_black_box:
+                norm = state.norm()
+                if abs(norm - 1.0) > 1e-9:
+                    raise CircuitError(f"norm drifted to {norm}")
+        elif isinstance(gate, QuadraticGate):
+            dense._apply_quadratic(state, gate, grid)
+        else:
+            raise CircuitError(f"unknown gate type {type(gate).__name__}")
+    return state
 
 
 def reference_solve_integer_system(a, b, cols: int):

@@ -43,6 +43,7 @@ CURVE_DEBLACKBOX = (
 )
 DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_table_route"
 NON_CYCLIC_DLOG = "tests/test_algorithms.py::test_black_box_dlog_on_non_cyclic_units"
+FOURIER_OPENING = "tests/test_dense.py::test_fourier_opening_matches_the_gatewise_run"
 BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
@@ -286,6 +287,33 @@ MUTANTS = [
         tests=(
             "tests/test_algorithms.py::test_factor_refuses_only_prime_powers",
             "tests/test_cli.py::test_factor_perfect_power_that_is_not_a_prime_power",
+        ),
+    ),
+    Mutant(
+        name="Fourier opening scaled first register first",
+        path="src/normsim/dense.py",
+        old="    for r in reversed(qft.registers):",
+        new="    for r in qft.registers:",
+        tests=(FOURIER_OPENING,),
+    ),
+    Mutant(
+        name="Fourier opening taken at a nonzero elementary start",
+        path="src/normsim/dense.py",
+        old="    head = np.flatnonzero(state.amplitudes.reshape(-1)[: len(state.bb_labels)])\n",
+        new="    head = np.flatnonzero(state.amplitudes) % len(state.bb_labels)\n",
+        tests=(
+            FOURIER_OPENING,
+            "tests/test_dense.py::test_a_fourier_opening_from_zero_costs_one_transform",
+        ),
+    ),
+    Mutant(
+        name="Fourier opening walked from label index 0, not the start label",
+        path="src/normsim/dense.py",
+        old="    support = np.arange(0, size, labels) + label\n",
+        new="    support = np.arange(0, size, labels)\n",
+        tests=(
+            FOURIER_OPENING,
+            "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
         ),
     ),
 ]

@@ -489,3 +489,148 @@ def test_basis_without_elementary_registers():
     cube = AutomorphismGate(func=lambda pt: (pt[0] ** 3 % 5,))
     state = dense_run(NormalizerCircuit(basis, [cube]), (2,))
     assert state.probabilities() == {(3,): 1.0}
+
+
+SHOR_CURVES = [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4)]
+
+
+def _fourier_group(spec):
+    """The black-box group of a spec: ("zn_star", N), ("curve", (p, a, b))
+    or ("planted", moduli, h), an oracle on Z_moduli hiding the subgroup
+    generated by h, labelling each coset by its least member."""
+    from normsim.algorithms import OracularGroup
+    from normsim.blackbox import EllipticCurveGroup
+
+    kind, *args = spec
+    if kind == "zn_star":
+        return ZNStarGroup(*args)
+    if kind == "curve":
+        return EllipticCurveGroup(*args[0])
+    moduli, hidden = args
+
+    def oracle(coords):
+        return min(
+            tuple((int(c) + k * h) % m for c, h, m in zip(coords, hidden, moduli))
+            for k in range(math.prod(moduli))
+        )
+
+    return OracularGroup(cyclic_group(*moduli), oracle)
+
+
+@st.composite
+def fourier_openings(draw):
+    """(spec, bases, moduli, start, registers) of a circuit QFT(registers),
+    word_exp(bases), QFT(all) over Z_moduli x B: 1-3 registers, a first QFT
+    over a permutation of every register or (less often) over a strict
+    subset, and a start at 0 on every elementary register three times in
+    four, at any black-box label."""
+    kind = draw(st.sampled_from(["zn_star", "curve", "planted"]))
+    if kind == "zn_star":
+        spec = (kind, draw(st.integers(2, 64)))
+    elif kind == "curve":
+        spec = (kind, draw(st.sampled_from(SHOR_CURVES)))
+    else:
+        domain = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+        spec = (kind, domain, tuple(draw(st.integers(0, m - 1)) for m in domain))
+    group = _fourier_group(spec)
+    elements = sorted(group.elements(), key=group.encode)
+    if kind == "planted":
+        # hsp_circuit's bases: the oracle at each unit vector.
+        moduli = spec[1]
+        units = [tuple(int(i == j) for j in range(len(moduli))) for i in range(len(moduli))]
+        bases = [group.oracle(unit) for unit in units]
+    else:
+        bases = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+        moduli = tuple(draw(st.integers(1, 8)) for _ in bases)
+    n = len(moduli)
+    order = draw(st.permutations(range(n)))
+    registers = tuple(order[: draw(st.sampled_from([n, n, n, *range(n)]))])
+    if draw(st.booleans()) or draw(st.booleans()):
+        x = (0,) * n
+    else:
+        x = tuple(draw(st.integers(0, m - 1)) for m in moduli)
+    return spec, bases, moduli, x + (draw(st.sampled_from(elements)),), registers
+
+
+def _fourier_circuit(basis, bases, registers):
+    gate = AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp")
+    every = tuple(range(len(basis.elementary.factors)))
+    return NormalizerCircuit(basis, [QFTGate(registers), gate, QFTGate(every)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fourier_openings())
+# Z_6^3 x Z_7^* and the (2, 3, 4) hidden-subgroup domain: three registers.
+@example((("zn_star", 7), [3, 2, 6], (6, 6, 6), (0, 0, 0, 1), (0, 1, 2)))
+@example(
+    (
+        ("planted", (2, 3, 4), (0, 0, 2)),
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        (2, 3, 4),
+        (0, 0, 0, (0, 0, 0)),
+        (0, 1, 2),
+    )
+)
+# Mixed moduli whose scale factors round differently in another order.
+@example((("zn_star", 31), [30, 5, 2], (2, 3, 5), (0, 0, 0, 1), (0, 1, 2)))
+@example((("zn_star", 31), [30, 5, 2], (2, 3, 5), (0, 0, 0, 1), (2, 0, 1)))
+# A curve, whose identity is not the first label, and a start off the identity.
+@example((("curve", (5, 1, 1)), [(0, 1), (2, 1)], (9, 9), (0, 0, None), (0, 1)))
+@example((("zn_star", 15), [2, 7], (4, 4), (0, 0, 13), (1, 0)))
+# A nonzero elementary start, and a first QFT over a strict subset.
+@example((("zn_star", 7), [3, 6], (6, 6), (1, 2, 3), (0, 1)))
+@example((("zn_star", 15), [2, 7], (4, 4), (0, 0, 1), (1,)))
+def test_fourier_opening_matches_the_gatewise_run(case):
+    # The closed-form opening gives the bytes, the labels and the oracle
+    # cost of applying the QFT and word_exp gates one after the other.
+    from helpers import dense_run_gatewise
+
+    spec, bases, moduli, start, registers = case
+    group = _fourier_group(spec)
+    circuit = _fourier_circuit(DesignatedBasis(cyclic_group(*moduli), group), bases, registers)
+    before = group.counter.mul
+    state = dense_run(circuit, start, cap=1 << 15)
+    middle = group.counter.mul
+    reference = dense_run_gatewise(circuit, start, cap=1 << 15)
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+    assert state.bb_labels == reference.bb_labels
+    assert middle - before == group.counter.mul - middle
+
+
+def _counted_transforms(monkeypatch, circuit, point) -> int:
+    ifftn, calls = np.fft.ifftn, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    dense_run(circuit, point)
+    return len(calls)
+
+
+def test_a_fourier_opening_from_zero_costs_one_transform(monkeypatch):
+    # From |0, 0, 1> the opening QFT is built in closed form, so only the
+    # closing QFT transforms; from |1, 0, 1> both QFTs do.
+    from normsim.algorithms import dlog_circuit
+
+    circuit = dlog_circuit(17, 3, 5)
+    assert _counted_transforms(monkeypatch, circuit, (0, 0, 1)) == 1
+    assert _counted_transforms(monkeypatch, circuit, (1, 0, 1)) == 2
+
+
+def test_a_collapsing_word_exp_opening_keeps_the_gatewise_state():
+    # Every product is 1, so x = 1 lands on label 1 while x = 0 stays at the
+    # start label 3: one label per x slice, so no norm drift on either side.
+    from helpers import dense_run_gatewise
+
+    class Collapsing(ZNStarGroup):
+        def _product(self, x, y):
+            return 1
+
+    basis = DesignatedBasis(cyclic_group(2), Collapsing(7))
+    circuit = _fourier_circuit(basis, [3], (0,))
+    state = dense_run(circuit, (0, 3))
+    reference = dense_run_gatewise(circuit, (0, 3))
+    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
+    assert abs(state.norm() - 1.0) < 1e-12

@@ -22,6 +22,9 @@ DEFAULT_ORDER_CAP = 1 << 20
 #: Random candidates `sample_generators` draws before it gives up.
 SAMPLE_GENERATOR_TRIES = 256
 
+#: `ZNStarGroup.order_bound` tries trial division by the integers below this.
+SMALL_TRIAL_BOUND = 1 << 16
+
 
 class BlackBoxError(ValueError):
     pass
@@ -86,6 +89,11 @@ class BlackBoxGroup:
 
     def order(self) -> int:
         raise NotImplementedError
+
+    def order_bound(self) -> tuple[int, bool]:
+        """(b, exact): a lower bound b on the order, and whether b is the
+        order.  Backends whose `order()` can be slow override it."""
+        return self.order(), True
 
     # -- oracle calls -------------------------------------------------------
 
@@ -196,11 +204,24 @@ class ZNStarGroup(BlackBoxGroup):
     def order(self) -> int:
         """phi(N) = N prod (1 - 1/p) over the prime factors p of N."""
         if self._order is None:
-            phi = self.modulus
-            for p in prime_factors(self.modulus):
-                phi -= phi // p
-            self._order = phi
+            self._order = self._totient(prime_factors(self.modulus))
         return self._order
+
+    def order_bound(self) -> tuple[int, bool]:
+        """(phi(N), True) when trial division below SMALL_TRIAL_BOUND factors
+        N; else (isqrt(N // 2), False), as phi(N) >= sqrt(N/2) for every N."""
+        if self._order is None:
+            primes = prime_factors(self.modulus, SMALL_TRIAL_BOUND)
+            if primes is None:
+                return math.isqrt(self.modulus // 2), False
+            self._order = self._totient(primes)
+        return self._order, True
+
+    def _totient(self, primes: list[int]) -> int:
+        phi = self.modulus
+        for p in primes:
+            phi -= phi // p
+        return phi
 
     def random_element(self, rng):
         # Rejection sampling of [0, N) by gcd.

@@ -122,7 +122,7 @@ class MatrixRep:
     matrix: tuple[tuple[int | Fraction, ...], ...]
 
     def apply(self, el: GroupElement) -> GroupElement:
-        if el.group != self.group:
+        if el.group is not self.group and el.group != self.group:
             raise CircuitError(f"element of {el.group} fed to a map on {self.group}")
         return self.group.reduce([sum(map(mul, row, el.coords)) for row in self.matrix])
 
@@ -293,7 +293,7 @@ class QuadraticForm:
 
     def exponent(self, el: GroupElement) -> Fraction:
         """q(g) with xi(g) = exp(2 pi i q(g)), as a rational mod 1."""
-        if el.group != self.group:
+        if el.group is not self.group and el.group != self.group:
             raise CircuitError("element from the wrong group")
         a, b, d = self.scaled
         x = el.coords

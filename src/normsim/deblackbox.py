@@ -195,8 +195,9 @@ def _exhaustive_grid(group: ElementaryGroup) -> np.ndarray | None:
     return None
 
 
-def _grid_points(grid: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(column) for column in grid.T.tolist()]
+def _columns(array: np.ndarray):
+    """The columns of a 2-D integer array, each one tuple of Python ints."""
+    return map(tuple, array.T.tolist())
 
 
 def _spot_check_matrix(f: Callable, rep: MatrixRep) -> None:
@@ -214,8 +215,11 @@ def _spot_check_matrix(f: Callable, rep: MatrixRep) -> None:
     n = len(group.factors)
     matrix = np.array(rep.matrix, dtype=np.int64).reshape(n, n)
     images = (matrix @ grid) % np.array(group.chars, dtype=np.int64)[:, None]
-    for coords, image in zip(_grid_points(grid), images.T.tolist()):
-        if group.reduce(list(f(coords))).coords != tuple(image):
+    for coords, expected in zip(_columns(grid), _columns(images)):
+        image = f(coords)
+        if not isinstance(image, (tuple, list)):
+            image = list(image)
+        if group.reduce(image).coords != expected:
             raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
 
 
@@ -255,26 +259,21 @@ def extract_quadratic(
             entries[i][j] = entries[j][i] = value
 
     chars = group.chars
-    c = [entries[i][i] * chars[i] for i in range(m)]
 
-    def residual(coords: list) -> Fraction:
-        gmg = sum(
-            coords[i] * entries[i][j] * coords[j]
-            for i in range(m)
-            for j in range(m)
-        )
-        cg = sum(ci * gi for ci, gi in zip(c, coords))
-        return (Fraction(q(tuple(coords))) - (gmg + cg) / 2) % 1
+    def residual(i: int, s: int | Fraction) -> Fraction:
+        """q(s e_i) - (s^2 M_ii + s C_i)/2 mod 1, the linear part left at a unit probe."""
+        m_ii = entries[i][i]
+        quadratic = s * s * m_ii + s * (m_ii * chars[i])
+        return (Fraction(q(tuple(_unit(group, i, s)))) - quadratic / 2) % 1
 
     v = []
     for i, factor in enumerate(group.factors):
         if factor.kind == "T":
-            probe = residual(_unit(group, i, Fraction(1, alpha)))
-            value = _centered(probe) * alpha
+            value = _centered(residual(i, Fraction(1, alpha))) * alpha
             if value.denominator != 1:
                 raise ExtractionError(f"v[{i}] is not an integer")
         else:
-            value = residual(_unit(group, i))
+            value = residual(i, 1)
         v.append(value)
     try:
         form = validate_quadratic(entries, v, group)
@@ -296,9 +295,11 @@ def _spot_check_quadratic(q: Callable, form: QuadraticForm) -> None:
                 raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")
         return
     numerators, d = form.numerators(grid)
-    for coords, k in zip(_grid_points(grid), numerators.tolist()):
+    for coords, k in zip(_columns(grid), numerators.tolist()):
         # q = n/s agrees with k/d mod 1 iff s divides d and n (d/s) = k mod d.
-        value = Fraction(q(coords))
+        value = q(coords)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         scale, rest = divmod(d, value.denominator)
         if rest or (value.numerator * scale - k) % d:
             raise ExtractionError(f"extracted phase disagrees with the oracle at {coords}")

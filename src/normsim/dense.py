@@ -109,11 +109,16 @@ class DenseState:
 def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     blackbox = basis.blackbox
     dims = [f.modulus for f in basis.elementary.factors]
+    exact = True
     if blackbox is not None:
-        dims.append(blackbox.order())
+        order, exact = blackbox.order_bound()  # Z_N^*: no factoring past small primes
+        dims.append(order)
     total = math.prod(dims)
     if total > cap:  # before the labels are listed: a huge group must fail at once
-        raise CircuitError(f"dense dimension {total} exceeds cap {cap}")
+        floor = "" if exact else "at least "
+        raise CircuitError(f"dense dimension {floor}{total} exceeds cap {cap}")
+    if not exact:
+        dims[-1] = blackbox.order()
     bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)

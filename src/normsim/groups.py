@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,6 +116,13 @@ class ElementaryGroup:
     def chars(self) -> tuple[int, ...]:
         return tuple(f.char for f in self.factors)
 
+    @cached_property
+    def _cyclic_moduli(self) -> tuple[int, ...] | None:
+        """The moduli when every factor is cyclic, else None."""
+        if all(f.kind == "cyclic" for f in self.factors):
+            return self.chars
+        return None
+
     @property
     def is_finite(self) -> bool:
         return all(f.is_finite for f in self.factors)
@@ -128,11 +136,23 @@ class ElementaryGroup:
         return ElementaryGroup(tuple(f.dual() for f in self.factors))
 
     def reduce(self, coords: Sequence[Rational]) -> GroupElement:
-        """Canonicalize a raw rational vector into a group element."""
+        """Canonicalize a raw rational vector into a group element.
+
+        On a group of cyclic factors only, coordinates that are all exactly
+        `int` take one `c % n` each; everything else (Z and T factors, bools,
+        numpy integers, Fractions) goes through `Factor.reduce_coord`.
+        """
         if len(coords) != len(self.factors):
             raise GroupError(
                 f"expected {len(self.factors)} coordinates, got {len(coords)}"
             )
+        moduli = self._cyclic_moduli
+        if moduli is not None:
+            for c in coords:
+                if type(c) is not int:
+                    break
+            else:
+                return GroupElement(self, tuple(map(operator.mod, coords, moduli)))
         reduced = tuple(f.reduce_coord(c) for f, c in zip(self.factors, coords))
         return GroupElement(self, reduced)
 
@@ -175,7 +195,7 @@ class GroupElement:
     coords: tuple[int | Fraction, ...]
 
     def _check_same_group(self, other: GroupElement) -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise GroupError(f"group mismatch: {self.group} vs {other.group}")
 
     def __add__(self, other: GroupElement) -> GroupElement:

@@ -424,11 +424,14 @@ def is_prime(n: int) -> bool:
     return all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
-def prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, increasing, by trial division."""
+def prime_factors(n: int, limit: int | None = None) -> list[int] | None:
+    """The distinct prime factors of n, increasing, by trial division; None
+    if the division would have to try `limit` or beyond."""
     out = []
     p = 2
     while p * p <= n:
+        if p == limit:
+            return None
         if n % p == 0:
             out.append(p)
             while n % p == 0:

@@ -1,0 +1,242 @@
+"""Digests of a fixed, seeded corpus, for same-bytes claims.
+
+    python tests/golden.py --record   # write tests/data/golden.json
+    python tests/golden.py --check    # name every case whose digest moved
+
+Each family is a list of named cases; each case runs normsim on seeded input
+and hashes what it returns (as canonical JSON) into one SHA-256 digest:
+
+- extract: extraction round trips on twelve finite groups, with the oracle
+  calls they make, plus the error type and message for an oracle that
+  answers in unreduced coordinates and one that is wrong off the generators;
+- deblackbox: `deblackbox_circuit` of four algorithm circuits (a discrete
+  log over Z_7^*, order finding in Z_15^*, a curve discrete log over F_5 and
+  a kernel-finding circuit), as rewritten circuit JSON plus provenance;
+- coset: `coset_run` of a seeded random circuit on fifteen groups, as the
+  state's data, 16 samples and the next draw of the sampling rng.
+
+The script imports normsim from the src/ beside it. The exit code is 0 when
+every digest equals the record, 1 otherwise. A change that moves a digest on
+purpose re-records and names the family. Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "tests" / "data" / "golden.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from helpers import random_circuit, random_matrix_rep, random_quadratic_form  # noqa: E402
+from normsim import algorithms, blackbox, circuits, coset, deblackbox  # noqa: E402
+from normsim.groups import cyclic_group  # noqa: E402
+
+EXTRACT_SHAPES = [
+    (7,), (4, 6), (2, 2, 3), (8, 8), (3, 5, 7), (4, 4, 4, 4), (12, 12),
+    (2, 4, 8, 16), (16, 16, 16), (9, 27), (6, 10, 14), (64, 64),
+]
+ENGINE_SHAPES = [
+    (8,), (12,), (2, 6), (4, 4), (3, 9), (2, 2, 2), (6, 6), (2, 4, 8),
+    (4, 4, 4), (2, 3, 4, 5), (8, 8, 8), (16, 32), (2, 2, 2, 2, 2), (9, 9), (5, 5, 5),
+]
+
+
+def _counted(oracle: Callable, calls: list) -> Callable:
+    def counted(point):
+        calls.append(1)
+        return oracle(point)
+
+    return counted
+
+
+def _outcome(run: Callable) -> dict:
+    """What one extraction returns, or the type and message it raises."""
+    calls: list = []
+    try:
+        value = run(calls)
+    except ValueError as exc:
+        return {"error": type(exc).__name__, "message": str(exc), "calls": len(calls)}
+    return {"value": value, "calls": len(calls)}
+
+
+def _extract_case(moduli: tuple) -> dict:
+    g = cyclic_group(*moduli)
+    rng = np.random.default_rng(list(moduli))
+    rep = random_matrix_rep(g, rng)
+    form = random_quadratic_form(g, rng)
+
+    def image(point):
+        return rep.apply(g.reduce(point)).coords
+
+    def phase(point):
+        return form.exponent(g.reduce(point))
+
+    def unreduced(point):
+        return tuple(x + n for x, n in zip(image(point), moduli))
+
+    def wrong(point):  # right on 0 and on every unit vector only
+        return (image(point)[0] + int(sum(point) > 1),) + image(point)[1:]
+
+    def wrong_phase(point):  # right on every point extraction probes
+        return phase(point) + Fraction(int(sum(point) > 2), 2 * moduli[0])
+
+    def matrix(oracle):
+        return lambda calls: [
+            [str(x) for x in row]
+            for row in deblackbox.extract_matrix_rep(_counted(oracle, calls), g).matrix
+        ]
+
+    def quadratic(oracle):
+        def run(calls):
+            q = deblackbox.extract_quadratic(_counted(oracle, calls), g)
+            return [[str(x) for x in row] for row in q.m], [str(x) for x in q.v]
+
+        return run
+
+    return {
+        "matrix": _outcome(matrix(image)),
+        "quadratic": _outcome(quadratic(phase)),
+        "unreduced matrix": _outcome(matrix(unreduced)),
+        "wrong matrix": _outcome(matrix(wrong)),
+        "wrong phase": _outcome(quadratic(wrong_phase)),
+    }
+
+
+def _algorithm_circuits() -> list[tuple[str, Callable]]:
+    """(name, build) pairs; build returns (circuit, deblackbox generators)
+    on a freshly built black-box group."""
+    cases = []
+    for s in range(6):
+        cases.append((f"dlog p=7 b=3^{s}",
+                      lambda s=s: (algorithms.dlog_circuit(7, 3, pow(3, s, 7)), None)))
+
+    def order_finding(a):
+        basis = circuits.DesignatedBasis(cyclic_group(4), blackbox.ZNStarGroup(15))
+        gate = circuits.AutomorphismGate(
+            func=circuits.word_exp_func(basis, [a]), name="word_exp", params={"bases": [a]}
+        )
+        gates = [circuits.QFTGate((0,)), gate, circuits.QFTGate((0,))]
+        return circuits.NormalizerCircuit(basis, gates), [2, 14]
+
+    for a in (1, 2, 4, 7, 8, 11, 13, 14):
+        cases.append((f"order finding N=15 a={a}", lambda a=a: order_finding(a)))
+
+    def curve_dlog(k):
+        curve = blackbox.EllipticCurveGroup(5, 1, 1)
+        target = curve.identity()
+        for _ in range(k):
+            target = curve.mul(target, (0, 1))
+        return algorithms.ec_dlog_circuit(curve, (0, 1), target, 9), None
+
+    for k in range(9):
+        cases.append((f"ec p=5 b={k}P", lambda k=k: curve_dlog(k)))
+
+    def kernel_finding():
+        domain = cyclic_group(4, 4)
+        encoder = blackbox.ZNStarGroup(15)
+
+        def oracle(coords):
+            return encoder.encode(pow(2, int(coords[0]), 15) * pow(7, int(coords[1]), 15) % 15)
+
+        oracular = algorithms.OracularGroup(domain, oracle)
+        circuit = algorithms.hsp_circuit(algorithms.HSPInstance(domain, oracle), oracular)
+        return circuit, list(oracular.elements())
+
+    cases.append(("kernel-finding Z4^2", kernel_finding))
+    return cases
+
+
+def _deblackbox_case(build: Callable) -> dict:
+    circuit, generators = build()
+    result = deblackbox.deblackbox_circuit(circuit, generators=generators)
+    return {
+        "circuit": circuits.circuit_to_json(result.circuit),
+        "provenance": result.provenance,
+    }
+
+
+def _coset_case(moduli: tuple) -> dict:
+    g = cyclic_group(*moduli)
+    rng = np.random.default_rng(list(moduli))
+    circuit = random_circuit(g, rng)
+    start = tuple(int(rng.integers(n)) for n in moduli)
+    state = coset.coset_run(circuit, g.reduce(start))
+    samples = state.sample(16, rng)
+    return {
+        "state": [state.shift, state.columns, state.moduli, state.quad, state.lin],
+        "samples": sorted([list(point), count] for point, count in samples.items()),
+        "next draw": int(rng.integers(1 << 62)),
+    }
+
+
+def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
+    """Every family's cases, in a fixed order, as (name, run) pairs."""
+    return {
+        "extract": [(f"Z{m}", lambda m=m: _extract_case(m)) for m in EXTRACT_SHAPES],
+        "deblackbox": [
+            (name, lambda build=build: _deblackbox_case(build))
+            for name, build in _algorithm_circuits()
+        ],
+        "coset": [(f"Z{m}", lambda m=m: _coset_case(m)) for m in ENGINE_SHAPES],
+    }
+
+
+def digest(record: dict) -> str:
+    text = json.dumps(record, sort_keys=True, default=str, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def compute(limit: int | None = None) -> dict[str, dict[str, str]]:
+    """{family: {case: digest}} over the first `limit` cases of each family."""
+    return {
+        family: {name: digest(run()) for name, run in cases[:limit]}
+        for family, cases in families().items()
+    }
+
+
+def moved(limit: int | None = None) -> list[str]:
+    """'family/case' for every case whose digest differs from the record;
+    on the whole corpus, also every recorded case that no longer runs."""
+    recorded = json.loads(RECORD.read_text())
+    out = []
+    for family, cases in compute(limit).items():
+        expected = recorded.get(family, {})
+        if limit is None:
+            out += [f"{family}/{name}" for name in sorted(set(expected) - set(cases))]
+        out += [f"{family}/{name}" for name, value in cases.items() if expected.get(name) != value]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", action="store_true", help="write the digests")
+    mode.add_argument("--check", action="store_true", help="compare with the record")
+    args = parser.parse_args(argv)
+    if args.record:
+        record = compute()
+        RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        for family, cases in record.items():
+            print(f"{family}: {len(cases)} cases recorded")
+        return 0
+    changed = moved()
+    recorded = json.loads(RECORD.read_text())
+    for family, cases in recorded.items():
+        count = sum(1 for item in changed if item.startswith(f"{family}/"))
+        print(f"{family}: {len(cases)} cases, {count} moved")
+    for item in changed:
+        print(f"MOVED: {item}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

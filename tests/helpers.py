@@ -1,8 +1,9 @@
 """Shared test fixtures: random valid gates, circuits and groups, and the
 reference implementations (Fraction formulas, class-wise map comparison,
-the closure-based hidden-subgroup loop, the per-label dense black-box gates,
-the per-register DFT-matrix QFT, the Smith-form integer solve and the
-double-Hermite group-system solve built on it, the Leibniz determinant and
+the per-factor `reduce`, the closure-based hidden-subgroup loop, the
+per-label dense black-box gates, the per-register DFT-matrix QFT, the
+Smith-form integer solve and the double-Hermite group-system solve built on
+it, the Leibniz determinant and
 the brute-force bijectivity test of a finite block, the exhaustive
 quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
 `Generator.choice` sampling, GroupElement products on an oracle's
@@ -36,7 +37,7 @@ from normsim.circuits import (
     validate_quadratic,
 )
 from normsim.config import dense_cap
-from normsim.groups import T, Z, ElementaryGroup, GroupElement, cyclic, cyclic_group
+from normsim.groups import T, Z, ElementaryGroup, GroupElement, GroupError, cyclic, cyclic_group
 from normsim.linalg import (
     GroupLinearSystem,
     hermite_reduce,
@@ -379,6 +380,14 @@ def reference_is_bijective(block, moduli) -> bool:
         for x in itertools.product(*(range(n) for n in moduli))
     }
     return len(images) == math.prod(moduli)
+
+
+def reference_reduce(group: ElementaryGroup, coords) -> tuple:
+    """`group.reduce(coords).coords` through `Factor.reduce_coord` on every
+    coordinate, with reduce's length check and message."""
+    if len(coords) != len(group.factors):
+        raise GroupError(f"expected {len(group.factors)} coordinates, got {len(coords)}")
+    return tuple(f.reduce_coord(c) for f, c in zip(group.factors, coords))
 
 
 def reference_apply(rep: MatrixRep, el):

@@ -47,6 +47,8 @@ FOURIER_OPENING = "tests/test_dense.py::test_fourier_opening_matches_the_gatewis
 BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
+ROUND_TRIPS = "tests/test_deblackbox.py::test_random_round_trips_finite"
+GOLDEN_SLICE = "tests/test_golden.py::test_a_slice_of_every_golden_family_matches_the_record"
 
 MUTANTS = [
     Mutant(
@@ -315,6 +317,48 @@ MUTANTS = [
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
         ),
+    ),
+    Mutant(
+        name="reduce fast path without its % n",
+        path="src/normsim/groups.py",
+        old="return GroupElement(self, tuple(map(operator.mod, coords, moduli)))",
+        new="return GroupElement(self, tuple(coords))",
+        tests=(
+            "tests/test_coordinate_types.py::test_reduce_of_plain_ints_on_cyclic_factors",
+            "tests/test_coordinate_types.py::test_reduce_equals_the_per_factor_reference",
+        ),
+    ),
+    Mutant(
+        name="exhaustive matrix check compares the oracle's raw output",
+        path="src/normsim/deblackbox.py",
+        old="        if group.reduce(image).coords != expected:\n",
+        new="        if tuple(image) != expected:\n",
+        tests=(
+            "tests/test_deblackbox.py::test_extraction_takes_unreduced_coordinates",
+            "tests/test_deblackbox.py::"
+            "test_exhaustive_matrix_check_takes_any_iterable_in_any_representative[unreduced list]",
+        ),
+    ),
+    Mutant(
+        name="phase residual without its s C_i term",
+        path="src/normsim/deblackbox.py",
+        old="        quadratic = s * s * m_ii + s * (m_ii * chars[i])\n",
+        new="        quadratic = s * s * m_ii\n",
+        tests=(ROUND_TRIPS, GOLDEN_SLICE),
+    ),
+    Mutant(
+        name="extracted matrix transposed",
+        path="src/normsim/deblackbox.py",
+        old="    return [[columns[j][i] for j in range(m)] for i in range(m)]\n",
+        new="    return [[columns[i][j] for j in range(m)] for i in range(m)]\n",
+        tests=(ROUND_TRIPS, GOLDEN_SLICE),
+    ),
+    Mutant(
+        name="extracted phase without its cross terms",
+        path="src/normsim/deblackbox.py",
+        old="            entries[i][j] = entries[j][i] = value\n",
+        new="            entries[i][j] = entries[j][i] = value if i == j else Fraction(0)\n",
+        tests=(ROUND_TRIPS, "tests/test_deblackbox.py::test_extract_quadratic_mixed_group"),
     ),
 ]
 

@@ -602,6 +602,17 @@ def test_decompose_uses_classical_fallback_when_too_big():
     assert table_entries(run.table) == table_entries(bb_decompose_bruteforce(group, [2, 3]))
 
 
+def test_decompose_a_large_prime_modulus_takes_the_classical_route():
+    # phi(N) needs trial division to 10^6 here: the dense route's cap check
+    # uses the exact order, so the bound that spares the CLI does not apply.
+    n = 10**12 + 39
+    group = ZNStarGroup(n)
+    run = decompose_group(group, [n - 1], rng_for(0))
+    routes = [s for s in run.log["steps"] if s["step"] == "kernel"]
+    assert "classical" in routes[0]["route"]
+    assert run.table.isomorphism_type() == [2]
+
+
 def test_decompose_elliptic_curve_gives_the_brute_force_table():
     curve = EllipticCurveGroup(7, 0, 1)  # Z2 x Z6
     generators = [(4, 3), (2, 3)]

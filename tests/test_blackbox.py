@@ -110,6 +110,24 @@ def test_zn_star_order_is_the_unit_count():
         assert group.order() == sum(1 for _ in group.elements()), n
 
 
+def test_zn_star_order_bound_is_exact_once_small_primes_factor_n():
+    # Each of these leaves a cofactor of 1 or a prime below 2^32 after trial
+    # division below 2^16.
+    for n in [*range(2, 600), 2**16 * 3, 10**30, 65521 * 65537, 3 * 65521**2, 2**31 - 1]:
+        assert ZNStarGroup(n).order_bound() == (ZNStarGroup(n).order(), True), n
+
+
+@pytest.mark.parametrize(
+    "n", [65537**2, 65537 * 65539, 10**12 + 39, 9999991 * 10000019, 999999937 * 1000000007]
+)
+def test_zn_star_order_bound_is_isqrt_half_n_past_the_small_primes(n):
+    group = ZNStarGroup(n)
+    assert group.order_bound() == (math.isqrt(n // 2), False)
+    assert group._order is None  # nothing was factored past 2^16
+    if n < 10**13:
+        assert math.isqrt(n // 2) <= group.order()
+
+
 @pytest.mark.parametrize(
     "curve",
     [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4), (1009, 2, 3)],

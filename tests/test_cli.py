@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, exit codes, reproducibility, log schema."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -299,6 +300,39 @@ def test_run_past_the_dense_cap_exits_3_before_listing_the_group(tmp_path, capsy
     assert capsys.readouterr().err == (
         "error: dense dimension 800000000000000000000000000000 exceeds cap 4096\n"
     )
+
+
+def test_run_past_the_dense_cap_exits_3_without_factoring_n(tmp_path):
+    # N = 999999937 * 1000000007: trial division to its smaller prime would
+    # take hours, but phi(N) >= isqrt(N // 2) already passes the cap.
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    n = 999999937 * 1000000007
+    doc = {"group": {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": n}}, "gates": []}
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, time\n"
+        "from normsim.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main(['run', {str(path)!r}])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 3
+    assert float(done.stdout) < 2.0, time.perf_counter() - start
+    floor = 2 * math.isqrt(n // 2)
+    assert done.stderr == f"error: dense dimension at least {floor} exceeds cap 4096\n"
 
 
 def test_run_names_an_unknown_gate_key_and_exits_4(tmp_path, capsys):

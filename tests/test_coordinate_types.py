@@ -14,6 +14,7 @@ from helpers import (
     random_matrix_rep,
     random_mixed_matrix_rep,
     random_quadratic_form,
+    reference_reduce,
 )
 from normsim.circuits import (
     AutomorphismGate,
@@ -30,6 +31,7 @@ from normsim.groups import (
     T,
     Z,
     cyclic,
+    cyclic_group,
     format_element,
     parse_element,
 )
@@ -141,3 +143,49 @@ def test_integral_fractions_and_ints_give_one_element():
     assert from_fraction == from_int
     assert hash(from_fraction) == hash(from_int)
     assert_typed(from_fraction.coords, g)
+
+
+# Every type a caller may hand to reduce, valid or not on a given factor.
+any_coord = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.integers(-(2**70), 2**70).map(Fraction),
+    st.fractions(max_denominator=12),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+cyclic_groups = st.lists(st.integers(1, 12).map(cyclic), min_size=1, max_size=4).map(
+    ElementaryGroup
+)
+
+
+def _reduced(run):
+    """Coordinates and their types, or the GroupError message."""
+    try:
+        coords = run()
+    except GroupError as exc:
+        return "GroupError", str(exc)
+    return coords, [type(c) for c in coords]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cyclic_groups, mixed_groups), st.integers(-1, 1), st.data())
+def test_reduce_equals_the_per_factor_reference(g, extra, data):
+    # Mostly plain ints (the fast path on cyclic groups), else any mix.
+    coord = st.integers(-(2**70), 2**70) | any_coord
+    coords = data.draw(st.lists(coord, min_size=len(g) + extra, max_size=len(g) + extra))
+    got = _reduced(lambda: g.reduce(coords).coords)
+    assert got == _reduced(lambda: reference_reduce(g, coords))
+    if got[0] != "GroupError":
+        assert_typed(got[0], g)
+
+
+def test_reduce_of_plain_ints_on_cyclic_factors():
+    g = cyclic_group(5, 7, 1)
+    el = g.reduce([-3, 2**64 + 1, -(2**70)])
+    assert el.coords == (2, (2**64 + 1) % 7, 0)
+    assert [type(c) for c in el.coords] == [int, int, int]
+    assert g.reduce((4, 6, 0)).coords == (4, 6, 0)
+    assert g.reduce([True, np.int64(-1), Fraction(9)]).coords == (1, 6, 0)
+    with pytest.raises(GroupError, match="^expected 3 coordinates, got 2$"):
+        g.reduce([1, 2])

@@ -1,5 +1,6 @@
 """Tests for encoding conversion and black-box gate extraction."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +23,15 @@ from normsim.circuits import (
     QFTGate,
     QuadraticGate,
     validate_matrix_rep,
+    validate_quadratic,
     word_exp_func,
 )
 from normsim.coset import coset_run, states_equal_up_to_global_phase
 from normsim.deblackbox import (
     EncodingBridge,
     ExtractionError,
+    _spot_check_matrix,
+    _spot_check_quadratic,
     deblackbox_circuit,
     extract_matrix_rep,
     extract_quadratic,
@@ -278,6 +282,82 @@ def test_spot_checks_try_every_point_up_to_order_256():
         extract(recording(good, calls), g)
         assert calls[-len(elements):] == elements
         assert last not in calls[: -len(elements)]
+
+
+# Z4 x Z8 has 32 points, so both spot checks try every one of them.  The
+# phase's values have power-of-two denominators, so floats hold them exactly.
+SPOT_GROUP = cyclic_group(4, 8)
+SPOT_REP = validate_matrix_rep([[1, 2], [4, 3]], SPOT_GROUP)
+SPOT_FORM = validate_quadratic(
+    [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 8)]],
+    [Fraction(1, 2), Fraction(1, 8)],
+    SPOT_GROUP,
+)
+
+
+def _spot_image(pt):
+    return SPOT_REP.apply(SPOT_GROUP.reduce(pt)).coords
+
+
+def _spot_phase(pt):
+    return SPOT_FORM.exponent(SPOT_GROUP.reduce(pt))
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda pt: tuple(x + n for x, n in zip(_spot_image(pt), (4, 8))),
+        lambda pt: [x - 3 * n for x, n in zip(_spot_image(pt), (4, 8))],
+        lambda pt: (x for x in _spot_image(pt)),
+        lambda pt: np.array(_spot_image(pt)),
+    ],
+    ids=["unreduced tuple", "unreduced list", "generator", "numpy"],
+)
+def test_exhaustive_matrix_check_takes_any_iterable_in_any_representative(oracle):
+    calls = []
+    _spot_check_matrix(lambda pt: calls.append(pt) or oracle(pt), SPOT_REP)
+    assert calls == [el.coords for el in SPOT_GROUP.elements()]
+
+
+def test_extraction_takes_unreduced_coordinates():
+    def oracle(pt):
+        return tuple(x + n for x, n in zip(_spot_image(pt), (4, 8)))
+
+    assert extract_matrix_rep(oracle, SPOT_GROUP).matrix == SPOT_REP.matrix
+    form = extract_quadratic(lambda pt: _spot_phase(pt) + 3, SPOT_GROUP)
+    assert (form.m, form.v) == (SPOT_FORM.m, SPOT_FORM.v)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda pt: _spot_phase(pt) + 3,
+        lambda pt: _spot_phase(pt) - 1,
+        lambda pt: float(_spot_phase(pt)),
+    ],
+    ids=["unreduced +3", "unreduced -1", "float"],
+)
+def test_exhaustive_phase_check_takes_any_representative(oracle):
+    calls = []
+    _spot_check_quadratic(lambda pt: calls.append(pt) or oracle(pt), SPOT_FORM)
+    assert calls == [el.coords for el in SPOT_GROUP.elements()]
+
+
+@pytest.mark.parametrize("bad_point", [(1, 2), (2, 5), (3, 7)])
+def test_exhaustive_spot_checks_reject_one_wrong_point_off_the_generators(bad_point):
+    # Extraction probes 0, the unit vectors and their pairwise sums only.
+    def bad_matrix(pt):
+        image = _spot_image(pt)
+        return (image[0], image[1] + 1) if pt == bad_point else image
+
+    def bad_phase(pt):
+        return _spot_phase(pt) + (Fraction(1, 8) if pt == bad_point else 0)
+
+    message = re.escape(f"disagrees with the oracle at {bad_point}")
+    with pytest.raises(ExtractionError, match=f"^extracted matrix {message}$"):
+        extract_matrix_rep(bad_matrix, SPOT_GROUP)
+    with pytest.raises(ExtractionError, match=f"^extracted phase {message}$"):
+        extract_quadratic(bad_phase, SPOT_GROUP)
 
 
 def build_order_finding_circuit(modulus, a, m):

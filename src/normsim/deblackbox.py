@@ -216,10 +216,7 @@ def _spot_check_matrix(f: Callable, rep: MatrixRep) -> None:
     matrix = np.array(rep.matrix, dtype=np.int64).reshape(n, n)
     images = (matrix @ grid) % np.array(group.chars, dtype=np.int64)[:, None]
     for coords, expected in zip(_columns(grid), _columns(images)):
-        image = f(coords)
-        if not isinstance(image, (tuple, list)):
-            image = list(image)
-        if group.reduce(image).coords != expected:
+        if group.reduce(tuple(f(coords))).coords != expected:
             raise ExtractionError(f"extracted matrix disagrees with the oracle at {coords}")
 
 

@@ -112,13 +112,13 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     exact = True
     if blackbox is not None:
         order, exact = blackbox.order_bound()  # Z_N^*: no factoring past small primes
+        if not exact and math.prod(dims) * order <= cap:
+            order, exact = blackbox.order(), True  # the floor fits: the order must too
         dims.append(order)
     total = math.prod(dims)
     if total > cap:  # before the labels are listed: a huge group must fail at once
         floor = "" if exact else "at least "
         raise CircuitError(f"dense dimension {floor}{total} exceeds cap {cap}")
-    if not exact:
-        dims[-1] = blackbox.order()
     bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)

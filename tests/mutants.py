@@ -331,8 +331,8 @@ MUTANTS = [
     Mutant(
         name="exhaustive matrix check compares the oracle's raw output",
         path="src/normsim/deblackbox.py",
-        old="        if group.reduce(image).coords != expected:\n",
-        new="        if tuple(image) != expected:\n",
+        old="        if group.reduce(tuple(f(coords))).coords != expected:\n",
+        new="        if tuple(f(coords)) != expected:\n",
         tests=(
             "tests/test_deblackbox.py::test_extraction_takes_unreduced_coordinates",
             "tests/test_deblackbox.py::"

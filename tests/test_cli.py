@@ -335,6 +335,19 @@ def test_run_past_the_dense_cap_exits_3_without_factoring_n(tmp_path):
     assert done.stderr == f"error: dense dimension at least {floor} exceeds cap 4096\n"
 
 
+def test_run_checks_the_cap_against_phi_n_when_only_its_floor_fits(tmp_path, capsys):
+    # N = 65537 * 65539: the floor 2 isqrt(N // 2) = 92684 fits the cap,
+    # the exact dimension 2 phi(N) = 8590196736 does not.
+    doc = {
+        "group": {"elementary": "Z2", "blackbox": {"type": "zn_star", "N": 65537 * 65539}},
+        "gates": [{"qft": [0]}],
+    }
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--cap", "100000"]) == 3
+    assert capsys.readouterr().err == "error: dense dimension 8590196736 exceeds cap 100000\n"
+
+
 def test_run_names_an_unknown_gate_key_and_exits_4(tmp_path, capsys):
     doc = {"group": {"elementary": "Z2"}, "gates": [{"qft": [0], "ovr": "T"}]}
     path = tmp_path / "typo.json"

@@ -218,6 +218,20 @@ def test_dense_cap_is_checked_before_the_labels_are_listed():
         dense_run(NormalizerCircuit(basis, [QFTGate((0,))]), (0, 1))
 
 
+def test_dense_cap_applies_to_the_exact_order_when_only_the_floor_fits():
+    # N = 65537 * 65539 has no factor below the trial bound: its floor
+    # 2 isqrt(N // 2) = 92684 fits a cap of 10^5, but 2 phi(N) does not.
+    class Unlistable(ZNStarGroup):
+        def elements(self):
+            raise AssertionError("the labels were listed before the cap check")
+
+    blackbox = Unlistable(65537 * 65539)
+    assert blackbox.order_bound() == (46342, False)
+    basis = DesignatedBasis(cyclic_group(2), blackbox)
+    with pytest.raises(CircuitError, match="^dense dimension 8590196736 exceeds cap 100000$"):
+        dense_run(NormalizerCircuit(basis, [QFTGate((0,))]), (0, 1), cap=100000)
+
+
 def test_dense_rejects_infinite_and_oversized():
     basis = DesignatedBasis(group(Z))
     with pytest.raises(CircuitError):

@@ -34,7 +34,7 @@ from .circuits import (
     QFTGate,
     word_exp_func,
 )
-from .deblackbox import EncodingBridge
+from .deblackbox import EncodingBridge, ExtractionError
 from .dense import DenseState, dense_run, dense_sample
 from .dirichlet import DirichletDistribution, discretization_deviation
 from .groups import ElementaryGroup, GroupElement, cyclic_group
@@ -810,5 +810,7 @@ def multivariate_dlog(group: BlackBoxGroup, beta: Sequence, b) -> list[int]:
     bridge = EncodingBridge(group=group, table=table)
     try:
         return list(bridge.decode(b).coords)
-    except KeyError:
+    except ExtractionError:
+        if not group.is_element(b):
+            raise
         raise AlgorithmError(f"{b!r} is not generated by the given elements") from None

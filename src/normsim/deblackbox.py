@@ -28,7 +28,6 @@ from .blackbox import (
 )
 from .circuits import (
     AutomorphismGate,
-    CircuitError,
     DesignatedBasis,
     InvalidGate,
     MatrixRep,
@@ -77,6 +76,8 @@ class EncodingBridge:
     (free after `bb_decompose_bruteforce`): alpha-word x has beta-coordinates
     B x mod c.  encode reduces g mod c first, which gives group.word's value
     because beta_i has order c_i (`DecompositionTable.verify` checks it).
+    to_decomposed and from_decomposed apply them to the black-box slot of a
+    whole circuit point, the one place points cross between B and Z_c.
     """
 
     group: BlackBoxGroup
@@ -113,7 +114,20 @@ class EncodingBridge:
         if not self.group.is_element(element):
             raise ExtractionError(f"{element!r} is not in the black-box group")
         _, decode_map = self._tables()
-        return decode_map[self.group.encode(element)]
+        decoded = decode_map.get(self.group.encode(element))
+        if decoded is None:
+            raise ExtractionError(f"{element!r} is not in the subgroup the table generates")
+        return decoded
+
+    def to_decomposed(self, point: Sequence) -> tuple:
+        """(x, b) with b in B -> (x, decode(b)), for any iterable point."""
+        point = tuple(point)
+        return point[:-1] + self.decode(point[-1]).coords
+
+    def from_decomposed(self, point: Sequence) -> tuple:
+        """(x, g) with g over Z_c -> (x, encode(g)): the inverse of to_decomposed."""
+        split = len(point) - len(self.table.c)
+        return tuple(point[:split]) + (self.encode(point[split:]),)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,7 @@ def extract_matrix_entries(
     columns: list[list[Fraction]] = []
     for j, source in enumerate(group.factors):
         if source.kind == "T":
-            image = f(tuple(_unit(group, j, Fraction(1, alpha))))
+            image = tuple(f(tuple(_unit(group, j, Fraction(1, alpha)))))
             column = []
             for i, target in enumerate(group.factors):
                 if target.kind == "T":
@@ -156,8 +170,7 @@ def extract_matrix_entries(
                     entry = image[i] * alpha  # zero blocks when the promise holds
                 column.append(entry)
         else:
-            image = f(tuple(_unit(group, j)))
-            column = [image[i] for i in range(m)]
+            column = list(f(tuple(_unit(group, j))))
         columns.append(column)
     return [[columns[j][i] for j in range(m)] for i in range(m)]
 
@@ -314,53 +327,19 @@ class DeblackboxResult:
     provenance: list[dict]
 
     def point_to_decomposed(self, point: tuple) -> tuple:
-        if self.bridge is None:
-            return tuple(point)
-        return tuple(point[:-1]) + self.bridge.decode(point[-1]).coords
+        return tuple(point) if self.bridge is None else self.bridge.to_decomposed(point)
 
     def point_from_decomposed(self, point: tuple) -> tuple:
-        if self.bridge is None:
-            return tuple(point)
-        split = len(point) - len(self.bridge.table.c)
-        return tuple(point[:split]) + (self.bridge.encode(point[split:]),)
+        return tuple(point) if self.bridge is None else self.bridge.from_decomposed(point)
 
 
-def _extend_matrix(rep: MatrixRep, new_group: ElementaryGroup) -> MatrixRep:
-    old = len(rep.group.factors)
-    total = len(new_group.factors)
-    matrix = [[0] * total for _ in range(total)]
-    for i in range(old):
-        for j in range(old):
-            matrix[i][j] = rep.matrix[i][j]
-    for i in range(old, total):
-        matrix[i][i] = 1
-    return validate_matrix_rep(matrix, new_group)
-
-
-def _extend_quadratic(form: QuadraticForm, new_group: ElementaryGroup) -> QuadraticForm:
-    old = len(form.group.factors)
-    total = len(new_group.factors)
-    matrix = [[Fraction(0)] * total for _ in range(total)]
-    for i in range(old):
-        for j in range(old):
-            matrix[i][j] = form.m[i][j]
-    v = list(form.v) + [Fraction(0)] * (total - old)
-    return validate_quadratic(matrix, v, new_group)
-
-
-def _conjugated_point_map(func: Callable, bridge: EncodingBridge, split: int) -> Callable:
-    def mapped(coords: tuple) -> tuple:
-        image = func(tuple(coords[:split]) + (bridge.encode(coords[split:]),))
-        return tuple(image[:split]) + bridge.decode(image[split]).coords
-
-    return mapped
-
-
-def _conjugated_exponent(func: Callable, bridge: EncodingBridge, split: int) -> Callable:
-    def exponent(coords: tuple) -> Fraction:
-        return Fraction(func(tuple(coords[:split]) + (bridge.encode(coords[split:]),)))
-
-    return exponent
+def _padded(block: Sequence[Sequence], size: int, corner: int) -> list[list]:
+    """The size x size matrix [block 0; 0 corner*I]."""
+    old = len(block)
+    return [
+        [block[i][j] if i < old and j < old else corner * (i == j) for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def deblackbox_circuit(
@@ -395,7 +374,6 @@ def deblackbox_circuit(
             "oracle_calls": bb.counter.total - start,
         }
     ]
-    split = len(circuit.initial_basis.elementary.factors)
     appended = tuple(cyclic(order) for order in table.c)
 
     def widen(basis: DesignatedBasis) -> ElementaryGroup:
@@ -403,38 +381,42 @@ def deblackbox_circuit(
 
     new_gates: list = []
     for index, gate in enumerate(circuit.gates):
-        basis_before = trace[index]
-        wide_group = widen(basis_before)
+        wide_group = widen(trace[index])
         start = bb.counter.total
         record: dict = {"gate": index}
         if isinstance(gate, QFTGate):
             new_gates.append(gate)
             record["action"] = "kept qft"
-        elif isinstance(gate, AutomorphismGate):
-            if gate.is_black_box:
-                mapped = _conjugated_point_map(gate.func, bridge, split)
-                bound = 1 << gate.n_out if gate.n_out is not None else None
-                rep = extract_matrix_rep(mapped, wide_group, bound)
+        elif not gate.is_black_box:
+            size = len(wide_group.factors)
+            if isinstance(gate, AutomorphismGate):
+                rep = validate_matrix_rep(_padded(gate.rep.matrix, size, 1), wide_group)
+                new_gates.append(AutomorphismGate(rep=rep))
+                record["action"] = "extended matrix"
+            else:
+                v = list(gate.form.v) + [0] * (size - len(gate.form.v))
+                form = validate_quadratic(_padded(gate.form.m, size, 0), v, wide_group)
+                new_gates.append(QuadraticGate(form=form))
+                record["action"] = "extended quadratic"
+        else:
+            bound = 1 << gate.n_out if gate.n_out is not None else None
+            if isinstance(gate, AutomorphismGate):
+                rep = extract_matrix_rep(
+                    lambda x: bridge.to_decomposed(gate.func(bridge.from_decomposed(x))),
+                    wide_group,
+                    bound,
+                )
                 new_gates.append(AutomorphismGate(rep=rep, name=gate.name))
                 record["action"] = "extracted automorphism"
                 record["matrix"] = [[str(x) for x in row] for row in rep.matrix]
             else:
-                new_gates.append(AutomorphismGate(rep=_extend_matrix(gate.rep, wide_group)))
-                record["action"] = "extended matrix"
-        elif isinstance(gate, QuadraticGate):
-            if gate.is_black_box:
-                mapped = _conjugated_exponent(gate.func, bridge, split)
-                bound = 1 << gate.n_out if gate.n_out is not None else None
-                form = extract_quadratic(mapped, wide_group, bound)
+                form = extract_quadratic(
+                    lambda x: gate.func(bridge.from_decomposed(x)), wide_group, bound
+                )
                 new_gates.append(QuadraticGate(form=form, name=gate.name))
                 record["action"] = "extracted quadratic"
                 record["M"] = [[str(x) for x in row] for row in form.m]
                 record["v"] = [str(x) for x in form.v]
-            else:
-                new_gates.append(QuadraticGate(form=_extend_quadratic(gate.form, wide_group)))
-                record["action"] = "extended quadratic"
-        else:
-            raise CircuitError(f"unknown gate type {type(gate).__name__}")
         record["oracle_calls"] = bb.counter.total - start
         provenance.append(record)
     new_circuit = NormalizerCircuit(

@@ -11,9 +11,20 @@ and hashes what it returns (as canonical JSON) into one SHA-256 digest:
   answers in unreduced coordinates and one that is wrong off the generators;
 - deblackbox: `deblackbox_circuit` of four algorithm circuits (a discrete
   log over Z_7^*, order finding in Z_15^*, a curve discrete log over F_5 and
-  a kernel-finding circuit), as rewritten circuit JSON plus provenance;
+  a kernel-finding circuit) and of two circuits that mix normal-form gates
+  with `word_exp` and QFT gates over Z4 x Z_15^* and Z x Z4 x Z_15^*, as
+  rewritten circuit JSON plus provenance;
 - coset: `coset_run` of a seeded random circuit on fifteen groups, as the
-  state's data, 16 samples and the next draw of the sampling rng.
+  state's data, 16 samples and the next draw of the sampling rng;
+- dlog: `discrete_log` for every prime p <= 17, generator a and unit b;
+- ecdlog: `ec_discrete_log` of every multiple of a point of largest order
+  on the five curves of the benchmark's `shor` workload;
+- decompose: `decompose_group` on Z_N^* for N = 2..64, with generators from
+  `sample_generators(default_rng(N))` and the same rng after it.
+
+The last three families hash what the run returns (or the type and message
+it raises), the oracle calls of every group made during it and the next
+draw of its rng.
 
 The script imports normsim from the src/ beside it. The exit code is 0 when
 every digest equals the record, 1 otherwise. A change that moves a digest on
@@ -23,9 +34,11 @@ purpose re-records and names the family. Pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -36,7 +49,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from helpers import random_circuit, random_matrix_rep, random_quadratic_form  # noqa: E402
+from helpers import (  # noqa: E402
+    mixed_finite_circuit,
+    mixed_infinite_circuit,
+    random_circuit,
+    random_matrix_rep,
+    random_quadratic_form,
+)
 from normsim import algorithms, blackbox, circuits, coset, deblackbox  # noqa: E402
 from normsim.groups import cyclic_group  # noqa: E402
 
@@ -48,6 +67,7 @@ ENGINE_SHAPES = [
     (8,), (12,), (2, 6), (4, 4), (3, 9), (2, 2, 2), (6, 6), (2, 4, 8),
     (4, 4, 4), (2, 3, 4, 5), (8, 8, 8), (16, 32), (2, 2, 2, 2, 2), (9, 9), (5, 5, 5),
 ]
+SHOR_CURVES = [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4)]
 
 
 def _counted(oracle: Callable, calls: list) -> Callable:
@@ -152,6 +172,8 @@ def _algorithm_circuits() -> list[tuple[str, Callable]]:
         return circuit, list(oracular.elements())
 
     cases.append(("kernel-finding Z4^2", kernel_finding))
+    cases.append(("mixed Z4 x Z15*", lambda: (mixed_finite_circuit(), [2, 14])))
+    cases.append(("mixed Z x Z4 x Z15*", lambda: (mixed_infinite_circuit(), [2, 14])))
     return cases
 
 
@@ -178,6 +200,84 @@ def _coset_case(moduli: tuple) -> dict:
     }
 
 
+@contextmanager
+def _counters():
+    """Every oracle counter made inside the block, in one list."""
+    made: list = []
+    base = blackbox.OracleCounter
+
+    class Recorded(base):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    blackbox.OracleCounter = Recorded
+    try:
+        yield made
+    finally:
+        blackbox.OracleCounter = base
+
+
+def _algorithm_case(run: Callable, rng) -> dict:
+    """run(rng)'s result or error, the oracle calls of the groups it makes
+    (and of those `run` builds first) and the next draw of rng."""
+    with _counters() as made:
+        try:
+            record = {"value": run(rng)}
+        except (ValueError, RuntimeError) as exc:
+            record = {"error": type(exc).__name__, "message": str(exc)}
+    record["oracle calls"] = sum(counter.total for counter in made)
+    record["next draw"] = int(rng.integers(1 << 62))
+    return record
+
+
+def _dlog_case(p: int, a: int, b: int) -> dict:
+    def run(rng):
+        return dataclasses.astuple(algorithms.discrete_log(p, a, b, rng))
+
+    return _algorithm_case(run, np.random.default_rng([p, a, b]))
+
+
+def _dlog_inputs():
+    """(p, a, b) for every prime p <= 17, generator a of Z_p^* and unit b."""
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for a in range(1, p):
+            if all(pow(a, k, p) != 1 for k in range(1, p - 1)):
+                yield from ((p, a, b) for b in range(1, p))
+
+
+def _ecdlog_case(params: tuple, base, target, s: int) -> dict:
+    def run(rng):
+        curve = blackbox.EllipticCurveGroup(*params)
+        return dataclasses.astuple(algorithms.ec_discrete_log(curve, base, target, rng))
+
+    return _algorithm_case(run, np.random.default_rng([*params, s]))
+
+
+def _ecdlog_inputs():
+    """(curve parameters, base, s base, s) for every multiple s base of a
+    point of largest order on each of SHOR_CURVES."""
+    for params in SHOR_CURVES:
+        curve = blackbox.EllipticCurveGroup(*params)
+        points = [pt for pt in curve.elements() if pt is not None]
+        orders = {pt: blackbox.bb_order(curve, pt) for pt in points}
+        base = max(points, key=lambda pt: orders[pt])
+        target = curve.identity()
+        for s in range(orders[base]):
+            yield params, base, target, s
+            target = curve.mul(target, base)
+
+
+def _decompose_case(n: int) -> dict:
+    def run(rng):
+        group = blackbox.ZNStarGroup(n)
+        result = algorithms.decompose_group(group, group.sample_generators(rng), rng)
+        table = result.table
+        return [table.alpha, table.beta, table.a, table.b, table.c, result.log]
+
+    return _algorithm_case(run, np.random.default_rng(n))
+
+
 def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
     """Every family's cases, in a fixed order, as (name, run) pairs."""
     return {
@@ -187,6 +287,15 @@ def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
             for name, build in _algorithm_circuits()
         ],
         "coset": [(f"Z{m}", lambda m=m: _coset_case(m)) for m in ENGINE_SHAPES],
+        "dlog": [
+            (f"p={p} a={a} b={b}", lambda p=p, a=a, b=b: _dlog_case(p, a, b))
+            for p, a, b in _dlog_inputs()
+        ],
+        "ecdlog": [
+            (f"E{args[0]} s={args[3]}", lambda args=args: _ecdlog_case(*args))
+            for args in _ecdlog_inputs()
+        ],
+        "decompose": [(f"Z{n}*", lambda n=n: _decompose_case(n)) for n in range(2, 65)],
     }
 
 

@@ -22,7 +22,7 @@ from operator import mul
 import numpy as np
 
 from normsim import algorithms, dense
-from normsim.blackbox import BlackBoxError
+from normsim.blackbox import BlackBoxError, ZNStarGroup
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -35,6 +35,7 @@ from normsim.circuits import (
     label_grid,
     validate_matrix_rep,
     validate_quadratic,
+    word_exp_func,
 )
 from normsim.config import dense_cap
 from normsim.groups import T, Z, ElementaryGroup, GroupElement, GroupError, cyclic, cyclic_group
@@ -779,3 +780,45 @@ def assert_coset_invariants(state) -> None:
             assert state.phase_exponent(bumped) == state.phase_exponent(t), (
                 "phase polynomial not box-periodic"
             )
+
+
+def _word_exp(basis: DesignatedBasis, bases, n_out=None) -> AutomorphismGate:
+    return AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp", n_out=n_out)
+
+
+def mixed_finite_circuit() -> NormalizerCircuit:
+    """Z4 x Z_15^*: normal-form automorphism and phase gates around a
+    `word_exp` gate, between two QFTs."""
+    g = cyclic_group(4)
+    basis = DesignatedBasis(g, ZNStarGroup(15))
+    return NormalizerCircuit(basis, [
+        QFTGate((0,)),
+        AutomorphismGate(rep=validate_matrix_rep([[3]], g)),
+        _word_exp(basis, [2]),
+        QuadraticGate(form=validate_quadratic([[Fraction(1, 4)]], [Fraction(1, 2)], g)),
+        AutomorphismGate(rep=validate_matrix_rep([[1]], g)),
+        QFTGate((0,)),
+        QuadraticGate(form=validate_quadratic([[Fraction(1, 2)]], [Fraction(3, 4)], g)),
+    ])
+
+
+def mixed_infinite_circuit() -> NormalizerCircuit:
+    """Z x Z4 x Z_15^*: the same mix with n_out on the black-box gates; the
+    last QFT turns the Z register into T, so the last two gates act on T x Z4."""
+    zc = ElementaryGroup((Z, cyclic(4)))
+    tc = ElementaryGroup((T, cyclic(4)))
+    basis = DesignatedBasis(zc, ZNStarGroup(15))
+    third = Fraction(1, 3)
+    quarter = Fraction(1, 4)
+    return NormalizerCircuit(basis, [
+        AutomorphismGate(rep=validate_matrix_rep([[1, 0], [1, 1]], zc)),
+        _word_exp(basis, [2, 4], n_out=4),
+        QuadraticGate(form=validate_quadratic(
+            [[third, quarter], [quarter, Fraction(1, 2)]], [Fraction(1, 5), 3 * quarter], zc
+        )),
+        QFTGate((1,)),
+        _word_exp(basis, [7, 1], n_out=4),
+        QFTGate((0,)),
+        AutomorphismGate(rep=validate_matrix_rep([[-1, quarter], [0, 3]], tc)),
+        QuadraticGate(form=validate_quadratic([[0, 0], [0, quarter]], [2, quarter], tc)),
+    ])

@@ -49,6 +49,8 @@ BLOCK_DECISIONS = (
 )
 ROUND_TRIPS = "tests/test_deblackbox.py::test_random_round_trips_finite"
 GOLDEN_SLICE = "tests/test_golden.py::test_a_slice_of_every_golden_family_matches_the_record"
+PADDED = "tests/test_deblackbox.py::test_normal_form_gates_are_padded_by_the_identity"
+MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 
 MUTANTS = [
     Mutant(
@@ -359,6 +361,50 @@ MUTANTS = [
         old="            entries[i][j] = entries[j][i] = value\n",
         new="            entries[i][j] = entries[j][i] = value if i == j else Fraction(0)\n",
         tests=(ROUND_TRIPS, "tests/test_deblackbox.py::test_extract_quadratic_mixed_group"),
+    ),
+    Mutant(
+        name="bridge point map splits one coordinate early",
+        path="src/normsim/deblackbox.py",
+        old="        split = len(point) - len(self.table.c)\n",
+        new="        split = len(point) - len(self.table.c) - 1\n",
+        tests=(
+            "tests/test_deblackbox.py::test_point_conversion_round_trip",
+            f"{MIXED_DENSE}[start1]",
+        ),
+    ),
+    Mutant(
+        name="bridge point map decodes the first coordinate",
+        path="src/normsim/deblackbox.py",
+        old="        return point[:-1] + self.decode(point[-1]).coords\n",
+        new="        return point[:-1] + self.decode(point[0]).coords\n",
+        tests=(
+            "tests/test_deblackbox.py::test_deblackbox_takes_any_iterable_image[list]",
+            f"{MIXED_DENSE}[start2]",
+        ),
+    ),
+    Mutant(
+        name="padded automorphism with 0 on the new diagonal",
+        path="src/normsim/deblackbox.py",
+        old="_padded(gate.rep.matrix, size, 1)",
+        new="_padded(gate.rep.matrix, size, 0)",
+        tests=(f"{PADDED}[Z4]", f"{PADDED}[Z x Z4]"),
+    ),
+    Mutant(
+        name="padded phase with 1/2 in the new entries of v",
+        path="src/normsim/deblackbox.py",
+        old="[0] * (size - len(gate.form.v))",
+        new="[Fraction(1, 2)] * (size - len(gate.form.v))",
+        tests=(f"{PADDED}[Z4]", f"{PADDED}[Z x Z4]"),
+    ),
+    Mutant(
+        name="independent generators beta in reverse order",
+        path="src/normsim/blackbox.py",
+        old="    for j in keep:\n",
+        new="    for j in keep[::-1]:\n",
+        tests=(
+            "tests/test_blackbox.py::test_decompose_z15",
+            "tests/test_deblackbox.py::test_bridge_encode_decode_z15",
+        ),
     ),
 ]
 

@@ -6,11 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_matrix_rep, random_quadratic_form
+from helpers import (
+    mixed_finite_circuit,
+    mixed_infinite_circuit,
+    random_matrix_rep,
+    random_quadratic_form,
+)
 
-from normsim.algorithms import dlog_circuit, ec_dlog_circuit
+from normsim.algorithms import AlgorithmError, dlog_circuit, ec_dlog_circuit, multivariate_dlog
 from normsim.blackbox import (
     BlackBoxError,
+    DecompositionTable,
     EllipticCurveGroup,
     ZNStarGroup,
     bb_decompose_bruteforce,
@@ -33,6 +39,7 @@ from normsim.deblackbox import (
     _spot_check_matrix,
     _spot_check_quadratic,
     deblackbox_circuit,
+    extract_matrix_entries,
     extract_matrix_rep,
     extract_quadratic,
     next_prime_above,
@@ -119,6 +126,21 @@ def test_encode_equals_the_beta_word(make):
         bridge.encode(vectors[0] + [0])
 
 
+def test_decode_outside_the_generated_subgroup_names_the_element():
+    g = ZNStarGroup(15)
+    table = DecompositionTable(alpha=[4], beta=[4], a=[[1]], b=[[1]], c=[2])
+    bridge = EncodingBridge(g, table)
+    assert bridge.decode(4).coords == (1,)
+    with pytest.raises(ExtractionError, match="^7 is not in the subgroup"):
+        bridge.decode(7)
+    with pytest.raises(ExtractionError, match="^15 is not in the black-box group$"):
+        bridge.decode(15)
+    with pytest.raises(AlgorithmError, match="^7 is not generated by the given elements$"):
+        multivariate_dlog(g, [4], 7)
+    with pytest.raises(ExtractionError, match="^15 is not in the black-box group$"):
+        multivariate_dlog(g, [4], 15)
+
+
 def _deblackbox_calls(circuit) -> int:
     """Oracle calls of one deblackbox with sampled generators; checks that the
     provenance records hold every one of them."""
@@ -179,6 +201,21 @@ def test_extract_matrix_negative_torus_entry():
     gt = group(T)
     matrix = extract_matrix_entries(lambda pt: ((-3 * pt[0]) % 1,), gt, bound=4)
     assert matrix == [[Fraction(-3)]]
+
+
+def test_extraction_takes_any_iterable_answer():
+    g = cyclic_group(4, 8)
+    calls = []
+    rep = extract_matrix_rep(lambda pt: calls.append(pt) or (x for x in pt), g)
+    assert rep == validate_matrix_rep([[1, 0], [0, 1]], g)
+    # One call per unit probe, then one per point of the exhaustive check.
+    assert len(calls) == 2 + 32
+    # The T register is probed at e_0 / alpha: bound 2 gives alpha = 5.
+    gt = group(T, cyclic(4))
+    matrix = extract_matrix_entries(lambda pt: (x for x in (-pt[0] % 1, 3 * pt[1] % 4)), gt, 2)
+    assert matrix == [[-1, 0], [0, 3]]
+    rep = extract_matrix_rep(lambda pt: iter([-pt[0] % 1, 3 * pt[1] % 4]), gt, bound=2)
+    assert rep == validate_matrix_rep([[-1, 0], [0, 3]], gt)
 
 
 def test_extract_matrix_rejects_non_automorphism():
@@ -497,6 +534,69 @@ def test_deblackbox_rejects_broken_phase_promise():
     )
     with pytest.raises(ExtractionError):
         deblackbox_circuit(circuit, generators=[2, 14])
+
+
+def _padded(block, size: int, corner: int) -> list[list]:
+    """[block 0; 0 corner*I] as a size x size list of rows."""
+    rows = [list(row) + [0] * (size - len(block)) for row in block]
+    for i in range(len(block), size):
+        rows.append([corner if j == i else 0 for j in range(size)])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build", [mixed_finite_circuit, mixed_infinite_circuit], ids=["Z4", "Z x Z4"]
+)
+def test_normal_form_gates_are_padded_by_the_identity(build):
+    circuit = build()
+    result = deblackbox_circuit(circuit, generators=[2, 14])
+    trace = result.circuit.validate()
+    actions = []
+    for index, (old, new) in enumerate(zip(circuit.gates, result.circuit.gates)):
+        record = result.provenance[index + 1]
+        if isinstance(old, QFTGate) or old.is_black_box:
+            continue
+        wide = trace[index].elementary
+        size = len(wide.factors)
+        if isinstance(old, AutomorphismGate):
+            assert new == AutomorphismGate(
+                rep=validate_matrix_rep(_padded(old.rep.matrix, size, 1), wide)
+            )
+            action = "extended matrix"
+        else:
+            v = list(old.form.v) + [0] * (size - len(old.form.v))
+            assert new == QuadraticGate(
+                form=validate_quadratic(_padded(old.form.m, size, 0), v, wide)
+            )
+            action = "extended quadratic"
+        assert record == {"gate": index, "action": action, "oracle_calls": 0}
+        actions.append(action)
+    assert sorted(set(actions)) == ["extended matrix", "extended quadratic"]
+
+
+@pytest.mark.parametrize("start", [(0, 1), (1, 7), (3, 14)])
+def test_dense_distribution_of_a_mixed_circuit_maps_back(start):
+    circuit = mixed_finite_circuit()
+    result = deblackbox_circuit(circuit, generators=[2, 14])
+    original = dense_run(circuit, start).probabilities()
+    rewritten = dense_run(result.circuit, result.point_to_decomposed(start)).probabilities()
+    mapped = {result.point_from_decomposed(pt): p for pt, p in rewritten.items()}
+    assert set(mapped) == set(original)
+    for pt, p in original.items():
+        assert mapped[pt] == pytest.approx(p, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "wrap", [list, lambda image: (x for x in image)], ids=["list", "generator"]
+)
+def test_deblackbox_takes_any_iterable_image(wrap):
+    circuit = build_order_finding_circuit(15, 2, 4)
+    word = circuit.gates[1].func
+    circuit.gates[1] = AutomorphismGate(func=lambda pt: wrap(word(pt)), name="word_exp")
+    result = deblackbox_circuit(circuit, generators=[2, 14])
+    expected = deblackbox_circuit(build_order_finding_circuit(15, 2, 4), generators=[2, 14])
+    assert result.circuit.gates == expected.circuit.gates
+    assert result.provenance == expected.provenance
 
 
 def test_decompose_elliptic_curve_backend():

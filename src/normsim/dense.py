@@ -3,28 +3,33 @@
 This is the brute-force oracle the structured simulator is judged against:
 amplitudes are complex floats indexed by every basis label.  Normal-form
 gates act on the whole array at once: a QFT is numpy's inverse FFT with
-norm="ortho" over its registers, an automorphism one integer index
+norm="ortho", one `np.fft.ifft` per register, last register first (the loop
+`np.fft.ifftn` runs, so the same bytes), an automorphism one integer index
 permutation of the label grid, a quadratic phase one array of integer
-numerators k(g) mod d followed by exp(2 pi i k/d).  Black-box gates run here
-directly, which is what makes the engine usable on circuits that have not
-been de-black-boxed yet.  A `word_exp` gate permutes the black-box axis:
-each active base b is one translation table j -> index(bb_labels[j] * b),
-composed into its powers, so it costs |B| oracle `mul` per active base and
-no `power`, whatever the support.  (Called point by point, as deblackbox
-extraction does, it keeps its cached-power cost instead.)  Any other
-black-box callable runs once per label of the nonzero support; each image
-goes through `make_point`, and all are encoded into flat positions in one
-array pass.
+numerators k(g) mod d followed by exp(2 pi i k/d).  The label grid is built
+only when such a gate runs.  Black-box gates run here directly, which is
+what makes the engine usable on circuits that have not been de-black-boxed
+yet.  A `word_exp` gate permutes the black-box axis: each active base b is
+one translation table j -> index(bb_labels[j] * b), composed into its powers
+by doubling, so it costs |B| oracle `mul` per active base and no `power`,
+whatever the support.  (Called point by point, as deblackbox extraction
+does, it keeps its cached-power cost instead.)  Any other black-box callable
+runs once per label of the nonzero support; each image goes through
+`make_point`, and all are encoded into flat positions in one array pass.
 
 Fourier sampling opens every `fourier_circuit`: a QFT over every elementary
 register, then `word_exp`, from |0, y0>.  Its state is known in closed form,
 c at (x, f(x) y0) for every x, so `dense_run` writes it directly and spends
-one FFT on the whole circuit instead of two.  c is the product of the
-1/sqrt(n_i) multiplied last register first, the order numpy's transform
-scales its axes in, so the bytes are those of the FFT.  The opening skips
-the norm check of black-box gates, which cannot fail there: each x slice
-holds one label before `word_exp`, which never moves x, so no two labels
-meet.  Every other gate, and every other opening, runs one by one.
+one FFT on the whole circuit instead of two.  The targets come from an
+array of the black-box index of every x on the grid: it starts at y0's
+index (read off the input's flat index) and each active base r moves it
+through the powers of its table, one gather broadcast along register r.
+c is the product of the 1/sqrt(n_i) multiplied last register first, the
+order numpy's transform scales its axes in, so the bytes are those of the
+FFT.  The opening skips the norm check of black-box gates, which cannot fail
+there: each x slice holds one label before `word_exp`, which never moves x,
+so no two labels meet.  Every other gate, and every other opening, runs one
+by one.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ class DenseState:
         return set(self.probabilities(tol=tol))
 
 
-def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
+def _initial_state(basis: DesignatedBasis, point, cap: int) -> tuple[DenseState, int]:
+    """The basis state |point> and the point's flat index."""
     blackbox = basis.blackbox
     dims = [f.modulus for f in basis.elementary.factors]
     exact = True
@@ -122,42 +128,67 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> DenseState:
     bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)
-    amplitudes.flat[state.flat_index(point)] = 1.0
-    return state
+    start = state.flat_index(point)
+    amplitudes.flat[start] = 1.0
+    return state, start
 
 
 def _apply_qft(state: DenseState, registers) -> None:
-    """exp(2 pi i x y / n) / sqrt(n) on each register: numpy's unitary inverse FFT."""
-    state.amplitudes = np.fft.ifftn(state.amplitudes, axes=registers, norm="ortho")
+    """exp(2 pi i x y / n) / sqrt(n) on each register: numpy's unitary
+    inverse FFT along one axis at a time, last register first.  That is the
+    loop `np.fft.ifftn(a, axes=registers, norm="ortho")` runs, so the bytes
+    are its bytes, without its argument handling."""
+    amplitudes = state.amplitudes
+    for r in reversed(registers):
+        amplitudes = np.fft.ifft(amplitudes, axis=r, norm="ortho")
+    state.amplitudes = amplitudes
+
+
+def _translation_table(state: DenseState, func: WordExp, b) -> np.ndarray:
+    """step[j] = index(bb_labels[j] * b): |B| counted `mul`, the images
+    checked with `make_point`'s error."""
+    labels, group = state.bb_labels, func.group
+    group.counter.mul += len(labels)
+    images = [group._product(label, b) for label in labels]
+    state.basis.check_blackbox_values(images)
+    return np.array([state._bb_index[x] for x in images], dtype=np.intp)
+
+
+def _power_rows(step: np.ndarray, count: int) -> np.ndarray:
+    """rows[k] = step composed k times, for k < count (rows[0] the identity).
+
+    Filled by doubling, rows[m + i] = step^m o rows[i] with m the rows
+    already filled: about log2(count) gathers.  Powers of one map commute,
+    so this is exact for any table, injective or not.
+    """
+    rows = np.empty((count, len(step)), dtype=np.intp)
+    rows[0] = np.arange(len(step))
+    filled = 1
+    while filled < count:
+        m = min(filled, count - filled)
+        rows[filled : filled + m] = rows[filled - 1][step][rows[:m]]
+        filled += m
+    return rows
 
 
 def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> np.ndarray:
     """Flat images of the support labels under a `word_exp` gate.
 
-    Multiplying by a base b translates the black-box axis: one table
-    step[j] = index(bb_labels[j] * b) costs |B| counted `mul`, its images
-    checked with `make_point`'s error.  Composing it gives the rows
-    b^k for k up to the largest exponent on the support, and each label's
-    black-box index moves through one row per base.
+    Multiplying by a base b translates the black-box axis by one table,
+    whose powers b^k for k up to the largest exponent on the support move
+    each label's black-box index through one row per base.
     """
     shape = state.amplitudes.shape
     columns = list(np.unravel_index(support, shape))
-    labels, group = state.bb_labels, func.group
     j = columns[-1]
     for r, b in func.active:
-        group.counter.mul += len(labels)
-        images = [group._product(label, b) for label in labels]
-        state.basis.check_blackbox_values(images)
-        step = np.array([state._bb_index[x] for x in images], dtype=np.intp)
-        powers = [np.arange(len(labels))]
-        for _ in range(int(columns[r].max())):
-            powers.append(step[powers[-1]])
-        j = np.stack(powers)[columns[r], j]
+        rows = _power_rows(_translation_table(state, func, b), int(columns[r].max()) + 1)
+        j = rows[columns[r], j]
     columns[-1] = j
     return np.ravel_multi_index(columns, shape)
 
 
-def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndarray) -> None:
+def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndarray | None) -> None:
     shape = state.amplitudes.shape
     flat = state.amplitudes.reshape(-1)
     out = np.zeros_like(flat)
@@ -178,7 +209,7 @@ def _apply_automorphism(state: DenseState, gate: AutomorphismGate, grid: np.ndar
     state.amplitudes = out.reshape(shape)
 
 
-def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray) -> None:
+def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray | None) -> None:
     shape = state.amplitudes.shape
     flat = state.amplitudes.reshape(-1)
     if gate.is_black_box:
@@ -194,10 +225,11 @@ def _apply_quadratic(state: DenseState, gate: QuadraticGate, grid: np.ndarray) -
     state.amplitudes = flat.reshape(shape)
 
 
-def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState) -> int | None:
+def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState, start: int) -> int | None:
     """The input's black-box label index when the circuit opens with Fourier
     sampling from a point that is 0 on every elementary register: a QFT over
-    every elementary register, then a `word_exp` gate.  None otherwise."""
+    every elementary register, then a `word_exp` gate.  None otherwise.
+    `start` is the input's flat index."""
     gates = circuit.gates
     if not (
         len(gates) >= 2
@@ -208,24 +240,27 @@ def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState) -> int
     ):
         return None
     # C order puts the black-box axis last, so the input is 0 on every
-    # elementary register exactly when its one amplitude lies in the first |B|.
-    head = np.flatnonzero(state.amplitudes.reshape(-1)[: len(state.bb_labels)])
-    return int(head[0]) if head.size else None
+    # elementary register exactly when its flat index is below |B|.
+    return start if start < len(state.bb_labels) else None
 
 
 def _apply_fourier_opening(state: DenseState, qft: QFTGate, func: WordExp, label: int) -> None:
     """The QFT and `word_exp` gates of a Fourier opening on |0, y0>, in
-    closed form: amplitude c at (x, f(x) y0) for every x, the targets from
-    `word_exp`'s translation tables on the support the transform leaves,
-    every x at the input label."""
+    closed form: amplitude c at (x, f(x) y0) for every x.  j holds the
+    black-box index of every x on the grid, from the input label; each
+    active base r moves it to rows[x_r, j], one broadcast gather."""
     shape = state.amplitudes.shape
+    k = len(shape) - 1  # elementary registers; the black-box axis is last
     c = 1.0
     for r in reversed(qft.registers):  # the order np.fft.ifftn scales its axes in
         c *= 1 / math.sqrt(shape[r])
-    size, labels = state.amplitudes.size, len(state.bb_labels)
-    support = np.arange(0, size, labels) + label
+    j = np.full(shape[:k], label, dtype=np.intp)
+    for r, b in func.active:
+        x = np.arange(shape[r]).reshape((-1,) + (1,) * (k - 1 - r))  # x_r along axis r
+        j = _power_rows(_translation_table(state, func, b), shape[r])[x, j]
+    size = state.amplitudes.size
     out = np.zeros(size, dtype=np.complex128)
-    out[_word_exp_targets(state, func, support)] = c
+    out[np.arange(0, size, len(state.bb_labels)) + j.reshape(-1)] = c
     state.amplitudes = out.reshape(shape)
 
 
@@ -244,13 +279,15 @@ def dense_run(
     trace = circuit.validate()
     if any(not b.is_finite for b in trace):
         raise CircuitError("dense simulation needs every register finite")
-    state = _initial_state(circuit.initial_basis, input_point, cap)
-    grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
+    state, start = _initial_state(circuit.initial_basis, input_point, cap)
     gates = circuit.gates
-    label = _fourier_opening_label(circuit, state)
+    label = _fourier_opening_label(circuit, state, start)
     if label is not None:
         _apply_fourier_opening(state, gates[0], gates[1].func, label)
         gates = gates[2:]
+    grid = None  # the label grid, for normal-form automorphisms and phases only
+    if any(not isinstance(gate, QFTGate) and not gate.is_black_box for gate in gates):
+        grid = label_grid([f.modulus for f in circuit.initial_basis.elementary.factors])
     for gate in gates:
         if isinstance(gate, QFTGate):
             _apply_qft(state, gate.registers)

@@ -20,11 +20,18 @@ and hashes what it returns (as canonical JSON) into one SHA-256 digest:
 - ecdlog: `ec_discrete_log` of every multiple of a point of largest order
   on the five curves of the benchmark's `shor` workload;
 - decompose: `decompose_group` on Z_N^* for N = 2..64, with generators from
-  `sample_generators(default_rng(N))` and the same rng after it.
+  `sample_generators(default_rng(N))` and the same rng after it;
+- dense: `dense_run` of `fourier_circuit`s, as the SHA-256 of the amplitude
+  bytes, the shape, the black-box labels and the oracle calls of the run:
+  every discrete-log circuit for p <= 17 (p = 17 first), the circuit of
+  every multiple of a point of largest order on the five `shor` curves, and
+  `hsp_circuit` of up to three planted subgroups (three seeded draws,
+  distinct ones kept) of each Z_n^k with n = 2..4 and k = 1..3, each from
+  the zero / identity point and from a point with x_0 = 1.
 
-The last three families hash what the run returns (or the type and message
-it raises), the oracle calls of every group made during it and the next
-draw of its rng.
+The dlog, ecdlog and decompose families hash what the run returns (or the
+type and message it raises), the oracle calls of every group made during it
+and the next draw of its rng.
 
 The script imports normsim from the src/ beside it. The exit code is 0 when
 every digest equals the record, 1 otherwise. A change that moves a digest on
@@ -56,7 +63,7 @@ from helpers import (  # noqa: E402
     random_matrix_rep,
     random_quadratic_form,
 )
-from normsim import algorithms, blackbox, circuits, coset, deblackbox  # noqa: E402
+from normsim import algorithms, blackbox, circuits, coset, deblackbox, dense  # noqa: E402
 from normsim.groups import cyclic_group  # noqa: E402
 
 EXTRACT_SHAPES = [
@@ -278,6 +285,61 @@ def _decompose_case(n: int) -> dict:
     return _algorithm_case(run, np.random.default_rng(n))
 
 
+def _dense_case(build: Callable, first: int) -> dict:
+    """`dense_run` of the built `fourier_circuit` from (first, 0, .., 0, 1_B)."""
+    circuit = build()
+    basis = circuit.initial_basis
+    moduli = [f.modulus for f in basis.elementary.factors]
+    start = tuple(first % n if i == 0 else 0 for i, n in enumerate(moduli))
+    counter = basis.blackbox.counter
+    before = counter.mul, counter.inv
+    state = dense.dense_run(circuit, start + (basis.blackbox.identity(),))
+    return {
+        "amplitudes": hashlib.sha256(state.amplitudes.tobytes()).hexdigest(),
+        "shape": list(state.amplitudes.shape),
+        "bb labels": state.bb_labels,
+        "oracle calls": [counter.mul - before[0], counter.inv - before[1]],
+    }
+
+
+def _planted_circuit(moduli: tuple, hidden: tuple) -> circuits.NormalizerCircuit:
+    """`hsp_circuit` of the oracle on Z_moduli that labels each coset of
+    <hidden> by its least member."""
+    domain = cyclic_group(*moduli)
+
+    def oracle(coords):
+        return min(
+            tuple((int(c) + k * h) % m for c, h, m in zip(coords, hidden, moduli))
+            for k in range(max(moduli))
+        )
+
+    instance = algorithms.HSPInstance(domain, oracle)
+    return algorithms.hsp_circuit(instance, algorithms.OracularGroup(domain, oracle))
+
+
+def _dense_circuits() -> list[tuple[str, Callable]]:
+    """(name, build) pairs of the dense family's circuits."""
+    cases = [
+        (f"dlog p={p} a={a} b={b}", lambda p=p, a=a, b=b: algorithms.dlog_circuit(p, a, b))
+        for p, a, b in sorted(_dlog_inputs(), key=lambda case: -case[0])
+    ]
+    for params, base, target, s in _ecdlog_inputs():
+        def curve_circuit(params=params, base=base, target=target):
+            curve = blackbox.EllipticCurveGroup(*params)
+            n = blackbox.bb_order(curve, base)
+            return algorithms.ec_dlog_circuit(curve, base, target, n)
+
+        cases.append((f"E{params} s={s}", curve_circuit))
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            rng = np.random.default_rng([n, k])
+            draws = (tuple(int(h) for h in rng.integers(n, size=k)) for _ in range(3))
+            for hidden in dict.fromkeys(draws):  # distinct, in draw order
+                cases.append((f"planted Z{n}^{k} h={hidden}",
+                              lambda m=(n,) * k, h=hidden: _planted_circuit(m, h)))
+    return cases
+
+
 def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
     """Every family's cases, in a fixed order, as (name, run) pairs."""
     return {
@@ -296,6 +358,11 @@ def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
             for args in _ecdlog_inputs()
         ],
         "decompose": [(f"Z{n}*", lambda n=n: _decompose_case(n)) for n in range(2, 65)],
+        "dense": [
+            (f"{name} x0={first}", lambda build=build, first=first: _dense_case(build, first))
+            for name, build in _dense_circuits()
+            for first in (0, 1)
+        ],
     }
 
 

@@ -44,11 +44,15 @@ CURVE_DEBLACKBOX = (
 DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_table_route"
 NON_CYCLIC_DLOG = "tests/test_algorithms.py::test_black_box_dlog_on_non_cyclic_units"
 FOURIER_OPENING = "tests/test_dense.py::test_fourier_opening_matches_the_gatewise_run"
+PER_AXIS_QFT = "tests/test_dense.py::test_the_per_axis_qft_is_ifftn_byte_for_byte"
 BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
 ROUND_TRIPS = "tests/test_deblackbox.py::test_random_round_trips_finite"
 GOLDEN_SLICE = "tests/test_golden.py::test_a_slice_of_every_golden_family_matches_the_record"
+GOLDEN_DENSE = (
+    "tests/test_golden.py::test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit"
+)
 PADDED = "tests/test_deblackbox.py::test_normal_form_gates_are_padded_by_the_identity"
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 
@@ -303,8 +307,8 @@ MUTANTS = [
     Mutant(
         name="Fourier opening taken at a nonzero elementary start",
         path="src/normsim/dense.py",
-        old="    head = np.flatnonzero(state.amplitudes.reshape(-1)[: len(state.bb_labels)])\n",
-        new="    head = np.flatnonzero(state.amplitudes) % len(state.bb_labels)\n",
+        old="    return start if start < len(state.bb_labels) else None\n",
+        new="    return start % len(state.bb_labels)\n",
         tests=(
             FOURIER_OPENING,
             "tests/test_dense.py::test_a_fourier_opening_from_zero_costs_one_transform",
@@ -313,11 +317,40 @@ MUTANTS = [
     Mutant(
         name="Fourier opening walked from label index 0, not the start label",
         path="src/normsim/dense.py",
-        old="    support = np.arange(0, size, labels) + label\n",
-        new="    support = np.arange(0, size, labels)\n",
+        old="    j = np.full(shape[:k], label, dtype=np.intp)\n",
+        new="    j = np.full(shape[:k], 0, dtype=np.intp)\n",
         tests=(
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
+        ),
+    ),
+    Mutant(
+        name="per-axis QFT taken first register first",
+        path="src/normsim/dense.py",
+        old="    for r in reversed(registers):\n",
+        new="    for r in registers:\n",
+        tests=(PER_AXIS_QFT, FOURIER_OPENING),
+    ),
+    Mutant(
+        name="doubling composes rows[filled - 1], one power short",
+        path="src/normsim/dense.py",
+        old="rows[filled : filled + m] = rows[filled - 1][step][rows[:m]]",
+        new="rows[filled : filled + m] = rows[filled - 1][rows[:m]]",
+        tests=(
+            "tests/test_dense.py::test_power_rows_by_doubling_equal_the_iterated_composition",
+            "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
+            GOLDEN_SLICE,
+        ),
+    ),
+    Mutant(
+        name="Fourier opening gathers along the previous base's register",
+        path="src/normsim/dense.py",
+        old="reshape((-1,) + (1,) * (k - 1 - r))",
+        new="reshape((-1,) + (1,) * (k - r))",
+        tests=(
+            FOURIER_OPENING,
+            GOLDEN_SLICE,
+            GOLDEN_DENSE,
         ),
     ),
     Mutant(

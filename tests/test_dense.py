@@ -97,9 +97,9 @@ def test_qft_gate_matches_reference_dft_matrices(case):
     initial_state = dense._initial_state
 
     def prepared(basis, point, cap):
-        state = initial_state(basis, point, cap)
+        state, start = initial_state(basis, point, cap)
         state.amplitudes = amplitudes.copy()
-        return state
+        return state, start
 
     point = (0,) * len(basis.elementary.factors) + ((1,) if basis.blackbox else ())
     with mock.patch.object(dense, "_initial_state", prepared):
@@ -612,13 +612,15 @@ def test_fourier_opening_matches_the_gatewise_run(case):
 
 
 def _counted_transforms(monkeypatch, circuit, point) -> int:
-    ifftn, calls = np.fft.ifftn, []
+    from normsim import dense
+
+    apply_qft, calls = dense._apply_qft, []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return ifftn(*args, **kwargs)
+        return apply_qft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifftn", counted)
+    monkeypatch.setattr(dense, "_apply_qft", counted)
     dense_run(circuit, point)
     return len(calls)
 
@@ -648,3 +650,50 @@ def test_a_collapsing_word_exp_opening_keeps_the_gatewise_state():
     reference = dense_run_gatewise(circuit, (0, 3))
     assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
     assert abs(state.norm() - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=4).flatmap(
+        lambda shape: st.tuples(
+            st.just(tuple(shape)),
+            st.permutations(range(len(shape))),
+            st.integers(0, len(shape)),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+@example(((3, 5), [0, 1], 2, 0))
+@example(((8, 6, 7, 5), [2, 0, 3, 1], 3, 1))
+def test_the_per_axis_qft_is_ifftn_byte_for_byte(case):
+    # One inverse FFT per register, last register first, is the loop numpy's
+    # ifftn runs: the same bytes on any subset of registers in any order.
+    from types import SimpleNamespace
+
+    from normsim import dense
+
+    shape, order, count, seed = case
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    registers = tuple(order[:count])
+    state = SimpleNamespace(amplitudes=amplitudes.copy())
+    dense._apply_qft(state, registers)
+    expected = np.fft.ifftn(amplitudes, axes=registers, norm="ortho")
+    assert state.amplitudes.dtype == expected.dtype
+    assert state.amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 16, 17])
+def test_power_rows_by_doubling_equal_the_iterated_composition(count):
+    # rows[k] = step^k, for permutations and for a table that collapses
+    # labels (1, 4 -> 1 and 0 -> 1), whose powers are not a group.
+    from normsim.dense import _power_rows
+
+    rng = np.random.default_rng(count)
+    tables = [rng.permutation(n) for n in (1, 2, 7, 12)] + [np.array([1, 1, 0, 3, 1, 2])]
+    for step in tables:
+        step = step.astype(np.intp)
+        naive = [np.arange(len(step))]
+        for _ in range(count - 1):
+            naive.append(step[naive[-1]])
+        assert np.array_equal(_power_rows(step, count), np.stack(naive))

@@ -4,7 +4,8 @@
     python tests/golden.py --check    # name every case whose digest moved
 
 Each family is a list of named cases; each case runs normsim on seeded input
-and hashes what it returns (as canonical JSON) into one SHA-256 digest:
+and hashes what it returns (as canonical JSON) into SHA-256 digests, one per
+part of the record. Most families have one part, the result:
 
 - extract: extraction round trips on twelve finite groups, with the oracle
   calls they make, plus the error type and message for an oracle that
@@ -27,13 +28,22 @@ and hashes what it returns (as canonical JSON) into one SHA-256 digest:
   every multiple of a point of largest order on the five `shor` curves, and
   `hsp_circuit` of up to three planted subgroups (three seeded draws,
   distinct ones kept) of each Z_n^k with n = 2..4 and k = 1..3, each from
-  the zero / identity point and from a point with x_0 = 1.
+  the zero / identity point and from a point with x_0 = 1;
+- hsp: `solve_hsp` of every subgroup of Z2^3 and of Z4 x Z2 (the hidden
+  subgroup suite of the acceptance tests), seeded per case, and `solve_hkp`
+  of four homomorphisms from Z x Z4 into Z_15^* and Z_21^*.
 
-The dlog, ecdlog and decompose families hash what the run returns (or the
-type and message it raises), the oracle calls of every group made during it
-and the next draw of its rng.
+The dlog, ecdlog, decompose and hsp families split each record in two. The
+result is the answer: the exponent and order, the decomposition table, the
+hidden subgroup's elements or the kernel generators, or else the type and
+message the run raises. The trace is how the run got there: its samples and
+log, the oracle calls of every group made during it and the next draw of its
+rng. A change that keeps every answer but draws other samples moves traces
+alone.
 
-The script imports normsim from the src/ beside it. The exit code is 0 when
+The script imports normsim from the src/ beside it. `--check` prints, per
+family, the cases, the results moved and the traces moved, then one MOVED
+line per moved case naming the parts that moved. The exit code is 0 when
 every digest equals the record, 1 otherwise. A change that moves a digest on
 purpose re-records and names the family. Pytest does not collect this file.
 """
@@ -41,7 +51,6 @@ purpose re-records and names the family. Pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -57,13 +66,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from helpers import (  # noqa: E402
+    all_subgroups,
     mixed_finite_circuit,
     mixed_infinite_circuit,
     random_circuit,
     random_matrix_rep,
     random_quadratic_form,
 )
-from normsim import algorithms, blackbox, circuits, coset, deblackbox, dense  # noqa: E402
+from normsim import algorithms, blackbox, circuits, coset, deblackbox, dense, groups  # noqa: E402
 from normsim.groups import cyclic_group  # noqa: E402
 
 EXTRACT_SHAPES = [
@@ -75,6 +85,7 @@ ENGINE_SHAPES = [
     (4, 4, 4), (2, 3, 4, 5), (8, 8, 8), (16, 32), (2, 2, 2, 2, 2), (9, 9), (5, 5, 5),
 ]
 SHOR_CURVES = [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4)]
+PARTS = ("result", "trace")
 
 
 def _counted(oracle: Callable, calls: list) -> Callable:
@@ -226,21 +237,32 @@ def _counters():
 
 
 def _algorithm_case(run: Callable, rng) -> dict:
-    """run(rng)'s result or error, the oracle calls of the groups it makes
-    (and of those `run` builds first) and the next draw of rng."""
+    """run(rng) returns (answer, trace). The result part is the answer or
+    the error; the trace part is the run's trace, the oracle calls of the
+    groups it makes (and of those `run` builds first) and the next draw of
+    rng."""
     with _counters() as made:
         try:
-            record = {"value": run(rng)}
+            result, trace = run(rng)
         except (ValueError, RuntimeError) as exc:
-            record = {"error": type(exc).__name__, "message": str(exc)}
-    record["oracle calls"] = sum(counter.total for counter in made)
-    record["next draw"] = int(rng.integers(1 << 62))
-    return record
+            result, trace = {"error": type(exc).__name__, "message": str(exc)}, None
+    return {
+        "result": result,
+        "trace": {
+            "run": trace,
+            "oracle calls": sum(counter.total for counter in made),
+            "next draw": int(rng.integers(1 << 62)),
+        },
+    }
+
+
+def _dlog_parts(run: algorithms.DiscreteLogRun) -> tuple:
+    return [run.exponent, run.order], [run.samples, run.log]
 
 
 def _dlog_case(p: int, a: int, b: int) -> dict:
     def run(rng):
-        return dataclasses.astuple(algorithms.discrete_log(p, a, b, rng))
+        return _dlog_parts(algorithms.discrete_log(p, a, b, rng))
 
     return _algorithm_case(run, np.random.default_rng([p, a, b]))
 
@@ -256,7 +278,7 @@ def _dlog_inputs():
 def _ecdlog_case(params: tuple, base, target, s: int) -> dict:
     def run(rng):
         curve = blackbox.EllipticCurveGroup(*params)
-        return dataclasses.astuple(algorithms.ec_discrete_log(curve, base, target, rng))
+        return _dlog_parts(algorithms.ec_discrete_log(curve, base, target, rng))
 
     return _algorithm_case(run, np.random.default_rng([*params, s]))
 
@@ -280,9 +302,53 @@ def _decompose_case(n: int) -> dict:
         group = blackbox.ZNStarGroup(n)
         result = algorithms.decompose_group(group, group.sample_generators(rng), rng)
         table = result.table
-        return [table.alpha, table.beta, table.a, table.b, table.c, result.log]
+        return [table.alpha, table.beta, table.a, table.b, table.c], result.log
 
     return _algorithm_case(run, np.random.default_rng(n))
+
+
+def _hsp_case(domain, subgroup: set, seed: list) -> dict:
+    """`solve_hsp` of the oracle that names each coset of `subgroup`."""
+    labels = {el.coords: min((el + h).coords for h in subgroup) for el in domain.elements()}
+
+    def run(rng):
+        instance = algorithms.HSPInstance(group=domain, oracle=lambda c: labels[tuple(c)])
+        result = algorithms.solve_hsp(instance, rng)
+        return sorted(el.coords for el in result.subgroup_elements()), result.log
+
+    return _algorithm_case(run, np.random.default_rng(seed))
+
+
+#: (N, bases) of the solve_hkp cases: f(x) = bases[0]^x_0 bases[1]^x_1 mod N
+#: on Z x Z4, the second base of order dividing 4.
+HKP_CASES = [(15, (2, 7)), (15, (4, 7)), (15, (2, 4)), (21, (2, 20))]
+
+
+def _hkp_case(n: int, bases: tuple) -> dict:
+    def run(rng):
+        group = blackbox.ZNStarGroup(n)
+        domain = groups.group(groups.Z, groups.cyclic(4))
+
+        def f(coords):
+            return pow(bases[0], int(coords[0]), n) * pow(bases[1], int(coords[1]), n) % n
+
+        result = algorithms.solve_hkp(domain, group, f, rng)
+        return [list(g.coords) for g in result.generators], result.log
+
+    return _algorithm_case(run, np.random.default_rng([n, *bases]))
+
+
+def _hsp_cases() -> list[tuple[str, Callable[[], dict]]]:
+    cases = []
+    for name, moduli in (("Z2^3", (2, 2, 2)), ("Z4xZ2", (4, 2))):
+        domain = cyclic_group(*moduli)
+        for i, subgroup in enumerate(all_subgroups(domain)):
+            cases.append((f"{name} H{i} |H|={len(subgroup)}",
+                          lambda d=domain, h=subgroup, seed=[*moduli, i]: _hsp_case(d, h, seed)))
+    for n, bases in HKP_CASES:
+        cases.append((f"hkp Z x Z4 -> Z{n}* f={bases[0]}^x0 {bases[1]}^x1",
+                      lambda n=n, bases=bases: _hkp_case(n, bases)))
+    return cases
 
 
 def _dense_case(build: Callable, first: int) -> dict:
@@ -340,15 +406,21 @@ def _dense_circuits() -> list[tuple[str, Callable]]:
     return cases
 
 
+def _result(run: Callable[[], dict]) -> Callable[[], dict]:
+    """A one-part case: the whole record is its result."""
+    return lambda: {"result": run()}
+
+
 def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
-    """Every family's cases, in a fixed order, as (name, run) pairs."""
+    """Every family's cases, in a fixed order, as (name, run) pairs; run()
+    returns the case's record as {part: value}."""
     return {
-        "extract": [(f"Z{m}", lambda m=m: _extract_case(m)) for m in EXTRACT_SHAPES],
+        "extract": [(f"Z{m}", _result(lambda m=m: _extract_case(m))) for m in EXTRACT_SHAPES],
         "deblackbox": [
-            (name, lambda build=build: _deblackbox_case(build))
+            (name, _result(lambda build=build: _deblackbox_case(build)))
             for name, build in _algorithm_circuits()
         ],
-        "coset": [(f"Z{m}", lambda m=m: _coset_case(m)) for m in ENGINE_SHAPES],
+        "coset": [(f"Z{m}", _result(lambda m=m: _coset_case(m))) for m in ENGINE_SHAPES],
         "dlog": [
             (f"p={p} a={a} b={b}", lambda p=p, a=a, b=b: _dlog_case(p, a, b))
             for p, a, b in _dlog_inputs()
@@ -359,36 +431,50 @@ def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
         ],
         "decompose": [(f"Z{n}*", lambda n=n: _decompose_case(n)) for n in range(2, 65)],
         "dense": [
-            (f"{name} x0={first}", lambda build=build, first=first: _dense_case(build, first))
+            (f"{name} x0={first}",
+             _result(lambda build=build, first=first: _dense_case(build, first)))
             for name, build in _dense_circuits()
             for first in (0, 1)
         ],
+        "hsp": _hsp_cases(),
     }
 
 
-def digest(record: dict) -> str:
+def digest(record) -> str:
     text = json.dumps(record, sort_keys=True, default=str, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def compute(limit: int | None = None) -> dict[str, dict[str, str]]:
-    """{family: {case: digest}} over the first `limit` cases of each family."""
+def digests(record: dict) -> dict[str, str]:
+    """{part: digest} of one case's record."""
+    return {part: digest(value) for part, value in record.items()}
+
+
+def compute(limit: int | None = None) -> dict[str, dict[str, dict[str, str]]]:
+    """{family: {case: {part: digest}}} over the first `limit` cases of each
+    family."""
     return {
-        family: {name: digest(run()) for name, run in cases[:limit]}
+        family: {name: digests(run()) for name, run in cases[:limit]}
         for family, cases in families().items()
     }
 
 
-def moved(limit: int | None = None) -> list[str]:
-    """'family/case' for every case whose digest differs from the record;
-    on the whole corpus, also every recorded case that no longer runs."""
+def moved(limit: int | None = None) -> list[tuple[str, str, list[str]]]:
+    """(family, case, parts) for every case with a part whose digest differs
+    from the record; on the whole corpus, also every recorded case that no
+    longer runs (all its recorded parts moved)."""
     recorded = json.loads(RECORD.read_text())
     out = []
     for family, cases in compute(limit).items():
         expected = recorded.get(family, {})
         if limit is None:
-            out += [f"{family}/{name}" for name in sorted(set(expected) - set(cases))]
-        out += [f"{family}/{name}" for name, value in cases.items() if expected.get(name) != value]
+            gone = sorted(set(expected) - set(cases))
+            out += [(family, name, [p for p in PARTS if p in expected[name]]) for name in gone]
+        for name, parts in cases.items():
+            was = expected.get(name, {})
+            changed = [part for part in PARTS if parts.get(part) != was.get(part)]
+            if changed:
+                out.append((family, name, changed))
     return out
 
 
@@ -407,10 +493,14 @@ def main(argv=None) -> int:
     changed = moved()
     recorded = json.loads(RECORD.read_text())
     for family, cases in recorded.items():
-        count = sum(1 for item in changed if item.startswith(f"{family}/"))
-        print(f"{family}: {len(cases)} cases, {count} moved")
-    for item in changed:
-        print(f"MOVED: {item}")
+        counts = {
+            part: sum(1 for f, _, parts in changed if f == family and part in parts)
+            for part in PARTS
+        }
+        print(f"{family}: {len(cases)} cases, {counts['result']} results moved, "
+              f"{counts['trace']} traces moved")
+    for family, name, parts in changed:
+        print(f"MOVED: {family}/{name} ({', '.join(parts)})")
     return 1 if changed else 0
 
 

@@ -10,7 +10,8 @@ quadratic-law check, the Fraction continued fraction, the checked-`mul` order lo
 representatives, the word-table route of the decomposition kernel and the
 gate-by-gate dense run without its closed-form Fourier opening) that
 the library is checked against, plus two checks only tests use: the
-invariants of a coset state and the torus distance to the nearest peak."""
+invariants of a coset state and the torus distance to the nearest peak, and
+the list of every subgroup of a small group."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -488,6 +489,27 @@ def random_circuit(
 def table_entries(table) -> tuple:
     """(c, beta, A, B) of a decomposition table, for entry-by-entry comparison."""
     return table.c, table.beta, table.a, table.b
+
+
+def all_subgroups(group: ElementaryGroup) -> list[set]:
+    """Every subgroup of a finite group with at most three generators, each
+    once, as its set of elements, in the order the generating sets are
+    first met."""
+    elements = list(group.elements())
+    found = {}
+    for size in range(0, 4):
+        for subset in itertools.combinations(elements, size):
+            closure = {group.identity()}
+            frontier = [group.identity()]
+            while frontier:
+                current = frontier.pop()
+                for gen in subset:
+                    nxt = current + gen
+                    if nxt not in closure:
+                        closure.add(nxt)
+                        frontier.append(nxt)
+            found[frozenset(closure)] = closure
+    return list(found.values())
 
 
 def certify_pairwise(domain: ElementaryGroup, oracle) -> bool:

@@ -6,7 +6,6 @@ exact-arithmetic comparisons demand total variation below 1e-9 against the
 float dense oracle, and each criterion carries its wall-clock budget.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    all_subgroups,
     nearest_peak_distance,
     random_circuit,
     random_finite_group,
@@ -296,30 +296,12 @@ def test_criterion_9_modexp_no_go():
     budget.finish(f"{cases} (M, a) pairs agree with the divisibility rule")
 
 
-def _all_subgroups(group):
-    elements = list(group.elements())
-    found = {}
-    for size in range(0, 4):
-        for subset in itertools.combinations(elements, size):
-            closure = {group.identity()}
-            frontier = [group.identity()]
-            while frontier:
-                current = frontier.pop()
-                for gen in subset:
-                    nxt = current + gen
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        frontier.append(nxt)
-            found[frozenset(closure)] = closure
-    return list(found.values())
-
-
 def test_criterion_10_hsp_suite():
     budget = Budget("criterion 10 (hidden subgroup suite)", 60)
     rng = np.random.default_rng(10)
     recovered = 0
     for domain in (cyclic_group(2, 2, 2), cyclic_group(4, 2)):
-        for subgroup in _all_subgroups(domain):
+        for subgroup in all_subgroups(domain):
             labels = {}
             names = {}
             for el in domain.elements():

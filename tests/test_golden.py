@@ -17,7 +17,7 @@ def test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit(monkeypa
     # one amplitude moves the digest.
     cases = golden.families()["dense"][:4]
     recorded = json.loads(golden.RECORD.read_text())["dense"]
-    assert [golden.digest(run()) for _, run in cases] == [recorded[name] for name, _ in cases]
+    assert [golden.digests(run()) for _, run in cases] == [recorded[name] for name, _ in cases]
 
     dense_run = golden.dense.dense_run
 
@@ -28,4 +28,31 @@ def test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit(monkeypa
 
     monkeypatch.setattr(golden.dense, "dense_run", flipped)
     name, run = cases[0]
-    assert golden.digest(run()) != recorded[name]
+    assert golden.digests(run()) != recorded[name]
+
+
+def test_the_first_hsp_cases_match_the_record():
+    cases = golden.families()["hsp"][:4]
+    recorded = json.loads(golden.RECORD.read_text())["hsp"]
+    assert [golden.digests(run()) for _, run in cases] == [recorded[name] for name, _ in cases]
+
+
+def test_an_altered_sample_moves_the_trace_but_not_the_result(monkeypatch):
+    # Negating one outcome (k, ks) of a curve discrete log mod n keeps the
+    # congruence it adds, so the exponent found stays and only the trace moves.
+    name, run = golden.families()["ecdlog"][1]
+    recorded = json.loads(golden.RECORD.read_text())["ecdlog"][name]
+    assert golden.digests(run()) == recorded
+
+    sample_outcomes = golden.algorithms._sample_outcomes
+
+    def negated_first(state, shots, rng, width):
+        outcomes = sample_outcomes(state, shots, rng, width)
+        n = state.amplitudes.shape[0]
+        outcomes[0] = tuple(-x % n for x in outcomes[0])
+        return outcomes
+
+    monkeypatch.setattr(golden.algorithms, "_sample_outcomes", negated_first)
+    altered = golden.digests(run())
+    assert altered["result"] == recorded["result"]
+    assert altered["trace"] != recorded["trace"]

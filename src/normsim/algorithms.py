@@ -36,7 +36,7 @@ from .circuits import (
 )
 from .deblackbox import EncodingBridge, ExtractionError
 from .dense import DenseState, dense_run, dense_sample
-from .dirichlet import DirichletDistribution, discretization_deviation
+from .dirichlet import DirichletDistribution
 from .groups import ElementaryGroup, GroupElement, cyclic_group
 from .linalg import (
     GroupLinearSystem,
@@ -185,12 +185,14 @@ def find_order(
     group: BlackBoxGroup,
     a,
     rng,
-    r_max: int | None = None,
     comb_m: int | None = None,
     grid_size: int | None = None,
-    cross_check: bool = False,
 ) -> OrderFindingRun:
     """Order of `a` recovered from torus-register measurement samples.
+
+    The order is unknown, as in the black-box model: elements are n-bit
+    strings, so it is bounded by r_max = 2^n from the encoding length alone,
+    and the comb half-length M defaults to 2 r_max^2.
 
     The run simulates the physics in closed form: the comb collapses to a
     random residue and an outcome is drawn from the squared Dirichlet kernel.
@@ -198,31 +200,15 @@ def find_order(
     k/r fractions and the least common multiple of their denominators is
     accepted once the oracle confirms a^r = 1 (minimality is automatic
     because every denominator divides the true order).
-
-    With cross_check=True (and r * M <= 2^14) the closed form is verified
-    against the truncated (2M+1)-dimensional register, transformed by one
-    FFT, before sampling.
     """
     if not group.is_element(a):
         raise OrderFindingError(f"{a!r} is not a group element")
-    if r_max is None:
-        r_max = 1 << group.encoding_length
+    r_max = 1 << group.encoding_length
     # Physics side: the closed-form distribution needs the actual period.
     r_true = bb_order(group, a, cap=r_max)
     m = comb_m if comb_m is not None else 2 * r_max * r_max
     if m < r_true:
         raise OrderFindingError(f"comb half-length {m} below the order")
-    checked = None
-    if cross_check:
-        if r_true * m > 1 << 14:
-            raise OrderFindingError(
-                f"cross-check needs r * M <= 2^14, got {r_true * m}"
-            )
-        checked = discretization_deviation(r_true, m)
-        if checked > 1e-9:
-            raise OrderFindingError(
-                f"discretized register deviates from the closed form by {checked}"
-            )
     samples: list[Fraction] = []
     fractions: list[Fraction] = []
     denominators: list[int] = []
@@ -258,7 +244,6 @@ def find_order(
                     "samples": [str(p) for p in samples],
                     "fractions": [str(f) for f in fractions],
                     "oracle_calls": group.counter.total,
-                    "discretization_deviation": checked,
                 },
             )
     raise OrderFindingError(
@@ -421,7 +406,7 @@ def ec_discrete_log(
     """
     if repetitions < 1:
         raise DiscreteLogError(f"repetitions must be positive, got {repetitions}")
-    order_run = find_order(group, a, rng, r_max=group.order())
+    order_run = find_order(group, a, rng)
     n = order_run.order
     s, pairs, circuit = _discrete_log(group, a, b, n, repetitions, rng, cap)
     if s is None or group.power(a, s) != b:
@@ -661,7 +646,7 @@ def decompose_group(
 
     orders = []
     for g in generators:
-        run = find_order(group, g, rng, r_max=group.order())
+        run = find_order(group, g, rng)
         orders.append(run.order)
     d = math.lcm(*orders)
     log["steps"].append({"step": "orders", "orders": orders, "lcm": d})
@@ -716,7 +701,7 @@ def solve_hkp(
         orders = []
         for unit in _unit_elements(domain):
             image = f(unit.coords)
-            run = find_order(group, image, rng, r_max=group.order())
+            run = find_order(group, image, rng)
             orders.append(run.order)
         d = math.lcm(*orders)
         moduli = [
@@ -759,20 +744,18 @@ def solve_linear_system_bb(
     f: Callable,
     target,
     rng,
-    generators: Sequence | None = None,
 ) -> LinearSystemRun:
     """General solution of f(x) = target over a finite domain.
 
-    The black-box side is decomposed, f is rewritten as an integer matrix
-    through the encoding bridge, and the resulting congruence system yields
-    a particular solution plus kernel generators (or infeasibility, which is
-    a legitimate outcome, not an error).
+    The black-box side is decomposed from generators sampled with `rng`, f
+    is rewritten as an integer matrix through the encoding bridge, and the
+    resulting congruence system yields a particular solution plus kernel
+    generators (or infeasibility, which is a legitimate outcome, not an
+    error).
     """
     if not domain.is_finite:
         raise AlgorithmError("finite domains only at desk scale")
-    if generators is None:
-        generators = group.sample_generators(rng)
-    table = bb_decompose_bruteforce(group, list(generators))
+    table = bb_decompose_bruteforce(group, group.sample_generators(rng))
     bridge = EncodingBridge(group=group, table=table)
     columns = [bridge.decode(f(unit.coords)).coords for unit in _unit_elements(domain)]
     target_vec = list(bridge.decode(target).coords)

@@ -133,9 +133,6 @@ class MatrixRep:
         product = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
         return validate_matrix_rep(product, self.group)
 
-    def inverse(self) -> MatrixRep:
-        return matrix_rep_inverse(self)
-
     def equals_as_map(self, other: MatrixRep) -> bool:
         """Equal maps: `validate_matrix_rep` stores each entry as the
         canonical representative of the class the map depends on."""

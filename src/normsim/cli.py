@@ -23,6 +23,7 @@ from . import algorithms
 from .blackbox import EllipticCurveGroup, ZNStarGroup
 from .circuits import (
     CircuitError,
+    _format_bb_element,
     _parse_bb_element,
     check_modexp_normalizable,
     circuit_to_json,
@@ -282,7 +283,7 @@ def cmd_decompose(args, rng):
     payload = {
         "isomorphism_type": type_text,
         "orders": table.c,
-        "beta": [str(b) for b in table.beta],
+        "beta": [_format_bb_element(group, b) for b in table.beta],
         "A": table.a,
         "B": table.b,
         "log": log,

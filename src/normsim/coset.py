@@ -47,7 +47,6 @@ from .circuits import (
     AutomorphismGate,
     NormalizerCircuit,
     QFTGate,
-    QuadraticGate,
     _scaled_numerators,
     label_grid,
 )
@@ -389,16 +388,12 @@ def coset_run(circuit: NormalizerCircuit, input_element: GroupElement) -> CosetP
         if isinstance(gate, QFTGate):
             for register in gate.registers:
                 state.apply_qft(register)
+        elif gate.is_black_box:
+            raise CosetSimulationError(f"gate {gate.name!r} is not in normal form")
         elif isinstance(gate, AutomorphismGate):
-            if gate.is_black_box:
-                raise CosetSimulationError(f"gate {gate.name!r} is not in normal form")
             state.apply_automorphism(gate.rep)
-        elif isinstance(gate, QuadraticGate):
-            if gate.is_black_box:
-                raise CosetSimulationError(f"gate {gate.name!r} is not in normal form")
-            state.apply_quadratic(gate.form)
         else:
-            raise CosetSimulationError(f"unknown gate {type(gate).__name__}")
+            state.apply_quadratic(gate.form)
     return state
 
 

@@ -299,10 +299,8 @@ def dense_run(
                 norm = state.norm()
                 if abs(norm - 1.0) > 1e-9:
                     raise CircuitError(f"norm drifted to {norm}")
-        elif isinstance(gate, QuadraticGate):
-            _apply_quadratic(state, gate, grid)
         else:
-            raise CircuitError(f"unknown gate type {type(gate).__name__}")
+            _apply_quadratic(state, gate, grid)
     return state
 
 

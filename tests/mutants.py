@@ -288,6 +288,15 @@ MUTANTS = [
         tests=(f"{NON_CYCLIC_DLOG}[21]", f"{NON_CYCLIC_DLOG}[35]"),
     ),
     Mutant(
+        name="order finding bounds the order by the group's own order",
+        path="src/normsim/algorithms.py",
+        old="    r_max = 1 << group.encoding_length\n",
+        new="    r_max = group.order()\n",
+        tests=(
+            "tests/test_algorithms.py::test_black_box_algorithms_do_not_ask_for_the_group_order",
+        ),
+    ),
+    Mutant(
         name="factor without its prime-power branch",
         path="src/normsim/algorithms.py",
         old="    if len(primes) == 1:\n",

@@ -42,7 +42,8 @@ from normsim.blackbox import (
     bb_decompose_bruteforce,
     bb_order,
 )
-from normsim.groups import cyclic_group
+from normsim.groups import Z, cyclic, cyclic_group, group as make_group
+from normsim.linalg import hermite_reduce
 
 
 def rng_for(seed):
@@ -69,7 +70,7 @@ def test_find_order_identity():
 
 def test_find_order_ec_point():
     curve = EllipticCurveGroup(5, 1, 1)
-    run = find_order(curve, (0, 1), rng_for(3), r_max=curve.order())
+    run = find_order(curve, (0, 1), rng_for(3))
     assert run.order == 9
 
 
@@ -90,15 +91,6 @@ def test_find_order_reproducible():
     a = find_order(group, 2, rng_for(77))
     b = find_order(group, 2, rng_for(77))
     assert a.order == b.order and a.samples == b.samples
-
-
-def test_find_order_truncated_dense_cross_check():
-    group = ZNStarGroup(15)
-    run = find_order(group, 2, rng_for(5), comb_m=64, cross_check=True)
-    assert run.order == 4
-    assert run.log["discretization_deviation"] < 1e-9
-    with pytest.raises(OrderFindingError, match="2\\^14"):
-        find_order(group, 2, rng_for(5), comb_m=1 << 13, cross_check=True)
 
 
 def test_find_order_runs_in_bounded_memory():
@@ -359,6 +351,35 @@ def test_black_box_dlog_on_non_cyclic_units(modulus):
             else:
                 with pytest.raises(DiscreteLogError, match=rf"^{b} is not a multiple of {a}$"):
                     ec_discrete_log(group, a, b, rng)
+
+
+class _UnitsOfUnknownOrder(ZNStarGroup):
+    """Z_N^* as the black-box model gives it: the order is withheld."""
+
+    def order(self):
+        raise AssertionError("the group order was asked for")
+
+
+def test_black_box_algorithms_do_not_ask_for_the_group_order():
+    """ec_discrete_log and solve_hkp bound the unknown order by the encoding
+    length alone.  decompose_group is left out: its dense-route capacity
+    check still reads the order, as the simulator's cap check does."""
+    rng = rng_for(29)
+    for p, a in ((7, 3), (11, 2), (13, 2)):
+        group = _UnitsOfUnknownOrder(p)
+        for s in range(p - 1):
+            run = ec_discrete_log(group, a, pow(a, s, p), rng)
+            assert (run.exponent, run.order) == (s, p - 1)
+    # f: Z x Z4 -> Z_15^*, f(x) = 2^x0 7^x1, with kernel <(2, 2), (4, 0)>.
+    domain = make_group(Z, cyclic(4))
+    run = solve_hkp(
+        domain,
+        _UnitsOfUnknownOrder(15),
+        lambda x: pow(2, int(x[0]), 15) * pow(7, int(x[1]), 15) % 15,
+        rng,
+    )
+    gens = [[int(c) for c in g.coords] for g in run.generators]
+    assert hermite_reduce(gens + [[0, 4]]) == hermite_reduce([[2, 2], [4, 0], [0, 4]])
 
 
 def test_dlog_queries_fall_on_one_counter(monkeypatch):
@@ -707,8 +728,6 @@ def test_hkp_example():
 
 def test_hkp_over_integers():
     # f: Z -> Z_8^*, f(x) = 3^x: the kernel is the lattice 2 Z.
-    from normsim.groups import Z, group as make_group
-
     domain = make_group(Z)
     bb = ZNStarGroup(8)
     run = solve_hkp(domain, bb, lambda coords: pow(3, int(coords[0]) % 2, 8), rng_for(2))

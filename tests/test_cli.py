@@ -113,6 +113,20 @@ def test_decompose_sampled_generators(tmp_path, log_schema):
     jsonschema.validate(log, log_schema)
 
 
+@pytest.mark.parametrize("curve", [["5", "1", "1"], ["7", "3", "1"]])
+def test_decompose_ec_beta_reads_back_as_gens(curve, tmp_path):
+    # beta is printed in the element grammar --gens parses: x,y or O.
+    code, text, _ = run_cli(["decompose", "ec", *curve, "--format", "json"], tmp_path)
+    assert code == 0
+    first = json.loads(text)
+    gens = ";".join(first["beta"])
+    code, text, _ = run_cli(
+        ["decompose", "ec", *curve, "--gens", gens, "--format", "json"], tmp_path
+    )
+    assert code == 0
+    assert json.loads(text)["orders"] == first["orders"]
+
+
 def test_hsp(tmp_path, log_schema):
     code, text, log = run_cli(
         ["hsp", "2,2", "1,1", "--seed", "5"], tmp_path

@@ -21,6 +21,7 @@ from normsim.circuits import (
     validate_quadratic,
     word_exp_func,
 )
+from normsim.coset import coset_run
 from normsim.dense import dense_run, dense_sample
 from normsim.groups import cyclic_group, group, Z
 
@@ -697,3 +698,12 @@ def test_power_rows_by_doubling_equal_the_iterated_composition(count):
         for _ in range(count - 1):
             naive.append(step[naive[-1]])
         assert np.array_equal(_power_rows(step, count), np.stack(naive))
+
+
+def test_both_engines_reject_an_unknown_gate_in_validation():
+    g = cyclic_group(4)
+    circuit = NormalizerCircuit(DesignatedBasis(g), [QFTGate((0,)), "not a gate"])
+    with pytest.raises(CircuitError, match="gate 1: unknown gate type str"):
+        dense_run(circuit, (0,))
+    with pytest.raises(CircuitError, match="gate 1: unknown gate type str"):
+        coset_run(circuit, g.reduce((0,)))

@@ -8,6 +8,10 @@ to an rng stream or a log field shows up here.
 The three ecdlog cases were re-recorded when order finding's sampler went
 from an inverse CDF on the grid to rejection sampling: the outcome law is the
 same, the rng stream is not, so `order_samples` and the later `pairs` moved.
+They moved again, in `order_samples` alone, when order finding stopped
+reading the group's order and began to bound it by 2^n from the encoding
+length (r_max from |E| to 2^(2 bitlen(p - 1) + 1), so the comb and the
+sampled peaks' grid changed); the exponents, orders and pairs stayed.
 """
 
 import json
@@ -97,7 +101,7 @@ EXPECTED = {'dlog p=11 a=2 b=9 seed=3': {'exponent': 6,
                                                           'gates': ['qft[0, 1]', 'word_exp',
                                                                     'qft[0, 1]'],
                                                           'qft_layers': 2},
-                                              'order_samples': ['163711/294912'],
+                                              'order_samples': ['145635/262144'],
                                               'pairs': [[2, 4], [2, 4], [4, 8], [8, 7],
                                                         [8, 7], [6, 3], [4, 8], [1, 2],
                                                         [8, 7], [4, 8], [1, 2], [5, 1]]},
@@ -107,7 +111,7 @@ EXPECTED = {'dlog p=11 a=2 b=9 seed=3': {'exponent': 6,
                                                       'gates': ['qft[0, 1]', 'word_exp',
                                                                 'qft[0, 1]'],
                                                       'qft_layers': 2},
-                                          'order_samples': ['24509/73728', '262715/589824'],
+                                          'order_samples': ['786421/2359296', '349529/786432'],
                                           'pairs': [[7, 0], [7, 0], [4, 0], [6, 0], [6, 0],
                                                     [3, 0], [4, 0], [1, 0], [0, 0], [0, 0],
                                                     [4, 0], [8, 0]]},
@@ -117,8 +121,8 @@ EXPECTED = {'dlog p=11 a=2 b=9 seed=3': {'exponent': 6,
                                                           'gates': ['qft[0, 1]', 'word_exp',
                                                                     'qft[0, 1]'],
                                                           'qft_layers': 2},
-                                              'order_samples': ['110569/393216',
-                                                                '64543/393216'],
+                                              'order_samples': ['1048561/3145728',
+                                                                '262135/1572864'],
                                               'pairs': [[5, 4], [0, 0], [2, 4], [3, 0],
                                                         [4, 2], [1, 2]]},
                                       'order': 6},

@@ -35,7 +35,7 @@ from .circuits import (
     word_exp_func,
 )
 from .deblackbox import EncodingBridge, ExtractionError
-from .dense import DenseState, dense_run, dense_sample
+from .dense import DenseCapExceeded, DenseState, dense_run, dense_sample
 from .dirichlet import DirichletDistribution
 from .groups import ElementaryGroup, GroupElement, cyclic_group
 from .linalg import (
@@ -316,16 +316,13 @@ def factor(n: int, rng, attempts: int = 10, comb_m: int | None = None) -> Factor
             entry["event"] = "trivial square root"
             transcript.append(entry)
             continue
-        for divisor in (math.gcd(x - 1, n), math.gcd(x + 1, n)):
-            if 1 < divisor < n:
-                entry["event"] = "split"
-                entry["divisor"] = divisor
-                transcript.append(entry)
-                return FactoringRun(
-                    divisor=divisor, attempts=attempt, log={"transcript": transcript}
-                )
-        entry["event"] = "no split"
+        # x^2 = 1 but x != 1 (r is the order) and x != n - 1: n divides
+        # (x - 1)(x + 1) and neither factor, so gcd(x - 1, n) is proper.
+        divisor = math.gcd(x - 1, n)
+        entry["event"] = "split"
+        entry["divisor"] = divisor
         transcript.append(entry)
+        return FactoringRun(divisor=divisor, attempts=attempt, log={"transcript": transcript})
     raise AttemptsExhausted(f"no factor of {n} found in {attempts} attempts")
 
 
@@ -621,22 +618,22 @@ def decompose_group(
     group: BlackBoxGroup,
     generators: Sequence,
     rng,
-    dense_cap: int | None = None,
+    cap: int | None = None,
 ) -> GroupDecompositionRun:
     """Full decomposition table for <generators> = B.
 
     Steps: per-generator orders by the order-finding run, with d their lcm;
     the kernel of the exponent map x -> prod generators[i]^x_i on Z_d^k,
-    sampled from `fourier_circuit` over Z_d^k x B when the dense simulation
-    fits (the sampler `solve_hsp` runs) and read off the Cayley walk
-    otherwise, the route recorded in the log.  Every oracle call falls on
-    the group's own counter, so the log's total holds them all.  The kernel
-    rows plus d Z^k form the full relation lattice, and its Smith normal
-    form gives the table (`decomposition_from_relations`): beta from the
-    columns of the transform U, their orders from the diagonal, and B from
-    the rows of U^-1.  The table is the one `bb_decompose_bruteforce` builds from the
-    same lattice, and `DecompositionTable.verify` checks it by oracle
-    multiplication, orders of beta included.
+    sampled from `fourier_circuit` over Z_d^k x B (the sampler `solve_hsp`
+    runs) unless the dense engine refuses that circuit under `cap`, and read
+    off the Cayley walk then, the route recorded in the log.  Every oracle
+    call falls on the group's own counter, so the log's total holds them
+    all.  The kernel rows plus d Z^k form the full relation lattice, and its
+    Smith normal form gives the table (`decomposition_from_relations`): beta
+    from the columns of the transform U, their orders from the diagonal, and
+    B from the rows of U^-1.  The table is the one `bb_decompose_bruteforce`
+    builds from the same lattice, and `DecompositionTable.verify` checks it
+    by oracle multiplication, orders of beta included.
     """
     generators = list(generators)
     if not generators:
@@ -651,7 +648,7 @@ def decompose_group(
     d = math.lcm(*orders)
     log["steps"].append({"step": "orders", "orders": orders, "lcm": d})
 
-    kernel_rows, route = _exponent_kernel(group, generators, d, rng, dense_cap)
+    kernel_rows, route = _exponent_kernel(group, generators, d, rng, cap)
     log["steps"].append({"step": "kernel", "route": route, "generators": kernel_rows})
 
     wraps = [[d if i == j else 0 for j in range(k)] for i in range(k)]
@@ -663,17 +660,19 @@ def decompose_group(
 
 
 def _exponent_kernel(
-    group: BlackBoxGroup, generators: Sequence, d: int, rng, dense_cap: int | None
+    group: BlackBoxGroup, generators: Sequence, d: int, rng, cap: int | None
 ) -> tuple[list[list[int]], str]:
-    """Kernel generators of x -> prod generators[i]^x(i) on Z_d^k."""
-    k = len(generators)
-    if (d**k) * group.order() <= config.dense_cap(dense_cap):
-        circuit = fourier_circuit(cyclic_group(*([d] * k)), group, generators)
-        kernel = _sample_kernel(circuit, rng, dense_cap)[0]
-        return [list(gen.coords) for gen in kernel], "hidden-subgroup rounds (dense)"
-    relations, _ = cayley_relations(group, generators)
-    rows = hermite_reduce([[value % d for value in rel] for rel in relations])
-    return rows, "classical kernel oracle (dense cap exceeded)"
+    """Kernel generators of x -> prod generators[i]^x(i) on Z_d^k: sampled,
+    or read off the Cayley walk when the dense engine refuses the circuit
+    (before any oracle call or rng draw)."""
+    circuit = fourier_circuit(cyclic_group(*([d] * len(generators))), group, generators)
+    try:
+        kernel = _sample_kernel(circuit, rng, cap)[0]
+    except DenseCapExceeded:
+        relations, _ = cayley_relations(group, generators)
+        rows = hermite_reduce([[value % d for value in rel] for rel in relations])
+        return rows, "classical kernel oracle (dense cap exceeded)"
+    return [list(gen.coords) for gen in kernel], "hidden-subgroup rounds (dense)"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ DEFAULT_ORDER_CAP = 1 << 20
 #: Random candidates `sample_generators` draws before it gives up.
 SAMPLE_GENERATOR_TRIES = 256
 
-#: `ZNStarGroup.order_bound` tries trial division by the integers below this.
+#: `ZNStarGroup.order_within` tries trial division by the integers below this.
 SMALL_TRIAL_BOUND = 1 << 16
 
 
@@ -90,9 +90,11 @@ class BlackBoxGroup:
     def order(self) -> int:
         raise NotImplementedError
 
-    def order_bound(self) -> tuple[int, bool]:
-        """(b, exact): a lower bound b on the order, and whether b is the
-        order.  Backends whose `order()` can be slow override it."""
+    def order_within(self, limit: float) -> tuple[int, bool]:
+        """(order, True), or (b, False) with b a lower bound on the order and
+        b > limit, where finding the order could be slow.  The order sizes
+        the simulator's resources only: the dense cap, the generator walk's
+        cap and the brute-force oracle's count check read it here."""
         return self.order(), True
 
     # -- oracle calls -------------------------------------------------------
@@ -143,7 +145,9 @@ class BlackBoxGroup:
         """Random generating set, keeping only candidates outside the subgroup
         already generated (so the set stays logarithmically small).  Each kept
         candidate costs one Cayley walk, and the group keeps the last one."""
-        target = self.order()
+        target, _ = self.order_within(DEFAULT_ORDER_CAP)
+        if target > DEFAULT_ORDER_CAP:  # the walk below would raise this
+            raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
         gens: list = []
         reached = {self.encode(self.identity())}
         tries = 0
@@ -202,26 +206,22 @@ class ZNStarGroup(BlackBoxGroup):
         return (x for x in range(1, self.modulus) if math.gcd(x, self.modulus) == 1)
 
     def order(self) -> int:
-        """phi(N) = N prod (1 - 1/p) over the prime factors p of N."""
-        if self._order is None:
-            self._order = self._totient(prime_factors(self.modulus))
-        return self._order
+        return self.order_within(math.inf)[0]
 
-    def order_bound(self) -> tuple[int, bool]:
-        """(phi(N), True) when trial division below SMALL_TRIAL_BOUND factors
-        N; else (isqrt(N // 2), False), as phi(N) >= sqrt(N/2) for every N."""
+    def order_within(self, limit: float) -> tuple[int, bool]:
+        """phi(N) = N prod (1 - 1/p) over the prime factors p of N, computed
+        once.  When trial division below SMALL_TRIAL_BOUND leaves N
+        unfactored and isqrt(N // 2) > limit, (isqrt(N // 2), False) instead,
+        as phi(N) >= sqrt(N/2) for every N: a huge N is not factored."""
         if self._order is None:
-            primes = prime_factors(self.modulus, SMALL_TRIAL_BOUND)
+            floor = math.isqrt(self.modulus // 2)
+            primes = prime_factors(self.modulus, SMALL_TRIAL_BOUND if floor > limit else None)
             if primes is None:
-                return math.isqrt(self.modulus // 2), False
-            self._order = self._totient(primes)
+                return floor, False
+            self._order = self.modulus
+            for p in primes:
+                self._order -= self._order // p
         return self._order, True
-
-    def _totient(self, primes: list[int]) -> int:
-        phi = self.modulus
-        for p in primes:
-            phi -= phi // p
-        return phi
 
     def random_element(self, rng):
         # Rejection sampling of [0, N) by gcd.
@@ -453,7 +453,7 @@ def bb_decompose_bruteforce(group: BlackBoxGroup, generators: Sequence) -> Decom
     """Classical decomposition oracle: exhaust the group, then SNF the relations."""
     generators = list(generators)
     relations, reached = cayley_relations(group, generators)
-    if group.order() != len(reached):
+    if group.order_within(len(reached))[0] != len(reached):
         raise BlackBoxError("generators do not generate the group")
     table = decomposition_from_relations(group, generators, relations)
     if table.order() != len(reached):

@@ -271,7 +271,7 @@ def cmd_decompose(args, rng):
         generators = _ints(args, "--gens", args.gens)
     else:
         generators = [_element(args, group, g) for g in args.gens.split(";")]
-    run = algorithms.decompose_group(group, generators, rng, dense_cap=args.cap)
+    run = algorithms.decompose_group(group, generators, rng, cap=args.cap)
     table = run.table
     log = {
         "command": "decompose",

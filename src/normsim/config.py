@@ -9,7 +9,3 @@ from __future__ import annotations
 DEFAULT_DENSE_CAP = 4096
 DEFAULT_GRID_SIZE = 1 << 16
 
-
-def dense_cap(override: int | None = None) -> int:
-    """Dense-simulation dimension cap: the override, else the default."""
-    return DEFAULT_DENSE_CAP if override is None else override

@@ -50,7 +50,11 @@ from .circuits import (
     WordExp,
     label_grid,
 )
-from .config import dense_cap
+from .config import DEFAULT_DENSE_CAP
+
+
+class DenseCapExceeded(CircuitError):
+    """The state would have more amplitudes than the dense cap allows."""
 
 
 @dataclass
@@ -117,14 +121,12 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> tuple[DenseState,
     dims = [f.modulus for f in basis.elementary.factors]
     exact = True
     if blackbox is not None:
-        order, exact = blackbox.order_bound()  # Z_N^*: no factoring past small primes
-        if not exact and math.prod(dims) * order <= cap:
-            order, exact = blackbox.order(), True  # the floor fits: the order must too
+        order, exact = blackbox.order_within(cap // math.prod(dims))  # Z_N^*: no huge factoring
         dims.append(order)
     total = math.prod(dims)
     if total > cap:  # before the labels are listed: a huge group must fail at once
         floor = "" if exact else "at least "
-        raise CircuitError(f"dense dimension {floor}{total} exceeds cap {cap}")
+        raise DenseCapExceeded(f"dense dimension {floor}{total} exceeds cap {cap}")
     bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)
@@ -275,7 +277,7 @@ def dense_run(
     same bytes and oracle calls; its norm check is dropped because no two
     labels can meet there.  Every other gate runs one by one.
     """
-    cap = dense_cap(cap)
+    cap = DEFAULT_DENSE_CAP if cap is None else cap
     trace = circuit.validate()
     if any(not b.is_finite for b in trace):
         raise CircuitError("dense simulation needs every register finite")

@@ -38,7 +38,7 @@ from normsim.circuits import (
     validate_quadratic,
     word_exp_func,
 )
-from normsim.config import dense_cap
+from normsim.config import DEFAULT_DENSE_CAP
 from normsim.groups import T, Z, ElementaryGroup, GroupElement, GroupError, cyclic, cyclic_group
 from normsim.linalg import (
     GroupLinearSystem,
@@ -622,7 +622,7 @@ def dense_run_gatewise(circuit: NormalizerCircuit, input_point, cap: int | None 
     """dense_run with every gate applied one by one: each QFT as numpy's
     `ifftn` (not the engine's per-axis loop), `word_exp` on its nonzero
     support, and the norm check after every black-box automorphism."""
-    cap = dense_cap(cap)
+    cap = DEFAULT_DENSE_CAP if cap is None else cap
     trace = circuit.validate()
     if any(not b.is_finite for b in trace):
         raise CircuitError("dense simulation needs every register finite")
@@ -769,7 +769,7 @@ def reference_word_table(group, generators, moduli) -> dict:
     return table
 
 
-def reference_exponent_kernel(group, generators, d: int, rng, dense_cap):
+def reference_exponent_kernel(group, generators, d: int, rng, cap):
     """The dense kernel route decompose_group replaced: tabulate the exponent
     map, wrap the table as a hidden-subgroup oracle on encodings and solve it
     through `solve_hkp`, which certifies the promise on an `OracularGroup`
@@ -777,7 +777,7 @@ def reference_exponent_kernel(group, generators, d: int, rng, dense_cap):
     k = len(generators)
     words = reference_word_table(group, generators, [d] * k)
     domain = cyclic_group(*([d] * k))
-    run = algorithms.solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=dense_cap)
+    run = algorithms.solve_hkp(domain, group, lambda x: words[tuple(x)], rng, cap=cap)
     return [list(gen.coords) for gen in run.generators], "hidden-subgroup rounds (dense)"
 
 

@@ -54,6 +54,10 @@ GOLDEN_DENSE = (
     "tests/test_golden.py::test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit"
 )
 PADDED = "tests/test_deblackbox.py::test_normal_form_gates_are_padded_by_the_identity"
+SAMPLED_SPOT_CHECKS = (
+    "tests/test_deblackbox.py::"
+    "test_sampled_spot_checks_reject_an_oracle_that_is_not_the_promised_gate"
+)
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 
 MUTANTS = [
@@ -231,8 +235,8 @@ MUTANTS = [
     Mutant(
         name="dense kernel circuit on the generators in reverse",
         path="src/normsim/algorithms.py",
-        old="fourier_circuit(cyclic_group(*([d] * k)), group, generators)",
-        new="fourier_circuit(cyclic_group(*([d] * k)), group, generators[::-1])",
+        old="fourier_circuit(cyclic_group(*([d] * len(generators))), group, generators)",
+        new="fourier_circuit(cyclic_group(*([d] * len(generators))), group, generators[::-1])",
         tests=(
             f"{DENSE_KERNEL}[zn_star 21]",
             f"{DENSE_KERNEL}[ec 11 1 1]",
@@ -437,6 +441,62 @@ MUTANTS = [
         old="[0] * (size - len(gate.form.v))",
         new="[Fraction(1, 2)] * (size - len(gate.form.v))",
         tests=(f"{PADDED}[Z4]", f"{PADDED}[Z x Z4]"),
+    ),
+    Mutant(
+        name="sampled matrix spot checks skipped",
+        path="src/normsim/deblackbox.py",
+        old="        for coords in [_sample_coords(group, rng)"
+        " for _ in range(MATRIX_SPOT_CHECKS)]:\n",
+        new="        for coords in []:\n",
+        tests=(
+            f"{SAMPLED_SPOT_CHECKS}[matrix on Z17 x Z17]",
+            f"{SAMPLED_SPOT_CHECKS}[matrix on Z x Z4]",
+        ),
+    ),
+    Mutant(
+        name="sampled phase spot checks skipped",
+        path="src/normsim/deblackbox.py",
+        old="        for coords in [_sample_coords(group, rng)"
+        " for _ in range(QUADRATIC_SPOT_CHECKS)]:\n",
+        new="        for coords in []:\n",
+        tests=(f"{SAMPLED_SPOT_CHECKS}[phase on Z17 x Z17]",),
+    ),
+    Mutant(
+        name="global-phase comparison without its |ratio| = 1 test",
+        path="src/normsim/coset.py",
+        old="    if abs(abs(ratio) - 1.0) > tol:\n        return False\n",
+        new="",
+        tests=("tests/test_coset.py::test_global_phase_comparison_says_no_to_any_other_ray",),
+    ),
+    Mutant(
+        name="dense cap check reads the exact order",
+        path="src/normsim/dense.py",
+        old="blackbox.order_within(cap // math.prod(dims))",
+        new="(blackbox.order(), True)",
+        tests=(
+            "tests/test_algorithms.py::"
+            "test_decompose_a_huge_semiprime_takes_the_classical_route_without_its_order",
+            "tests/test_algorithms.py::test_black_box_algorithms_do_not_ask_for_the_group_order",
+        ),
+    ),
+    Mutant(
+        name="sample_generators reads the exact order",
+        path="src/normsim/blackbox.py",
+        old="        target, _ = self.order_within(DEFAULT_ORDER_CAP)\n",
+        new="        target = self.order()\n",
+        tests=(
+            "tests/test_algorithms.py::test_sample_generators_refuses_a_huge_group_before_drawing",
+        ),
+    ),
+    Mutant(
+        name="brute-force decomposition reads the exact order",
+        path="src/normsim/blackbox.py",
+        old="group.order_within(len(reached))[0]",
+        new="group.order()",
+        tests=(
+            "tests/test_algorithms.py::"
+            "test_bruteforce_decomposition_of_a_huge_group_ends_after_its_walk",
+        ),
     ),
     Mutant(
         name="independent generators beta in reverse order",

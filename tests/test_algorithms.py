@@ -37,13 +37,14 @@ from normsim.algorithms import (
     solve_linear_system_bb,
 )
 from normsim.blackbox import (
+    BlackBoxError,
     EllipticCurveGroup,
     ZNStarGroup,
     bb_decompose_bruteforce,
     bb_order,
 )
 from normsim.groups import Z, cyclic, cyclic_group, group as make_group
-from normsim.linalg import hermite_reduce
+from normsim.linalg import hermite_reduce, prime_factors
 
 
 def rng_for(seed):
@@ -147,6 +148,30 @@ def test_factor_refuses_only_prime_powers():
         for seed in range(4):
             run = factor(n, rng_for(seed))
             assert 1 < run.divisor < n and n % run.divisor == 0
+
+
+def test_the_first_gcd_splits_every_nontrivial_square_root():
+    # factor keeps gcd(x - 1, n) for x = a^(r/2) != n - 1: with r the exact
+    # order, x != 1 and x^2 = 1, so n divides (x - 1)(x + 1) but neither.
+    checked = 0
+    for n in range(15, 200, 2):
+        if len(prime_factors(n)) < 2:
+            continue  # prime or prime power
+        group = ZNStarGroup(n)
+        for a in group.elements():
+            r = bb_order(group, a)
+            x = pow(a, r // 2, n)
+            if r % 2 == 0 and x != n - 1:
+                assert 1 < math.gcd(x - 1, n) < n, (n, a)
+                checked += 1
+    assert checked > 1000
+
+
+def test_factor_transcript_names_each_event():
+    run = factor(21, rng_for(0), attempts=10)
+    events = [entry["event"] for entry in run.log["transcript"]]
+    assert events == ["trivial square root", "odd order", "split"]
+    assert run.log["transcript"][-1]["divisor"] == run.divisor == 7
 
 
 def test_factor_verified_by_trial_division():
@@ -361,9 +386,9 @@ class _UnitsOfUnknownOrder(ZNStarGroup):
 
 
 def test_black_box_algorithms_do_not_ask_for_the_group_order():
-    """ec_discrete_log and solve_hkp bound the unknown order by the encoding
-    length alone.  decompose_group is left out: its dense-route capacity
-    check still reads the order, as the simulator's cap check does."""
+    """ec_discrete_log, solve_hkp and decompose_group bound the unknown
+    order by the encoding length alone; the dense engine sizes its state
+    through `order_within`."""
     rng = rng_for(29)
     for p, a in ((7, 3), (11, 2), (13, 2)):
         group = _UnitsOfUnknownOrder(p)
@@ -380,6 +405,10 @@ def test_black_box_algorithms_do_not_ask_for_the_group_order():
     )
     gens = [[int(c) for c in g.coords] for g in run.generators]
     assert hermite_reduce(gens + [[0, 4]]) == hermite_reduce([[2, 2], [4, 0], [0, 4]])
+    run = decompose_group(_UnitsOfUnknownOrder(35), [2, 6], rng)
+    kernel = next(step for step in run.log["steps"] if step["step"] == "kernel")
+    assert kernel["route"] == "hidden-subgroup rounds (dense)"
+    assert run.table.isomorphism_type() == [2, 12]
 
 
 def test_dlog_queries_fall_on_one_counter(monkeypatch):
@@ -616,7 +645,7 @@ def test_decompose_round_trip_words():
 
 def test_decompose_uses_classical_fallback_when_too_big():
     group = ZNStarGroup(91)  # order 72; quantum kernel route would be huge
-    run = decompose_group(group, [2, 3], rng_for(4), dense_cap=512)
+    run = decompose_group(group, [2, 3], rng_for(4), cap=512)
     routes = [s for s in run.log["steps"] if s["step"] == "kernel"]
     assert "classical" in routes[0]["route"]
     run.table.verify(group)
@@ -624,14 +653,56 @@ def test_decompose_uses_classical_fallback_when_too_big():
 
 
 def test_decompose_a_large_prime_modulus_takes_the_classical_route():
-    # phi(N) needs trial division to 10^6 here: the dense route's cap check
-    # uses the exact order, so the bound that spares the CLI does not apply.
+    # phi(N) needs trial division to 10^6 here, but the dense engine refuses
+    # the circuit on the floor isqrt(N // 2) alone.
     n = 10**12 + 39
     group = ZNStarGroup(n)
     run = decompose_group(group, [n - 1], rng_for(0))
     routes = [s for s in run.log["steps"] if s["step"] == "kernel"]
     assert "classical" in routes[0]["route"]
     assert run.table.isomorphism_type() == [2]
+
+
+HUGE_SEMIPRIME = 999999937 * 1000000007  # trial division to its factors takes hours
+
+
+def test_decompose_a_huge_semiprime_takes_the_classical_route_without_its_order():
+    n = HUGE_SEMIPRIME
+    run = decompose_group(_UnitsOfUnknownOrder(n), [n - 1], rng_for(0))
+    routes = [s["route"] for s in run.log["steps"] if s["step"] == "kernel"]
+    assert routes == ["classical kernel oracle (dense cap exceeded)"]
+    assert run.table.c == [2]
+
+
+def test_sample_generators_refuses_a_huge_group_before_drawing():
+    rng = rng_for(0)
+    before = rng.bit_generator.state
+    with pytest.raises(BlackBoxError, match="^group order exceeds cap 1048576$"):
+        _UnitsOfUnknownOrder(HUGE_SEMIPRIME).sample_generators(rng)
+    assert rng.bit_generator.state == before
+
+
+def test_bruteforce_decomposition_of_a_huge_group_ends_after_its_walk():
+    n = HUGE_SEMIPRIME
+    with pytest.raises(BlackBoxError, match="^generators do not generate the group$"):
+        bb_decompose_bruteforce(_UnitsOfUnknownOrder(n), [n - 1])
+
+
+@pytest.mark.parametrize("cap", [64, 512, 4096])
+def test_decompose_route_is_dense_exactly_when_the_circuit_fits_the_cap(cap):
+    # The dense engine's rule written out as the test's oracle: the circuit
+    # over Z_d^k x Z_N^* fits when d^k phi(N) <= cap.
+    routes = set()
+    for n in range(2, 65):
+        group = ZNStarGroup(n)
+        generators = group.sample_generators(np.random.default_rng(n))
+        d = math.lcm(*(bb_order(group, g) for g in generators))
+        run = decompose_group(group, generators, rng_for(n), cap=cap)
+        route = next(s["route"] for s in run.log["steps"] if s["step"] == "kernel")
+        dense = d ** len(generators) * group.order() <= cap
+        assert route.endswith("(dense)" if dense else "(dense cap exceeded)"), (n, cap)
+        routes.add(dense)
+    assert routes == {True, False}
 
 
 def test_decompose_elliptic_curve_gives_the_brute_force_table():

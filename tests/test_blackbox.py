@@ -112,9 +112,9 @@ def test_zn_star_order_is_the_unit_count():
 
 def test_zn_star_order_bound_is_exact_once_small_primes_factor_n():
     # Each of these leaves a cofactor of 1 or a prime below 2^32 after trial
-    # division below 2^16.
+    # division below 2^16, so even a limit of 0 gets the order.
     for n in [*range(2, 600), 2**16 * 3, 10**30, 65521 * 65537, 3 * 65521**2, 2**31 - 1]:
-        assert ZNStarGroup(n).order_bound() == (ZNStarGroup(n).order(), True), n
+        assert ZNStarGroup(n).order_within(0) == (ZNStarGroup(n).order(), True), n
 
 
 @pytest.mark.parametrize(
@@ -122,10 +122,12 @@ def test_zn_star_order_bound_is_exact_once_small_primes_factor_n():
 )
 def test_zn_star_order_bound_is_isqrt_half_n_past_the_small_primes(n):
     group = ZNStarGroup(n)
-    assert group.order_bound() == (math.isqrt(n // 2), False)
+    floor = math.isqrt(n // 2)
+    assert group.order_within(floor - 1) == (floor, False)
     assert group._order is None  # nothing was factored past 2^16
-    if n < 10**13:
-        assert math.isqrt(n // 2) <= group.order()
+    if n < 10**13:  # a limit the floor does not pass gets phi(N)
+        assert group.order_within(floor) == (group.order(), True)
+        assert floor <= group.order()
 
 
 @pytest.mark.parametrize(

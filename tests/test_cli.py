@@ -349,6 +349,32 @@ def test_run_past_the_dense_cap_exits_3_without_factoring_n(tmp_path):
     assert done.stderr == f"error: dense dimension at least {floor} exceeds cap 4096\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "zn_star", "999999943999999559"],
+        ["check-modexp", "999999943999999559", "2", "4"],
+    ],
+    ids=["decompose", "check-modexp"],
+)
+def test_sampling_generators_of_a_huge_group_exits_3_without_factoring_n(argv):
+    # N = 999999937 * 1000000007 again: the generator walk's cap refuses
+    # the group on the floor isqrt(N // 2), before any candidate is drawn.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys; from normsim.cli import main; sys.exit(main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 3
+    assert done.stderr == "error: group order exceeds cap 1048576\n"
+
+
 def test_run_checks_the_cap_against_phi_n_when_only_its_floor_fits(tmp_path, capsys):
     # N = 65537 * 65539: the floor 2 isqrt(N // 2) = 92684 fits the cap,
     # the exact dimension 2 phi(N) = 8590196736 does not.
@@ -488,14 +514,11 @@ def test_json_format(tmp_path):
     assert payload["log"]["command"] == "order"
 
 
-def test_factor_attempts_exhausted_exit_2(monkeypatch):
-    from normsim import algorithms
-
-    def exhausted(n, rng, attempts=10, **kwargs):
-        raise algorithms.AttemptsExhausted("no factor found")
-
-    monkeypatch.setattr(algorithms, "factor", exhausted)
-    assert main(["factor", "15"]) == 2
+def test_factor_attempts_exhausted_exit_2(capsys):
+    # Seed 0's one attempt on 21 draws a with a^(r/2) = -1 (test_algorithms
+    # pins the transcript), so the run ends without a factor.
+    assert main(["factor", "21", "--attempts", "1", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "error: no factor of 21 found in 1 attempts\n"
 
 
 def test_bad_knobs_exit_3(tmp_path, capsys):
@@ -592,6 +615,26 @@ def test_run_input_outside_the_group_exits_3(tmp_path, capsys):
     assert "is not an element" in capsys.readouterr().err
     # Bad syntax after the bar stays a parse failure.
     assert main(["run", str(circuit_path), "--input", "(0, 0)|x"]) == 4
+
+
+@pytest.mark.parametrize(
+    "black_box, point, message",
+    [
+        (False, "(1)|3", "no black-box slot in this circuit"),
+        (True, "(0, 0)", "point needs a |element suffix for the black-box slot"),
+    ],
+    ids=["bar without a slot", "slot without a bar"],
+)
+def test_run_input_point_and_black_box_slot_must_agree(black_box, point, message, tmp_path, capsys):
+    from normsim.algorithms import dlog_circuit
+
+    path = tmp_path / "circuit.json"
+    if black_box:
+        save_circuit(dlog_circuit(7, 3, 6), path)
+    else:
+        path.write_text(json.dumps({"group": {"elementary": "Z2"}, "gates": [{"qft": [0]}]}))
+    assert main(["run", str(path), "--input", point]) == 4
+    assert capsys.readouterr().err == f"error: bad input point: {message}\n"
 
 
 def test_algorithm_error_exits_3_without_traceback(capsys):

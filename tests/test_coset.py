@@ -138,6 +138,26 @@ def test_odd_modulus_gauss_sums():
         assert_matches_dense(circuit, (x,))
 
 
+def test_global_phase_comparison_says_no_to_any_other_ray():
+    # QFT on register 0 of Z4 x Z6 from (1, 2): support (x, 2), phases i^x.
+    g = cyclic_group(4, 6)
+    circuit = NormalizerCircuit(DesignatedBasis(g), [QFTGate((0,))])
+    coset = coset_run(circuit, g.reduce((1, 2)))
+    dense = dense_run(circuit, (1, 2)).amplitudes
+    reference = int(np.argmax(np.abs(dense)))  # the function's reference point
+    assert states_equal_up_to_global_phase(dense, coset)
+    assert states_equal_up_to_global_phase(dense * np.exp(0.7j), coset)
+    moved = dense.copy()  # label 0 = (0, 0) is off the support
+    moved.flat[0], moved.flat[reference] = dense.flat[reference], 0
+    assert not states_equal_up_to_global_phase(moved, coset)
+    assert not states_equal_up_to_global_phase(2 * dense, coset)
+    flipped = dense.copy()
+    other = np.flatnonzero(dense)[-1]
+    assert other != reference
+    flipped.flat[other] *= -1
+    assert not states_equal_up_to_global_phase(flipped, coset)
+
+
 def test_random_circuits_match_dense_z4_z2_z9():
     # 500 ten-gate circuits on the fixed mixed-modulus group: zero mismatches.
     rng = np.random.default_rng(20240501)

@@ -34,6 +34,7 @@ from normsim.circuits import (
 )
 from normsim.coset import coset_run, states_equal_up_to_global_phase
 from normsim.deblackbox import (
+    SPOT_CHECK_ALL,
     EncodingBridge,
     ExtractionError,
     _spot_check_matrix,
@@ -395,6 +396,40 @@ def test_exhaustive_spot_checks_reject_one_wrong_point_off_the_generators(bad_po
         extract_matrix_rep(bad_matrix, SPOT_GROUP)
     with pytest.raises(ExtractionError, match=f"^extracted phase {message}$"):
         extract_quadratic(bad_phase, SPOT_GROUP)
+
+
+@pytest.mark.parametrize(
+    "domain, extract, oracle, kind",
+    [
+        (
+            cyclic_group(17, 17),
+            extract_matrix_rep,
+            lambda x: ((x[0] + x[0] * x[1]) % 17, x[1]),
+            "matrix",
+        ),
+        (
+            cyclic_group(17, 17),
+            extract_quadratic,
+            lambda x: Fraction(x[0] ** 2 * x[1], 17),
+            "phase",
+        ),
+        (
+            group(Z, cyclic(4)),
+            extract_matrix_rep,
+            lambda x: (x[0] + x[0] * x[1], x[1] % 4),
+            "matrix",
+        ),
+    ],
+    ids=["matrix on Z17 x Z17", "phase on Z17 x Z17", "matrix on Z x Z4"],
+)
+def test_sampled_spot_checks_reject_an_oracle_that_is_not_the_promised_gate(
+    domain, extract, oracle, kind
+):
+    # Past SPOT_CHECK_ALL points (or on an infinite group) the checks sample;
+    # each oracle agrees with a valid gate on the probes extraction reads.
+    assert not domain.is_finite or domain.order() > SPOT_CHECK_ALL
+    with pytest.raises(ExtractionError, match=f"^extracted {kind} disagrees with the oracle at "):
+        extract(oracle, domain)
 
 
 def build_order_finding_circuit(modulus, a, m):

@@ -83,8 +83,8 @@ class BlackBoxGroup:
 
     def elements(self) -> Iterator:
         """Desk-scale extension outside the oracle model: every element, at
-        no oracle call.  The dense engine labels its black-box axis with it
-        (sorted by encoding), and tests use it as a reference listing."""
+        no oracle call.  The dense engine labels its black-box axis in this
+        order, and tests use it as a reference listing."""
         raise NotImplementedError
 
     def order(self) -> int:
@@ -144,7 +144,7 @@ class BlackBoxGroup:
     def sample_generators(self, rng) -> list:
         """Random generating set, keeping only candidates outside the subgroup
         already generated (so the set stays logarithmically small).  Each kept
-        candidate costs one Cayley walk, and the group keeps the last one."""
+        candidate costs a walk of |<gens>| - 1 + k `mul`; the group keeps the last."""
         target, _ = self.order_within(DEFAULT_ORDER_CAP)
         if target > DEFAULT_ORDER_CAP:  # the walk below would raise this
             raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
@@ -404,8 +404,8 @@ class DecompositionTable:
             # Direct-sum check.  The checks above give <beta> = <alpha> and
             # ord(beta_i) = c_i, so x -> beta^x maps Z_c onto <alpha>: a
             # bijection exactly when |<alpha>| = prod c.  The Cayley walk of
-            # alpha costs k |<alpha>| `mul` (none when the group keeps it),
-            # evicts the walk the group kept and raises past DEFAULT_ORDER_CAP.
+            # alpha costs |<alpha>| - 1 + k `mul` (none when the group keeps
+            # it), evicts the walk the group kept and raises past the cap.
             reached = len(cayley_relations(group, self.alpha)[1]) if self.alpha else 1
             if reached != self.order():
                 raise BlackBoxError("beta generators are not independent")
@@ -414,11 +414,13 @@ class DecompositionTable:
 def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], dict]:
     """Relation lattice generators for the exponent map Z^k -> <generators>.
 
-    Walks the Cayley graph at k `mul` per element; the closing edges generate
-    the full relation lattice (spanning-tree argument).  Returns (relations,
-    reached), reached mapping each element's encoding to (element, exponent
-    word); raises past DEFAULT_ORDER_CAP elements.  The group keeps its last
-    walk, so walking the same generators again costs no oracle calls.
+    A fold: with H = <g_0, .., g_(j-1)> reached, each power g_j^i outside H
+    adds its coset g_j^i H at one `mul` per element, and the first g_j^m in H
+    gives the relation m e_j - word(g_j^m): k lower-triangular relations of
+    diagonal product n = |<generators>|, for n - 1 + k `mul`.  Returns
+    (relations, reached), reached mapping each encoding to (element, mixed
+    radix exponent word); raises past DEFAULT_ORDER_CAP elements.  The group
+    keeps its last walk, so walking the same generators again is free.
     """
     generators = list(generators)
     if not generators:
@@ -426,25 +428,22 @@ def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[l
     key = tuple(group.encode(g) for g in generators)
     if group._walk is not None and group._walk[0] == key:
         return group._walk[1:]
-    start = (group.identity(), (0,) * len(generators))
-    reached = {group.encode(start[0]): start}
+    identity = group.identity()
+    zeros = (0,) * len(generators)
+    reached = {group.encode(identity): (identity, zeros)}
     relations: list[list[int]] = []
-    frontier = [start]
-    while frontier:
-        value, word = frontier.pop()
-        for j, g in enumerate(generators):
-            nxt = group.mul(value, g)
-            nxt_key = group.encode(nxt)
-            stepped = word[:j] + (word[j] + 1,) + word[j + 1:]
-            if nxt_key in reached:
-                relation = [a - b for a, b in zip(stepped, reached[nxt_key][1])]
-                if any(relation):
-                    relations.append(relation)
-            else:
-                if len(reached) >= DEFAULT_ORDER_CAP:
-                    raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
-                reached[nxt_key] = (nxt, stepped)
-                frontier.append((nxt, stepped))
+    for j, g in enumerate(generators):
+        subgroup = list(reached.values())[1:]  # H but the identity
+        m, power = 1, group.mul(identity, g)
+        while (power_key := group.encode(power)) not in reached:  # the first hit is in H
+            if len(reached) + 1 + len(subgroup) > DEFAULT_ORDER_CAP:  # with g^m H
+                raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
+            reached[power_key] = (power, zeros[:j] + (m,) + zeros[j + 1:])
+            for value, word in subgroup:
+                nxt = group.mul(power, value)
+                reached[group.encode(nxt)] = (nxt, word[:j] + (m,) + word[j + 1:])
+            m, power = m + 1, group.mul(power, g)
+        relations.append([m * (i == j) - e for i, e in enumerate(reached[power_key][1])])
     group._walk = (key, relations, reached)
     return relations, reached
 

@@ -127,7 +127,7 @@ def _initial_state(basis: DesignatedBasis, point, cap: int) -> tuple[DenseState,
     if total > cap:  # before the labels are listed: a huge group must fail at once
         floor = "" if exact else "at least "
         raise DenseCapExceeded(f"dense dimension {floor}{total} exceeds cap {cap}")
-    bb_labels = None if blackbox is None else sorted(blackbox.elements(), key=blackbox.encode)
+    bb_labels = None if blackbox is None else list(blackbox.elements())
     amplitudes = np.zeros(dims, dtype=np.complex128)
     state = DenseState(basis=basis, amplitudes=amplitudes, bb_labels=bb_labels)
     start = state.flat_index(point)

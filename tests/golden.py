@@ -31,15 +31,21 @@ part of the record. Most families have one part, the result:
   the zero / identity point and from a point with x_0 = 1;
 - hsp: `solve_hsp` of every subgroup of Z2^3 and of Z4 x Z2 (the hidden
   subgroup suite of the acceptance tests), seeded per case, and `solve_hkp`
-  of four homomorphisms from Z x Z4 into Z_15^* and Z_21^*.
+  of four homomorphisms from Z x Z4 into Z_15^* and Z_21^*;
+- cli: `normsim.cli.main`, in process, on every subcommand in both formats
+  over a small seeded input set, plus inputs that exit 2, 3 and 4.  Each
+  case runs once to stdout and once with `--out`, in a temporary directory
+  that also holds the circuit files the `run` and `deblackbox` cases read.
 
-The dlog, ecdlog, decompose and hsp families split each record in two. The
-result is the answer: the exponent and order, the decomposition table, the
-hidden subgroup's elements or the kernel generators, or else the type and
-message the run raises. The trace is how the run got there: its samples and
-log, the oracle calls of every group made during it and the next draw of its
-rng. A change that keeps every answer but draws other samples moves traces
-alone.
+The dlog, ecdlog, decompose, hsp and cli families split each record in two.
+The result is the answer: the exponent and order, the decomposition table,
+the hidden subgroup's elements or the kernel generators, or else the type
+and message the run raises; for the CLI, the exit codes, the output with its
+log taken out and the `error:` lines.  The trace is how the run got there:
+its samples and log, the oracle calls of every group made during it and the
+next draw of its rng; for the CLI, the run logs (the log line on stderr, the
+"log" field of a JSON payload and the `.log.json` file).  A change that keeps
+every answer but draws other samples moves traces alone.
 
 The script imports normsim from the src/ beside it. `--check` prints, per
 family, the cases, the results moved and the traces moved, then one MOVED
@@ -52,9 +58,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -73,7 +81,9 @@ from helpers import (  # noqa: E402
     random_matrix_rep,
     random_quadratic_form,
 )
-from normsim import algorithms, blackbox, circuits, coset, deblackbox, dense, groups  # noqa: E402
+from normsim import (  # noqa: E402
+    algorithms, blackbox, circuits, cli, coset, deblackbox, dense, groups
+)
 from normsim.groups import cyclic_group  # noqa: E402
 
 EXTRACT_SHAPES = [
@@ -406,6 +416,105 @@ def _dense_circuits() -> list[tuple[str, Callable]]:
     return cases
 
 
+def _cli_circuits() -> dict[str, circuits.NormalizerCircuit]:
+    """The circuit files of the cli family, by file name."""
+    curve = blackbox.EllipticCurveGroup(5, 1, 1)
+    g = cyclic_group(4)
+    basis = circuits.DesignatedBasis(g, blackbox.ZNStarGroup(15))
+    word_exp = circuits.AutomorphismGate(
+        func=circuits.word_exp_func(basis, [7]), name="word_exp", params={"bases": [7]}
+    )
+    phase = circuits.validate_quadratic([[Fraction(1, 4)]], [Fraction(1, 2)], g)
+    mixed = [circuits.QFTGate((0,)), word_exp, circuits.QuadraticGate(form=phase),
+             circuits.QFTGate((0,))]
+    return {
+        "dlog7.json": algorithms.dlog_circuit(7, 3, 6),
+        "ec5.json": algorithms.ec_dlog_circuit(curve, (0, 1), (4, 2), 9),
+        "mixed.json": circuits.NormalizerCircuit(basis, mixed),
+    }
+
+
+#: (name, argv) of the cli family; <tmp> names the case's directory.  Each
+#: runs with --format csv and with --format json.
+CLI_CASES = [
+    ("factor 21", ["factor", "21", "--seed", "7"]),
+    ("dlog 7 3 6", ["dlog", "7", "3", "6", "--seed", "1"]),
+    ("ecdlog E(5, 1, 1)", ["ecdlog", "5", "1", "1", "0,1", "4,2", "--seed", "1"]),
+    ("decompose zn_star 63", ["decompose", "zn_star", "63", "--seed", "2"]),
+    ("factor 15", ["factor", "15", "--seed", "1"]),
+    ("dlog 11 2 7", ["dlog", "11", "2", "7", "--seed", "4"]),
+    ("order 15 2", ["order", "15", "2", "--seed", "0"]),
+    ("order 21 2 resolution", ["order", "21", "2", "--resolution", "0.01", "--seed", "3"]),
+    ("decompose zn_star 21", ["decompose", "zn_star", "21", "--seed", "3"]),
+    ("decompose zn_star 15 gens", ["decompose", "zn_star", "15", "--gens", "2,14", "--seed", "1"]),
+    ("decompose ec 7 0 1", ["decompose", "ec", "7", "0", "1", "--seed", "5"]),
+    ("decompose ec 5 1 1 gens", ["decompose", "ec", "5", "1", "1", "--gens", "0,1", "--seed", "0"]),
+    ("hsp 2,4", ["hsp", "2,4", "1,2", "--seed", "5"]),
+    ("hsp 2,2,2 trivial", ["hsp", "2,2,2", "", "--seed", "6"]),
+    ("run dlog7 dense", ["run", "<tmp>/dlog7.json", "--input", "(0, 0)|1", "--shots", "50",
+                         "--seed", "3"]),
+    ("run ec5 dense", ["run", "<tmp>/ec5.json", "--shots", "40", "--seed", "2"]),
+    ("run mixed dense", ["run", "<tmp>/mixed.json", "--input", "(1)|2", "--shots", "30",
+                         "--seed", "8"]),
+    ("deblackbox dlog7", ["deblackbox", "<tmp>/dlog7.json", "--seed", "0"]),
+    ("deblackbox ec5", ["deblackbox", "<tmp>/ec5.json", "--seed", "1"]),
+    ("deblackbox mixed", ["deblackbox", "<tmp>/mixed.json", "--seed", "2"]),
+    ("check-modexp 15 2 4", ["check-modexp", "15", "2", "4", "--seed", "0"]),
+    ("check-modexp 21 2 6", ["check-modexp", "21", "2", "6", "--seed", "1"]),
+    ("exit 2 factor attempts", ["factor", "21", "--attempts", "1", "--seed", "0"]),
+    ("exit 3 factor prime power", ["factor", "9"]),
+    ("exit 3 dlog dense cap", ["dlog", "101", "2", "3"]),
+    ("exit 3 decompose not a unit", ["decompose", "zn_star", "15", "--gens", "2,5"]),
+    ("exit 3 run input off the group", ["run", "<tmp>/dlog7.json", "--input", "(0, 0)|7"]),
+    ("exit 4 unknown subcommand", ["fourier"]),
+    ("exit 4 bad point", ["ecdlog", "5", "1", "1", "0;1", "4,2"]),
+    ("exit 4 bad moduli", ["hsp", "2,x", ""]),
+    ("exit 4 missing circuit", ["deblackbox", "<tmp>/absent.json"]),
+]
+
+
+def _cli_main(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process `normsim` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _without_log(text: str) -> tuple[str, object]:
+    """(output, log): a JSON payload split at its "log" field."""
+    if not text.startswith("{"):
+        return text, None
+    payload = json.loads(text)
+    log = payload.pop("log", None)
+    return json.dumps(payload, sort_keys=True), log
+
+
+def _cli_case(argv: list[str], fmt: str) -> dict:
+    """Exit codes, outputs and logs of one argv, to stdout and with --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, circuit in _cli_circuits().items():
+            circuits.save_circuit(circuit, f"{tmp}/{name}")
+        argv = [arg.replace("<tmp>", tmp) for arg in argv] + ["--format", fmt]
+        code, stdout, stderr = _cli_main(argv)
+        out = Path(tmp) / "out"
+        out_code, out_stdout, out_stderr = _cli_main(argv + ["--out", str(out)])
+        files = [path.read_text() if path.exists() else None
+                 for path in (out, Path(f"{out}.log.json"))]
+    parts: dict = {"result": {"code": code, "out code": out_code}, "trace": {}}
+    for where, text, log_file in (("stdout", stdout, None), ("--out", files[0], files[1])):
+        output, log = _without_log(text or "")
+        parts["result"][where] = output
+        parts["trace"][f"{where} log"] = log
+        if log_file is not None:
+            parts["trace"]["log file"] = json.loads(log_file)
+    for where, text in (("stderr", stderr), ("--out streams", out_stdout + out_stderr)):
+        lines = text.splitlines()
+        parts["result"][where] = [line for line in lines if line.startswith("error: ")]
+        parts["trace"][where] = [line for line in lines if not line.startswith("error: ")]
+    return json.loads(json.dumps(parts).replace(tmp, "<tmp>"))
+
+
 def _result(run: Callable[[], dict]) -> Callable[[], dict]:
     """A one-part case: the whole record is its result."""
     return lambda: {"result": run()}
@@ -437,6 +546,11 @@ def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
             for first in (0, 1)
         ],
         "hsp": _hsp_cases(),
+        "cli": [
+            (f"{name} {fmt}", lambda argv=argv, fmt=fmt: _cli_case(argv, fmt))
+            for name, argv in CLI_CASES
+            for fmt in ("csv", "json")
+        ],
     }
 
 

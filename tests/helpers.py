@@ -6,12 +6,13 @@ Smith-form integer solve and the double-Hermite group-system solve built on
 it, the Leibniz determinant and
 the brute-force bijectivity test of a finite block, the exhaustive
 quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
-`Generator.choice` sampling, GroupElement products on an oracle's
-representatives, the word-table route of the decomposition kernel and the
-gate-by-gate dense run without its closed-form Fourier opening) that
-the library is checked against, plus two checks only tests use: the
-invariants of a coset state and the torus distance to the nearest peak, and
-the list of every subgroup of a small group."""
+the breadth-first Cayley walk, `Generator.choice` sampling, GroupElement
+products on an oracle's representatives, the word-table route of the
+decomposition kernel and the gate-by-gate dense run without its
+closed-form Fourier opening) that the library is checked against, plus two
+checks only tests use: the invariants of a coset state and the torus
+distance to the nearest peak, and the list of every subgroup of a small
+group."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from operator import mul
 import numpy as np
 
 from normsim import algorithms, dense
-from normsim.blackbox import BlackBoxError, ZNStarGroup
+from normsim.blackbox import DEFAULT_ORDER_CAP, BlackBoxError, ZNStarGroup
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -730,6 +731,34 @@ def reference_bb_order(group, a, cap: int) -> int:
             return r
         current = group.mul(current, a)
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
+
+
+def reference_cayley_relations(group, generators) -> tuple[list[list[int]], dict]:
+    """cayley_relations as a breadth-first walk of the Cayley graph, at k
+    `mul` per element: every closing edge is a relation (spanning-tree
+    argument), up to (k - 1) n + 1 of them.  Returns (relations, reached)
+    like the fold, with the words of the walk's spanning tree."""
+    generators = list(generators)
+    start = (group.identity(), (0,) * len(generators))
+    reached = {group.encode(start[0]): start}
+    relations: list[list[int]] = []
+    frontier = [start]
+    while frontier:
+        value, word = frontier.pop()
+        for j, g in enumerate(generators):
+            nxt = group.mul(value, g)
+            nxt_key = group.encode(nxt)
+            stepped = word[:j] + (word[j] + 1,) + word[j + 1:]
+            if nxt_key in reached:
+                relation = [a - b for a, b in zip(stepped, reached[nxt_key][1])]
+                if any(relation):
+                    relations.append(relation)
+            else:
+                if len(reached) >= DEFAULT_ORDER_CAP:
+                    raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
+                reached[nxt_key] = (nxt, stepped)
+                frontier.append((nxt, stepped))
+    return relations, reached
 
 
 def reference_dense_sample(state, shots: int, rng) -> Counter:

@@ -59,6 +59,7 @@ SAMPLED_SPOT_CHECKS = (
     "test_sampled_spot_checks_reject_an_oracle_that_is_not_the_promised_gate"
 )
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
+FOLD = "tests/test_blackbox.py::test_cayley_fold_matches_the_breadth_first_walk"
 
 MUTANTS = [
     Mutant(
@@ -170,6 +171,37 @@ MUTANTS = [
         old="if group._walk is not None and group._walk[0] == key:",
         new="if group._walk is not None and len(group._walk[0]) == len(key):",
         tests=("tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",),
+    ),
+    Mutant(
+        name="Cayley fold closes each generator's relation at m - 1",
+        path="src/normsim/blackbox.py",
+        old="relations.append([m * (i == j) - e",
+        new="relations.append([(m - 1) * (i == j) - e",
+        tests=(f"{FOLD}[zn_star]", f"{FOLD}[shor curves]"),
+    ),
+    Mutant(
+        name="Cayley fold leaves word entry j unset on the cosets",
+        path="src/normsim/blackbox.py",
+        old="(nxt, word[:j] + (m,) + word[j + 1:])",
+        new="(nxt, word)",
+        tests=(f"{FOLD}[zn_star]", f"{FOLD}[criterion 10]"),
+    ),
+    Mutant(
+        name="Cayley fold builds the cosets from the growing walk instead of H",
+        path="src/normsim/blackbox.py",
+        old="            for value, word in subgroup:\n",
+        new="            for value, word in list(reached.values())[1:]:\n",
+        tests=(
+            f"{FOLD}[zn_star]",
+            "tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",
+        ),
+    ),
+    Mutant(
+        name="Cayley fold refuses a group of exactly the cap",
+        path="src/normsim/blackbox.py",
+        old="if len(reached) + 1 + len(subgroup) > DEFAULT_ORDER_CAP:",
+        new="if len(reached) + 1 + len(subgroup) >= DEFAULT_ORDER_CAP:",
+        tests=("tests/test_blackbox.py::test_cayley_walk_refuses_past_the_cap_at_the_boundary",),
     ),
     Mutant(
         name="sample_generators keeps a candidate already in the walk",

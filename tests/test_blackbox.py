@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_bb_order
+from helpers import all_subgroups, reference_bb_order, reference_cayley_relations
+from normsim import blackbox
 from normsim.blackbox import (
+    DEFAULT_ORDER_CAP,
     BlackBoxError,
     DecompositionTable,
     EllipticCurveGroup,
@@ -18,6 +20,8 @@ from normsim.blackbox import (
     bb_order,
     cayley_relations,
 )
+from normsim.groups import cyclic_group
+from normsim.linalg import hermite_reduce
 
 F5_CURVE = (5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
 
@@ -415,7 +419,7 @@ def test_exhaustive_verify_walks_alpha_once():
     assert g.counter.total - before == cheap
     fresh = ZNStarGroup(63)
     table.verify(fresh, exhaustive=True)
-    assert fresh.counter.total == cheap + len(table.alpha) * fresh.order()
+    assert fresh.counter.total == cheap + fresh.order() - 1 + len(table.alpha)
 
 
 def test_exhaustive_verify_accepts_a_curve_table_on_a_fresh_group():
@@ -425,7 +429,7 @@ def test_exhaustive_verify_accepts_a_curve_table_on_a_fresh_group():
     table.verify(fresh)
     cheap = fresh.counter.total
     table.verify(fresh, exhaustive=True)
-    assert fresh.counter.total == 2 * cheap + len(generators) * fresh.order()
+    assert fresh.counter.total == 2 * cheap + fresh.order() - 1 + len(generators)
 
 
 def test_exhaustive_verify_of_an_empty_table():
@@ -481,7 +485,7 @@ def test_decomposition_round_trip_words():
 def test_cayley_walk_is_kept_for_the_same_generators():
     g = ZNStarGroup(15)
     relations, reached = cayley_relations(g, [2, 14])
-    assert g.counter.total == 2 * 8 and len(reached) == 8  # k mul per element
+    assert g.counter.total == 8 - 1 + 2 and len(reached) == 8  # n - 1 + k mul
     for key, (value, word) in reached.items():
         assert key == g.encode(value) and value == g.word([2, 14], list(word))
     calls = g.counter.total
@@ -490,7 +494,85 @@ def test_cayley_walk_is_kept_for_the_same_generators():
     # The same length with another generator walks <4, 14> = {1, 4, 11, 14}.
     _, smaller = cayley_relations(g, [4, 14])
     assert sorted(value for value, _ in smaller.values()) == [1, 4, 11, 14]
-    assert g.counter.total == calls + 2 * 4
+    assert g.counter.total == calls + 4 - 1 + 2
+
+
+SHOR_CURVES = [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4)]
+
+
+def _criterion_10_groups():
+    """The OracularGroup of every planted subgroup of Z2^3 and Z4 x Z2, its
+    oracle naming each coset (the acceptance suite's hidden subgroups)."""
+    from normsim.algorithms import OracularGroup
+
+    for domain in (cyclic_group(2, 2, 2), cyclic_group(4, 2)):
+        for subgroup in all_subgroups(domain):
+            labels, names = {}, {}
+            for el in domain.elements():
+                coset = frozenset(el + h for h in subgroup)
+                labels[el.coords] = names.setdefault(coset, f"c{len(names)}")
+            yield lambda labels=labels, d=domain: OracularGroup(d, lambda c: labels[tuple(c)])
+
+
+FOLD_CORPUS = {
+    "zn_star": [lambda n=n: ZNStarGroup(n) for n in range(2, 129)],
+    "shor curves": [lambda c=c: EllipticCurveGroup(*c) for c in SHOR_CURVES],
+    "criterion 10": list(_criterion_10_groups()),
+}
+
+
+def assert_fold_contract(make, generators):
+    """cayley_relations on a fresh group against the breadth-first walk:
+    the same reached keys and relation lattice, every word evaluating to its
+    element, k lower-triangular relations with diagonal product n, and
+    n - 1 + k `mul`."""
+    group = make()
+    relations, reached = cayley_relations(group, generators)
+    n, k = len(reached), len(generators)
+    assert (group.counter.mul, group.counter.inv) == (n - 1 + k, 0)
+    ref_relations, ref_reached = reference_cayley_relations(make(), generators)
+    assert reached.keys() == ref_reached.keys()
+    assert hermite_reduce(relations) == hermite_reduce(ref_relations)
+    assert len(relations) == k
+    assert all(not any(row[i + 1:]) for i, row in enumerate(relations))
+    assert math.prod(row[i] for i, row in enumerate(relations)) == n
+    for key, (value, word) in reached.items():
+        assert key == group.encode(value) and group.word(generators, list(word)) == value
+
+
+@pytest.mark.parametrize("corpus", sorted(FOLD_CORPUS))
+def test_cayley_fold_matches_the_breadth_first_walk(corpus):
+    for index, make in enumerate(FOLD_CORPUS[corpus]):
+        group = make()
+        seed = group.modulus if corpus == "zn_star" else index
+        assert_fold_contract(make, group.sample_generators(np.random.default_rng(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 80), st.data())
+def test_cayley_fold_with_identity_duplicated_and_redundant_generators(n, data):
+    units = list(ZNStarGroup(n).elements())
+    drawn = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=3))
+    extra = [1, drawn[0], drawn[0] * drawn[-1] % n]  # identity, duplicate, product
+    generators = data.draw(st.permutations(drawn + extra))
+    assert_fold_contract(lambda: ZNStarGroup(n), generators)
+
+
+def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
+    # |<2>| = 12 in Z_13^*; |<2, 20>| = 6 * 2 = 12 in Z_21^*.
+    for n, generators in ((13, [2]), (21, [2, 20])):
+        monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 12)
+        assert len(cayley_relations(ZNStarGroup(n), generators)[1]) == 12
+        monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 11)
+        with pytest.raises(BlackBoxError, match="^group order exceeds cap 11$"):
+            cayley_relations(ZNStarGroup(n), generators)
+
+
+def test_cayley_walk_refuses_a_cyclic_group_past_the_cap():
+    p = 1048583  # prime, so Z_p^* is cyclic of order p - 1 > 2^20
+    assert p - 1 > DEFAULT_ORDER_CAP
+    with pytest.raises(BlackBoxError, match="^group order exceeds cap 1048576$"):
+        cayley_relations(ZNStarGroup(p), [5])
 
 
 def test_sample_generators_generate():
@@ -504,29 +586,31 @@ def test_sample_generators_generate():
 
 # (group, seed) -> (generators, oracle calls).  The generators were recorded
 # with the Cayley walk sample_generators used before it read subgroup sizes
-# from cayley_relations; the counts, when it began to walk once per kept
-# generator instead of once per candidate.
+# from cayley_relations.  The counts were recorded when the walk began to add
+# each generator's cosets once: each kept generator costs a walk of
+# |<gens so far>| - 1 + len(gens so far) mul, where the walk before it cost
+# k mul per element.
 SAMPLED_GENERATORS = {
-    ("zn_star 91", 0): ([57, 46, 24], 244),
-    ("zn_star 91", 1): ([43, 46, 68], 294),
-    ("zn_star 91", 2): ([76, 23, 27], 300),
-    ("zn_star 91", 3): ([73, 16, 72], 300),
-    ("zn_star 91", 4): ([66, 85], 150),
-    ("zn_star 63", 0): ([53, 40], 78),
-    ("zn_star 63", 1): ([29, 32, 47], 150),
-    ("zn_star 63", 2): ([52, 16, 26], 150),
-    ("zn_star 63", 3): ([5, 11, 50], 138),
-    ("zn_star 63", 4): ([59, 55, 5], 138),
+    ("zn_star 91", 0): ([57, 46, 24], 91),
+    ("zn_star 91", 1): ([43, 46, 68], 117),
+    ("zn_star 91", 2): ([76, 23, 27], 123),
+    ("zn_star 91", 3): ([73, 16, 72], 123),
+    ("zn_star 91", 4): ([66, 85], 79),
+    ("zn_star 63", 0): ([53, 40], 43),
+    ("zn_star 63", 1): ([29, 32, 47], 63),
+    ("zn_star 63", 2): ([52, 16, 26], 63),
+    ("zn_star 63", 3): ([5, 11, 50], 57),
+    ("zn_star 63", 4): ([59, 55, 5], 57),
     ("zn_star 7", 0): ([5], 6),
     ("zn_star 7", 1): ([3], 6),
     ("zn_star 7", 2): ([5], 6),
     ("zn_star 7", 3): ([5], 6),
     ("zn_star 7", 4): ([5], 6),
-    ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 40),
+    ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 25),
     ("ec 17 2 4", 1): ([(7, 2)], 16),
-    ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 40),
-    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 40),
-    ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 34),
+    ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 25),
+    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 25),
+    ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 19),
 }
 
 

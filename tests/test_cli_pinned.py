@@ -21,7 +21,11 @@ per kept generator and the deblackbox provenance began to count it.  The
 decompose and decompose ec cases moved in their oracle counts alone (118 to
 107, 47 to 48) when decomposition's kernel step began to sample its circuit
 on the group itself: the step's calls now fall on the group's own counter,
-so the log holds them.
+so the log holds them.  The decompose and deblackbox cases moved in their
+oracle counts alone once more (107 to 96, and the deblackbox provenance's
+decompose record 30 to 23) when the Cayley walk began to add each
+generator's cosets once, at |<gens>| - 1 + k `mul` instead of k per element:
+generator sampling walks after each generator it keeps.
 """
 
 import json

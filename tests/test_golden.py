@@ -56,3 +56,25 @@ def test_an_altered_sample_moves_the_trace_but_not_the_result(monkeypatch):
     altered = golden.digests(run())
     assert altered["result"] == recorded["result"]
     assert altered["trace"] != recorded["trace"]
+
+
+def test_the_first_cli_cases_match_the_record_and_a_log_field_moves_the_trace(monkeypatch):
+    # The first four cli cases (factor 21 and dlog 7 3 6, each in both
+    # formats) hash as recorded; one more log field moves the trace of the
+    # factor case and leaves its result, the exit codes and outputs.
+    cases = golden.families()["cli"][:4]
+    recorded = json.loads(golden.RECORD.read_text())["cli"]
+    assert [golden.digests(run()) for _, run in cases] == [recorded[name] for name, _ in cases]
+
+    cmd_factor = golden.cli.COMMANDS["factor"]
+
+    def logged(args, rng):
+        payload, rows, log = cmd_factor(args, rng)
+        log["extra"] = 1
+        return payload, rows, log
+
+    monkeypatch.setitem(golden.cli.COMMANDS, "factor", logged)
+    for name, run in cases[:2]:
+        altered = golden.digests(run())
+        assert altered["result"] == recorded[name]["result"]
+        assert altered["trace"] != recorded[name]["trace"]

@@ -19,6 +19,8 @@ import numpy as np
 
 from . import config
 from .blackbox import (
+    DEFAULT_ORDER_CAP,
+    BlackBoxError,
     BlackBoxGroup,
     DecompositionTable,
     ZNStarGroup,
@@ -26,6 +28,7 @@ from .blackbox import (
     bb_order,
     cayley_relations,
     decomposition_from_relations,
+    simulator_order,
 )
 from .circuits import (
     AutomorphismGate,
@@ -196,16 +199,28 @@ def find_order(
 
     The run simulates the physics in closed form: the comb collapses to a
     random residue and an outcome is drawn from the squared Dirichlet kernel.
+    That law needs the true period, which `simulator_order` reads from the
+    group's order outside the oracle model; only where that order is not
+    exact (a Z_N^* whose N trial division below 2^16 leaves unfactored) does
+    it walk the powers on the counted oracle, refused past
+    min(r_max, DEFAULT_ORDER_CAP).
     Recovery sees only the samples: continued fractions reconstruct nearby
     k/r fractions and the least common multiple of their denominators is
     accepted once the oracle confirms a^r = 1 (minimality is automatic
-    because every denominator divides the true order).
+    because every denominator divides the true order).  The logged
+    `oracle_calls` are then the confirming `power` calls alone.
     """
     if not group.is_element(a):
         raise OrderFindingError(f"{a!r} is not a group element")
     r_max = 1 << group.encoding_length
     # Physics side: the closed-form distribution needs the actual period.
-    r_true = bb_order(group, a, cap=r_max)
+    cap = min(r_max, DEFAULT_ORDER_CAP)
+    try:
+        r_true = simulator_order(group, a, cap)
+    except BlackBoxError:
+        raise OrderFindingError(
+            f"order of {a!r} exceeds the simulator's walk cap {cap}"
+        ) from None
     m = comb_m if comb_m is not None else 2 * r_max * r_max
     if m < r_true:
         raise OrderFindingError(f"comb half-length {m} below the order")

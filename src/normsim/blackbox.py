@@ -92,9 +92,10 @@ class BlackBoxGroup:
 
     def order_within(self, limit: float) -> tuple[int, bool]:
         """(order, True), or (b, False) with b a lower bound on the order and
-        b > limit, where finding the order could be slow.  The order sizes
-        the simulator's resources only: the dense cap, the generator walk's
-        cap and the brute-force oracle's count check read it here."""
+        b > limit, where finding the order could be slow.  Only the
+        simulator reads it, never an algorithm: the dense cap, the generator
+        walk's cap, the brute-force oracle's count check and the period
+        `simulator_order` hands to order finding's closed-form sampler."""
         return self.order(), True
 
     # -- oracle calls -------------------------------------------------------
@@ -119,12 +120,17 @@ class BlackBoxGroup:
         """
         if k < 0:
             return self.power(self.inv(x), -k)
-        result = self.identity()
         if not k:
-            return result
+            return self.identity()
         k = operator.index(k)
         base = self._check(x)
         self.counter.mul += k.bit_length() + k.bit_count()
+        return self._power(base, k)
+
+    def _power(self, base, k: int):
+        """base^k for an element `base` and k >= 0, by the squarings and
+        products `power` counts, at no oracle call."""
+        result = self.identity()
         while k:
             if k & 1:
                 result = self._product(result, base)
@@ -144,7 +150,9 @@ class BlackBoxGroup:
     def sample_generators(self, rng) -> list:
         """Random generating set, keeping only candidates outside the subgroup
         already generated (so the set stays logarithmically small).  Each kept
-        candidate costs a walk of |<gens>| - 1 + k `mul`; the group keeps the last."""
+        candidate resumes the group's kept walk with its own cosets, so the
+        sampling walks cost |<gens>| - 1 + len(gens) `mul` in all, and the
+        group keeps the walk of the generators returned."""
         target, _ = self.order_within(DEFAULT_ORDER_CAP)
         if target > DEFAULT_ORDER_CAP:  # the walk below would raise this
             raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
@@ -357,6 +365,25 @@ def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
 
 
+def simulator_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
+    """Order of the element `a` for the simulator, outside the oracle model.
+
+    When `order_within(0)` gives the group's order n exactly, each prime q
+    of n is stripped from r = n while q | r and a^(r/q) is the identity, by
+    `_power`, so no oracle call is counted (the way `elements` lists a group
+    at none).  Otherwise `bb_order(group, a, cap)` walks the powers, counted,
+    and raises past the cap.
+    """
+    n, exact = group.order_within(0)
+    if not exact:
+        return bb_order(group, a, cap)
+    base, identity, r = group._check(a), group.identity(), n
+    for q in prime_factors(n):
+        while r % q == 0 and group._power(base, r // q) == identity:
+            r //= q
+    return r
+
+
 @dataclass
 class DecompositionTable:
     """Learned structure of a black-box group.
@@ -420,19 +447,27 @@ def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[l
     diagonal product n = |<generators>|, for n - 1 + k `mul`.  Returns
     (relations, reached), reached mapping each encoding to (element, mixed
     radix exponent word); raises past DEFAULT_ORDER_CAP elements.  The group
-    keeps its last walk, so walking the same generators again is free.
+    keeps its last walk: walking the same generators again is free, and
+    walking more generators after them resumes it, its words and relations
+    padded by zeros, at the cost of the new generators' cosets alone.
     """
     generators = list(generators)
     if not generators:
         raise BlackBoxError("need at least one generator")
     key = tuple(group.encode(g) for g in generators)
-    if group._walk is not None and group._walk[0] == key:
-        return group._walk[1:]
+    kept = group._walk
+    if kept is not None and kept[0] == key:
+        return kept[1:]
     identity = group.identity()
     zeros = (0,) * len(generators)
-    reached = {group.encode(identity): (identity, zeros)}
-    relations: list[list[int]] = []
-    for j, g in enumerate(generators):
+    if kept is not None and key[:len(kept[0])] == kept[0]:
+        pad = zeros[len(kept[0]):]
+        relations = [row + list(pad) for row in kept[1]]
+        reached = {k: (value, word + pad) for k, (value, word) in kept[2].items()}
+    else:
+        relations = []
+        reached = {group.encode(identity): (identity, zeros)}
+    for j, g in enumerate(generators[len(relations):], start=len(relations)):
         subgroup = list(reached.values())[1:]  # H but the identity
         m, power = 1, group.mul(identity, g)
         while (power_key := group.encode(power)) not in reached:  # the first hit is in H

@@ -60,6 +60,7 @@ SAMPLED_SPOT_CHECKS = (
 )
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 FOLD = "tests/test_blackbox.py::test_cayley_fold_matches_the_breadth_first_walk"
+SIMULATOR_ORDER = "tests/test_blackbox.py::test_simulator_order_equals_bb_order_at_no_oracle_call"
 
 MUTANTS = [
     Mutant(
@@ -168,8 +169,8 @@ MUTANTS = [
     Mutant(
         name="kept Cayley walk reused for any generator list of the same length",
         path="src/normsim/blackbox.py",
-        old="if group._walk is not None and group._walk[0] == key:",
-        new="if group._walk is not None and len(group._walk[0]) == len(key):",
+        old="if kept is not None and kept[0] == key:",
+        new="if kept is not None and len(kept[0]) == len(key):",
         tests=("tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",),
     ),
     Mutant(
@@ -528,6 +529,40 @@ MUTANTS = [
         tests=(
             "tests/test_algorithms.py::"
             "test_bruteforce_decomposition_of_a_huge_group_ends_after_its_walk",
+        ),
+    ),
+    Mutant(
+        name="simulator order strips each prime once",
+        path="src/normsim/blackbox.py",
+        old="        while r % q == 0 and group._power(base, r // q) == identity:\n",
+        new="        if r % q == 0 and group._power(base, r // q) == identity:\n",
+        tests=(f"{SIMULATOR_ORDER}[zn_star]", f"{SIMULATOR_ORDER}[shor curves]"),
+    ),
+    Mutant(
+        name="simulator order is the group order unstripped",
+        path="src/normsim/blackbox.py",
+        old="    for q in prime_factors(n):\n",
+        new="    for q in []:\n",
+        tests=(f"{SIMULATOR_ORDER}[zn_star]", f"{SIMULATOR_ORDER}[criterion 10]"),
+    ),
+    Mutant(
+        name="simulator order strips on the counted oracle",
+        path="src/normsim/blackbox.py",
+        old="group._power(base, r // q)",
+        new="group.power(base, r // q)",
+        tests=(
+            f"{SIMULATOR_ORDER}[zn_star]",
+            "tests/test_algorithms.py::test_find_order_on_a_large_semiprime_within_a_second",
+        ),
+    ),
+    Mutant(
+        name="resumed walk drops the kept relations",
+        path="src/normsim/blackbox.py",
+        old="        relations = [row + list(pad) for row in kept[1]]\n",
+        new="        relations = [list(zeros) for row in kept[1]]\n",
+        tests=(
+            "tests/test_blackbox.py::test_a_resumed_walk_equals_a_fresh_walk[zn_star]",
+            "tests/test_blackbox.py::test_sample_generators_generate",
         ),
     ),
     Mutant(

@@ -1,6 +1,7 @@
 """End-to-end tests for the algorithm suite against brute-force oracles."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -80,6 +81,54 @@ def test_find_order_matches_brute_force_all_elements():
     rng = rng_for(4)
     for a in group.elements():
         assert find_order(group, a, rng).order == bb_order(group, a)
+
+
+def test_find_order_logs_its_confirming_powers_alone(monkeypatch):
+    """The simulator reads the period at no oracle call, so every call the
+    run logs is one of the algorithm's confirming `power` calls."""
+    from normsim.blackbox import BlackBoxGroup
+
+    powered = []
+    power = BlackBoxGroup.power
+
+    def counted_power(self, x, k):
+        before = self.counter.total
+        result = power(self, x, k)
+        powered.append(self.counter.total - before)
+        return result
+
+    monkeypatch.setattr(BlackBoxGroup, "power", counted_power)
+    rng = rng_for(8)
+    for group in [ZNStarGroup(n) for n in (15, 21, 91, 127)] + [EllipticCurveGroup(17, 2, 4)]:
+        powered.clear()
+        for a in group.elements():
+            run = find_order(group, a, rng)
+        assert run.log["oracle_calls"] == group.counter.total == sum(powered) > 0, group
+
+
+def test_find_order_on_a_large_semiprime_within_a_second():
+    # phi(N) is known once trial division factors N: the period comes from
+    # it, not from a walk of 178,864,140 powers on the oracle.
+    n = 65521 * 65519
+    start = time.perf_counter()
+    run = find_order(ZNStarGroup(n), 3, rng_for(0))
+    elapsed = time.perf_counter() - start
+    assert run.order == 178864140 and pow(3, run.order, n) == 1
+    assert run.log["oracle_calls"] <= 400
+    assert elapsed < 1, f"find_order took {elapsed:.2f}s"
+
+
+def test_find_order_refuses_a_walk_past_its_cap(monkeypatch):
+    # N = 999999937 * 1000000007 is not factored below 2^16, so the period
+    # is walked on the oracle, at most min(r_max, DEFAULT_ORDER_CAP) steps.
+    monkeypatch.setattr(algorithms, "DEFAULT_ORDER_CAP", 64)
+    group = ZNStarGroup(HUGE_SEMIPRIME)
+    with pytest.raises(
+        OrderFindingError, match="^order of 2 exceeds the simulator's walk cap 64$"
+    ):
+        find_order(group, 2, rng_for(0))
+    assert group.counter.total == 64
+    assert find_order(group, HUGE_SEMIPRIME - 1, rng_for(0)).order == 2
 
 
 def test_find_order_rejects_non_element():

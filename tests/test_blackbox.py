@@ -19,6 +19,7 @@ from normsim.blackbox import (
     bb_decompose_bruteforce,
     bb_order,
     cayley_relations,
+    simulator_order,
 )
 from normsim.groups import cyclic_group
 from normsim.linalg import hermite_reduce
@@ -558,6 +559,26 @@ def test_cayley_fold_with_identity_duplicated_and_redundant_generators(n, data):
     assert_fold_contract(lambda: ZNStarGroup(n), generators)
 
 
+@pytest.mark.parametrize("corpus", sorted(FOLD_CORPUS))
+def test_a_resumed_walk_equals_a_fresh_walk(corpus):
+    """Walking the prefixes of a generator list one after another, each
+    resuming the kept walk, gives the fresh walk's relations and reached
+    dict (insertion order included) at the fresh walk's n - 1 + k `mul`."""
+    for index, make in enumerate(FOLD_CORPUS[corpus]):
+        group = make()
+        seed = group.modulus if corpus == "zn_star" else index
+        sampled = group.sample_generators(np.random.default_rng(seed))
+        generators = sampled + [group.identity(), sampled[0]]
+        resumed = make()
+        for j in range(1, len(generators) + 1):
+            relations, reached = cayley_relations(resumed, generators[:j])
+        fresh = make()
+        expected_relations, expected_reached = cayley_relations(fresh, generators)
+        assert relations == expected_relations
+        assert list(reached.items()) == list(expected_reached.items())
+        assert resumed.counter.total == fresh.counter.total == len(reached) - 1 + len(generators)
+
+
 def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
     # |<2>| = 12 in Z_13^*; |<2, 20>| = 6 * 2 = 12 in Z_21^*.
     for n, generators in ((13, [2]), (21, [2, 20])):
@@ -575,6 +596,33 @@ def test_cayley_walk_refuses_a_cyclic_group_past_the_cap():
         cayley_relations(ZNStarGroup(p), [5])
 
 
+ORDER_CORPUS = {
+    "zn_star": [lambda n=n: ZNStarGroup(n) for n in range(2, 513)],
+    "shor curves": FOLD_CORPUS["shor curves"],
+    "criterion 10": FOLD_CORPUS["criterion 10"],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ORDER_CORPUS))
+def test_simulator_order_equals_bb_order_at_no_oracle_call(corpus):
+    for make in ORDER_CORPUS[corpus]:
+        group = make()
+        for x in group.elements():
+            assert simulator_order(group, x) == bb_order(make(), x), (group, x)
+        assert group.counter.total == 0
+
+
+def test_simulator_order_walks_the_oracle_when_the_order_is_not_exact():
+    p = 4294967311  # the least prime past 2^32: trial division below 2^16 leaves it
+    group = ZNStarGroup(p)
+    assert group.order_within(0) == (math.isqrt(p // 2), False)
+    assert simulator_order(group, p - 1) == 2
+    assert group.counter.total == 1  # bb_order's a^2
+    with pytest.raises(BlackBoxError, match="^order of 2 exceeds cap 16$"):
+        simulator_order(group, 2, cap=16)  # 2^32 = -15 mod p: the order passes 32
+    assert group.counter.total == 1 + 16
+
+
 def test_sample_generators_generate():
     rng = np.random.default_rng(17)
     for modulus in [15, 21, 24]:
@@ -586,31 +634,31 @@ def test_sample_generators_generate():
 
 # (group, seed) -> (generators, oracle calls).  The generators were recorded
 # with the Cayley walk sample_generators used before it read subgroup sizes
-# from cayley_relations.  The counts were recorded when the walk began to add
-# each generator's cosets once: each kept generator costs a walk of
-# |<gens so far>| - 1 + len(gens so far) mul, where the walk before it cost
-# k mul per element.
+# from cayley_relations.  The counts were recorded when each kept generator
+# began to resume the walk of the generators before it, so sampling costs
+# |<gens>| - 1 + len(gens) mul in all; before, each kept generator walked its
+# whole prefix again (zn_star 91 seed 0: 91 calls, now 74).
 SAMPLED_GENERATORS = {
-    ("zn_star 91", 0): ([57, 46, 24], 91),
-    ("zn_star 91", 1): ([43, 46, 68], 117),
-    ("zn_star 91", 2): ([76, 23, 27], 123),
-    ("zn_star 91", 3): ([73, 16, 72], 123),
-    ("zn_star 91", 4): ([66, 85], 79),
-    ("zn_star 63", 0): ([53, 40], 43),
-    ("zn_star 63", 1): ([29, 32, 47], 63),
-    ("zn_star 63", 2): ([52, 16, 26], 63),
-    ("zn_star 63", 3): ([5, 11, 50], 57),
-    ("zn_star 63", 4): ([59, 55, 5], 57),
+    ("zn_star 91", 0): ([57, 46, 24], 74),
+    ("zn_star 91", 1): ([43, 46, 68], 74),
+    ("zn_star 91", 2): ([76, 23, 27], 74),
+    ("zn_star 91", 3): ([73, 16, 72], 74),
+    ("zn_star 91", 4): ([66, 85], 73),
+    ("zn_star 63", 0): ([53, 40], 37),
+    ("zn_star 63", 1): ([29, 32, 47], 38),
+    ("zn_star 63", 2): ([52, 16, 26], 38),
+    ("zn_star 63", 3): ([5, 11, 50], 38),
+    ("zn_star 63", 4): ([59, 55, 5], 38),
     ("zn_star 7", 0): ([5], 6),
     ("zn_star 7", 1): ([3], 6),
     ("zn_star 7", 2): ([5], 6),
     ("zn_star 7", 3): ([5], 6),
     ("zn_star 7", 4): ([5], 6),
-    ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 25),
+    ("ec 17 2 4", 0): ([(15, 14), (10, 15)], 17),
     ("ec 17 2 4", 1): ([(7, 2)], 16),
-    ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 25),
-    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 25),
-    ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 19),
+    ("ec 17 2 4", 2): ([(15, 14), (2, 13)], 17),
+    ("ec 17 2 4", 3): ([(15, 3), (2, 4)], 17),
+    ("ec 17 2 4", 4): ([(13, 0), (16, 16)], 17),
 }
 
 

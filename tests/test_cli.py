@@ -375,6 +375,15 @@ def test_sampling_generators_of_a_huge_group_exits_3_without_factoring_n(argv):
     assert done.stderr == "error: group order exceeds cap 1048576\n"
 
 
+def test_order_past_the_walk_cap_exits_3(capsys):
+    # N = 999999937 * 1000000007 is not factored below 2^16, and 2 has an
+    # order past 2^20: the simulator's walk for its period stops at the cap.
+    assert main(["order", "999999943999999559", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: order of 2 exceeds the simulator's walk cap 1048576\n"
+    )
+
+
 def test_run_checks_the_cap_against_phi_n_when_only_its_floor_fits(tmp_path, capsys):
     # N = 65537 * 65539: the floor 2 isqrt(N // 2) = 92684 fits the cap,
     # the exact dimension 2 phi(N) = 8590196736 does not.

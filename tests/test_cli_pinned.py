@@ -25,7 +25,12 @@ so the log holds them.  The decompose and deblackbox cases moved in their
 oracle counts alone once more (107 to 96, and the deblackbox provenance's
 decompose record 30 to 23) when the Cayley walk began to add each
 generator's cosets once, at |<gens>| - 1 + k `mul` instead of k per element:
-generator sampling walks after each generator it keeps.
+generator sampling walks after each generator it keeps.  The order, decompose
+and decompose ec cases moved in their oracle counts alone (10 to 7, 96 to 84,
+48 to 40) when order finding's simulator began to read the period from the
+group's order instead of walking the powers on the oracle, and the deblackbox
+case (its provenance's decompose record 23 to 19) when generator sampling
+began to resume the kept walk instead of walking each prefix again.
 """
 
 import json

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import config
 from .blackbox import (
-    DEFAULT_ORDER_CAP,
     BlackBoxError,
     BlackBoxGroup,
     DecompositionTable,
@@ -28,6 +27,7 @@ from .blackbox import (
     bb_order,
     cayley_relations,
     decomposition_from_relations,
+    minimal_order,
     simulator_order,
 )
 from .circuits import (
@@ -202,8 +202,7 @@ def find_order(
     That law needs the true period, which `simulator_order` reads from the
     group's order outside the oracle model; only where that order is not
     exact (a Z_N^* whose N trial division below 2^16 leaves unfactored) does
-    it walk the powers on the counted oracle, refused past
-    min(r_max, DEFAULT_ORDER_CAP).
+    it walk the powers on the counted oracle, refused past 2^20.
     Recovery sees only the samples: continued fractions reconstruct nearby
     k/r fractions and the least common multiple of their denominators is
     accepted once the oracle confirms a^r = 1 (minimality is automatic
@@ -214,13 +213,10 @@ def find_order(
         raise OrderFindingError(f"{a!r} is not a group element")
     r_max = 1 << group.encoding_length
     # Physics side: the closed-form distribution needs the actual period.
-    cap = min(r_max, DEFAULT_ORDER_CAP)
     try:
-        r_true = simulator_order(group, a, cap)
-    except BlackBoxError:
-        raise OrderFindingError(
-            f"order of {a!r} exceeds the simulator's walk cap {cap}"
-        ) from None
+        r_true = simulator_order(group, a)
+    except BlackBoxError as exc:
+        raise OrderFindingError(f"simulator: {exc}") from None
     m = comb_m if comb_m is not None else 2 * r_max * r_max
     if m < r_true:
         raise OrderFindingError(f"comb half-length {m} below the order")
@@ -247,7 +243,7 @@ def find_order(
                 continue
             if group.power(a, candidate) != group.identity():
                 continue
-            order = _minimal_confirmed_order(group, a, candidate)
+            order = minimal_order(group, a, candidate, group.power)
             return OrderFindingRun(
                 comb_m=m,
                 samples=samples,
@@ -264,15 +260,6 @@ def find_order(
     raise OrderFindingError(
         f"no confirmed order after {FIND_ORDER_ROUNDS} samples (r_max={r_max})"
     )
-
-
-def _minimal_confirmed_order(group: BlackBoxGroup, a, multiple: int) -> int:
-    """Smallest divisor r of `multiple` with a^r = identity (a^multiple = 1)."""
-    order = multiple
-    for p in prime_factors(multiple):
-        while order % p == 0 and group.power(a, order // p) == group.identity():
-            order //= p
-    return order
 
 
 def _auto_grid(l: int) -> int:

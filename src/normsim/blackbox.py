@@ -365,21 +365,27 @@ def bb_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
 
 
-def simulator_order(group: BlackBoxGroup, a, cap: int = DEFAULT_ORDER_CAP) -> int:
+def simulator_order(group: BlackBoxGroup, a) -> int:
     """Order of the element `a` for the simulator, outside the oracle model.
 
-    When `order_within(0)` gives the group's order n exactly, each prime q
-    of n is stripped from r = n while q | r and a^(r/q) is the identity, by
-    `_power`, so no oracle call is counted (the way `elements` lists a group
-    at none).  Otherwise `bb_order(group, a, cap)` walks the powers, counted,
-    and raises past the cap.
+    When `order_within(0)` gives the group's order n exactly, the order is
+    `minimal_order` of n by `_power`, so no oracle call is counted (the way
+    `elements` lists a group at none).  Otherwise `bb_order` walks the
+    powers, counted, and raises past DEFAULT_ORDER_CAP (2^20).
     """
     n, exact = group.order_within(0)
     if not exact:
-        return bb_order(group, a, cap)
-    base, identity, r = group._check(a), group.identity(), n
-    for q in prime_factors(n):
-        while r % q == 0 and group._power(base, r // q) == identity:
+        return bb_order(group, a, DEFAULT_ORDER_CAP)
+    return minimal_order(group, group._check(a), n, group._power)
+
+
+def minimal_order(group: BlackBoxGroup, a, multiple: int, power) -> int:
+    """Smallest divisor r of `multiple` with a^r = identity, given that
+    a^multiple = identity: each prime q of `multiple` is stripped while q | r
+    and power(a, r / q) is the identity."""
+    r, identity = multiple, group.identity()
+    for q in prime_factors(multiple):
+        while r % q == 0 and power(a, r // q) == identity:
             r //= q
     return r
 
@@ -459,14 +465,12 @@ def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[l
     if kept is not None and kept[0] == key:
         return kept[1:]
     identity = group.identity()
+    if kept is None or key[:len(kept[0])] != kept[0]:  # walk from the empty walk
+        kept = ((), [], {group.encode(identity): (identity, ())})
     zeros = (0,) * len(generators)
-    if kept is not None and key[:len(kept[0])] == kept[0]:
-        pad = zeros[len(kept[0]):]
-        relations = [row + list(pad) for row in kept[1]]
-        reached = {k: (value, word + pad) for k, (value, word) in kept[2].items()}
-    else:
-        relations = []
-        reached = {group.encode(identity): (identity, zeros)}
+    pad = zeros[len(kept[0]):]
+    relations = [row + list(pad) for row in kept[1]]
+    reached = {k: (value, word + pad) for k, (value, word) in kept[2].items()}
     for j, g in enumerate(generators[len(relations):], start=len(relations)):
         subgroup = list(reached.values())[1:]  # H but the identity
         m, power = 1, group.mul(identity, g)

@@ -532,24 +532,24 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        name="simulator order strips each prime once",
+        name="minimal order strips each prime once",
         path="src/normsim/blackbox.py",
-        old="        while r % q == 0 and group._power(base, r // q) == identity:\n",
-        new="        if r % q == 0 and group._power(base, r // q) == identity:\n",
+        old="        while r % q == 0 and power(a, r // q) == identity:\n",
+        new="        if r % q == 0 and power(a, r // q) == identity:\n",
         tests=(f"{SIMULATOR_ORDER}[zn_star]", f"{SIMULATOR_ORDER}[shor curves]"),
     ),
     Mutant(
         name="simulator order is the group order unstripped",
         path="src/normsim/blackbox.py",
-        old="    for q in prime_factors(n):\n",
-        new="    for q in []:\n",
+        old="    return minimal_order(group, group._check(a), n, group._power)\n",
+        new="    return n\n",
         tests=(f"{SIMULATOR_ORDER}[zn_star]", f"{SIMULATOR_ORDER}[criterion 10]"),
     ),
     Mutant(
         name="simulator order strips on the counted oracle",
         path="src/normsim/blackbox.py",
-        old="group._power(base, r // q)",
-        new="group.power(base, r // q)",
+        old="n, group._power)",
+        new="n, group.power)",
         tests=(
             f"{SIMULATOR_ORDER}[zn_star]",
             "tests/test_algorithms.py::test_find_order_on_a_large_semiprime_within_a_second",
@@ -558,8 +558,8 @@ MUTANTS = [
     Mutant(
         name="resumed walk drops the kept relations",
         path="src/normsim/blackbox.py",
-        old="        relations = [row + list(pad) for row in kept[1]]\n",
-        new="        relations = [list(zeros) for row in kept[1]]\n",
+        old="    relations = [row + list(pad) for row in kept[1]]\n",
+        new="    relations = [list(zeros) for row in kept[1]]\n",
         tests=(
             "tests/test_blackbox.py::test_a_resumed_walk_equals_a_fresh_walk[zn_star]",
             "tests/test_blackbox.py::test_sample_generators_generate",

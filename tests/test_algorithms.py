@@ -19,7 +19,7 @@ from helpers import (
     solve_hsp_reference,
     table_entries,
 )
-from normsim import algorithms
+from normsim import algorithms, blackbox
 from normsim.algorithms import (
     AlgorithmError,
     DiscreteLogError,
@@ -120,12 +120,10 @@ def test_find_order_on_a_large_semiprime_within_a_second():
 
 def test_find_order_refuses_a_walk_past_its_cap(monkeypatch):
     # N = 999999937 * 1000000007 is not factored below 2^16, so the period
-    # is walked on the oracle, at most min(r_max, DEFAULT_ORDER_CAP) steps.
-    monkeypatch.setattr(algorithms, "DEFAULT_ORDER_CAP", 64)
+    # is walked on the oracle, at most DEFAULT_ORDER_CAP steps.
+    monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 64)
     group = ZNStarGroup(HUGE_SEMIPRIME)
-    with pytest.raises(
-        OrderFindingError, match="^order of 2 exceeds the simulator's walk cap 64$"
-    ):
+    with pytest.raises(OrderFindingError, match="^simulator: order of 2 exceeds cap 64$"):
         find_order(group, 2, rng_for(0))
     assert group.counter.total == 64
     assert find_order(group, HUGE_SEMIPRIME - 1, rng_for(0)).order == 2
@@ -461,8 +459,6 @@ def test_black_box_algorithms_do_not_ask_for_the_group_order():
 
 
 def test_dlog_queries_fall_on_one_counter(monkeypatch):
-    from normsim import blackbox
-
     counters = []
 
     class RecordedCounter(blackbox.OracleCounter):

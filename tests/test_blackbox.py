@@ -612,14 +612,15 @@ def test_simulator_order_equals_bb_order_at_no_oracle_call(corpus):
         assert group.counter.total == 0
 
 
-def test_simulator_order_walks_the_oracle_when_the_order_is_not_exact():
+def test_simulator_order_walks_the_oracle_when_the_order_is_not_exact(monkeypatch):
     p = 4294967311  # the least prime past 2^32: trial division below 2^16 leaves it
     group = ZNStarGroup(p)
     assert group.order_within(0) == (math.isqrt(p // 2), False)
     assert simulator_order(group, p - 1) == 2
     assert group.counter.total == 1  # bb_order's a^2
+    monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 16)
     with pytest.raises(BlackBoxError, match="^order of 2 exceeds cap 16$"):
-        simulator_order(group, 2, cap=16)  # 2^32 = -15 mod p: the order passes 32
+        simulator_order(group, 2)  # 2^32 = -15 mod p: the order passes 32
     assert group.counter.total == 1 + 16
 
 

@@ -380,7 +380,7 @@ def test_order_past_the_walk_cap_exits_3(capsys):
     # order past 2^20: the simulator's walk for its period stops at the cap.
     assert main(["order", "999999943999999559", "2"]) == 3
     assert capsys.readouterr().err == (
-        "error: order of 2 exceeds the simulator's walk cap 1048576\n"
+        "error: simulator: order of 2 exceeds cap 1048576\n"
     )
 
 

@@ -109,14 +109,14 @@ class BlackBoxGroup:
         return self._inv(x)
 
     def power(self, x, k: int):
-        """x^k by repeated squaring.
+        """x^k by left-to-right square-and-multiply.
 
-        For k > 0 this counts bit_length(k) + popcount(k) `mul` calls (one
-        squaring per bit, the last one included, and one product per set
-        bit); k = 0 counts none, and k < 0 one `inv` more.  The argument is
-        checked once, with the error `mul` would raise: every value inside
-        the loop is a product of elements, hence an element, so the loop
-        multiplies unchecked.
+        For k > 0 this counts bit_length(k) + popcount(k) - 2 `mul` calls:
+        one squaring per bit after the leading one and one product per set
+        bit after it, so x^1 counts none; k = 0 counts none, and k < 0 one
+        `inv` more.  The argument is checked once, with the error `mul`
+        would raise: every value inside the loop is a product of elements,
+        hence an element, so the loop multiplies unchecked.
         """
         if k < 0:
             return self.power(self.inv(x), -k)
@@ -124,28 +124,35 @@ class BlackBoxGroup:
             return self.identity()
         k = operator.index(k)
         base = self._check(x)
-        self.counter.mul += k.bit_length() + k.bit_count()
+        self.counter.mul += k.bit_length() + k.bit_count() - 2
         return self._power(base, k)
 
     def _power(self, base, k: int):
         """base^k for an element `base` and k >= 0, by the squarings and
-        products `power` counts, at no oracle call."""
-        result = self.identity()
-        while k:
-            if k & 1:
+        products `power` counts, at no oracle call: from `base`, each bit of
+        k after the leading one squares, and a set bit then multiplies by
+        `base`."""
+        if not k:
+            return self.identity()
+        result = base
+        for bit in bin(k)[3:]:
+            result = self._product(result, result)
+            if bit == "1":
                 result = self._product(result, base)
-            base = self._product(base, base)
-            k >>= 1
         return result
 
     def word(self, generators: Sequence, exponents: Sequence[int]):
-        """generators[0]^e0 * generators[1]^e1 * ..."""
+        """generators[0]^e0 * generators[1]^e1 * ...
+
+        Zero exponents are skipped, so a word with t nonzero exponents costs
+        its t `power` calls plus t - 1 `mul`; an all-zero word is the
+        identity at no call."""
         if len(generators) != len(exponents):
             raise BlackBoxError("generator/exponent length mismatch")
-        result = self.identity()
-        for g, e in zip(generators, exponents):
-            result = self.mul(result, self.power(g, e))
-        return result
+        terms = [self.power(g, e) for g, e in zip(generators, exponents) if e]
+        if not terms:
+            return self.identity()
+        return functools.reduce(self.mul, terms)
 
     def sample_generators(self, rng) -> list:
         """Random generating set, keeping only candidates outside the subgroup
@@ -185,6 +192,7 @@ class ZNStarGroup(BlackBoxGroup):
         self.modulus = modulus
         self.encoding_length = max(1, (modulus - 1).bit_length())
         self._order: int | None = None
+        self._unfactored = False  # trial division below SMALL_TRIAL_BOUND failed
 
     def _check(self, x) -> int:
         if not self.is_element(x):
@@ -220,11 +228,15 @@ class ZNStarGroup(BlackBoxGroup):
         """phi(N) = N prod (1 - 1/p) over the prime factors p of N, computed
         once.  When trial division below SMALL_TRIAL_BOUND leaves N
         unfactored and isqrt(N // 2) > limit, (isqrt(N // 2), False) instead,
-        as phi(N) >= sqrt(N/2) for every N: a huge N is not factored."""
+        as phi(N) >= sqrt(N/2) for every N: a huge N is not factored.  The
+        failed division is remembered, so it runs at most once."""
         if self._order is None:
             floor = math.isqrt(self.modulus // 2)
+            if floor > limit and self._unfactored:
+                return floor, False
             primes = prime_factors(self.modulus, SMALL_TRIAL_BOUND if floor > limit else None)
             if primes is None:
+                self._unfactored = True
                 return floor, False
             self._order = self.modulus
             for p in primes:
@@ -416,7 +428,13 @@ class DecompositionTable:
         return math.prod(self.c)
 
     def verify(self, group: BlackBoxGroup, exhaustive: bool = False) -> None:
-        """Check the table's defining identities by oracle multiplication."""
+        """Check the table's defining identities by oracle multiplication.
+
+        beta = alpha A and alpha = beta B cost one `word` per column, and
+        each ord(beta_i) = c_i its prime certificate: one `power` to c_i and
+        one to c_i / q per prime q of c_i, O(log^2 c_i) `mul` in all where a
+        walk of the powers would take c_i - 1.
+        """
         k, ell = len(self.alpha), len(self.beta)
         if any(len(row) != ell for row in self.a) or len(self.a) != k:
             raise BlackBoxError("matrix A has the wrong shape")
@@ -430,8 +448,16 @@ class DecompositionTable:
             column = [self.b[i][j] for i in range(ell)]
             if group.word(self.beta, column) != self.alpha[j]:
                 raise BlackBoxError(f"alpha[{j}] != beta * B[:, {j}]")
+        identity = group.identity()
         for i, (b_i, c_i) in enumerate(zip(self.beta, self.c)):
-            if bb_order(group, b_i, cap=c_i) != c_i:
+            # ord(b_i) = c_i exactly when b_i^c_i = 1 and b_i^(c_i / q) != 1
+            # for each prime q | c_i.  prime_factors(0) is empty, so a c_i
+            # below 1 is refused first.
+            if (
+                c_i < 1
+                or group.power(b_i, c_i) != identity
+                or any(group.power(b_i, c_i // q) == identity for q in prime_factors(c_i))
+            ):
                 raise BlackBoxError(f"order of beta[{i}] is not {c_i}")
         if exhaustive:
             # Direct-sum check.  The checks above give <beta> = <alpha> and

@@ -61,6 +61,11 @@ SAMPLED_SPOT_CHECKS = (
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 FOLD = "tests/test_blackbox.py::test_cayley_fold_matches_the_breadth_first_walk"
 SIMULATOR_ORDER = "tests/test_blackbox.py::test_simulator_order_equals_bb_order_at_no_oracle_call"
+ORDER_CERTIFICATE = (
+    "tests/test_blackbox.py::"
+    "test_verify_order_certificate_agrees_with_the_walk_on_small_unit_groups"
+)
+WRONG_ORDER_CLAIMS = "tests/test_blackbox.py::test_verify_rejects_each_wrong_order_claim"
 
 MUTANTS = [
     Mutant(
@@ -573,6 +578,41 @@ MUTANTS = [
         tests=(
             "tests/test_blackbox.py::test_decompose_z15",
             "tests/test_deblackbox.py::test_bridge_encode_decode_z15",
+        ),
+    ),
+    Mutant(
+        name="order certificate skips the first prime of c",
+        path="src/normsim/blackbox.py",
+        old="for q in prime_factors(c_i))",
+        new="for q in prime_factors(c_i)[1:])",
+        tests=(ORDER_CERTIFICATE, f"{WRONG_ORDER_CLAIMS}[zn_star]"),
+    ),
+    Mutant(
+        name="order certificate without beta^c = 1",
+        path="src/normsim/blackbox.py",
+        old="                or group.power(b_i, c_i) != identity\n",
+        new="",
+        tests=(ORDER_CERTIFICATE, f"{WRONG_ORDER_CLAIMS}[curve]"),
+    ),
+    Mutant(
+        name="square-and-multiply drops the multiply on a set bit",
+        path="src/normsim/blackbox.py",
+        old="            if bit == \"1\":\n                result = self._product(result, base)\n",
+        new="",
+        tests=(
+            "tests/test_blackbox.py::test_power_matches_repeated_multiplication",
+            "tests/test_blackbox.py::"
+            "test_word_is_the_naive_product_at_its_powers_plus_one_mul_per_join",
+        ),
+    ),
+    Mutant(
+        name="power counts one squaring too many",
+        path="src/normsim/blackbox.py",
+        old="k.bit_length() + k.bit_count() - 2",
+        new="k.bit_length() + k.bit_count() - 1",
+        tests=(
+            "tests/test_blackbox.py::test_power_counts_two_less_than_bit_length_plus_popcount",
+            "tests/test_algorithms.py::test_dlog_queries_fall_on_one_counter",
         ),
     ),
 ]

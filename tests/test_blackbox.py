@@ -22,7 +22,7 @@ from normsim.blackbox import (
     simulator_order,
 )
 from normsim.groups import cyclic_group
-from normsim.linalg import hermite_reduce
+from normsim.linalg import hermite_reduce, prime_factors
 
 F5_CURVE = (5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
 
@@ -135,6 +135,27 @@ def test_zn_star_order_bound_is_isqrt_half_n_past_the_small_primes(n):
         assert floor <= group.order()
 
 
+def test_zn_star_order_bound_divides_a_huge_n_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prime_factors(*args)
+
+    monkeypatch.setattr(blackbox, "prime_factors", counted)
+    n = 999999937 * 1000000007
+    group = ZNStarGroup(n)
+    floor = math.isqrt(n // 2)
+    assert group.order_within(0) == group.order_within(0) == (floor, False)
+    assert group.order_within(floor - 1) == (floor, False)
+    assert calls == [(n, blackbox.SMALL_TRIAL_BOUND)]
+    # A limit the floor does not pass still factors N in full.
+    small = ZNStarGroup(65537 * 65539)
+    assert small.order_within(0) == (math.isqrt(small.modulus // 2), False)
+    assert small.order_within(math.inf) == (65536 * 65538, True)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize(
     "curve",
     [(5, 1, 1), (7, 3, 1), (11, 1, 1), (13, 2, 2), (17, 2, 4), (1009, 2, 3)],
@@ -218,13 +239,19 @@ def _power_groups():
     ]
 
 
-def test_power_counts_bit_length_plus_popcount():
+def _power_mul_count(k):
+    """`mul` calls of power(x, k): a squaring per bit after the leading one
+    and a product per set bit after it."""
+    m = abs(k)
+    return m.bit_length() + bin(m).count("1") - 2 if m else 0
+
+
+def test_power_counts_two_less_than_bit_length_plus_popcount():
     for group, x in _power_groups():
         for k in range(-40, 41):
             before_mul, before_inv = group.counter.mul, group.counter.inv
             group.power(x, k)
-            m = abs(k)
-            assert group.counter.mul - before_mul == m.bit_length() + bin(m).count("1")
+            assert group.counter.mul - before_mul == _power_mul_count(k)
             assert group.counter.inv - before_inv == (k < 0)
         assert group.power(x, 0) == group.identity()
 
@@ -235,6 +262,27 @@ def test_power_matches_repeated_multiplication():
         for k in range(30):
             assert group.power(x, k) == acc
             acc = group.mul(acc, x)
+
+
+def test_word_is_the_naive_product_at_its_powers_plus_one_mul_per_join():
+    rng = np.random.default_rng(23)
+    for group, x in _power_groups():
+        elements = list(group.elements())
+        for _ in range(200):
+            size = int(rng.integers(0, 5))
+            generators = [elements[int(rng.integers(len(elements)))] for _ in range(size)]
+            exponents = [int(e) for e in rng.integers(-20, 21, size) * (rng.random(size) < 0.7)]
+            expected = group.identity()
+            for g, e in zip(generators, exponents):
+                step = g if e > 0 else group.inv(g)
+                for _ in range(abs(e)):
+                    expected = group.mul(expected, step)
+            before = group.counter.total
+            assert group.word(generators, exponents) == expected
+            nonzero = [e for e in exponents if e]
+            joins = max(len(nonzero) - 1, 0)
+            cost = sum(_power_mul_count(e) + (e < 0) for e in nonzero) + joins
+            assert group.counter.total - before == cost, (group, exponents)
 
 
 def test_power_rejects_a_non_element_once_with_the_mul_error():
@@ -437,6 +485,65 @@ def test_exhaustive_verify_of_an_empty_table():
     g = ZNStarGroup(2)  # the group {1}
     DecompositionTable(alpha=[], beta=[], a=[], b=[], c=[]).verify(g, exhaustive=True)
     assert g.counter.total == 0
+
+
+def _one_generator_table(beta, c):
+    return DecompositionTable(alpha=[beta], beta=[beta], a=[[1]], b=[[1]], c=[c])
+
+
+def _verifies(group, table):
+    try:
+        table.verify(group)
+    except BlackBoxError as exc:
+        assert str(exc) == f"order of beta[0] is not {table.c[0]}"
+        return False
+    return True
+
+
+def _reaches_its_cap(group, x, c):
+    try:
+        return bb_order(group, x, cap=c) == c
+    except BlackBoxError:
+        return False
+
+
+def test_verify_order_certificate_agrees_with_the_walk_on_small_unit_groups():
+    """ord(beta) = c by the prime certificate exactly when the walk capped
+    at c reaches c, for every unit of Z_N^* with N < 80 and c <= 2 ord + 2."""
+    pairs = 0
+    for n in range(2, 80):
+        group, walk = ZNStarGroup(n), ZNStarGroup(n)
+        for x in group.elements():
+            order = bb_order(walk, x)
+            for c in range(1, 2 * order + 3):
+                assert _verifies(group, _one_generator_table(x, c)) == _reaches_its_cap(
+                    walk, x, c
+                ), (n, x, c)
+                pairs += 1
+    assert pairs == 72102
+
+
+def _certificate_case(name):
+    """(group, g) with g of an even order that has two primes."""
+    from normsim.algorithms import OracularGroup
+
+    return {
+        "zn_star": lambda: (ZNStarGroup(97), 5),  # order 96 = 2^5 * 3
+        "curve": lambda: (EllipticCurveGroup(11, 1, 1), (1, 5)),  # order 14
+        "oracular": lambda: (OracularGroup(cyclic_group(12), lambda c: int(c[0]) % 12), 1),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["zn_star", "curve", "oracular"])
+def test_verify_rejects_each_wrong_order_claim(name):
+    group, g = _certificate_case(name)
+    c = bb_order(group, g)
+    assert _verifies(group, _one_generator_table(g, c))
+    for q in prime_factors(c):  # beta of order c / q
+        assert not _verifies(group, _one_generator_table(group.power(g, q), c)), q
+    assert not _verifies(group, _one_generator_table(g, c // 2))  # beta of order 2c
+    assert not _verifies(group, _one_generator_table(g, 0))
+    assert not _verifies(group, _one_generator_table(group.identity(), 0))
 
 
 def test_decompose_z5_cyclic():

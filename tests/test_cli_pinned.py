@@ -31,6 +31,14 @@ and decompose ec cases moved in their oracle counts alone (10 to 7, 96 to 84,
 group's order instead of walking the powers on the oracle, and the deblackbox
 case (its provenance's decompose record 23 to 19) when generator sampling
 began to resume the kept walk instead of walking each prefix again.
+
+The order, decompose, decompose ec and deblackbox cases moved in their
+oracle counts alone once more when `power` began its square-and-multiply at
+x instead of the identity (bit_length + popcount - 2 `mul`, none for x^1),
+`word` began to skip zero exponents, and `DecompositionTable.verify` began
+to check each order by its prime certificate instead of walking the powers:
+order 7 to 3, decompose 84 to 51, decompose ec 40 to 23, and the deblackbox
+provenance's decompose record 19 to 10 and its extraction record 44 to 38.
 """
 
 import json

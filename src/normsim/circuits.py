@@ -630,8 +630,10 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> WordExp:
 
     Oracle cost depends on who applies it.  The dense engine reads the
     returned `WordExp`'s active (register, base) pairs and applies the gate
-    as translation tables of the black-box axis: |B| `mul` per active base
-    per application, no `power`, whatever the support.  A per-point call
+    by walking the coset y0 <bases> of each support label y0 not yet reached:
+    |<bases>| - 1 + (active bases) `mul` per coset the support meets (one
+    for a Fourier opening), no `power`, and never more than the |B| `mul`
+    per active base of one translation table each.  A per-point call
     (deblackbox extraction, tests) costs one `mul` per active base, plus one
     `power` per distinct (register, exponent) over the gate's lifetime.
     Generic black-box callables, unlike this one, run once per support label

@@ -23,8 +23,8 @@ part of the record. Most families have one part, the result:
 - decompose: `decompose_group` on Z_N^* for N = 2..64, with generators from
   `sample_generators(default_rng(N))` and the same rng after it;
 - dense: `dense_run` of `fourier_circuit`s, as the SHA-256 of the amplitude
-  bytes, the shape, the black-box labels and the oracle calls of the run:
-  every discrete-log circuit for p <= 17 (p = 17 first), the circuit of
+  bytes, the shape and the black-box labels, with the oracle calls of the
+  run as its trace: every discrete-log circuit for p <= 17 (p = 17 first), the circuit of
   every multiple of a point of largest order on the five `shor` curves, and
   `hsp_circuit` of up to three planted subgroups (three seeded draws,
   distinct ones kept) of each Z_n^k with n = 2..4 and k = 1..3, each from
@@ -37,15 +37,16 @@ part of the record. Most families have one part, the result:
   case runs once to stdout and once with `--out`, in a temporary directory
   that also holds the circuit files the `run` and `deblackbox` cases read.
 
-The dlog, ecdlog, decompose, hsp and cli families split each record in two.
-The result is the answer: the exponent and order, the decomposition table,
-the hidden subgroup's elements or the kernel generators, or else the type
-and message the run raises; for the CLI, the exit codes, the output with its
-log taken out and the `error:` lines.  The trace is how the run got there:
-its samples and log, the oracle calls of every group made during it and the
-next draw of its rng; for the CLI, the run logs (the log line on stderr, the
-"log" field of a JSON payload and the `.log.json` file).  A change that keeps
-every answer but draws other samples moves traces alone.
+The dlog, ecdlog, decompose, dense, hsp and cli families split each record
+in two.  The result is the answer: the exponent and order, the decomposition
+table, the state's bytes, the hidden subgroup's elements or the kernel
+generators, or else the type and message the run raises; for the CLI, the
+exit codes, the output with its log taken out and the `error:` lines.  The
+trace is how the run got there: its samples and log, the oracle calls of
+every group made during it and the next draw of its rng; for the CLI, the
+run logs (the log line on stderr, the "log" field of a JSON payload and the
+`.log.json` file).  A change that keeps every answer but draws other samples
+or makes other oracle calls moves traces alone.
 
 The script imports normsim from the src/ beside it. `--check` prints, per
 family, the cases, the results moved and the traces moved, then one MOVED
@@ -371,10 +372,12 @@ def _dense_case(build: Callable, first: int) -> dict:
     before = counter.mul, counter.inv
     state = dense.dense_run(circuit, start + (basis.blackbox.identity(),))
     return {
-        "amplitudes": hashlib.sha256(state.amplitudes.tobytes()).hexdigest(),
-        "shape": list(state.amplitudes.shape),
-        "bb labels": state.bb_labels,
-        "oracle calls": [counter.mul - before[0], counter.inv - before[1]],
+        "result": {
+            "amplitudes": hashlib.sha256(state.amplitudes.tobytes()).hexdigest(),
+            "shape": list(state.amplitudes.shape),
+            "bb labels": state.bb_labels,
+        },
+        "trace": {"oracle calls": [counter.mul - before[0], counter.inv - before[1]]},
     }
 
 
@@ -540,8 +543,7 @@ def families() -> dict[str, list[tuple[str, Callable[[], dict]]]]:
         ],
         "decompose": [(f"Z{n}*", lambda n=n: _decompose_case(n)) for n in range(2, 65)],
         "dense": [
-            (f"{name} x0={first}",
-             _result(lambda build=build, first=first: _dense_case(build, first)))
+            (f"{name} x0={first}", lambda build=build, first=first: _dense_case(build, first))
             for name, build in _dense_circuits()
             for first in (0, 1)
         ],

@@ -45,6 +45,7 @@ DENSE_KERNEL = "tests/test_algorithms.py::test_dense_kernel_equals_the_word_tabl
 NON_CYCLIC_DLOG = "tests/test_algorithms.py::test_black_box_dlog_on_non_cyclic_units"
 FOURIER_OPENING = "tests/test_dense.py::test_fourier_opening_matches_the_gatewise_run"
 PER_AXIS_QFT = "tests/test_dense.py::test_the_per_axis_qft_is_ifftn_byte_for_byte"
+EVERY_PRODUCT = "tests/test_dense.py::test_every_product_of_the_walk_is_counted"
 BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
@@ -368,8 +369,8 @@ MUTANTS = [
     Mutant(
         name="Fourier opening walked from label index 0, not the start label",
         path="src/normsim/dense.py",
-        old="    j = np.full(shape[:k], label, dtype=np.intp)\n",
-        new="    j = np.full(shape[:k], 0, dtype=np.intp)\n",
+        old="    walk = _coset_walk(state, func, label)\n",
+        new="    walk = _coset_walk(state, func, 0)\n",
         tests=(
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
@@ -383,14 +384,36 @@ MUTANTS = [
         tests=(PER_AXIS_QFT, FOURIER_OPENING),
     ),
     Mutant(
-        name="doubling composes rows[filled - 1], one power short",
+        name="coset walk reduction drops the carry word",
         path="src/normsim/dense.py",
-        old="rows[filled : filled + m] = rows[filled - 1][step][rows[:m]]",
-        new="rows[filled : filled + m] = rows[filled - 1][rows[:m]]",
+        old="                if w:\n",
+        new="                if False:\n",
         tests=(
-            "tests/test_dense.py::test_power_rows_by_doubling_equal_the_iterated_composition",
+            FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
             GOLDEN_SLICE,
+        ),
+    ),
+    Mutant(
+        name="coset walk leaves the closing product uncounted",
+        path="src/normsim/dense.py",
+        old="group.counter.mul += n - size + 1",
+        new="group.counter.mul += n - size",
+        tests=(
+            f"{EVERY_PRODUCT}[curve]",
+            "tests/test_dense.py::test_word_exp_gates_cost_one_coset_walk",
+            "tests/test_algorithms.py::test_dlog_queries_fall_on_one_counter",
+        ),
+    ),
+    Mutant(
+        name="coset walk builds each coset from the first coset, not the last",
+        path="src/normsim/dense.py",
+        old="value = group._product(labels[table[n - size]], b)",
+        new="value = group._product(labels[table[n % size]], b)",
+        tests=(
+            FOURIER_OPENING,
+            "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
+            f"{EVERY_PRODUCT}[oracle k=3]",
         ),
     ),
     Mutant(

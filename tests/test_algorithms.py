@@ -469,9 +469,11 @@ def test_dlog_queries_fall_on_one_counter(monkeypatch):
     monkeypatch.setattr(blackbox, "OracleCounter", RecordedCounter)
     discrete_log(17, 3, 5, rng_for(0))
     # The generator check's 3^8 costs 3 mul (three squarings from 3) and the
-    # word_exp gate 32 (test_dense pins the circuit's count).  Re-recorded
-    # from 5 + 32 when `power` stopped multiplying by the identity.
-    assert [counter.total for counter in counters] == [3 + 32]
+    # word_exp gate 17 (test_dense pins the circuit's count).  Re-recorded
+    # from 5 + 32 when `power` stopped multiplying by the identity, and from
+    # 3 + 32 when the dense engine began to walk the coset y0 <3, 5> (16 - 1
+    # + 2 mul) instead of building one translation table of Z_17^* per base.
+    assert [counter.total for counter in counters] == [3 + 17]
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +808,9 @@ def test_dense_kernel_equals_the_word_table_route(make_group, generators, seed, 
         pytest.param(lambda: EllipticCurveGroup(11, 1, 1), [(0, 1), (4, 5)], id="ec 11 1 1"),
     ],
 )
-def test_dense_kernel_costs_one_translation_table_per_generator(
-    make_group, generators, monkeypatch
-):
+def test_dense_kernel_costs_one_coset_walk(make_group, generators, monkeypatch):
+    # The generators generate the group, so the walk from the identity costs
+    # |G| - 1 + (active generators) mul and no inv.
     built = []
     construct = OracularGroup.__init__
 
@@ -823,7 +825,7 @@ def test_dense_kernel_costs_one_translation_table_per_generator(
     rows, route = algorithms._exponent_kernel(group, generators, d, rng_for(0), None)
     assert route == "hidden-subgroup rounds (dense)"
     active = sum(g != group.identity() for g in generators)
-    assert (group.counter.mul - mul, group.counter.inv - inv) == (active * group.order(), 0)
+    assert (group.counter.mul - mul, group.counter.inv - inv) == (group.order() - 1 + active, 0)
     assert built == []
     # The spy sees the word-table route's OracularGroup, with the same rows.
     assert reference_exponent_kernel(group, generators, d, rng_for(0), None) == (rows, route)

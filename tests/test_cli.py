@@ -458,9 +458,11 @@ def test_deblackbox_command(tmp_path, log_schema):
     load_circuit(out_path).validate()
 
 
-def test_run_dense_word_exp_file_takes_the_table_path(tmp_path, capsys, monkeypatch):
-    # A word_exp gate loaded from a circuit file runs as translation tables
-    # of the black-box axis and prints the bytes of the per-label loop.
+def test_run_dense_word_exp_file_takes_the_coset_walk(tmp_path, capsys, monkeypatch):
+    # A word_exp gate loaded from a circuit file runs as one walk of the
+    # coset 4 <7> = {4, 13, 1, 7} per run (the input is off zero, so gate by
+    # gate, and the support meets that one coset) and prints the bytes of
+    # the per-label loop.
     from helpers import reference_black_box_gates
 
     from normsim import dense
@@ -482,16 +484,20 @@ def test_run_dense_word_exp_file_takes_the_table_path(tmp_path, capsys, monkeypa
         assert main(argv + ["--out", str(out)]) == 0
         return stdout, out.read_bytes(), (directory / "out.txt.log.json").read_bytes()
 
-    tables = []
-    word_exp_targets = dense._word_exp_targets
-    monkeypatch.setattr(
-        dense, "_word_exp_targets", lambda *args: tables.append(1) or word_exp_targets(*args)
-    )
-    table_bytes = outputs(tmp_path / "table")
-    assert len(tables) == 2
+    walks = []
+    coset_walk = dense._coset_walk
+
+    def spy(state, func, start):
+        walk = coset_walk(state, func, start)
+        walks.append((state.bb_labels[start], walk.labels.size))
+        return walk
+
+    monkeypatch.setattr(dense, "_coset_walk", spy)
+    walk_bytes = outputs(tmp_path / "walk")
+    assert walks == [(4, 4)] * 2
     with reference_black_box_gates(monkeypatch):
-        assert outputs(tmp_path / "reference") == table_bytes
-    assert len(tables) == 2
+        assert outputs(tmp_path / "reference") == walk_bytes
+    assert walks == [(4, 4)] * 2
 
 
 def test_check_modexp(tmp_path, log_schema):

@@ -39,6 +39,11 @@ x instead of the identity (bit_length + popcount - 2 `mul`, none for x^1),
 to check each order by its prime certificate instead of walking the powers:
 order 7 to 3, decompose 84 to 51, decompose ec 40 to 23, and the deblackbox
 provenance's decompose record 19 to 10 and its extraction record 44 to 38.
+
+The decompose cases moved in their oracle counts alone (51 to 40) when the
+dense engine began to apply `word_exp` by one walk of the coset y0 <bases>
+(|<bases>| - 1 + one closing product per active base) instead of one
+translation table of the whole group per base.
 """
 
 import json

@@ -249,11 +249,13 @@ def _oracle_calls(circuit, point) -> int:
     return group.counter.total - before
 
 
-def test_word_exp_gates_cost_one_table_per_active_base():
-    # The dense engine applies word_exp as translation tables of the black-box
-    # axis: |B| mul per active base, no power, whatever the support.  Each of
-    # these gates has two active bases, so it costs 2 |B|: 2 x 16 for Z_17^*,
-    # 2 x 6 for the curve, 2 x 4 for the oracle's group.
+def test_word_exp_gates_cost_one_coset_walk():
+    # The dense engine applies word_exp by one walk of the coset y0 <b> that
+    # the support meets: one mul per element past y0 and one closing product
+    # per active base, no power.  Each of these gates has two active bases
+    # and a second base inside <first base>, so it costs |<b>| - 1 + 2:
+    # 16 + 1 for Z_17^* = <3>, 6 + 1 for the curve's <(2, 1)>, 4 + 1 for the
+    # oracle's group.
     from normsim.algorithms import (
         HSPInstance,
         OracularGroup,
@@ -263,14 +265,14 @@ def test_word_exp_gates_cost_one_table_per_active_base():
     )
     from normsim.blackbox import EllipticCurveGroup
 
-    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 32
+    assert _oracle_calls(dlog_circuit(17, 3, 5), (0, 0, 1)) == 17
     curve = EllipticCurveGroup(7, 2, 3)
-    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 12
+    assert _oracle_calls(ec_dlog_circuit(curve, (2, 1), (3, 6), 6), (0, 0, None)) == 7
     domain = cyclic_group(4, 2)
     instance = HSPInstance(group=domain, oracle=lambda c: (int(c[0]) % 2, int(c[1])))
     oracular = OracularGroup(domain, instance.oracle)
     circuit = hsp_circuit(instance, oracular)
-    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 8
+    assert _oracle_calls(circuit, (0, 0, oracular.identity())) == 5
 
 
 def _reference_run(monkeypatch, circuit, point):
@@ -315,13 +317,36 @@ def _black_box_cases():
         gate = AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp")
         return NormalizerCircuit(basis, [QFTGate(registers), gate, QFTGate(registers)])
 
-    # word_exp's translation tables: a base of order 4 on Z_5, order
-    # finding's shape, an identity base between active ones, three active
-    # bases, and inputs whose black-box label is not the identity.
+    # word_exp's coset walk: a base of order 4 on Z_5, order finding's
+    # shape, an identity base between active ones, three active bases, a
+    # base inside <earlier bases> (4 = 2^2, closing at m = 1), and inputs
+    # whose black-box label is not the identity.
     yield word_exp_circuit((5,), 15, [2]), (0, 1)
     yield word_exp_circuit((4, 3), 15, [7, 1]), (0, 0, 1)
     yield word_exp_circuit((3, 2, 4), 15, [2, 1, 7]), (0, 0, 0, 4)
     yield word_exp_circuit((4, 2, 3), 21, [2, 20, 4]), (1, 0, 2, 5)
+    yield word_exp_circuit((4, 3), 15, [2, 4]), (0, 0, 7)
+    yield word_exp_circuit((4, 3), 15, [2, 4]), (2, 1, 13)
+    # No homomorphism of Z_2^2: ord 8 = 2 but ord 4 = 3, whose powers the
+    # walk reads off exactly all the same.
+    for start in [(0, 0, 1), (0, 0, 5), (1, 1, 1)]:
+        yield ec_dlog_circuit(ZNStarGroup(21), 8, 4, 2), start
+    # Three active bases over an oracle's group, from the identity and off it.
+    planted = _fourier_group(("planted", (2, 3, 4), (0, 0, 2)))
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    circuit = _fourier_circuit(DesignatedBasis(cyclic_group(2, 3, 4), planted), units, (0, 1, 2))
+    for start in [(0, 0, 0, (0, 0, 0)), (0, 0, 0, (1, 2, 1)), (1, 0, 3, (0, 1, 1))]:
+        yield circuit, start
+    # A spread y -> y 2^x_0 puts the support on the cosets {7, 13} and
+    # {11, 14} of <4> and on both cosets of <4, 11>: one walk per coset met.
+    domain = cyclic_group(4, 2)
+    basis = DesignatedBasis(domain, ZNStarGroup(15))
+    spread = AutomorphismGate(func=lambda pt: (pt[0], pt[1], pt[2] * pow(2, pt[0], 15) % 15))
+    phase = QuadraticGate(form=validate_quadratic([[Fraction(1, 4), 0], [0, 0]], [0, 0], domain))
+    for bases in ([4, 1], [4, 11]):
+        gate = AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp")
+        gates = [QFTGate((0, 1)), spread, phase, gate, QFTGate((0, 1))]
+        yield NormalizerCircuit(basis, gates), (0, 0, 7)
     # After a shear and a phase the support is a diagonal, not a box.
     domain = cyclic_group(4, 4)
     basis = DesignatedBasis(domain, ZNStarGroup(15))
@@ -595,10 +620,27 @@ def _fourier_circuit(basis, bases, registers):
 # A nonzero elementary start, and a first QFT over a strict subset.
 @example((("zn_star", 7), [3, 6], (6, 6), (1, 2, 3), (0, 1)))
 @example((("zn_star", 15), [2, 7], (4, 4), (0, 0, 1), (1,)))
+# Identity bases, a base inside <earlier bases> (closing at m = 1), and
+# three active bases over an oracle's group from a label off the identity.
+@example((("zn_star", 15), [2, 1, 7], (4, 3, 4), (0, 0, 0, 11), (0, 1, 2)))
+@example((("zn_star", 15), [2, 4], (4, 3), (0, 0, 7), (0, 1)))
+@example(
+    (
+        ("planted", (2, 3, 4), (0, 0, 2)),
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        (2, 3, 4),
+        (0, 0, 0, (1, 2, 1)),
+        (2, 1, 0),
+    )
+)
+# ord 4 = 3 does not divide the register's 2: no homomorphism, read off exactly.
+@example((("zn_star", 21), [8, 4], (2, 2), (0, 0, 5), (0, 1)))
 def test_fourier_opening_matches_the_gatewise_run(case):
     # The closed-form opening gives the bytes, the labels and the oracle
-    # cost of applying the QFT and word_exp gates one after the other.
-    from helpers import dense_run_gatewise
+    # cost of applying the QFT and word_exp gates one after the other, and
+    # the bytes and labels of the per-label reference loops, which multiply
+    # out each label's powers instead of walking the coset.
+    from helpers import dense_run_gatewise, reference_black_box_gates
 
     spec, bases, moduli, start, registers = case
     group = _fourier_group(spec)
@@ -606,10 +648,80 @@ def test_fourier_opening_matches_the_gatewise_run(case):
     before = group.counter.mul
     state = dense_run(circuit, start, cap=1 << 15)
     middle = group.counter.mul
-    reference = dense_run_gatewise(circuit, start, cap=1 << 15)
-    assert state.amplitudes.tobytes() == reference.amplitudes.tobytes()
-    assert state.bb_labels == reference.bb_labels
+    gatewise = dense_run_gatewise(circuit, start, cap=1 << 15)
     assert middle - before == group.counter.mul - middle
+    with pytest.MonkeyPatch.context() as patch, reference_black_box_gates(patch):
+        reference = dense_run(circuit, start, cap=1 << 15)
+    for other in (gatewise, reference):
+        assert state.amplitudes.tobytes() == other.amplitudes.tobytes()
+        assert state.bb_labels == other.bb_labels
+
+
+def _closure_size(group, bases) -> int:
+    """|<bases>|, by breadth-first multiplication on the uncounted product."""
+    reached, frontier = {group.identity()}, [group.identity()]
+    while frontier:
+        x = frontier.pop()
+        for b in bases:
+            y = group._product(x, b)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached)
+
+
+@pytest.mark.parametrize(
+    "spec, bases, moduli, others",
+    [
+        pytest.param(("zn_star", 17), [3, 5], (16, 16), [2, 10], id="Z17* second base inside"),
+        pytest.param(("zn_star", 15), [2, 1, 7], (4, 3, 4), [7, 14], id="Z15* identity base"),
+        pytest.param(("zn_star", 21), [8, 4], (2, 2), [5, 20], id="Z21* non-homomorphic"),
+        pytest.param(("curve", (7, 2, 3)), [(2, 1), (3, 6)], (6, 6), [(2, 1)], id="curve"),
+        pytest.param(
+            ("planted", (2, 3, 4), (0, 0, 2)),
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            (2, 3, 4),
+            [(1, 2, 1)],
+            id="oracle k=3",
+        ),
+    ],
+)
+def test_every_product_of_the_walk_is_counted(spec, bases, moduli, others, monkeypatch):
+    # Both word_exp paths count exactly the products they make, and one
+    # coset walk makes |<b>| - 1 + (active bases): the opening from
+    # |0, y0>, and the gate-by-gate path from a nonzero x_0 (the first QFT
+    # spreads x, the support stays on the one label y0).
+    group = _fourier_group(spec)
+    walk = _closure_size(group, bases) - 1 + sum(b != group.identity() for b in bases)
+    made = []
+    product = group._product
+    monkeypatch.setattr(group, "_product", lambda x, y: made.append(1) or product(x, y))
+    basis = DesignatedBasis(cyclic_group(*moduli), group)
+    circuit = _fourier_circuit(basis, bases, tuple(range(len(moduli))))
+    for y0 in [group.identity(), *others]:
+        for x0 in (0, 1):
+            made.clear()
+            before = group.counter.mul
+            dense_run(circuit, (x0,) + (0,) * (len(moduli) - 1) + (y0,))
+            assert group.counter.mul - before == len(made) == walk
+
+
+def test_the_gatewise_path_walks_each_coset_the_support_meets_once(monkeypatch):
+    # After y -> y 2^x_0 the support holds 7, 14, 13 and 11: two cosets of
+    # <4> and two of <4, 11>, so two walks, each counted exactly.
+    domain = cyclic_group(4, 2)
+    group = ZNStarGroup(15)
+    basis = DesignatedBasis(domain, group)
+    spread = AutomorphismGate(func=lambda pt: (pt[0], pt[1], pt[2] * pow(2, pt[0], 15) % 15))
+    made = []
+    product = group._product
+    monkeypatch.setattr(group, "_product", lambda x, y: made.append(1) or product(x, y))
+    for bases, walk in (([4, 1], 2 - 1 + 1), ([4, 11], 4 - 1 + 2)):
+        gate = AutomorphismGate(func=word_exp_func(basis, bases), name="word_exp")
+        made.clear()
+        before = group.counter.mul
+        dense_run(NormalizerCircuit(basis, [QFTGate((0, 1)), spread, gate]), (0, 0, 7))
+        assert group.counter.mul - before == len(made) == 2 * walk
 
 
 def _counted_transforms(monkeypatch, circuit, point) -> int:
@@ -682,22 +794,6 @@ def test_the_per_axis_qft_is_ifftn_byte_for_byte(case):
     expected = np.fft.ifftn(amplitudes, axes=registers, norm="ortho")
     assert state.amplitudes.dtype == expected.dtype
     assert state.amplitudes.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 5, 16, 17])
-def test_power_rows_by_doubling_equal_the_iterated_composition(count):
-    # rows[k] = step^k, for permutations and for a table that collapses
-    # labels (1, 4 -> 1 and 0 -> 1), whose powers are not a group.
-    from normsim.dense import _power_rows
-
-    rng = np.random.default_rng(count)
-    tables = [rng.permutation(n) for n in (1, 2, 7, 12)] + [np.array([1, 1, 0, 3, 1, 2])]
-    for step in tables:
-        step = step.astype(np.intp)
-        naive = [np.arange(len(step))]
-        for _ in range(count - 1):
-            naive.append(step[naive[-1]])
-        assert np.array_equal(_power_rows(step, count), np.stack(naive))
 
 
 def test_both_engines_reject_an_unknown_gate_in_validation():

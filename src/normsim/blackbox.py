@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .linalg import (
@@ -54,7 +54,7 @@ class BlackBoxGroup:
 
     def __init__(self) -> None:
         self.counter = OracleCounter()
-        self._walk: tuple | None = None  # (generator encodings, relations, reached)
+        self._walk: tuple | None = None  # (generator encodings, CosetWalk)
 
     # -- subclass surface ---------------------------------------------------
 
@@ -155,25 +155,25 @@ class BlackBoxGroup:
         return functools.reduce(self.mul, terms)
 
     def sample_generators(self, rng) -> list:
-        """Random generating set, keeping only candidates outside the subgroup
-        already generated (so the set stays logarithmically small).  Each kept
-        candidate resumes the group's kept walk with its own cosets, so the
-        sampling walks cost |<gens>| - 1 + len(gens) `mul` in all, and the
-        group keeps the walk of the generators returned."""
+        """Random generating set, keeping only candidates outside the walk of
+        those already kept (so the set stays logarithmically small).  Each kept
+        candidate folds its cosets onto the group's kept walk, so sampling
+        costs |<gens>| - 1 + len(gens) `mul` in all, and the group keeps the
+        walk of the generators returned."""
         target, _ = self.order_within(DEFAULT_ORDER_CAP)
         if target > DEFAULT_ORDER_CAP:  # the walk below would raise this
             raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
         gens: list = []
-        reached = {self.encode(self.identity())}
+        walk = coset_walk(self, self.encode, self.identity(), [])
         tries = 0
-        while len(reached) < target:
+        while len(walk) < target:
             candidate = self.random_element(rng)
             tries += 1
             if tries > SAMPLE_GENERATOR_TRIES:
                 raise BlackBoxError("failed to sample a generating set")
-            if self.encode(candidate) not in reached:
+            if self.encode(candidate) not in walk.position:
                 gens.append(candidate)
-                reached = cayley_relations(self, gens)[1]
+                walk = cayley_relations(self, gens)[1]
         if not gens:
             gens.append(self.identity())
         return gens
@@ -462,65 +462,106 @@ class DecompositionTable:
         if exhaustive:
             # Direct-sum check.  The checks above give <beta> = <alpha> and
             # ord(beta_i) = c_i, so x -> beta^x maps Z_c onto <alpha>: a
-            # bijection exactly when |<alpha>| = prod c.  The Cayley walk of
-            # alpha costs |<alpha>| - 1 + k `mul` (none when the group keeps
-            # it), evicts the walk the group kept and raises past the cap.
+            # bijection exactly when |<alpha>| = prod c, read off the group's
+            # kept walk (`cayley_relations`), which raises past the cap.
             reached = len(cayley_relations(group, self.alpha)[1]) if self.alpha else 1
             if reached != self.order():
                 raise BlackBoxError("beta generators are not independent")
 
 
-def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], dict]:
-    """Relation lattice generators for the exponent map Z^k -> <generators>.
+@dataclass
+class CosetWalk:
+    """The coset y0 <g_1, .., g_k> in mixed-radix order: elements[p] is
+    y0 g_1^d_1 .. g_k^d_k for (d_1, .., d_k) = word(p), d_r < moduli[r], and
+    position maps each element's key to p, in that order.  y0 g_r^moduli[r]
+    is y0 times the word carries[r] in g_1, .., g_(r-1)."""
 
-    A fold: with H = <g_0, .., g_(j-1)> reached, each power g_j^i outside H
-    adds its coset g_j^i H at one `mul` per element, and the first g_j^m in H
-    gives the relation m e_j - word(g_j^m): k lower-triangular relations of
-    diagonal product n = |<generators>|, for n - 1 + k `mul`.  Returns
-    (relations, reached), reached mapping each encoding to (element, mixed
-    radix exponent word); raises past DEFAULT_ORDER_CAP elements.  The group
-    keeps its last walk: walking the same generators again is free, and
-    walking more generators after them resumes it, its words and relations
-    padded by zeros, at the cost of the new generators' cosets alone.
+    elements: list
+    position: dict
+    moduli: list[int] = field(default_factory=list)
+    carries: list[tuple[int, ...]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def word(self, p: int) -> tuple[int, ...]:
+        digits = []
+        for m in self.moduli:
+            p, d = divmod(p, m)
+            digits.append(d)
+        return tuple(digits)
+
+    @property
+    def relations(self) -> list[list[int]]:
+        """m_r e_r - carries[r]: k lower-triangular rows of diagonal product len(self)."""
+        return [[-w for w in carry] + [m] + [0] * (len(self.moduli) - 1 - r)
+                for r, (m, carry) in enumerate(zip(self.moduli, self.carries))]
+
+
+def coset_walk(group: BlackBoxGroup, key, start, generators: Sequence,
+               walk: CosetWalk | None = None, cap: float = math.inf) -> CosetWalk:
+    """The fold of the coset start <generators>, appended to `walk` if given.
+
+    Generator g multiplies the last coset reached by g, one product per
+    element, while its first image is new; the first image whose key the
+    walk holds closes y0 g^m = an element of the walk before g.  So the walk
+    costs |<generators>| - 1 + k `mul`, on the unchecked product after one
+    `_check` per generator, counted in bulk: every product made, also when
+    `key` (element -> hashable key) raises.  A coset that would take the walk
+    past `cap` elements raises.  This fold is the step a sqrt(n) method replaces.
     """
+    if walk is None:
+        walk = CosetWalk([start], {key(start): 0})
+    elements, position, product = walk.elements, walk.position, group._product
+    for g in generators:
+        g = group._check(g)
+        size = n = len(elements)
+        try:
+            while True:
+                value = product(elements[n - size], g)  # the last coset times g
+                k = key(value)
+                if n % size == 0:
+                    if k in position:
+                        break
+                    if n + size > cap:
+                        raise BlackBoxError(f"group order exceeds cap {cap}")
+                position[k] = n
+                elements.append(value)
+                n += 1
+        finally:
+            group.counter.mul += n - size + 1
+        walk.carries.append(walk.word(position[k]))
+        walk.moduli.append(n // size)
+    return walk
+
+
+def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], CosetWalk]:
+    """(relations, walk): the `coset_walk` of <generators> from the identity,
+    keyed by `encode`, for n - 1 + k `mul`; raises past DEFAULT_ORDER_CAP
+    elements.  The group keeps its last walk: walking the same generators
+    again is free, and more generators after them fold onto it."""
     generators = list(generators)
     if not generators:
         raise BlackBoxError("need at least one generator")
     key = tuple(group.encode(g) for g in generators)
-    kept = group._walk
-    if kept is not None and kept[0] == key:
-        return kept[1:]
-    identity = group.identity()
-    if kept is None or key[:len(kept[0])] != kept[0]:  # walk from the empty walk
-        kept = ((), [], {group.encode(identity): (identity, ())})
-    zeros = (0,) * len(generators)
-    pad = zeros[len(kept[0]):]
-    relations = [row + list(pad) for row in kept[1]]
-    reached = {k: (value, word + pad) for k, (value, word) in kept[2].items()}
-    for j, g in enumerate(generators[len(relations):], start=len(relations)):
-        subgroup = list(reached.values())[1:]  # H but the identity
-        m, power = 1, group.mul(identity, g)
-        while (power_key := group.encode(power)) not in reached:  # the first hit is in H
-            if len(reached) + 1 + len(subgroup) > DEFAULT_ORDER_CAP:  # with g^m H
-                raise BlackBoxError(f"group order exceeds cap {DEFAULT_ORDER_CAP}")
-            reached[power_key] = (power, zeros[:j] + (m,) + zeros[j + 1:])
-            for value, word in subgroup:
-                nxt = group.mul(power, value)
-                reached[group.encode(nxt)] = (nxt, word[:j] + (m,) + word[j + 1:])
-            m, power = m + 1, group.mul(power, g)
-        relations.append([m * (i == j) - e for i, e in enumerate(reached[power_key][1])])
-    group._walk = (key, relations, reached)
-    return relations, reached
+    kept, walk = group._walk or ((), None)
+    if key[:len(kept)] != kept:
+        kept, walk = (), None
+    group._walk = None  # a walk that raises half-extended is not kept
+    walk = coset_walk(group, group.encode, group.identity(), generators[len(kept):], walk,
+                      DEFAULT_ORDER_CAP)
+    group._walk = (key, walk)
+    return walk.relations, walk
 
 
 def bb_decompose_bruteforce(group: BlackBoxGroup, generators: Sequence) -> DecompositionTable:
     """Classical decomposition oracle: exhaust the group, then SNF the relations."""
     generators = list(generators)
-    relations, reached = cayley_relations(group, generators)
-    if group.order_within(len(reached))[0] != len(reached):
+    relations, walk = cayley_relations(group, generators)
+    if group.order_within(len(walk))[0] != len(walk):
         raise BlackBoxError("generators do not generate the group")
     table = decomposition_from_relations(group, generators, relations)
-    if table.order() != len(reached):
+    if table.order() != len(walk):
         raise BlackBoxError("relation lattice does not pin down the group")
     return table
 

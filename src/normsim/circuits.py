@@ -630,14 +630,12 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> WordExp:
 
     Oracle cost depends on who applies it.  The dense engine reads the
     returned `WordExp`'s active (register, base) pairs and applies the gate
-    by walking the coset y0 <bases> of each support label y0 not yet reached:
-    |<bases>| - 1 + (active bases) `mul` per coset the support meets (one
-    for a Fourier opening), no `power`, and never more than the |B| `mul`
-    per active base of one translation table each.  A per-point call
-    (deblackbox extraction, tests) costs one `mul` per active base, plus one
-    `power` per distinct (register, exponent) over the gate's lifetime.
-    Generic black-box callables, unlike this one, run once per support label
-    on the dense engine.
+    by `blackbox.coset_walk` of y0 <bases> for each support label y0 not yet
+    reached: |<bases>| - 1 + (active bases) `mul` per coset the support meets
+    (one for a Fourier opening), no `power`.  A per-point call (deblackbox
+    extraction, tests) costs one `mul` per active base, plus one `power` per
+    distinct (register, exponent) over the gate's lifetime.  Generic
+    black-box callables run once per support label on the dense engine.
     """
     group = basis.blackbox
     if group is None:

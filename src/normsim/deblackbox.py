@@ -72,10 +72,10 @@ class EncodingBridge:
 
     encode maps an exponent vector g to beta_1^g(1) ... beta_d^g(d); decode
     inverts it.  Decoding is the multivariate discrete-logarithm problem; at
-    desk scale both directions come from the group's Cayley walk of alpha
-    (free after `bb_decompose_bruteforce`): alpha-word x has beta-coordinates
-    B x mod c.  encode reduces g mod c first, which gives group.word's value
-    because beta_i has order c_i (`DecompositionTable.verify` checks it).
+    desk scale both directions come from the group's kept walk of alpha
+    (`cayley_relations`, free after `bb_decompose_bruteforce`): alpha-word x
+    has beta-coordinates B x mod c.  encode reduces g mod c first, which
+    gives group.word's value because beta_i has order c_i (`verify` checks it).
     to_decomposed and from_decomposed apply them to the black-box slot of a
     whole circuit point, the one place points cross between B and Z_c.
     """
@@ -92,10 +92,11 @@ class EncodingBridge:
     def _tables(self) -> tuple[dict, dict]:
         """Every element by its beta-coordinates and the inverse map, built once."""
         if self._words is None:
-            _, reached = cayley_relations(self.group, self.table.alpha)
+            _, walk = cayley_relations(self.group, self.table.alpha)
             z_group = self.z_group
             self._words, self._decode_map = {}, {}
-            for key, (value, word) in reached.items():
+            for (key, p), value in zip(walk.position.items(), walk.elements):
+                word = walk.word(p)
                 x = tuple(sum(map(operator.mul, row, word)) % c
                           for row, c in zip(self.table.b, self.table.c))
                 self._words[x] = value

@@ -9,30 +9,26 @@ permutation of the label grid, a quadratic phase one array of integer
 numerators k(g) mod d followed by exp(2 pi i k/d).  The label grid is built
 only when such a gate runs.  Black-box gates run here directly, which is
 what makes the engine usable on circuits that have not been de-black-boxed
-yet.  A `word_exp` gate permutes the black-box axis by one walk of the
-coset y0 <b_1, .., b_k> of its active bases: each b_r multiplies the last
-coset reached until the first image lands in the part already reached,
-which closes the relation b_r^m_r = (a word in the earlier bases).  A walk
-costs |<b>| - 1 + k oracle `mul` and no `power`; each label's exponents are
-reduced by the relations and read off the walk's mixed-radix table of label
-indices, exactly for every exponent.  The gate walks each coset the support
-meets once, never more than the k |B| `mul` of one translation table per
-base.  (Called point by point, as deblackbox extraction does, it keeps its
-cached-power cost instead.)  Any other black-box callable runs once per
-label of the nonzero support; each image goes through `make_point`, and all
-are encoded into flat positions in one array pass.
+yet.  A `word_exp` gate permutes the black-box axis by one
+`blackbox.coset_walk` of y0 <b_1, .., b_k>, keyed by label index, per coset
+the support meets: |<b>| - 1 + k `mul`, no `power`.  Each label's exponents
+are reduced by the walk's relations and read off its mixed-radix table of
+label indices, exactly for every exponent.  (Called point by point, as
+deblackbox extraction does, it keeps its cached-power cost instead.)  Any
+other black-box callable runs once per label of the nonzero support; each
+image goes through `make_point`, and all are encoded into flat positions in
+one array pass.
 
 Fourier sampling opens every `fourier_circuit`: a QFT over every elementary
 register, then `word_exp`, from |0, y0>.  Its state is known in closed form,
-c at (x, f(x) y0) for every x, so `dense_run` writes it directly and spends
-one FFT on the whole circuit instead of two.  The targets come from one
-coset walk from y0's index (read off the input's flat index), read at the
-exponents x broadcast along their registers.  c is the product of the
-1/sqrt(n_i) multiplied last register first, the order numpy's transform
-scales its axes in, so the bytes are those of the FFT.  The opening skips
-the norm check of black-box gates, which cannot fail there: each x slice
-holds one label before `word_exp`, which never moves x, so no two labels
-meet.  Every other gate, and every other opening, runs one by one.
+c at (x, f(x) y0) for every x, so `dense_run` writes it directly, reading
+f(x) y0 off the coset walk from y0, and spends one FFT on the whole circuit
+instead of two.  c is the product of the 1/sqrt(n_i) multiplied last
+register first, the order numpy's transform scales its axes in, so the
+bytes are those of the FFT.  The opening skips the norm check of black-box
+gates, which cannot fail there: each x slice holds one label before
+`word_exp`, which never moves x, so no two labels meet.  Every other gate,
+and every other opening, runs one by one.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blackbox import CosetWalk, coset_walk
 from .circuits import (
     AutomorphismGate,
     CircuitError,
@@ -149,88 +146,51 @@ def _apply_qft(state: DenseState, registers) -> None:
     state.amplitudes = amplitudes
 
 
-@dataclass
-class _CosetWalk:
-    """The coset y0 <b_1, .., b_k> of a `word_exp` gate's active bases.
-
-    labels[d_k, .., d_1] is the label index of y0 b_1^d_1 .. b_k^d_k for
-    d_r < moduli[r], and y0 b_r^moduli[r] = y0 b_1^w_1 .. b_(r-1)^w_(r-1)
-    with (w_1, .., w_(r-1)) = carries[r].
-    """
-
-    labels: np.ndarray
-    moduli: list
-    carries: list
-
-    def images(self, exponents: list) -> np.ndarray:
-        """Label indices of y0 b_1^x_1 .. b_k^x_k for integer arrays x_r >= 0
-        that broadcast together.  Each x_r is reduced by its relation, last
-        base first, and its quotient carries the word into the earlier
-        exponents: exact for every x, whatever the order of b_r."""
-        x = list(exponents)
-        for r in reversed(range(len(x))):
-            q, x[r] = np.divmod(x[r], self.moduli[r])
-            for i, w in enumerate(self.carries[r]):
-                if w:
-                    x[i] = x[i] + q * w
-        return self.labels[tuple(reversed(x))]
+def _coset_walk(state: DenseState, func: WordExp, start: int) -> tuple[np.ndarray, CosetWalk]:
+    """The `coset_walk` of label index `start` under the active bases, capped
+    at |B|, and its labels: labels[d_k, .., d_1] indexes y0 b_1^d_1 .. b_k^d_k.
+    An image outside the group fails with `make_point`'s error."""
+    group, index = func.group, state._bb_index
+    try:
+        walk = coset_walk(group, index.__getitem__, state.bb_labels[start],
+                          [b for _, b in func.active], cap=len(index))
+    except KeyError as miss:
+        state.basis.check_blackbox_values(miss.args)
+        raise
+    labels = np.fromiter(walk.position, dtype=np.intp, count=len(walk))
+    return labels.reshape(walk.moduli[::-1]), walk
 
 
-def _coset_walk(state: DenseState, func: WordExp, start: int) -> _CosetWalk:
-    """Walk the coset of the label index `start` under the active bases.
-
-    Base b_r multiplies the last coset reached by b_r, one `mul` per
-    element, while the first image is new; the first image that lands in the
-    part already reached closes the relation at one more `mul`.  A walk
-    costs |<b>| - 1 + (active bases) `mul`, counted in bulk, every image
-    checked with `make_point`'s error.
-    """
-    group, labels, index = func.group, state.bb_labels, state._bb_index
-    table, where = [start], {start: 0}
-    moduli, carries = [], []
-    for _, b in func.active:
-        size = n = len(table)
-        while True:
-            value = group._product(labels[table[n - size]], b)  # the last coset times b
-            j = index.get(value)
-            if j is None:
-                state.basis.check_blackbox_values([value])  # make_point's error
-                raise KeyError(value)
-            if n % size == 0 and j in where:
-                break
-            where[j] = n
-            table.append(j)
-            n += 1
-        group.counter.mul += n - size + 1  # the new elements and the closing product
-        f, carry = where[j], []
-        for m in moduli:
-            f, d = divmod(f, m)
-            carry.append(d)
-        moduli.append(n // size)
-        carries.append(carry)
-    return _CosetWalk(np.array(table, dtype=np.intp).reshape(moduli[::-1]), moduli, carries)
+def _images(labels: np.ndarray, walk: CosetWalk, exponents: list) -> np.ndarray:
+    """Label indices of y0 b_1^x_1 .. b_k^x_k on a walk from y0, for integer
+    arrays x_r >= 0 that broadcast: x_r is reduced by its relation, last base
+    first, its quotient times the relation's carry word added to the others."""
+    x = list(exponents)
+    for r in reversed(range(len(x))):
+        q, x[r] = np.divmod(x[r], walk.moduli[r])
+        for i, w in enumerate(walk.carries[r]):
+            if w:
+                x[i] = x[i] + q * w
+    return labels[tuple(reversed(x))]
 
 
 def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> np.ndarray:
-    """Flat images of the support labels under a `word_exp` gate.
-
-    One coset walk starts at the first support label no walk has reached;
-    each label it reached moves from its place in the walk by its
-    exponents.  So the gate costs one walk per coset the support meets.
-    """
+    """Flat images of the support labels under a `word_exp` gate: one coset
+    walk from the first support label no walk has reached, until none is
+    left, and each label moves from its place in its walk by its exponents."""
     shape = state.amplitudes.shape
     columns = list(np.unravel_index(support, shape))
     j = columns[-1]
     if func.active:
         images, todo = j.copy(), np.ones(len(j), dtype=bool)
         while todo.any():
-            walk = _coset_walk(state, func, int(j[todo][0]))
+            labels, walk = _coset_walk(state, func, int(j[todo][0]))
             place = np.full(len(state.bb_labels), -1, dtype=np.intp)
-            place[walk.labels.reshape(-1)] = np.arange(walk.labels.size)
+            place[labels.reshape(-1)] = np.arange(labels.size)
             mine = todo & (place[j] >= 0)
-            digits = np.unravel_index(place[j[mine]], walk.labels.shape)[::-1]
+            digits = np.unravel_index(place[j[mine]], labels.shape)[::-1]
             exponents = [d + columns[r][mine] for d, (r, _) in zip(digits, func.active)]
-            images[mine] = walk.images(exponents)
+            images[mine] = _images(labels, walk, exponents)
             todo &= ~mine
         columns[-1] = images
     return np.ravel_multi_index(columns, shape)
@@ -294,18 +254,17 @@ def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState, start:
 
 def _apply_fourier_opening(state: DenseState, qft: QFTGate, func: WordExp, label: int) -> None:
     """The QFT and `word_exp` gates of a Fourier opening on |0, y0>, in
-    closed form: amplitude c at (x, f(x) y0) for every x.  j holds the
-    black-box index of every x on the grid, read off the coset walk from
-    the input label at x_r broadcast along register r."""
+    closed form: amplitude c at (x, f(x) y0) for every x, j the label index
+    of f(x) y0 off the walk from y0 at x_r broadcast along register r."""
     shape = state.amplitudes.shape
     k = len(shape) - 1  # elementary registers; the black-box axis is last
     c = 1.0
     for r in reversed(qft.registers):  # the order np.fft.ifftn scales its axes in
         c *= 1 / math.sqrt(shape[r])
-    walk = _coset_walk(state, func, label)
+    labels, walk = _coset_walk(state, func, label)
     # x_r along axis r of the grid
     x = [np.arange(shape[r]).reshape((-1,) + (1,) * (k - 1 - r)) for r, _ in func.active]
-    j = np.broadcast_to(walk.images(x), shape[:k])
+    j = np.broadcast_to(_images(labels, walk, x), shape[:k])
     size = state.amplitudes.size
     out = np.zeros(size, dtype=np.complex128)
     out[np.arange(0, size, len(state.bb_labels)) + j.reshape(-1)] = c

@@ -736,8 +736,9 @@ def reference_bb_order(group, a, cap: int) -> int:
 def reference_cayley_relations(group, generators) -> tuple[list[list[int]], dict]:
     """cayley_relations as a breadth-first walk of the Cayley graph, at k
     `mul` per element: every closing edge is a relation (spanning-tree
-    argument), up to (k - 1) n + 1 of them.  Returns (relations, reached)
-    like the fold, with the words of the walk's spanning tree."""
+    argument), up to (k - 1) n + 1 of them.  Returns (relations, reached),
+    reached mapping each encoding to (element, word), the words of the
+    walk's spanning tree."""
     generators = list(generators)
     start = (group.identity(), (0,) * len(generators))
     reached = {group.encode(start[0]): start}

@@ -61,6 +61,8 @@ SAMPLED_SPOT_CHECKS = (
 )
 MIXED_DENSE = "tests/test_deblackbox.py::test_dense_distribution_of_a_mixed_circuit_maps_back"
 FOLD = "tests/test_blackbox.py::test_cayley_fold_matches_the_breadth_first_walk"
+KEPT_WALK = "tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators"
+CAP_BOUNDARY = "tests/test_blackbox.py::test_cayley_walk_refuses_past_the_cap_at_the_boundary"
 SIMULATOR_ORDER = "tests/test_blackbox.py::test_simulator_order_equals_bb_order_at_no_oracle_call"
 ORDER_CERTIFICATE = (
     "tests/test_blackbox.py::"
@@ -173,47 +175,75 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        name="kept Cayley walk reused for any generator list of the same length",
+        name="kept Cayley walk resumed for any generator list as long",
         path="src/normsim/blackbox.py",
-        old="if kept is not None and kept[0] == key:",
-        new="if kept is not None and len(kept[0]) == len(key):",
-        tests=("tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",),
+        old="if key[:len(kept)] != kept:",
+        new="if len(key[:len(kept)]) != len(kept):",
+        tests=(KEPT_WALK,),
     ),
     Mutant(
-        name="Cayley fold closes each generator's relation at m - 1",
+        name="a Cayley walk refused half-extended stays kept",
         path="src/normsim/blackbox.py",
-        old="relations.append([m * (i == j) - e",
-        new="relations.append([(m - 1) * (i == j) - e",
-        tests=(f"{FOLD}[zn_star]", f"{FOLD}[shor curves]"),
+        old="    group._walk = None  # a walk that raises half-extended is not kept\n",
+        new="",
+        tests=(CAP_BOUNDARY,),
     ),
     Mutant(
-        name="Cayley fold leaves word entry j unset on the cosets",
+        name="resumed Cayley walk folds the kept generators again",
         path="src/normsim/blackbox.py",
-        old="(nxt, word[:j] + (m,) + word[j + 1:])",
-        new="(nxt, word)",
-        tests=(f"{FOLD}[zn_star]", f"{FOLD}[criterion 10]"),
-    ),
-    Mutant(
-        name="Cayley fold builds the cosets from the growing walk instead of H",
-        path="src/normsim/blackbox.py",
-        old="            for value, word in subgroup:\n",
-        new="            for value, word in list(reached.values())[1:]:\n",
+        old="generators[len(kept):], walk,",
+        new="generators, walk,",
         tests=(
-            f"{FOLD}[zn_star]",
-            "tests/test_blackbox.py::test_cayley_walk_is_kept_for_the_same_generators",
+            "tests/test_blackbox.py::test_a_resumed_walk_equals_a_fresh_walk[zn_star]",
+            "tests/test_blackbox.py::test_sample_generators_generate",
         ),
     ),
     Mutant(
-        name="Cayley fold refuses a group of exactly the cap",
+        name="coset walk closes each generator's relation at m - 1",
         path="src/normsim/blackbox.py",
-        old="if len(reached) + 1 + len(subgroup) > DEFAULT_ORDER_CAP:",
-        new="if len(reached) + 1 + len(subgroup) >= DEFAULT_ORDER_CAP:",
-        tests=("tests/test_blackbox.py::test_cayley_walk_refuses_past_the_cap_at_the_boundary",),
+        old="walk.moduli.append(n // size)",
+        new="walk.moduli.append(n // size - 1)",
+        tests=(f"{FOLD}[zn_star]", FOURIER_OPENING),
+    ),
+    Mutant(
+        name="walk relations drop the carry word",
+        path="src/normsim/blackbox.py",
+        old="[-w for w in carry]",
+        new="[0 for w in carry]",
+        tests=(f"{FOLD}[zn_star]", f"{FOLD}[shor curves]"),
+    ),
+    Mutant(
+        name="coset walk words never carry into the next digit",
+        path="src/normsim/blackbox.py",
+        old="            p, d = divmod(p, m)\n",
+        new="            d = p % m\n",
+        tests=(f"{FOLD}[zn_star]", FOURIER_OPENING),
+    ),
+    Mutant(
+        name="coset walk closes with an empty carry word",
+        path="src/normsim/blackbox.py",
+        old="walk.carries.append(walk.word(position[k]))",
+        new="walk.carries.append(walk.word(0))",
+        tests=(f"{FOLD}[zn_star]", FOURIER_OPENING),
+    ),
+    Mutant(
+        name="coset walk multiplies the element before, not the last coset",
+        path="src/normsim/blackbox.py",
+        old="value = product(elements[n - size], g)",
+        new="value = product(elements[n - 1], g)",
+        tests=(f"{FOLD}[zn_star]", FOURIER_OPENING),
+    ),
+    Mutant(
+        name="coset walk refuses a group of exactly the cap",
+        path="src/normsim/blackbox.py",
+        old="if n + size > cap:",
+        new="if n + size >= cap:",
+        tests=(CAP_BOUNDARY, FOURIER_OPENING),
     ),
     Mutant(
         name="sample_generators keeps a candidate already in the walk",
         path="src/normsim/blackbox.py",
-        old="            if self.encode(candidate) not in reached:\n",
+        old="            if self.encode(candidate) not in walk.position:\n",
         new="            if True:\n",
         tests=(
             "tests/test_blackbox.py::test_sample_generators_pinned[zn_star 63-4]",
@@ -369,8 +399,8 @@ MUTANTS = [
     Mutant(
         name="Fourier opening walked from label index 0, not the start label",
         path="src/normsim/dense.py",
-        old="    walk = _coset_walk(state, func, label)\n",
-        new="    walk = _coset_walk(state, func, 0)\n",
+        old="    labels, walk = _coset_walk(state, func, label)\n",
+        new="    labels, walk = _coset_walk(state, func, 0)\n",
         tests=(
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
@@ -386,8 +416,8 @@ MUTANTS = [
     Mutant(
         name="coset walk reduction drops the carry word",
         path="src/normsim/dense.py",
-        old="                if w:\n",
-        new="                if False:\n",
+        old="            if w:\n",
+        new="            if False:\n",
         tests=(
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
@@ -396,10 +426,11 @@ MUTANTS = [
     ),
     Mutant(
         name="coset walk leaves the closing product uncounted",
-        path="src/normsim/dense.py",
+        path="src/normsim/blackbox.py",
         old="group.counter.mul += n - size + 1",
         new="group.counter.mul += n - size",
         tests=(
+            KEPT_WALK,
             f"{EVERY_PRODUCT}[curve]",
             "tests/test_dense.py::test_word_exp_gates_cost_one_coset_walk",
             "tests/test_algorithms.py::test_dlog_queries_fall_on_one_counter",
@@ -407,10 +438,11 @@ MUTANTS = [
     ),
     Mutant(
         name="coset walk builds each coset from the first coset, not the last",
-        path="src/normsim/dense.py",
-        old="value = group._product(labels[table[n - size]], b)",
-        new="value = group._product(labels[table[n % size]], b)",
+        path="src/normsim/blackbox.py",
+        old="value = product(elements[n - size], g)",
+        new="value = product(elements[n % size], g)",
         tests=(
+            f"{FOLD}[zn_star]",
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
             f"{EVERY_PRODUCT}[oracle k=3]",
@@ -552,7 +584,7 @@ MUTANTS = [
     Mutant(
         name="brute-force decomposition reads the exact order",
         path="src/normsim/blackbox.py",
-        old="group.order_within(len(reached))[0]",
+        old="group.order_within(len(walk))[0]",
         new="group.order()",
         tests=(
             "tests/test_algorithms.py::"
@@ -586,8 +618,9 @@ MUTANTS = [
     Mutant(
         name="resumed walk drops the kept relations",
         path="src/normsim/blackbox.py",
-        old="    relations = [row + list(pad) for row in kept[1]]\n",
-        new="    relations = [list(zeros) for row in kept[1]]\n",
+        old="    kept, walk = group._walk or ((), None)\n",
+        new="    kept, walk = group._walk or ((), None)\n"
+        "    if walk:\n        walk.moduli, walk.carries = [], []\n",
         tests=(
             "tests/test_blackbox.py::test_a_resumed_walk_equals_a_fresh_walk[zn_star]",
             "tests/test_blackbox.py::test_sample_generators_generate",

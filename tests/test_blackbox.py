@@ -19,6 +19,7 @@ from normsim.blackbox import (
     bb_decompose_bruteforce,
     bb_order,
     cayley_relations,
+    coset_walk,
     simulator_order,
 )
 from normsim.groups import cyclic_group
@@ -590,18 +591,24 @@ def test_decomposition_round_trip_words():
             assert g.word(table.beta, y) == g.word(table.alpha, ay)
 
 
+def walk_items(walk) -> list:
+    """(key, (element, word)) for each element of a walk, in position order."""
+    items = zip(walk.position.items(), walk.elements)
+    return [(key, (value, walk.word(p))) for (key, p), value in items]
+
+
 def test_cayley_walk_is_kept_for_the_same_generators():
     g = ZNStarGroup(15)
-    relations, reached = cayley_relations(g, [2, 14])
-    assert g.counter.total == 8 - 1 + 2 and len(reached) == 8  # n - 1 + k mul
-    for key, (value, word) in reached.items():
+    relations, walk = cayley_relations(g, [2, 14])
+    assert g.counter.total == 8 - 1 + 2 and len(walk) == 8  # n - 1 + k mul
+    for key, (value, word) in walk_items(walk):
         assert key == g.encode(value) and value == g.word([2, 14], list(word))
     calls = g.counter.total
-    assert cayley_relations(g, [2, 14]) == (relations, reached)
+    assert cayley_relations(g, [2, 14]) == (relations, walk)
     assert g.counter.total == calls
     # The same length with another generator walks <4, 14> = {1, 4, 11, 14}.
     _, smaller = cayley_relations(g, [4, 14])
-    assert sorted(value for value, _ in smaller.values()) == [1, 4, 11, 14]
+    assert sorted(smaller.elements) == [1, 4, 11, 14]
     assert g.counter.total == calls + 4 - 1 + 2
 
 
@@ -635,16 +642,16 @@ def assert_fold_contract(make, generators):
     element, k lower-triangular relations with diagonal product n, and
     n - 1 + k `mul`."""
     group = make()
-    relations, reached = cayley_relations(group, generators)
-    n, k = len(reached), len(generators)
+    relations, walk = cayley_relations(group, generators)
+    n, k = len(walk), len(generators)
     assert (group.counter.mul, group.counter.inv) == (n - 1 + k, 0)
     ref_relations, ref_reached = reference_cayley_relations(make(), generators)
-    assert reached.keys() == ref_reached.keys()
+    assert walk.position.keys() == ref_reached.keys()
     assert hermite_reduce(relations) == hermite_reduce(ref_relations)
     assert len(relations) == k
     assert all(not any(row[i + 1:]) for i, row in enumerate(relations))
     assert math.prod(row[i] for i, row in enumerate(relations)) == n
-    for key, (value, word) in reached.items():
+    for key, (value, word) in walk_items(walk):
         assert key == group.encode(value) and group.word(generators, list(word)) == value
 
 
@@ -669,8 +676,8 @@ def test_cayley_fold_with_identity_duplicated_and_redundant_generators(n, data):
 @pytest.mark.parametrize("corpus", sorted(FOLD_CORPUS))
 def test_a_resumed_walk_equals_a_fresh_walk(corpus):
     """Walking the prefixes of a generator list one after another, each
-    resuming the kept walk, gives the fresh walk's relations and reached
-    dict (insertion order included) at the fresh walk's n - 1 + k `mul`."""
+    resuming the kept walk, gives the fresh walk's relations, elements, keys
+    and words (order included) at the fresh walk's n - 1 + k `mul`."""
     for index, make in enumerate(FOLD_CORPUS[corpus]):
         group = make()
         seed = group.modulus if corpus == "zn_star" else index
@@ -678,22 +685,74 @@ def test_a_resumed_walk_equals_a_fresh_walk(corpus):
         generators = sampled + [group.identity(), sampled[0]]
         resumed = make()
         for j in range(1, len(generators) + 1):
-            relations, reached = cayley_relations(resumed, generators[:j])
+            relations, walk = cayley_relations(resumed, generators[:j])
         fresh = make()
-        expected_relations, expected_reached = cayley_relations(fresh, generators)
+        expected_relations, expected_walk = cayley_relations(fresh, generators)
         assert relations == expected_relations
-        assert list(reached.items()) == list(expected_reached.items())
-        assert resumed.counter.total == fresh.counter.total == len(reached) - 1 + len(generators)
+        assert walk_items(walk) == walk_items(expected_walk)
+        assert resumed.counter.total == fresh.counter.total == len(walk) - 1 + len(generators)
+
+
+@pytest.mark.parametrize("corpus", sorted(FOLD_CORPUS))
+def test_a_walk_from_y0_is_y0_times_the_walk_from_the_identity(corpus):
+    """The fold of y0 <gens> from every start y0: element by element y0 times
+    the fold from the identity, with its relations, at |<gens>| - 1 + k `mul`."""
+    for index, make in enumerate(FOLD_CORPUS[corpus]):
+        group = make()
+        seed = group.modulus if corpus == "zn_star" else index
+        generators = group.sample_generators(np.random.default_rng(seed))
+        base = coset_walk(group, group.encode, group.identity(), generators)
+        for y0 in group.elements():
+            before = group.counter.mul
+            walk = coset_walk(group, group.encode, y0, generators)
+            assert group.counter.mul - before == len(base) - 1 + len(generators)
+            assert walk.elements == [group._product(y0, x) for x in base.elements]
+            assert walk.relations == base.relations
+
+
+@pytest.mark.parametrize("corpus", sorted(FOLD_CORPUS))
+def test_the_dense_walk_is_the_cayley_walk_keyed_by_label(corpus):
+    """dense._coset_walk from the identity's label, read through the label
+    list, lists the Cayley walk's elements and gives its relations."""
+    from normsim.circuits import DesignatedBasis, NormalizerCircuit, word_exp_func
+    from normsim.dense import _coset_walk, dense_run
+
+    for index, make in enumerate(FOLD_CORPUS[corpus]):
+        group = make()
+        seed = group.modulus if corpus == "zn_star" else index
+        generators = group.sample_generators(np.random.default_rng(seed))
+        generators = [g for g in generators if g != group.identity()]
+        if not generators:  # the trivial group
+            continue
+        relations, walk = cayley_relations(make(), generators)
+        basis = DesignatedBasis(cyclic_group(*[2] * len(generators)), group)
+        point = (0,) * len(generators) + (group.identity(),)
+        state = dense_run(NormalizerCircuit(basis, []), point)
+        start = state.bb_labels.index(group.identity())
+        labels, dense_walk = _coset_walk(state, word_exp_func(basis, generators), start)
+        assert [state.bb_labels[i] for i in labels.reshape(-1)] == walk.elements
+        assert dense_walk.relations == relations
 
 
 def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
-    # |<2>| = 12 in Z_13^*; |<2, 20>| = 6 * 2 = 12 in Z_21^*.
-    for n, generators in ((13, [2]), (21, [2, 20])):
+    # |<2>| = 12 in Z_13^*; |<2, 20>| = 6 * 2 = 12 in Z_21^*.  The refusal
+    # counts every product made: 2^1, .., 2^11 in Z_13^*, and in Z_21^* the
+    # six of <2> and 20, whose coset would take the walk to 12.
+    for n, generators, refused in ((13, [2], 11), (21, [2, 20], 7)):
         monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 12)
         assert len(cayley_relations(ZNStarGroup(n), generators)[1]) == 12
         monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 11)
+        group = ZNStarGroup(n)
         with pytest.raises(BlackBoxError, match="^group order exceeds cap 11$"):
-            cayley_relations(ZNStarGroup(n), generators)
+            cayley_relations(group, generators)
+        assert group.counter.total == refused
+    # Refused at its fourth coset, a resumed walk of <3> = {1, 3, 9} by 2
+    # is not kept half-extended: <3> is walked again, alone.
+    group = ZNStarGroup(13)
+    cayley_relations(group, [3])
+    with pytest.raises(BlackBoxError, match="^group order exceeds cap 11$"):
+        cayley_relations(group, [3, 2])
+    assert len(cayley_relations(group, [3])[1]) == 3
 
 
 def test_cayley_walk_refuses_a_cyclic_group_past_the_cap():

@@ -488,9 +488,9 @@ def test_run_dense_word_exp_file_takes_the_coset_walk(tmp_path, capsys, monkeypa
     coset_walk = dense._coset_walk
 
     def spy(state, func, start):
-        walk = coset_walk(state, func, start)
-        walks.append((state.bb_labels[start], walk.labels.size))
-        return walk
+        labels, walk = coset_walk(state, func, start)
+        walks.append((state.bb_labels[start], labels.size))
+        return labels, walk
 
     monkeypatch.setattr(dense, "_coset_walk", spy)
     walk_bytes = outputs(tmp_path / "walk")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normsim.blackbox import ZNStarGroup
+from normsim.blackbox import BlackBoxError, ZNStarGroup, cayley_relations
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -418,16 +418,24 @@ def test_black_box_gate_images_are_still_checked():
 
 def test_word_exp_table_images_are_still_checked():
     # A product outside the group fails with make_point's error, the error
-    # every other black-box gate's images fail with.
+    # every other black-box gate's images fail with; the Cayley walk, keyed
+    # by encoding, fails with the backend's.  Both count the two products
+    # made, 1 * 3 and 3 * 3.
     class Unreduced(ZNStarGroup):
         def _product(self, x, y):
             return x * y  # 3 * 3 = 9 is no unit mod 7
 
-    basis = DesignatedBasis(cyclic_group(6), Unreduced(7))
+    group = Unreduced(7)
+    basis = DesignatedBasis(cyclic_group(6), group)
     gate = AutomorphismGate(func=word_exp_func(basis, [3]), name="word_exp")
     circuit = NormalizerCircuit(basis, [QFTGate((0,)), gate])
     with pytest.raises(CircuitError, match=r"^9 is not in the black-box group$"):
         dense_run(circuit, (0, 1))
+    assert group.counter.total == 2
+    group = Unreduced(7)
+    with pytest.raises(BlackBoxError, match=r"^9 is not a unit modulo 7$"):
+        cayley_relations(group, [3])
+    assert group.counter.total == 2
 
 
 def test_non_injective_black_box_automorphism_drifts_the_norm():

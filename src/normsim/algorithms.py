@@ -24,7 +24,6 @@ from .blackbox import (
     DecompositionTable,
     ZNStarGroup,
     bb_decompose_bruteforce,
-    bb_order,
     cayley_relations,
     decomposition_from_relations,
     minimal_order,
@@ -378,10 +377,10 @@ def discrete_log(
     group = ZNStarGroup(p)
     if not group.is_element(b):
         raise DiscreteLogError(f"{b} is not a unit mod {p}")
-    # a generates Z_p^*, of order p - 1, exactly when no a^((p-1)/q) with q a
-    # prime factor of p - 1 is 1 (Lagrange); a non-unit raises BlackBoxError.
+    # a generates Z_p^* exactly when its order is p - 1: no prime of p - 1
+    # strips off (Lagrange); a non-unit raises BlackBoxError.
     group._check(a)
-    if any(group.power(a, (p - 1) // q) == 1 for q in prime_factors(p - 1)):
+    if minimal_order(group, a, p - 1, group.power) != p - 1:
         raise DiscreteLogError(f"{a} does not generate the units mod {p}")
     s, pairs, circuit = _discrete_log(group, a, b, p - 1, repetitions, rng, cap)
     if s is None:
@@ -785,16 +784,14 @@ def solve_linear_system_bb(
 def multivariate_dlog(group: BlackBoxGroup, beta: Sequence, b) -> list[int]:
     """Exponent vector x with beta_1^x1 ... beta_l^xl = b.
 
-    beta must be independent; their orders are measured by the classical
-    oracle.
+    x is b's word in the group's kept walk of beta (`cayley_relations`), for
+    |<beta>| - 1 + l `mul`: for independent beta, the one x with
+    0 <= x_i < ord(beta_i).
     """
-    orders = [bb_order(group, g) for g in beta]
-    eye = identity_matrix(len(beta))
-    table = DecompositionTable(alpha=list(beta), beta=list(beta), a=eye, b=eye, c=list(orders))
-    bridge = EncodingBridge(group=group, table=table)
-    try:
-        return list(bridge.decode(b).coords)
-    except ExtractionError:
-        if not group.is_element(b):
-            raise
-        raise AlgorithmError(f"{b!r} is not generated by the given elements") from None
+    _, walk = cayley_relations(group, beta)
+    if not group.is_element(b):
+        raise ExtractionError(f"{b!r} is not in the black-box group")
+    p = walk.position.get(group.encode(b))
+    if p is None:
+        raise AlgorithmError(f"{b!r} is not generated by the given elements")
+    return list(walk.word(p))

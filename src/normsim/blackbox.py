@@ -431,9 +431,9 @@ class DecompositionTable:
         """Check the table's defining identities by oracle multiplication.
 
         beta = alpha A and alpha = beta B cost one `word` per column, and
-        each ord(beta_i) = c_i its prime certificate: one `power` to c_i and
-        one to c_i / q per prime q of c_i, O(log^2 c_i) `mul` in all where a
-        walk of the powers would take c_i - 1.
+        each ord(beta_i) = c_i its prime certificate, `minimal_order` of c_i:
+        one `power` to c_i and one to c_i / q per prime q of c_i, O(log^2 c_i)
+        `mul` in all where a walk of the powers would take c_i - 1.
         """
         k, ell = len(self.alpha), len(self.beta)
         if any(len(row) != ell for row in self.a) or len(self.a) != k:
@@ -450,13 +450,13 @@ class DecompositionTable:
                 raise BlackBoxError(f"alpha[{j}] != beta * B[:, {j}]")
         identity = group.identity()
         for i, (b_i, c_i) in enumerate(zip(self.beta, self.c)):
-            # ord(b_i) = c_i exactly when b_i^c_i = 1 and b_i^(c_i / q) != 1
-            # for each prime q | c_i.  prime_factors(0) is empty, so a c_i
-            # below 1 is refused first.
+            # ord(b_i) = c_i exactly when b_i^c_i = 1 and no prime strips
+            # off c_i.  prime_factors(0) is empty, so a c_i below 1 is
+            # refused first.
             if (
                 c_i < 1
                 or group.power(b_i, c_i) != identity
-                or any(group.power(b_i, c_i // q) == identity for q in prime_factors(c_i))
+                or minimal_order(group, b_i, c_i, group.power) != c_i
             ):
                 raise BlackBoxError(f"order of beta[{i}] is not {c_i}")
         if exhaustive:

@@ -27,7 +27,7 @@ from .blackbox import (
     EllipticCurveGroup,
     ZNStarGroup,
     bb_decompose_bruteforce,
-    bb_order,
+    cayley_relations,
 )
 from .groups import (
     ElementaryGroup,
@@ -651,25 +651,20 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> WordExp:
     return WordExp(group, [(r, b) for r, b in enumerate(bases) if b != group.identity()])
 
 
-def check_modexp_normalizable(
-    m: int,
-    a,
-    group: BlackBoxGroup,
-    generators: Sequence | None = None,
-):
+def check_modexp_normalizable(m: int, a, group: BlackBoxGroup, generators: Sequence):
     """Decide whether (k, x) -> (k, a^k x) on Z_M x B is an automorphism gate.
 
     Returns (True, MatrixRep over Z_M x Z_B) exactly when the order of `a`
     divides M; the emitted matrix is validated.  Otherwise (False, None):
     no normalizer circuit over the finite space approximates the gate.
+    ord(a) is the size of the group's kept walk of [a], which the
+    decomposition of [a] + generators then resumes.
     """
     if m < 1:
         raise CircuitError(f"modulus must be positive, got {m}")
-    order = bb_order(group, a)
+    order = len(cayley_relations(group, [a])[1])
     if m % order != 0:
         return False, None
-    if generators is None:
-        generators = group.sample_generators(np.random.default_rng(0))
     generators = [a] + [g for g in generators if g != a]
     table = bb_decompose_bruteforce(group, generators)
     # a is generator 0, so its beta-coordinates are the first column of B.

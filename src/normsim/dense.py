@@ -100,19 +100,10 @@ class DenseState:
     def flat_index(self, point) -> int:
         return int(self.flat_indices([point])[0])
 
-    def point(self, flat_index: int) -> tuple:
-        return self.points([flat_index])[0]
-
-    def amplitude(self, point) -> complex:
-        return complex(self.amplitudes.flat[self.flat_index(point)])
-
     def probabilities(self, tol: float = 1e-12) -> dict[tuple, float]:
         probs = np.abs(self.amplitudes.reshape(-1)) ** 2
         support = np.flatnonzero(probs > tol)
         return dict(zip(self.points(support), probs[support].tolist()))
-
-    def support(self, tol: float = 1e-9) -> set[tuple]:
-        return set(self.probabilities(tol=tol))
 
 
 def _initial_state(basis: DesignatedBasis, point, cap: int) -> tuple[DenseState, int]:

@@ -5,7 +5,8 @@ per-label dense black-box gates, the per-register DFT-matrix QFT, the
 Smith-form integer solve and the double-Hermite group-system solve built on
 it, the Leibniz determinant and
 the brute-force bijectivity test of a finite block, the exhaustive
-quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop,
+quadratic-law check, the Fraction continued fraction, the checked-`mul` order loop, the
+bridge decode of the multivariate discrete log,
 the breadth-first Cayley walk, `Generator.choice` sampling, GroupElement
 products on an oracle's representatives, the word-table route of the
 decomposition kernel and the gate-by-gate dense run without its
@@ -24,7 +25,13 @@ from operator import mul
 import numpy as np
 
 from normsim import algorithms, dense
-from normsim.blackbox import DEFAULT_ORDER_CAP, BlackBoxError, ZNStarGroup
+from normsim.blackbox import (
+    DEFAULT_ORDER_CAP,
+    BlackBoxError,
+    DecompositionTable,
+    ZNStarGroup,
+    bb_order,
+)
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -40,6 +47,7 @@ from normsim.circuits import (
     word_exp_func,
 )
 from normsim.config import DEFAULT_DENSE_CAP
+from normsim.deblackbox import EncodingBridge, ExtractionError
 from normsim.groups import T, Z, ElementaryGroup, GroupElement, GroupError, cyclic, cyclic_group
 from normsim.linalg import (
     GroupLinearSystem,
@@ -731,6 +739,21 @@ def reference_bb_order(group, a, cap: int) -> int:
             return r
         current = group.mul(current, a)
     raise BlackBoxError(f"order of {a!r} exceeds cap {cap}")
+
+
+def reference_multivariate_dlog(group, beta, b) -> list[int]:
+    """multivariate_dlog as b's coordinates in the identity decomposition
+    table of beta: each order by `bb_order`, b decoded by an EncodingBridge."""
+    orders = [bb_order(group, g) for g in beta]
+    eye = identity_matrix(len(beta))
+    table = DecompositionTable(alpha=list(beta), beta=list(beta), a=eye, b=eye, c=list(orders))
+    bridge = EncodingBridge(group=group, table=table)
+    try:
+        return list(bridge.decode(b).coords)
+    except ExtractionError:
+        if not group.is_element(b):
+            raise
+        raise algorithms.AlgorithmError(f"{b!r} is not generated by the given elements") from None
 
 
 def reference_cayley_relations(group, generators) -> tuple[list[list[int]], dict]:

@@ -639,8 +639,8 @@ MUTANTS = [
     Mutant(
         name="order certificate skips the first prime of c",
         path="src/normsim/blackbox.py",
-        old="for q in prime_factors(c_i))",
-        new="for q in prime_factors(c_i)[1:])",
+        old="    for q in prime_factors(multiple):\n",
+        new="    for q in prime_factors(multiple)[1:]:\n",
         tests=(ORDER_CERTIFICATE, f"{WRONG_ORDER_CLAIMS}[zn_star]"),
     ),
     Mutant(
@@ -649,6 +649,38 @@ MUTANTS = [
         old="                or group.power(b_i, c_i) != identity\n",
         new="",
         tests=(ORDER_CERTIFICATE, f"{WRONG_ORDER_CLAIMS}[curve]"),
+    ),
+    Mutant(
+        name="multivariate discrete log reads the walk position before b's",
+        path="src/normsim/algorithms.py",
+        old="    return list(walk.word(p))\n",
+        new="    return list(walk.word(p - 1))\n",
+        tests=(
+            "tests/test_algorithms.py::"
+            "test_multivariate_dlog_equals_the_bridge_decode_at_the_cost_of_the_walk",
+            "tests/test_algorithms.py::test_multivariate_dlog_examples",
+        ),
+    ),
+    Mutant(
+        name="modexp check takes the order as the size of the walk of [a] + generators",
+        path="src/normsim/circuits.py",
+        old="    order = len(cayley_relations(group, [a])[1])\n",
+        new="    order = len(cayley_relations(group, [a] + list(generators))[1])\n",
+        tests=(
+            "tests/test_circuits.py::test_modexp_check_matches_divisibility",
+            "tests/test_circuits.py::test_modexp_check_reads_the_order_off_the_walk_it_resumes[15]",
+        ),
+    ),
+    Mutant(
+        name="discrete log without its generator test",
+        path="src/normsim/algorithms.py",
+        old="    if minimal_order(group, a, p - 1, group.power) != p - 1:\n"
+        "        raise DiscreteLogError(f\"{a} does not generate the units mod {p}\")\n",
+        new="",
+        tests=(
+            "tests/test_algorithms.py::test_dlog_generator_check_matches_the_order",
+            "tests/test_algorithms.py::test_dlog_queries_fall_on_one_counter",
+        ),
     ),
     Mutant(
         name="square-and-multiply drops the multiply on a set bit",

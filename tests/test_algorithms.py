@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_finite_group,
+    reference_cayley_relations,
     reference_exponent_kernel,
+    reference_multivariate_dlog,
     reference_oracular_inv,
     reference_oracular_mul,
     solve_hsp_reference,
@@ -933,3 +935,45 @@ def test_multivariate_dlog_examples():
     assert multivariate_dlog(group, [2, 14], 14) == [0, 1]
     with pytest.raises(AlgorithmError):
         multivariate_dlog(group, [4], 7)  # 7 is not a power of 4
+
+
+def _multivariate_dlog_corpus():
+    """(N, beta) for N = 3..64: six seeded draws of 1-3 units of Z_N^*, then
+    beta with the identity, with a unit repeated and with a dependent pair."""
+    rng = np.random.default_rng(36)
+    for n in range(3, 65):
+        units = list(ZNStarGroup(n).elements())
+        for _ in range(6):
+            yield n, [int(x) for x in rng.choice(units, size=int(rng.integers(1, 4)))]
+        g = units[1]
+        yield n, [1, g]
+        yield n, [g, g]
+        yield n, [g, g * g % n, units[-1]]
+
+
+def _outcome(call):
+    """What `call` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+def test_multivariate_dlog_equals_the_bridge_decode_at_the_cost_of_the_walk():
+    """Every residue b (units and non-units) against the identity table's
+    bridge decode with `bb_order` orders: the same exponents, or the same
+    error and message.  On a fresh group each call costs the walk of beta,
+    |<beta>| - 1 + k `mul`."""
+    cases = 0
+    for n, beta in _multivariate_dlog_corpus():
+        reference_group = ZNStarGroup(n)
+        size = len(reference_cayley_relations(ZNStarGroup(n), beta)[1])
+        for b in range(n):
+            group = ZNStarGroup(n)
+            got = _outcome(lambda: multivariate_dlog(group, beta, b))
+            assert got == _outcome(lambda: reference_multivariate_dlog(reference_group, beta, b)), (
+                n, beta, b)
+            assert group.counter.mul == size - 1 + len(beta), (n, beta, b)
+            cases += 1
+    assert cases == 9 * sum(range(3, 65))
+

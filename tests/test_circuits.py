@@ -22,7 +22,7 @@ from helpers import (
     reference_is_bijective,
 )
 
-from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_order
+from normsim.blackbox import EllipticCurveGroup, ZNStarGroup, bb_decompose_bruteforce, bb_order
 from normsim.circuits import (
     AutomorphismGate,
     CircuitError,
@@ -489,26 +489,51 @@ def test_cached_word_exp_matches_the_power_loop(draw):
 
 def test_modexp_check_examples():
     g = ZNStarGroup(15)
-    ok, rep = check_modexp_normalizable(4, 2, g)
+    gens = g.sample_generators(np.random.default_rng(0))
+    ok, rep = check_modexp_normalizable(4, 2, g, gens)
     assert ok and rep is not None
     assert exhaustive_homomorphism_check(rep)
-    ok, rep = check_modexp_normalizable(3, 2, g)
+    ok, rep = check_modexp_normalizable(3, 2, g, gens)
     assert not ok and rep is None
-    ok, rep = check_modexp_normalizable(8, 1, g)
+    ok, rep = check_modexp_normalizable(8, 1, g, gens)
     assert ok and rep is not None
 
 
 def test_modexp_check_matches_divisibility():
     g = ZNStarGroup(21)
+    gens = g.sample_generators(np.random.default_rng(0))
     for a in [2, 4, 5, 20]:
         r = bb_order(g, a)
         for m in range(1, 25):
-            ok, rep = check_modexp_normalizable(m, a, g)
+            ok, rep = check_modexp_normalizable(m, a, g, gens)
             assert ok == (m % r == 0)
             if ok:
                 assert rep is not None
                 if m <= 6:  # keep the quadratic-cost oracle to small spaces
                     assert exhaustive_homomorphism_check(rep)
+
+
+@pytest.mark.parametrize("n", [15, 21, 91])
+def test_modexp_check_reads_the_order_off_the_walk_it_resumes(n):
+    """After `sample_generators`, a refused a costs the walk of [a], ord(a)
+    `mul`, and an accepted a what decomposing [a] + generators costs on a
+    fresh group: the walk of [a] is resumed, so bb_order's ord(a) - 1 is
+    saved."""
+    for a in ZNStarGroup(n).elements():
+        order = bb_order(ZNStarGroup(n), a)
+        for m, accepted in ((2 * order, True), (order + 1, order == 1)):
+            g = ZNStarGroup(n)
+            gens = g.sample_generators(np.random.default_rng(0))
+            assert len(gens) > 1  # so [a] never equals the kept walk's generators
+            before = g.counter.mul
+            ok, _ = check_modexp_normalizable(m, a, g, gens)
+            assert ok == accepted
+            expected = order
+            if accepted:
+                fresh = ZNStarGroup(n)
+                bb_decompose_bruteforce(fresh, [a] + [x for x in gens if x != a])
+                expected = fresh.counter.mul
+            assert g.counter.mul - before == expected, (a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +723,8 @@ def test_numerators_exact_for_a_file_form_beyond_int64():
     state = dense_run(circuit, (0,))
     for x in form.group.elements():
         expected = 0.5 * np.exp(2j * np.pi * float(form.exponent(x)))
-        assert state.amplitude(x.coords) == pytest.approx(expected, abs=1e-15)
+        amplitude = complex(state.amplitudes.flat[state.flat_index(x.coords)])
+        assert amplitude == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [3**25, 10**12 + 39])

@@ -116,7 +116,7 @@ def test_engine_outcomes_are_ints(seed):
     start = g.random_element(rng)
     state = dense_run(circuit, start.coords)
     for i in range(state.amplitudes.size):
-        assert_typed(state.point(i), g)
+        assert_typed(state.points([i])[0], g)
     for point in coset_run(circuit, start).sample(20, rng):
         assert_typed(point, g)
 

@@ -39,7 +39,7 @@ def test_automorphism_permutes_labels():
     rep = validate_matrix_rep([[3]], cyclic_group(8))
     circuit = NormalizerCircuit(basis, [AutomorphismGate(rep=rep)])
     state = dense_run(circuit, (2,))
-    assert state.amplitude((6,)) == pytest.approx(1.0)
+    assert complex(state.amplitudes.flat[state.flat_index((6,))]) == pytest.approx(1.0)
 
 
 def test_quadratic_phases_are_diagonal():
@@ -50,7 +50,7 @@ def test_quadratic_phases_are_diagonal():
     state = dense_run(circuit, (0,))
     for x in range(4):
         expected = 0.5 * np.exp(2j * np.pi * float(form.exponent(g.element(x))))
-        assert state.amplitude((x,)) == pytest.approx(expected)
+        assert complex(state.amplitudes.flat[state.flat_index((x,))]) == pytest.approx(expected)
 
 
 def test_qft_matches_explicit_dft_on_arbitrary_state():
@@ -144,7 +144,7 @@ def test_dlog_circuit_support_p7():
     # p = 7, a = 3, b = 6 = 3^3: support should be pairs (k, 3k mod 6).
     circuit = build_dlog_circuit(7, 3, 6)
     state = dense_run(circuit, (0, 0, 1))
-    support = state.support(tol=1e-9)
+    support = set(state.probabilities(1e-9))
     pairs = {(int(pt[0]), int(pt[1])) for pt in support}
     assert pairs == {(k, (3 * k) % 6) for k in range(6)}
 

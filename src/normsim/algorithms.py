@@ -670,7 +670,7 @@ def _exponent_kernel(
     try:
         kernel = _sample_kernel(circuit, rng, cap)[0]
     except DenseCapExceeded:
-        relations, _ = cayley_relations(group, generators)
+        relations = cayley_relations(group, generators).relations
         rows = hermite_reduce([[value % d for value in rel] for rel in relations])
         return rows, "classical kernel oracle (dense cap exceeded)"
     return [list(gen.coords) for gen in kernel], "hidden-subgroup rounds (dense)"
@@ -788,7 +788,7 @@ def multivariate_dlog(group: BlackBoxGroup, beta: Sequence, b) -> list[int]:
     |<beta>| - 1 + l `mul`: for independent beta, the one x with
     0 <= x_i < ord(beta_i).
     """
-    _, walk = cayley_relations(group, beta)
+    walk = cayley_relations(group, beta)
     if not group.is_element(b):
         raise ExtractionError(f"{b!r} is not in the black-box group")
     p = walk.position.get(group.encode(b))

@@ -173,7 +173,7 @@ class BlackBoxGroup:
                 raise BlackBoxError("failed to sample a generating set")
             if self.encode(candidate) not in walk.position:
                 gens.append(candidate)
-                walk = cayley_relations(self, gens)[1]
+                walk = cayley_relations(self, gens)
         if not gens:
             gens.append(self.identity())
         return gens
@@ -464,7 +464,7 @@ class DecompositionTable:
             # ord(beta_i) = c_i, so x -> beta^x maps Z_c onto <alpha>: a
             # bijection exactly when |<alpha>| = prod c, read off the group's
             # kept walk (`cayley_relations`), which raises past the cap.
-            reached = len(cayley_relations(group, self.alpha)[1]) if self.alpha else 1
+            reached = len(cayley_relations(group, self.alpha)) if self.alpha else 1
             if reached != self.order():
                 raise BlackBoxError("beta generators are not independent")
 
@@ -474,7 +474,8 @@ class CosetWalk:
     """The coset y0 <g_1, .., g_k> in mixed-radix order: elements[p] is
     y0 g_1^d_1 .. g_k^d_k for (d_1, .., d_k) = word(p), d_r < moduli[r], and
     position maps each element's key to p, in that order.  y0 g_r^moduli[r]
-    is y0 times the word carries[r] in g_1, .., g_(r-1)."""
+    is y0 times the word carries[r] in g_1, .., g_(r-1).  `word` and its
+    inverse `index` take ints or integer numpy arrays."""
 
     elements: list
     position: dict
@@ -484,12 +485,25 @@ class CosetWalk:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def word(self, p: int) -> tuple[int, ...]:
+    def word(self, p):
         digits = []
         for m in self.moduli:
             p, d = divmod(p, m)
             digits.append(d)
         return tuple(digits)
+
+    def index(self, exponents):
+        """Position of y0 g_1^x_1 .. g_k^x_k for any integers x_r (arrays
+        broadcast): x_r is reduced by its relation, last generator first,
+        the quotient times carries[r] added to the earlier exponents."""
+        x, p = list(exponents), 0
+        for r in reversed(range(len(x))):
+            q, d = divmod(x[r], self.moduli[r])
+            for i, w in enumerate(self.carries[r]):
+                if w:
+                    x[i] = x[i] + q * w
+            p = p * self.moduli[r] + d
+        return p
 
     @property
     def relations(self) -> list[list[int]]:
@@ -535,11 +549,11 @@ def coset_walk(group: BlackBoxGroup, key, start, generators: Sequence,
     return walk
 
 
-def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[list[int]], CosetWalk]:
-    """(relations, walk): the `coset_walk` of <generators> from the identity,
-    keyed by `encode`, for n - 1 + k `mul`; raises past DEFAULT_ORDER_CAP
-    elements.  The group keeps its last walk: walking the same generators
-    again is free, and more generators after them fold onto it."""
+def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> CosetWalk:
+    """The `coset_walk` of <generators> from the identity, keyed by `encode`,
+    for n - 1 + k `mul`; raises past DEFAULT_ORDER_CAP elements.  The group
+    keeps its last walk: walking the same generators again is free, and more
+    generators after them fold onto it."""
     generators = list(generators)
     if not generators:
         raise BlackBoxError("need at least one generator")
@@ -551,16 +565,16 @@ def cayley_relations(group: BlackBoxGroup, generators: Sequence) -> tuple[list[l
     walk = coset_walk(group, group.encode, group.identity(), generators[len(kept):], walk,
                       DEFAULT_ORDER_CAP)
     group._walk = (key, walk)
-    return walk.relations, walk
+    return walk
 
 
 def bb_decompose_bruteforce(group: BlackBoxGroup, generators: Sequence) -> DecompositionTable:
     """Classical decomposition oracle: exhaust the group, then SNF the relations."""
     generators = list(generators)
-    relations, walk = cayley_relations(group, generators)
+    walk = cayley_relations(group, generators)
     if group.order_within(len(walk))[0] != len(walk):
         raise BlackBoxError("generators do not generate the group")
-    table = decomposition_from_relations(group, generators, relations)
+    table = decomposition_from_relations(group, generators, walk.relations)
     if table.order() != len(walk):
         raise BlackBoxError("relation lattice does not pin down the group")
     return table

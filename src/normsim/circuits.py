@@ -27,7 +27,6 @@ from .blackbox import (
     EllipticCurveGroup,
     ZNStarGroup,
     bb_decompose_bruteforce,
-    cayley_relations,
 )
 from .groups import (
     ElementaryGroup,
@@ -509,7 +508,6 @@ class QuadraticGate:
     func: Callable | None = None
     name: str = ""
     n_out: int | None = None
-    params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if (self.form is None) == (self.func is None):
@@ -632,7 +630,8 @@ def word_exp_func(basis: DesignatedBasis, bases: Sequence) -> WordExp:
     returned `WordExp`'s active (register, base) pairs and applies the gate
     by `blackbox.coset_walk` of y0 <bases> for each support label y0 not yet
     reached: |<bases>| - 1 + (active bases) `mul` per coset the support meets
-    (one for a Fourier opening), no `power`.  A per-point call (deblackbox
+    (one for a Fourier opening), no `power`; a label's image is the walk's
+    `index` of its `word` plus its exponents.  A per-point call (deblackbox
     extraction, tests) costs one `mul` per active base, plus one `power` per
     distinct (register, exponent) over the gate's lifetime.  Generic
     black-box callables run once per support label on the dense engine.
@@ -657,13 +656,11 @@ def check_modexp_normalizable(m: int, a, group: BlackBoxGroup, generators: Seque
     Returns (True, MatrixRep over Z_M x Z_B) exactly when the order of `a`
     divides M; the emitted matrix is validated.  Otherwise (False, None):
     no normalizer circuit over the finite space approximates the gate.
-    ord(a) is the size of the group's kept walk of [a], which the
-    decomposition of [a] + generators then resumes.
+    ord(a) | M is decided by one `power(a, M)`.
     """
     if m < 1:
         raise CircuitError(f"modulus must be positive, got {m}")
-    order = len(cayley_relations(group, [a])[1])
-    if m % order != 0:
+    if group.power(a, m) != group.identity():
         return False, None
     generators = [a] + [g for g in generators if g != a]
     table = bb_decompose_bruteforce(group, generators)

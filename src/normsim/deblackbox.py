@@ -92,7 +92,7 @@ class EncodingBridge:
     def _tables(self) -> tuple[dict, dict]:
         """Every element by its beta-coordinates and the inverse map, built once."""
         if self._words is None:
-            _, walk = cayley_relations(self.group, self.table.alpha)
+            walk = cayley_relations(self.group, self.table.alpha)
             z_group = self.z_group
             self._words, self._decode_map = {}, {}
             for (key, p), value in zip(walk.position.items(), walk.elements):

@@ -11,24 +11,24 @@ only when such a gate runs.  Black-box gates run here directly, which is
 what makes the engine usable on circuits that have not been de-black-boxed
 yet.  A `word_exp` gate permutes the black-box axis by one
 `blackbox.coset_walk` of y0 <b_1, .., b_k>, keyed by label index, per coset
-the support meets: |<b>| - 1 + k `mul`, no `power`.  Each label's exponents
-are reduced by the walk's relations and read off its mixed-radix table of
-label indices, exactly for every exponent.  (Called point by point, as
-deblackbox extraction does, it keeps its cached-power cost instead.)  Any
-other black-box callable runs once per label of the nonzero support; each
-image goes through `make_point`, and all are encoded into flat positions in
-one array pass.
+the support meets: |<b>| - 1 + k `mul`, no `power`.  A label at walk
+position p moves to position `walk.index(walk.word(p) + its exponents)`,
+exactly for every exponent.  (Called point by point, as deblackbox
+extraction does, it keeps its cached-power cost instead.)  Any other
+black-box callable runs once per label of the nonzero support; each image
+goes through `make_point`, and all are encoded into flat positions in one
+array pass.
 
 Fourier sampling opens every `fourier_circuit`: a QFT over every elementary
 register, then `word_exp`, from |0, y0>.  Its state is known in closed form,
 c at (x, f(x) y0) for every x, so `dense_run` writes it directly, reading
-f(x) y0 off the coset walk from y0, and spends one FFT on the whole circuit
-instead of two.  c is the product of the 1/sqrt(n_i) multiplied last
-register first, the order numpy's transform scales its axes in, so the
-bytes are those of the FFT.  The opening skips the norm check of black-box
-gates, which cannot fail there: each x slice holds one label before
-`word_exp`, which never moves x, so no two labels meet.  Every other gate,
-and every other opening, runs one by one.
+f(x) y0 at position `index(x)` of the coset walk from y0, and spends one
+FFT on the whole circuit instead of two.  c is the product of the
+1/sqrt(n_i) multiplied last register first, the order numpy's transform
+scales its axes in, so the bytes are those of the FFT.  The opening skips
+the norm check of black-box gates, which cannot fail there: each x slice
+holds one label before `word_exp`, which never moves x, so no two labels
+meet.  Every other gate, and every other opening, runs one by one.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def _apply_qft(state: DenseState, registers) -> None:
 
 def _coset_walk(state: DenseState, func: WordExp, start: int) -> tuple[np.ndarray, CosetWalk]:
     """The `coset_walk` of label index `start` under the active bases, capped
-    at |B|, and its labels: labels[d_k, .., d_1] indexes y0 b_1^d_1 .. b_k^d_k.
-    An image outside the group fails with `make_point`'s error."""
+    at |B|, and its label indices in position order.  An image outside the
+    group fails with `make_point`'s error."""
     group, index = func.group, state._bb_index
     try:
         walk = coset_walk(group, index.__getitem__, state.bb_labels[start],
@@ -148,21 +148,7 @@ def _coset_walk(state: DenseState, func: WordExp, start: int) -> tuple[np.ndarra
     except KeyError as miss:
         state.basis.check_blackbox_values(miss.args)
         raise
-    labels = np.fromiter(walk.position, dtype=np.intp, count=len(walk))
-    return labels.reshape(walk.moduli[::-1]), walk
-
-
-def _images(labels: np.ndarray, walk: CosetWalk, exponents: list) -> np.ndarray:
-    """Label indices of y0 b_1^x_1 .. b_k^x_k on a walk from y0, for integer
-    arrays x_r >= 0 that broadcast: x_r is reduced by its relation, last base
-    first, its quotient times the relation's carry word added to the others."""
-    x = list(exponents)
-    for r in reversed(range(len(x))):
-        q, x[r] = np.divmod(x[r], walk.moduli[r])
-        for i, w in enumerate(walk.carries[r]):
-            if w:
-                x[i] = x[i] + q * w
-    return labels[tuple(reversed(x))]
+    return np.fromiter(walk.position, dtype=np.intp, count=len(walk)), walk
 
 
 def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> np.ndarray:
@@ -177,11 +163,11 @@ def _word_exp_targets(state: DenseState, func: WordExp, support: np.ndarray) -> 
         while todo.any():
             labels, walk = _coset_walk(state, func, int(j[todo][0]))
             place = np.full(len(state.bb_labels), -1, dtype=np.intp)
-            place[labels.reshape(-1)] = np.arange(labels.size)
+            place[labels] = np.arange(len(labels))
             mine = todo & (place[j] >= 0)
-            digits = np.unravel_index(place[j[mine]], labels.shape)[::-1]
+            digits = walk.word(place[j[mine]])
             exponents = [d + columns[r][mine] for d, (r, _) in zip(digits, func.active)]
-            images[mine] = _images(labels, walk, exponents)
+            images[mine] = labels[walk.index(exponents)]
             todo &= ~mine
         columns[-1] = images
     return np.ravel_multi_index(columns, shape)
@@ -246,7 +232,7 @@ def _fourier_opening_label(circuit: NormalizerCircuit, state: DenseState, start:
 def _apply_fourier_opening(state: DenseState, qft: QFTGate, func: WordExp, label: int) -> None:
     """The QFT and `word_exp` gates of a Fourier opening on |0, y0>, in
     closed form: amplitude c at (x, f(x) y0) for every x, j the label index
-    of f(x) y0 off the walk from y0 at x_r broadcast along register r."""
+    of f(x) y0 at the walk's `index(x)`, x_r broadcast along register r."""
     shape = state.amplitudes.shape
     k = len(shape) - 1  # elementary registers; the black-box axis is last
     c = 1.0
@@ -255,7 +241,7 @@ def _apply_fourier_opening(state: DenseState, qft: QFTGate, func: WordExp, label
     labels, walk = _coset_walk(state, func, label)
     # x_r along axis r of the grid
     x = [np.arange(shape[r]).reshape((-1,) + (1,) * (k - 1 - r)) for r, _ in func.active]
-    j = np.broadcast_to(_images(labels, walk, x), shape[:k])
+    j = np.broadcast_to(labels[walk.index(x)], shape[:k])
     size = state.amplitudes.size
     out = np.zeros(size, dtype=np.complex128)
     out[np.arange(0, size, len(state.bb_labels)) + j.reshape(-1)] = c

@@ -50,7 +50,7 @@ BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
 ROUND_TRIPS = "tests/test_deblackbox.py::test_random_round_trips_finite"
-GOLDEN_SLICE = "tests/test_golden.py::test_a_slice_of_every_golden_family_matches_the_record"
+GOLDEN = "tests/test_golden.py::test_every_golden_family_matches_the_record"
 GOLDEN_DENSE = (
     "tests/test_golden.py::test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit"
 )
@@ -68,6 +68,7 @@ ORDER_CERTIFICATE = (
     "tests/test_blackbox.py::"
     "test_verify_order_certificate_agrees_with_the_walk_on_small_unit_groups"
 )
+WALK_INDEX = "tests/test_blackbox.py::test_walk_index_inverts_word_and_reduces_any_exponents"
 WRONG_ORDER_CLAIMS = "tests/test_blackbox.py::test_verify_rejects_each_wrong_order_claim"
 
 MUTANTS = [
@@ -415,14 +416,22 @@ MUTANTS = [
     ),
     Mutant(
         name="coset walk reduction drops the carry word",
-        path="src/normsim/dense.py",
-        old="            if w:\n",
-        new="            if False:\n",
+        path="src/normsim/blackbox.py",
+        old="                if w:\n",
+        new="                if False:\n",
         tests=(
+            WALK_INDEX,
             FOURIER_OPENING,
             "tests/test_dense.py::test_batched_black_box_gates_match_the_per_label_loops",
-            GOLDEN_SLICE,
+            GOLDEN,
         ),
+    ),
+    Mutant(
+        name="walk index combines the digits first generator slowest",
+        path="src/normsim/blackbox.py",
+        old="            p = p * self.moduli[r] + d\n",
+        new="            p = p + d * math.prod(self.moduli[r + 1:])\n",
+        tests=(WALK_INDEX, FOURIER_OPENING),
     ),
     Mutant(
         name="coset walk leaves the closing product uncounted",
@@ -455,7 +464,7 @@ MUTANTS = [
         new="reshape((-1,) + (1,) * (k - r))",
         tests=(
             FOURIER_OPENING,
-            GOLDEN_SLICE,
+            GOLDEN,
             GOLDEN_DENSE,
         ),
     ),
@@ -485,14 +494,14 @@ MUTANTS = [
         path="src/normsim/deblackbox.py",
         old="        quadratic = s * s * m_ii + s * (m_ii * chars[i])\n",
         new="        quadratic = s * s * m_ii\n",
-        tests=(ROUND_TRIPS, GOLDEN_SLICE),
+        tests=(ROUND_TRIPS, GOLDEN),
     ),
     Mutant(
         name="extracted matrix transposed",
         path="src/normsim/deblackbox.py",
         old="    return [[columns[j][i] for j in range(m)] for i in range(m)]\n",
         new="    return [[columns[i][j] for j in range(m)] for i in range(m)]\n",
-        tests=(ROUND_TRIPS, GOLDEN_SLICE),
+        tests=(ROUND_TRIPS, GOLDEN),
     ),
     Mutant(
         name="extracted phase without its cross terms",
@@ -662,13 +671,14 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        name="modexp check takes the order as the size of the walk of [a] + generators",
+        name="modexp check decides ord(a) | 2M",
         path="src/normsim/circuits.py",
-        old="    order = len(cayley_relations(group, [a])[1])\n",
-        new="    order = len(cayley_relations(group, [a] + list(generators))[1])\n",
+        old="    if group.power(a, m) != group.identity():\n",
+        new="    if group.power(a, 2 * m) != group.identity():\n",
         tests=(
             "tests/test_circuits.py::test_modexp_check_matches_divisibility",
-            "tests/test_circuits.py::test_modexp_check_reads_the_order_off_the_walk_it_resumes[15]",
+            "tests/test_circuits.py::"
+            "test_modexp_check_decides_the_order_by_one_power_then_decomposes_once[15]",
         ),
     ),
     Mutant(

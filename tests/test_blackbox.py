@@ -599,15 +599,15 @@ def walk_items(walk) -> list:
 
 def test_cayley_walk_is_kept_for_the_same_generators():
     g = ZNStarGroup(15)
-    relations, walk = cayley_relations(g, [2, 14])
+    walk = cayley_relations(g, [2, 14])
     assert g.counter.total == 8 - 1 + 2 and len(walk) == 8  # n - 1 + k mul
     for key, (value, word) in walk_items(walk):
         assert key == g.encode(value) and value == g.word([2, 14], list(word))
     calls = g.counter.total
-    assert cayley_relations(g, [2, 14]) == (relations, walk)
+    assert cayley_relations(g, [2, 14]) is walk
     assert g.counter.total == calls
     # The same length with another generator walks <4, 14> = {1, 4, 11, 14}.
-    _, smaller = cayley_relations(g, [4, 14])
+    smaller = cayley_relations(g, [4, 14])
     assert sorted(smaller.elements) == [1, 4, 11, 14]
     assert g.counter.total == calls + 4 - 1 + 2
 
@@ -642,8 +642,8 @@ def assert_fold_contract(make, generators):
     element, k lower-triangular relations with diagonal product n, and
     n - 1 + k `mul`."""
     group = make()
-    relations, walk = cayley_relations(group, generators)
-    n, k = len(walk), len(generators)
+    walk = cayley_relations(group, generators)
+    relations, n, k = walk.relations, len(walk), len(generators)
     assert (group.counter.mul, group.counter.inv) == (n - 1 + k, 0)
     ref_relations, ref_reached = reference_cayley_relations(make(), generators)
     assert walk.position.keys() == ref_reached.keys()
@@ -685,10 +685,10 @@ def test_a_resumed_walk_equals_a_fresh_walk(corpus):
         generators = sampled + [group.identity(), sampled[0]]
         resumed = make()
         for j in range(1, len(generators) + 1):
-            relations, walk = cayley_relations(resumed, generators[:j])
+            walk = cayley_relations(resumed, generators[:j])
         fresh = make()
-        expected_relations, expected_walk = cayley_relations(fresh, generators)
-        assert relations == expected_relations
+        expected_walk = cayley_relations(fresh, generators)
+        assert walk.relations == expected_walk.relations
         assert walk_items(walk) == walk_items(expected_walk)
         assert resumed.counter.total == fresh.counter.total == len(walk) - 1 + len(generators)
 
@@ -724,14 +724,38 @@ def test_the_dense_walk_is_the_cayley_walk_keyed_by_label(corpus):
         generators = [g for g in generators if g != group.identity()]
         if not generators:  # the trivial group
             continue
-        relations, walk = cayley_relations(make(), generators)
+        walk = cayley_relations(make(), generators)
         basis = DesignatedBasis(cyclic_group(*[2] * len(generators)), group)
         point = (0,) * len(generators) + (group.identity(),)
         state = dense_run(NormalizerCircuit(basis, []), point)
         start = state.bb_labels.index(group.identity())
         labels, dense_walk = _coset_walk(state, word_exp_func(basis, generators), start)
-        assert [state.bb_labels[i] for i in labels.reshape(-1)] == walk.elements
-        assert dense_walk.relations == relations
+        assert [state.bb_labels[i] for i in labels] == walk.elements
+        assert dense_walk.relations == walk.relations
+
+
+INDEX_GROUPS = [lambda n=n: ZNStarGroup(n) for n in range(2, 65)] + FOLD_CORPUS["shor curves"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(INDEX_GROUPS), st.integers(0, 2**16), st.data())
+def test_walk_index_inverts_word_and_reduces_any_exponents(make, seed, data):
+    """On the kept walk of sampled generators, `index` inverts `word` at
+    every position, reads group.word(gens, x) for exponents in [-3n, 3n],
+    and gives the same positions on numpy arrays, entry by entry."""
+    group = make()
+    gens = group.sample_generators(np.random.default_rng(seed))
+    walk = cayley_relations(group, gens)
+    n = len(walk)
+    assert [walk.index(walk.word(p)) for p in range(n)] == list(range(n))
+    assert walk.index(walk.word(np.arange(n))).tolist() == list(range(n))
+    vector = st.lists(st.integers(-3 * n, 3 * n), min_size=len(gens), max_size=len(gens))
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=8))
+    positions = [walk.index(x) for x in vectors]
+    for x, p in zip(vectors, positions):
+        assert walk.elements[p] == group.word(gens, x), (x, p)
+    columns = [np.array(column) for column in zip(*vectors)]
+    assert walk.index(columns).tolist() == positions
 
 
 def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
@@ -740,7 +764,7 @@ def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
     # six of <2> and 20, whose coset would take the walk to 12.
     for n, generators, refused in ((13, [2], 11), (21, [2, 20], 7)):
         monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 12)
-        assert len(cayley_relations(ZNStarGroup(n), generators)[1]) == 12
+        assert len(cayley_relations(ZNStarGroup(n), generators)) == 12
         monkeypatch.setattr(blackbox, "DEFAULT_ORDER_CAP", 11)
         group = ZNStarGroup(n)
         with pytest.raises(BlackBoxError, match="^group order exceeds cap 11$"):
@@ -752,7 +776,7 @@ def test_cayley_walk_refuses_past_the_cap_at_the_boundary(monkeypatch):
     cayley_relations(group, [3])
     with pytest.raises(BlackBoxError, match="^group order exceeds cap 11$"):
         cayley_relations(group, [3, 2])
-    assert len(cayley_relations(group, [3])[1]) == 3
+    assert len(cayley_relations(group, [3])) == 3
 
 
 def test_cayley_walk_refuses_a_cyclic_group_past_the_cap():

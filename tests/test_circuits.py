@@ -514,25 +514,28 @@ def test_modexp_check_matches_divisibility():
 
 
 @pytest.mark.parametrize("n", [15, 21, 91])
-def test_modexp_check_reads_the_order_off_the_walk_it_resumes(n):
-    """After `sample_generators`, a refused a costs the walk of [a], ord(a)
-    `mul`, and an accepted a what decomposing [a] + generators costs on a
-    fresh group: the walk of [a] is resumed, so bb_order's ord(a) - 1 is
-    saved."""
+def test_modexp_check_decides_the_order_by_one_power_then_decomposes_once(n):
+    """After `sample_generators`, a refused a costs power(a, M):
+    bit_length(M) + popcount(M) - 2 `mul`.  An accepted a costs that plus
+    what decomposing [a] + generators costs on a fresh group, less the walk
+    when that list is the sampled one, whose kept walk is resumed."""
+    size = ZNStarGroup(n).order()
     for a in ZNStarGroup(n).elements():
         order = bb_order(ZNStarGroup(n), a)
-        for m, accepted in ((2 * order, True), (order + 1, order == 1)):
+        for m, accepted in ((2 * order, True), (order + 1, order == 1), (size, True)):
             g = ZNStarGroup(n)
             gens = g.sample_generators(np.random.default_rng(0))
-            assert len(gens) > 1  # so [a] never equals the kept walk's generators
             before = g.counter.mul
             ok, _ = check_modexp_normalizable(m, a, g, gens)
             assert ok == accepted
-            expected = order
+            expected = m.bit_length() + m.bit_count() - 2
             if accepted:
+                generators = [a] + [x for x in gens if x != a]
                 fresh = ZNStarGroup(n)
-                bb_decompose_bruteforce(fresh, [a] + [x for x in gens if x != a])
-                expected = fresh.counter.mul
+                bb_decompose_bruteforce(fresh, generators)
+                expected += fresh.counter.mul
+                if generators == gens:
+                    expected -= size - 1 + len(gens)
             assert g.counter.mul - before == expected, (a, m)
 
 

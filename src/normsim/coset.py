@@ -147,12 +147,6 @@ class CosetPhaseState:
     def _reduce_coords(self, coords) -> list[int]:
         return [c % n for c, n in zip(coords, self.group.chars)]
 
-    def phase_exponent(self, t) -> Fraction:
-        """q(t) = (t quad t + lin t)/D mod 1 at one parameter vector t."""
-        grid = np.reshape(t, (len(t), 1))
-        k, d = _scaled_numerators(self.quad, self.lin, self.denominator, grid)
-        return Fraction(int(k[0]), d)
-
     # -- gate updates -----------------------------------------------------------
 
     def apply_automorphism(self, rep) -> None:

@@ -12,8 +12,10 @@ installed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -22,6 +24,7 @@ import numpy as np
 from .blackbox import (
     BlackBoxError,
     BlackBoxGroup,
+    CosetWalk,
     DecompositionTable,
     bb_decompose_bruteforce,
     cayley_relations,
@@ -72,53 +75,53 @@ class EncodingBridge:
 
     encode maps an exponent vector g to beta_1^g(1) ... beta_d^g(d); decode
     inverts it.  Decoding is the multivariate discrete-logarithm problem; at
-    desk scale both directions come from the group's kept walk of alpha
-    (`cayley_relations`, free after `bb_decompose_bruteforce`): alpha-word x
-    has beta-coordinates B x mod c.  encode reduces g mod c first, which
-    gives group.word's value because beta_i has order c_i (`verify` checks it).
-    to_decomposed and from_decomposed apply them to the black-box slot of a
-    whole circuit point, the one place points cross between B and Z_c.
+    desk scale each query reads one element of the group's kept walk of alpha
+    (`cayley_relations`, free after `bb_decompose_bruteforce`): position p
+    has beta-coordinates B word(p) mod c, and beta^g = alpha^(A g) sits at
+    index(A g).  encode reduces g mod c first, which gives group.word's value
+    because beta_i has order c_i (`verify` checks it).  Answers are kept, and
+    nothing is built for an element nobody asked for.  to_decomposed and
+    from_decomposed apply them to the black-box slot of a whole circuit point.
     """
 
     group: BlackBoxGroup
     table: DecompositionTable
-    _words: dict | None = field(default=None, repr=False)
-    _decode_map: dict | None = field(default=None, repr=False)
+    _encoded: dict = field(default_factory=dict, init=False, repr=False)
+    _decoded: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def z_group(self) -> ElementaryGroup:
         return ElementaryGroup(tuple(cyclic(c) for c in self.table.c))
 
-    def _tables(self) -> tuple[dict, dict]:
-        """Every element by its beta-coordinates and the inverse map, built once."""
-        if self._words is None:
-            walk = cayley_relations(self.group, self.table.alpha)
-            z_group = self.z_group
-            self._words, self._decode_map = {}, {}
-            for (key, p), value in zip(walk.position.items(), walk.elements):
-                word = walk.word(p)
-                x = tuple(sum(map(operator.mul, row, word)) % c
-                          for row, c in zip(self.table.b, self.table.c))
-                self._words[x] = value
-                self._decode_map[key] = GroupElement(z_group, x)
-        return self._words, self._decode_map
+    @cached_property
+    def _walk(self) -> CosetWalk:
+        return cayley_relations(self.group, self.table.alpha)
 
     def encode(self, vector: Sequence[int] | GroupElement):
         if isinstance(vector, GroupElement):
             vector = vector.coords
         if len(vector) != len(self.table.c):
             raise BlackBoxError("generator/exponent length mismatch")
-        words, _ = self._tables()
-        return words[tuple(operator.index(e) % c for e, c in zip(vector, self.table.c))]
+        x = tuple(operator.index(e) % c for e, c in zip(vector, self.table.c))
+        if x not in self._encoded:
+            exponents = [sum(map(operator.mul, row, x)) for row in self.table.a]
+            self._encoded[x] = self._walk.elements[self._walk.index(exponents)]
+        return self._encoded[x]
 
     def decode(self, element) -> GroupElement:
         if not self.group.is_element(element):
             raise ExtractionError(f"{element!r} is not in the black-box group")
-        _, decode_map = self._tables()
-        decoded = decode_map.get(self.group.encode(element))
-        if decoded is None:
-            raise ExtractionError(f"{element!r} is not in the subgroup the table generates")
-        return decoded
+        key = self.group.encode(element)
+        if key not in self._decoded:
+            # Positions past |<alpha>| hold generators folded onto the kept walk later.
+            p = self._walk.position.get(key)
+            if p is None or p >= math.prod(self._walk.moduli[:len(self.table.alpha)]):
+                raise ExtractionError(f"{element!r} is not in the subgroup the table generates")
+            word = self._walk.word(p)
+            self._decoded[key] = GroupElement(self.z_group, tuple(
+                sum(map(operator.mul, row, word)) % c
+                for row, c in zip(self.table.b, self.table.c)))
+        return self._decoded[key]
 
     def to_decomposed(self, point: Sequence) -> tuple:
         """(x, b) with b in B -> (x, decode(b)), for any iterable point."""

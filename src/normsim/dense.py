@@ -64,11 +64,10 @@ class DenseState:
     basis: DesignatedBasis
     amplitudes: np.ndarray
     bb_labels: list | None
-    _bb_index: dict = field(default_factory=dict, repr=False)
+    _bb_index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.bb_labels is not None and not self._bb_index:
-            self._bb_index = {label: i for i, label in enumerate(self.bb_labels)}
+        self._bb_index = {label: i for i, label in enumerate(self.bb_labels or ())}
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))

@@ -50,6 +50,7 @@ BLOCK_DECISIONS = (
     "tests/test_circuits.py::test_validation_agrees_with_determinants_and_brute_force_bijectivity"
 )
 ROUND_TRIPS = "tests/test_deblackbox.py::test_random_round_trips_finite"
+WORD_ENUMERATION = "tests/test_deblackbox.py::test_decode_map_equals_the_word_enumeration"
 GOLDEN = "tests/test_golden.py::test_every_golden_family_matches_the_record"
 GOLDEN_DENSE = (
     "tests/test_golden.py::test_the_first_dense_cases_match_the_record_and_see_one_flipped_bit"
@@ -160,10 +161,7 @@ MUTANTS = [
         path="src/normsim/deblackbox.py",
         old="for row, c in zip(self.table.b, self.table.c)",
         new="for row, c in zip(self.table.a, self.table.c)",
-        tests=(
-            "tests/test_deblackbox.py::test_encode_equals_the_beta_word[Z63*]",
-            CURVE_DEBLACKBOX,
-        ),
+        tests=(f"{WORD_ENUMERATION}[Z15*]", CURVE_DEBLACKBOX),
     ),
     Mutant(
         name="bridge coordinates from B transposed",
@@ -171,9 +169,16 @@ MUTANTS = [
         old="for row, c in zip(self.table.b, self.table.c)",
         new="for row, c in zip(zip(*self.table.b), self.table.c)",
         tests=(
-            "tests/test_deblackbox.py::test_decode_map_equals_the_word_enumeration[E(17, 2, 4)]",
+            f"{WORD_ENUMERATION}[E(17, 2, 4)]",
             "tests/test_deblackbox.py::test_encode_equals_the_beta_word[Z15*]",
         ),
+    ),
+    Mutant(
+        name="bridge encode reads the walk at B g instead of A g",
+        path="src/normsim/deblackbox.py",
+        old="for row in self.table.a]",
+        new="for row in self.table.b]",
+        tests=(f"{WORD_ENUMERATION}[E(11, 1, 1)]",),
     ),
     Mutant(
         name="kept Cayley walk resumed for any generator list as long",

@@ -1,6 +1,7 @@
 """Tests for encoding conversion and black-box gate extraction."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from normsim.blackbox import (
     ZNStarGroup,
     bb_decompose_bruteforce,
     bb_order,
+    cayley_relations,
 )
 from normsim.circuits import (
     AutomorphismGate,
@@ -93,14 +95,39 @@ def test_decode_map_equals_the_word_enumeration(make):
     g = make()
     table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(0)))
     bridge = EncodingBridge(g, table)
+    # The reference maps: one group.word per exponent vector.
+    words = [(x, g.word(table.beta, x.coords)) for x in bridge.z_group.elements()]
     before = g.counter.total
-    bridge.decode(g.identity())
+    decoded = {g.encode(element): bridge.decode(element) for element in g.elements()}
     # The bridge reads the Cayley walk the decomposition left on the group.
     assert g.counter.total == before
-    z = bridge.z_group
-    # The map as it was built before: one group.word per exponent vector.
-    old = {g.encode(g.word(table.beta, x.coords)): x for x in z.elements()}
-    assert bridge._decode_map == old
+    assert decoded == {g.encode(value): x for x, value in words}
+    assert [bridge.encode(x) for x, _ in words] == [value for _, value in words]
+    assert g.counter.total == before
+
+
+def test_bridge_round_trips_build_no_table_of_the_group():
+    g = ZNStarGroup(10007)
+    table = bb_decompose_bruteforce(g, g.sample_generators(np.random.default_rng(0)))
+    bridge = EncodingBridge(g, table)
+    rng = np.random.default_rng(6)
+    vectors = [[int(e) for e in rng.integers(-10**6, 10**6, size=len(table.c))]
+               for _ in range(6)]
+    elements = [int(x) for x in rng.integers(1, 10007, size=6)]
+    before = g.counter.total
+    tracemalloc.start()
+    try:
+        for v in vectors:
+            assert bridge.decode(bridge.encode(v)).coords == tuple(
+                e % c for e, c in zip(v, table.c))
+        for element in elements:
+            assert bridge.encode(bridge.decode(element)) == element
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every element of the group in a table would take megabytes.
+    assert peak < 500_000
+    assert g.counter.total == before
 
 
 @pytest.mark.parametrize(
@@ -132,6 +159,10 @@ def test_decode_outside_the_generated_subgroup_names_the_element():
     table = DecompositionTable(alpha=[4], beta=[4], a=[[1]], b=[[1]], c=[2])
     bridge = EncodingBridge(g, table)
     assert bridge.decode(4).coords == (1,)
+    with pytest.raises(ExtractionError, match="^7 is not in the subgroup"):
+        bridge.decode(7)
+    # Folding 7 onto the group's kept walk of [4] leaves the bridge's subgroup.
+    cayley_relations(g, [4, 7])
     with pytest.raises(ExtractionError, match="^7 is not in the subgroup"):
         bridge.decode(7)
     with pytest.raises(ExtractionError, match="^15 is not in the black-box group$"):
